@@ -28,8 +28,8 @@ from .models import (CLFModel, CLFParams, LFModel, LFParams, clf_step,
 from .montecarlo import (SamplePool, compare_to_model, mc_step,
                          pool_from_clf, pool_from_lf, run_validation,
                          sample_clf, sample_geometric, sample_lf)
-from .lab import (ScalingReport, c_star_estimate, c_v_estimate,
-                  critical_asymptotics, euler_tan_check, n_star_scaling,
-                  sandwich_check, simplified_comparison)
+from .lab import (ScalingReport, Seed, c_star_estimate, c_v_estimate,
+                  critical_asymptotics, euler_tan_check, make_seed,
+                  n_star_scaling, sandwich_check, simplified_comparison)
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from typing import Sequence
 
 from . import curve as curve_mod
 from . import lab as lab_mod
-from .drivers import ZSpecContinuous, ZSpecDiscrete, driver_from_spec
+from .drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
+                      parse_atoms)
 from .errors import ConfigError, DrlabError
 from .models import (CLFParams, LFParams, clf_step, clf_to_uv, lf_step,
                      lf_to_uv, make_clf_model, make_lf_model)
@@ -177,20 +178,14 @@ def _cmd_free_energy(args, parser) -> int:
 
 
 def _model_from_args(args):
-    atoms = tuple(_parse_atoms(args.z or "1"))
+    z = args.z or "1"
+    if isinstance(z, (list, tuple)):  # config file: [[value, prob], ...]
+        atoms = tuple((float(v), float(p)) for v, p in z)
+    else:
+        atoms = tuple(parse_atoms(str(z)))
     if args.kind == "lf":
         return make_lf_model(float(args.p), ZSpecDiscrete(atoms))
     return make_clf_model(float(args.p), ZSpecContinuous(atoms))
-
-
-def _parse_atoms(value):
-    if isinstance(value, (list, tuple)):
-        return [(float(v), float(p)) for v, p in value]
-    out = []
-    for piece in str(value).split("+"):
-        v, sep, pr = piece.partition("@")
-        out.append((float(v), float(pr) if sep else 1.0))
-    return out
 
 
 def _cmd_model_orbit(args, parser, kind: str) -> int:
@@ -278,10 +273,8 @@ def _cmd_lab(args, parser) -> int:
     if exp == "euler":
         eps = [float(e) for e in (args.eps or [1e-6, 1e-8])]
         ts = [float(t) for t in (args.t or [0.3, 0.7, 1.0])]
-        report = lab_mod.euler_tan_check(eps, ts)
-        return _emit_lab(report, args.out)
+        return _emit_lab(lab_mod.euler_tan_check(eps, ts), args.out)
     psi, _ = _build_driver(args)
-    refine = float(args.refine_seed_tol) if args.refine_seed_tol else None
     if exp == "sandwich":
         if args.u0 is None or args.v0 is None:
             raise ConfigError("lab sandwich requires --u0 and --v0")
@@ -294,26 +287,21 @@ def _cmd_lab(args, parser) -> int:
             (args.out + ".json") if args.out else None)
         return 0 if rep.ok else 1
     v0 = float(args.v0 if args.v0 is not None else 0.0)
-    cur = _lab_curve(args, psi)
+    refine = (float(args.refine_seed_tol)
+              if args.refine_seed_tol is not None else None)
+    # the seed at v0 >= 0 is 0: no curve to solve or read
+    cur = _lab_curve(args, psi) if v0 < 0.0 else None
+    seed = lab_mod.make_seed(psi, v0, curve=cur, refine_tol=refine)
     if exp == "critical":
-        report = lab_mod.critical_asymptotics(
-            psi, cur, v0, int(args.n_max or 10 ** 5),
-            seed_refine_tol=refine)
-    elif exp == "n-star":
-        report = lab_mod.n_star_scaling(
-            psi, cur, v0, [float(e) for e in (args.eps or [1e-6])],
-            seed_refine_tol=refine)
-    elif exp == "c-star":
-        report = lab_mod.c_star_estimate(
-            psi, cur, v0, [float(e) for e in (args.eps or [1e-6])],
-            seed_refine_tol=refine)
-    elif exp == "c-v":
-        report = lab_mod.c_v_estimate(
-            psi, cur, v0, [float(e) for e in (args.eps or [1e-6])],
-            seed_refine_tol=refine)
+        report = lab_mod.critical_asymptotics(psi, seed,
+                                              int(args.n_max or 10 ** 5))
     else:
-        raise ConfigError(f"unknown lab experiment {exp!r}")
-    return _emit_lab(report, args.out)
+        run = {"n-star": lab_mod.n_star_scaling,
+               "c-star": lab_mod.c_star_estimate,
+               "c-v": lab_mod.c_v_estimate}[exp]
+        report = run(psi, seed, [float(e) for e in (args.eps or [1e-6])])
+    code = _emit_lab(report, args.out)
+    return 1 if cur is not None and not cur.converged else code
 
 
 def _emit_lab(report, out_base: str | None) -> int:
@@ -329,7 +317,7 @@ def _emit_lab(report, out_base: str | None) -> int:
         _emit_json(summary, out_base + ".json")
     else:
         _emit_json(summary, None)
-    return 0
+    return 1 if report.flags.get("diverged") else 0
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ __all__ = [
     "central_difference",
     "driver_from_spec",
     "parse_driver_string",
+    "parse_atoms",
 ]
 
 
@@ -622,14 +623,16 @@ def parse_driver_string(text: str) -> dict:
             if key == "p":
                 spec["p"] = float(value)
             elif key == "z":
-                atoms = []
-                for piece in value.split("+"):
-                    v, sep2, pr = piece.partition("@")
-                    atoms.append((float(v), float(pr) if sep2 else 1.0))
-                spec["z_atoms"] = atoms
+                spec["z_atoms"] = parse_atoms(value)
             else:
                 raise ConfigError(f"unknown driver option {key!r}")
     return spec
+
+
+def parse_atoms(text: str) -> list[tuple[float, float]]:
+    """Atoms ``value@prob`` joined by ``+``; a bare value has probability 1."""
+    pieces = [piece.partition("@") for piece in text.split("+")]
+    return [(float(v), float(pr) if sep else 1.0) for v, sep, pr in pieces]
 
 
 def driver_from_spec(spec: str | dict):

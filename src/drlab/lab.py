@@ -28,12 +28,13 @@ limit:
                               between simplified systems started at
                               (1 +- eta) times the initial point.
 
-Seeding: experiments start at u0 = h(v0) + eps with h read off a solved
-curve.  A solved grid carries an O(spacing^2)-scale bias that a small
-epsilon cannot dominate, so every experiment accepts ``seed_refine_tol``:
-when set, h(v0) is re-derived by bisecting the phase classifier inside a
-bracket around the curve value.  Decade grids of eps stop at 1e-8; below
-that even refined seeds are contaminated and results carry a flag.
+Seeding: experiments start at u0 = h(v0) + eps, with h(v0) from a
+:class:`Seed` that :func:`make_seed` builds once per start: 0 at v0 >= 0,
+else read off a solved curve.  A solved grid carries an O(spacing^2)-scale
+bias that a small epsilon cannot dominate, so ``refine_tol`` re-derives
+h(v0) by bisecting the phase classifier inside a bracket around the curve
+value.  Decade grids of eps stop at 1e-8; below that even refined seeds
+are contaminated and results carry a flag.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ import numpy as np
 from .curve import CriticalCurve, bisect_h, h_eval
 from .drivers import PsiFunction
 from .errors import DomainError, NumericError
-from .recursion import (PhaseLabel, StoppingRecord, classify, free_energy,
-                        log_f_one_zero, stopping_times)
+from .recursion import (PhaseLabel, classify, free_energy, log_f_one_zero,
+                        stopping_times)
 
 __all__ = [
     "ScalingReport",
+    "Seed",
+    "make_seed",
     "PI_OVER_SQRT2",
     "critical_asymptotics",
     "n_star_scaling",
@@ -163,21 +166,38 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
     raise NumericError(f"could not bracket h({v0}) around the curve value")
 
 
-def _seed(psi, curve, v0, seed_refine_tol) -> float:
-    if v0 == 0.0:
-        return 0.0
-    if seed_refine_tol is None:
-        return h_eval(curve, v0)
-    return refined_h(psi, curve, v0, seed_refine_tol)
+@dataclass(frozen=True)
+class Seed:
+    """The critical start h(v0) of the near-critical experiments, with the
+    bisection tolerance that refined it (None: read off the curve)."""
+
+    v0: float
+    h: float
+    refine_tol: float | None = None
+
+
+def make_seed(psi: PsiFunction, v0: float, *,
+              curve: CriticalCurve | None = None,
+              refine_tol: float | None = None) -> Seed:
+    """h(v0): 0 at v0 >= 0 (no curve needed), else the curve value, refined
+    by :func:`refined_h` when ``refine_tol`` is given."""
+    if refine_tol is not None and not refine_tol > 0.0:
+        raise ValueError(f"refine tol must be positive, got {refine_tol!r}")
+    if v0 >= 0.0:
+        return Seed(v0, 0.0, refine_tol)
+    if curve is None:
+        raise ValueError("a seed below the origin needs a curve")
+    h = (h_eval(curve, v0) if refine_tol is None
+         else refined_h(psi, curve, v0, refine_tol))
+    return Seed(v0, h, refine_tol)
 
 
 # ---------------------------------------------------------------------------
 # on-curve decay
 # ---------------------------------------------------------------------------
 
-def critical_asymptotics(psi: PsiFunction, curve: CriticalCurve, v0: float,
+def critical_asymptotics(psi: PsiFunction, seed: Seed,
                          n_max: int = 10 ** 5, *,
-                         seed_refine_tol: float | None = None,
                          n_samples: int = 16) -> ScalingReport:
     """Start on the curve at (h(v0), v0) and record n^2 u_n and n v_n at
     logarithmically spaced times; both tend to 2 (resp. -2).
@@ -185,9 +205,10 @@ def critical_asymptotics(psi: PsiFunction, curve: CriticalCurve, v0: float,
     If the orbit escapes (v goes positive: the seed was effectively
     off-curve) the report is flagged divergent and carries no targets.
     """
+    v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0")
-    u = _seed(psi, curve, v0, seed_refine_tol)
+    u = seed.h
     v = v0
     marks = sorted({int(round(n_max ** (k / (n_samples - 1.0))))
                     for k in range(n_samples)} | {n_max})
@@ -225,44 +246,38 @@ def critical_asymptotics(psi: PsiFunction, curve: CriticalCurve, v0: float,
 # n* scaling and the free-energy constants
 # ---------------------------------------------------------------------------
 
-def _run_stopping(psi, u0, v0, eps, A, delta) -> StoppingRecord:
-    return stopping_times(u0, v0, psi, A=A, delta=delta, epsilon=eps)
-
-
-def n_star_scaling(psi: PsiFunction, curve: CriticalCurve, v0: float,
-                   eps_list, *, A: float = 10.0, delta: float = 0.1,
-                   seed_refine_tol: float | None = None) -> ScalingReport:
+def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,
+                   A: float = 10.0, delta: float = 0.1) -> ScalingReport:
     """sqrt(eps) * n*(h(v0)+eps, v0) over a decreasing eps grid.
 
     Target: pi/sqrt(2) at v0 = 0 (the turning point is the start itself,
     c* = 1, and only the outgoing half of the excursion remains);
     pi sqrt(2)/sqrt(c*) for v0 < 0, with c* estimated on the same grid.
     """
+    v0 = seed.v0
     if not psi.bounded:
         raise ValueError("n* scaling needs a bounded driver")
     if v0 > 0.0:
         raise ValueError("need v0 <= 0")
     eps = _check_eps_list(eps_list)
-    h0 = _seed(psi, curve, v0, seed_refine_tol)
+    records = [stopping_times(seed.h + e, v0, psi, A=A, delta=delta,
+                              epsilon=e) for e in eps]
     rows = []
     vals = []
-    for e in eps:
-        rec = _run_stopping(psi, h0 + e, v0, e, A, delta)
+    for e, rec in zip(eps, records):
         val = math.sqrt(e) * rec.n_star if rec.n_star is not None else math.nan
         vals.append(val)
         rows.append({"eps": e, "n_star": rec.n_star, "sqrt_eps_n_star": val,
                      "N0": rec.N0, "n1_A": rec.n1_A, "n2_A": rec.n2_A})
     flags = {"eps_below_floor": eps[-1] < EPS_FLOOR,
-             "seed_refined": seed_refine_tol is not None}
+             "seed_refined": seed.refine_tol is not None}
     if v0 == 0.0:
         target = PI_OVER_SQRT2
     else:
-        cstar = c_star_estimate(psi, curve, v0, eps_list,
-                                seed_refine_tol=seed_refine_tol,
-                                _seed_value=h0)
-        flags["c_star"] = cstar.extrapolated
-        target = (math.pi * math.sqrt(2.0) / math.sqrt(cstar.extrapolated)
-                  if cstar.extrapolated and cstar.extrapolated > 0.0 else None)
+        cstar = flags["c_star"] = _extrapolate_sqrt(
+            eps, [rec.u_N0_over_eps for rec in records])
+        target = (math.pi * math.sqrt(2.0) / math.sqrt(cstar)
+                  if cstar and cstar > 0.0 else None)
     extrap = _extrapolate_sqrt(eps, vals)
     gap = (abs(extrap - target) / target
            if target is not None and extrap is not None else None)
@@ -273,32 +288,18 @@ def n_star_scaling(psi: PsiFunction, curve: CriticalCurve, v0: float,
                          spread_last3=_spread(vals), flags=flags)
 
 
-def c_star_estimate(psi: PsiFunction, curve: CriticalCurve, v0: float,
-                    eps_list, *, seed_refine_tol: float | None = None,
-                    max_iter: int = 10 ** 7,
-                    _seed_value: float | None = None) -> ScalingReport:
+def c_star_estimate(psi: PsiFunction, seed: Seed,
+                    eps_list) -> ScalingReport:
     """u at the last nonpositive-v step, divided by eps; stabilizes to the
     transfer constant c*."""
+    v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0 (at v0 = 0 the constant is exactly 1)")
     eps = _check_eps_list(eps_list)
-    h0 = _seed_value if _seed_value is not None else _seed(
-        psi, curve, v0, seed_refine_tol)
-    rows = []
-    vals = []
-    for e in eps:
-        u = h0 + e
-        v = v0
-        ratio = math.nan
-        for _ in range(max_iter):
-            v1 = v + u
-            if v1 > 0.0:
-                ratio = u / e
-                break
-            u = u * psi(v1)
-            v = v1
-        vals.append(ratio)
-        rows.append({"eps": e, "u_N0_over_eps": ratio})
+    # A and delta set thresholds that u_{N0} does not depend on
+    vals = [stopping_times(seed.h + e, v0, psi, A=10.0, delta=0.1,
+                           epsilon=e).u_N0_over_eps for e in eps]
+    rows = [{"eps": e, "u_N0_over_eps": val} for e, val in zip(eps, vals)]
     extrap = _extrapolate_sqrt(eps, vals)
     return ScalingReport("c_star_estimate", psi.name,
                          {"v0": v0, "eps": eps}, rows,
@@ -307,27 +308,27 @@ def c_star_estimate(psi: PsiFunction, curve: CriticalCurve, v0: float,
                          flags={"eps_below_floor": eps[-1] < EPS_FLOOR})
 
 
-def c_v_estimate(psi: PsiFunction, curve: CriticalCurve, v0: float,
-                 eps_list, *, A: float = 10.0, delta: float = 0.1,
-                 seed_refine_tol: float | None = None) -> ScalingReport:
+def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
+                 A: float = 10.0, delta: float = 0.1) -> ScalingReport:
     """-sqrt(eps) log F(h(v0)+eps, v0), with log F taken as the midpoint of
     the two-sided bracket (the direct value underflows at these eps).
 
     Cross-checked against pi sqrt(2) log psi(inf) / sqrt(c*) for v0 < 0 and
     against (pi/sqrt(2)) log psi(inf) at v0 = 0.
     """
+    v0, h0 = seed.v0, seed.h
     if not psi.bounded:
         raise ValueError("free-energy constants need a bounded driver")
     if v0 > 0.0:
         raise ValueError("need v0 <= 0")
     eps = _check_eps_list(eps_list)
-    h0 = _seed(psi, curve, v0, seed_refine_tol)
     log_pinf = math.log(psi.psi_inf)
     log_f10 = log_f_one_zero(psi)
+    records = [stopping_times(h0 + e, v0, psi, A=A, delta=delta, epsilon=e)
+               for e in eps]
     rows = []
     vals = []
-    for e in eps:
-        rec = _run_stopping(psi, h0 + e, v0, e, A, delta)
+    for e, rec in zip(eps, records):
         if rec.n_star is None:
             rows.append({"eps": e, "n_star": None, "log_f_mid": math.nan,
                          "c_hat": math.nan})
@@ -346,13 +347,10 @@ def c_v_estimate(psi: PsiFunction, curve: CriticalCurve, v0: float,
         cross = PI_OVER_SQRT2 * log_pinf
         flags["cross_route"] = "pi/sqrt2 * log psi_inf (v0 = 0)"
     else:
-        cstar = c_star_estimate(psi, curve, v0, eps_list,
-                                _seed_value=h0)
-        flags["c_star"] = cstar.extrapolated
-        cross = (math.pi * math.sqrt(2.0) * log_pinf
-                 / math.sqrt(cstar.extrapolated)
-                 if cstar.extrapolated and cstar.extrapolated > 0.0
-                 else None)
+        cstar = flags["c_star"] = _extrapolate_sqrt(
+            eps, [rec.u_N0_over_eps for rec in records])
+        cross = (math.pi * math.sqrt(2.0) * log_pinf / math.sqrt(cstar)
+                 if cstar and cstar > 0.0 else None)
         flags["cross_route"] = "pi sqrt2 log psi_inf / sqrt(c*)"
     gap = (abs(extrap - cross) / abs(cross)
            if cross is not None and extrap is not None else None)
@@ -523,17 +521,15 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
 # uniform escape-time bound along near-critical orbits
 # ---------------------------------------------------------------------------
 
-def dual_time_bound(psi: PsiFunction, curve: CriticalCurve, v0: float,
-                    eps: float, *, seed_refine_tol: float | None = None,
+def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
                     max_iter: int = 10 ** 7) -> float:
     """max over k past the sign change of (n* - k)_+ * v_k; bounded
     uniformly in eps for a fixed driver (the time left to reach u >= 1
     scales like 1/v)."""
-    if not v0 < 0.0:
+    if not seed.v0 < 0.0:
         raise ValueError("need v0 < 0")
-    h0 = _seed(psi, curve, v0, seed_refine_tol)
-    u = h0 + eps
-    v = v0
+    u = seed.h + eps
+    v = seed.v0
     vs = []
     n_star = None
     first_nonneg = None

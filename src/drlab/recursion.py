@@ -22,6 +22,7 @@ because criticality is not numerically decidable.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -165,9 +166,6 @@ class FreeEnergyEstimate:
     converged: bool
 
 
-_LOG_F10_CACHE: dict[PsiFunction, float] = {}
-
-
 def _require_bounded(psi: PsiFunction) -> None:
     if not (psi.bounded and math.isfinite(psi.psi_inf)):
         raise ValueError(f"driver {psi.name!r} is unbounded; free energy needs psi(inf) < inf")
@@ -210,16 +208,17 @@ def _iterate_log_free_energy(u0: float, v0: float, psi: PsiFunction, *,
     return s, n_star, False
 
 
+@functools.lru_cache(maxsize=64)
+def _log_f_one_zero(psi: PsiFunction, tol: float, max_iter: int) -> float:
+    return _iterate_log_free_energy(1.0, 0.0, psi, tol=tol, window=100,
+                                    max_iter=max_iter)[0]
+
+
 def log_f_one_zero(psi: PsiFunction, *, tol: float = 1e-12,
                    max_iter: int = 10 ** 6) -> float:
-    """log F(1, 0), the reference free energy; cached per driver."""
+    """log F(1, 0), the reference free energy, cached per argument set."""
     _require_bounded(psi)
-    cached = _LOG_F10_CACHE.get(psi)
-    if cached is None:
-        cached, _, _ = _iterate_log_free_energy(1.0, 0.0, psi, tol=tol,
-                                                window=100, max_iter=max_iter)
-        _LOG_F10_CACHE[psi] = cached
-    return cached
+    return _log_f_one_zero(psi, tol, max_iter)
 
 
 def free_energy(u0: float, v0: float, psi: PsiFunction, *,
@@ -265,6 +264,7 @@ class StoppingRecord:
     """First/last hitting indices collected in one forward pass.
 
     N0      last n with v_n <= 0 (None if v0 > 0 or never resolved)
+    u_N0    u at N0 (None with N0)
     n_star  first n with v_n >= 0 and u_n >= 1
     n1_A    first n with v_n > -A sqrt(eps)
     n2_A    first n with v_n > +A sqrt(eps)
@@ -273,6 +273,7 @@ class StoppingRecord:
     """
 
     N0: int | None
+    u_N0: float | None
     n_star: int | None
     n1_A: int | None
     n2_A: int | None
@@ -281,6 +282,11 @@ class StoppingRecord:
     A: float
     delta: float
     epsilon_used: float
+
+    @property
+    def u_N0_over_eps(self) -> float:
+        """u_{N0}/eps, tending to the transfer constant c*; nan without N0."""
+        return math.nan if self.u_N0 is None else self.u_N0 / self.epsilon_used
 
 
 def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
@@ -295,9 +301,13 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
     v = float(v0)
     log_u = math.log(u)
     first_pos = n_star = n1 = n2 = n3 = n4 = None
+    u_last = None  # u at the last n with v_n <= 0 so far (v is nondecreasing)
     for n in range(max_iter + 1):
-        if first_pos is None and v > 0.0:
-            first_pos = n
+        if first_pos is None:
+            if v > 0.0:
+                first_pos = n
+            else:
+                u_last = u
         if n1 is None and v > -a_eps:
             n1 = n
         if n2 is None and v > a_eps:
@@ -319,7 +329,8 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
     N0 = None
     if first_pos is not None:
         N0 = first_pos - 1 if first_pos > 0 else None
-    return StoppingRecord(N0=N0, n_star=n_star, n1_A=n1, n2_A=n2,
+    return StoppingRecord(N0=N0, u_N0=u_last if N0 is not None else None,
+                          n_star=n_star, n1_A=n1, n2_A=n2,
                           n3_delta=n3, n4_delta=n4, A=A, delta=delta,
                           epsilon_used=epsilon)
 

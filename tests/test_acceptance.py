@@ -13,8 +13,8 @@ import numpy as np
 from drlab.curve import (bisect_h, curve_from_h, h_eval, iterate_g,
                          solve_curve, solve_g1, validate_grid)
 from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
-                       critical_asymptotics, euler_tan_check, n_star_scaling,
-                       refined_h)
+                       critical_asymptotics, euler_tan_check, make_seed,
+                       n_star_scaling, refined_h)
 from drlab.models import (CLFParams, LFParams, clf_step, clf_to_uv,
                           critical_tail_lf, lf_step, lf_to_uv)
 from drlab.montecarlo import compare_to_model, mc_step, pool_from_clf, pool_from_lf
@@ -76,7 +76,8 @@ def test_criterion_04_critical_asymptotics(fig1):
     t0 = time.perf_counter()
     # the exactly known reference curve of this driver, on a fine grid
     exact = curve_from_h(0.5, 200000, lambda xs: 0.5 * xs * xs)
-    rep = critical_asymptotics(fig1, exact, -0.3, n_max=10 ** 5)
+    rep = critical_asymptotics(fig1, make_seed(fig1, -0.3, curve=exact),
+                               n_max=10 ** 5)
     last = rep.rows[-1]
     elapsed = time.perf_counter() - t0
     gap_u = abs(last["n2_u"] - 2.0)
@@ -89,10 +90,10 @@ def test_criterion_04_critical_asymptotics(fig1):
 
 def test_criterion_05_dr_conjecture_at_origin(lf_model):
     t0 = time.perf_counter()
-    trivial = curve_from_h(0.5, 100, lambda xs: np.zeros_like(xs))
-    nstar = n_star_scaling(lf_model.psi, trivial, 0.0, [1e-6])
+    origin = make_seed(lf_model.psi, 0.0)
+    nstar = n_star_scaling(lf_model.psi, origin, [1e-6])
     val = nstar.rows[-1]["sqrt_eps_n_star"]
-    cv0 = c_v_estimate(lf_model.psi, trivial, 0.0, [1e-6])
+    cv0 = c_v_estimate(lf_model.psi, origin, [1e-6])
     c0_hat = cv0.rows[-1]["c_hat"]
     c0_target = PI_OVER_SQRT2 * LOG2
     rel = abs(c0_hat - c0_target) / c0_target
@@ -108,19 +109,20 @@ def test_criterion_06_dr_conjecture_below_origin(lf_model):
     t0 = time.perf_counter()
     cur = solve_curve(lf_model.psi, 0.5, 1000)
     eps = [1e-6, 1e-7, 1e-8]
-    nstar = n_star_scaling(lf_model.psi, cur, -0.3, eps,
-                           seed_refine_tol=1e-11)
+    seed = make_seed(lf_model.psi, -0.3, curve=cur, refine_tol=1e-11)
+    nstar = n_star_scaling(lf_model.psi, seed, eps)
     spread = nstar.spread_last3
     # sensitivity of the stopping-time decomposition to the window width:
     # n* itself must not move with A
+    origin = make_seed(lf_model.psi, 0.0)
     stars_by_A = [
-        n_star_scaling(lf_model.psi, cur, 0.0, [1e-6], A=A).rows[0]["n_star"]
+        n_star_scaling(lf_model.psi, origin, [1e-6], A=A).rows[0]["n_star"]
         for A in (5.0, 10.0, 20.0)]
     a_stable = stars_by_A[0] == stars_by_A[1] == stars_by_A[2]
-    cv = c_v_estimate(lf_model.psi, cur, -0.3, eps, seed_refine_tol=1e-11)
+    cv = c_v_estimate(lf_model.psi, seed, eps)
     gap = cv.relative_gap
-    cstar4 = c_star_estimate(lf_model.psi, cur, -1e-4, eps,
-                             seed_refine_tol=1e-10)
+    seed4 = make_seed(lf_model.psi, -1e-4, curve=cur, refine_tol=1e-10)
+    cstar4 = c_star_estimate(lf_model.psi, seed4, eps)
     c4 = cstar4.extrapolated
     elapsed = time.perf_counter() - t0
     ok = (spread < 0.05 and gap < 0.1 and 0.9 <= c4 <= 1.1 and a_stable

@@ -189,3 +189,71 @@ def test_missing_required_value_exit_2():
     assert run(["classify", "--driver", "fig1"]) == 2
     assert run(["free-energy", "--driver", "fig1"]) == 2
     assert run(["lf", "--p", "0.5", "--z", "1"]) == 2
+
+
+def test_z_flag_and_driver_spec_parse_atoms_alike():
+    from drlab.cli import _model_from_args, build_parser
+    from drlab.drivers import driver_from_spec
+    args = build_parser().parse_args(
+        ["mc", "validate", "--kind", "lf", "--p", "0.4",
+         "--z", "1@0.5+2@0.5"])
+    model = _model_from_args(args)
+    psi, _ = driver_from_spec("lf:p=0.4,z=1@0.5+2@0.5")
+    assert model.zspec.atoms == ((1, 0.5), (2, 0.5))
+    assert model.psi.name == psi.name
+    assert model.psi(-0.2) == psi(-0.2)
+
+
+@pytest.mark.parametrize("v0,tol", [("0", "0"), ("-0.3", "-0.001")])
+def test_lab_nonpositive_refine_tol_exit_2(v0, tol, capsys):
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", v0,
+                "--eps", "1e-5", "--m", "100", "--refine-seed-tol", tol])
+    assert code == 2
+    assert "refine tol must be positive" in capsys.readouterr().err
+
+
+def test_lab_at_origin_never_solves_a_curve(monkeypatch, tmp_path):
+    import drlab.curve
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_curve called at v0 = 0")
+
+    monkeypatch.setattr(drlab.curve, "solve_curve", no_solve)
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "0",
+                "--eps", "1e-5", "--out", str(tmp_path / "cv")])
+    assert code == 0
+    assert json.loads((tmp_path / "cv.json").read_text())["rows"]
+
+
+def test_lab_critical_diverged_exit_1(tmp_path):
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_fig1_psi
+    # a curve lifted 0.01 above the exact h = x^2/2: the orbit escapes
+    lifted = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + 0.01)
+    curve_path = tmp_path / "lifted.csv"
+    with open(curve_path, "w") as fh:
+        write_curve_csv(lifted, make_fig1_psi(), fh)
+    code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                "--curve", str(curve_path), "--n-max", "1000",
+                "--out", str(tmp_path / "crit")])
+    assert code == 1
+    summary = json.loads((tmp_path / "crit.json").read_text())
+    assert summary["flags"]["diverged"]
+    assert (tmp_path / "crit.csv").exists()
+
+
+def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
+    import drlab.curve
+    solve = drlab.curve.solve_curve
+
+    def three_sweeps(psi, A, m, **kwargs):
+        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=3)
+
+    monkeypatch.setattr(drlab.curve, "solve_curve", three_sweeps)
+    code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                "--m", "100", "--n-max", "1000",
+                "--out", str(tmp_path / "crit")])
+    assert code == 1
+    summary = json.loads((tmp_path / "crit.json").read_text())
+    assert not summary["flags"]["diverged"]  # the curve alone fails the run
+    assert (tmp_path / "crit.csv").exists()

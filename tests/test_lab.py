@@ -5,9 +5,48 @@ import pytest
 
 from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
                        critical_asymptotics, dual_time_bound,
-                       euler_tan_check, euler_tan_targets, n_star_scaling,
-                       refined_h, sandwich_check, simplified_comparison)
+                       euler_tan_check, euler_tan_targets, make_seed,
+                       n_star_scaling, refined_h, sandwich_check,
+                       simplified_comparison)
 from drlab.recursion import classify, PhaseLabel
+
+
+@pytest.fixture(scope="module")
+def seed_03(lf_model, lf_curve):
+    """h(-0.3) on the lf curve, refined to 1e-9."""
+    return make_seed(lf_model.psi, -0.3, curve=lf_curve, refine_tol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def seed_001(lf_model, lf_curve):
+    """h(-0.01) on the lf curve, refined to 1e-9."""
+    return make_seed(lf_model.psi, -0.01, curve=lf_curve, refine_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# seeds
+# ---------------------------------------------------------------------------
+
+def test_seed_at_origin_needs_no_curve(lf_model):
+    seed = make_seed(lf_model.psi, 0.0, refine_tol=1e-9)
+    assert (seed.v0, seed.h, seed.refine_tol) == (0.0, 0.0, 1e-9)
+
+
+def test_seed_below_origin_reads_or_refines_the_curve(lf_model, lf_curve,
+                                                      seed_03):
+    from drlab.curve import h_eval
+    coarse = make_seed(lf_model.psi, -0.3, curve=lf_curve)
+    assert coarse.h == h_eval(lf_curve, -0.3) and coarse.refine_tol is None
+    assert seed_03.refine_tol == 1e-9
+    assert seed_03.h != coarse.h and abs(seed_03.h - coarse.h) < 2e-5
+    with pytest.raises(ValueError):
+        make_seed(lf_model.psi, -0.3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_seed_rejects_nonpositive_refine_tol(lf_model, tol):
+    with pytest.raises(ValueError):
+        make_seed(lf_model.psi, 0.0, refine_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -15,7 +54,8 @@ from drlab.recursion import classify, PhaseLabel
 # ---------------------------------------------------------------------------
 
 def test_critical_asymptotics_on_exact_curve(fig1, fig1_exact_curve):
-    rep = critical_asymptotics(fig1, fig1_exact_curve, -0.3, n_max=10 ** 5)
+    seed = make_seed(fig1, -0.3, curve=fig1_exact_curve)
+    rep = critical_asymptotics(fig1, seed, n_max=10 ** 5)
     assert not rep.flags["diverged"]
     assert rep.flags["gap_n2_u"] < 0.1
     assert rep.flags["gap_n_v"] < 0.1
@@ -25,7 +65,8 @@ def test_critical_asymptotics_on_exact_curve(fig1, fig1_exact_curve):
 def test_critical_asymptotics_off_curve_flags_divergence(fig1, fig1_exact_curve):
     from drlab.curve import curve_from_h
     bad = curve_from_h(0.5, 1000, lambda xs: 0.5 * xs * xs + 0.01)
-    rep = critical_asymptotics(fig1, bad, -0.3, n_max=10 ** 5)
+    rep = critical_asymptotics(fig1, make_seed(fig1, -0.3, curve=bad),
+                               n_max=10 ** 5)
     assert rep.flags["diverged"]
     assert rep.target is None
 
@@ -34,8 +75,8 @@ def test_critical_asymptotics_off_curve_flags_divergence(fig1, fig1_exact_curve)
 # n* scaling
 # ---------------------------------------------------------------------------
 
-def test_n_star_origin_approaches_universal_constant(lf_model, lf_curve):
-    rep = n_star_scaling(lf_model.psi, lf_curve, 0.0,
+def test_n_star_origin_approaches_universal_constant(lf_model):
+    rep = n_star_scaling(lf_model.psi, make_seed(lf_model.psi, 0.0),
                          [1e-4, 1e-5, 1e-6, 1e-7])
     vals = [row["sqrt_eps_n_star"] for row in rep.rows]
     ns = [row["n_star"] for row in rep.rows]
@@ -47,25 +88,26 @@ def test_n_star_origin_approaches_universal_constant(lf_model, lf_curve):
     assert ns == sorted(ns)
 
 
-def test_n_star_negative_v0_stabilizes(lf_model, lf_curve):
-    rep = n_star_scaling(lf_model.psi, lf_curve, -0.3, [1e-5, 1e-6, 1e-7],
-                         seed_refine_tol=1e-9)
+def test_n_star_negative_v0_stabilizes(lf_model, seed_03):
+    rep = n_star_scaling(lf_model.psi, seed_03, [1e-5, 1e-6, 1e-7])
     assert rep.spread_last3 < 0.05
     assert rep.flags["c_star"] is not None
     assert rep.relative_gap < 0.05
 
 
-def test_eps_validation(lf_model, lf_curve):
+def test_eps_validation(lf_model):
+    seed = make_seed(lf_model.psi, 0.0)
     with pytest.raises(ValueError):
-        n_star_scaling(lf_model.psi, lf_curve, 0.0, [1e-6, 1e-5])
+        n_star_scaling(lf_model.psi, seed, [1e-6, 1e-5])
     with pytest.raises(ValueError):
-        n_star_scaling(lf_model.psi, lf_curve, 0.0, [])
+        n_star_scaling(lf_model.psi, seed, [])
 
 
-def test_n_star_insensitive_to_window_width(lf_model, lf_curve):
+def test_n_star_insensitive_to_window_width(lf_model):
     # A only moves the +-A sqrt(eps) bookkeeping thresholds: n* itself is
     # A-free, n1 is nonincreasing in A and n2 nondecreasing
-    reports = [n_star_scaling(lf_model.psi, lf_curve, 0.0, [1e-6], A=A)
+    seed = make_seed(lf_model.psi, 0.0)
+    reports = [n_star_scaling(lf_model.psi, seed, [1e-6], A=A)
                for A in (5.0, 10.0, 20.0)]
     stars = [r.rows[0]["n_star"] for r in reports]
     assert stars[0] == stars[1] == stars[2]
@@ -79,18 +121,16 @@ def test_n_star_insensitive_to_window_width(lf_model, lf_curve):
 # c*
 # ---------------------------------------------------------------------------
 
-def test_c_star_near_origin_is_one(lf_model, lf_curve):
-    rep = c_star_estimate(lf_model.psi, lf_curve, -0.01,
-                          [1e-5, 1e-6, 1e-7], seed_refine_tol=1e-9)
+def test_c_star_near_origin_is_one(lf_model, seed_001):
+    rep = c_star_estimate(lf_model.psi, seed_001, [1e-5, 1e-6, 1e-7])
     assert 0.9 <= rep.extrapolated <= 1.1
     assert rep.spread_last3 < 0.05
     # u at the turning point is never far below eps
     assert all(row["u_N0_over_eps"] >= 0.9 for row in rep.rows)
 
 
-def test_c_star_stable_at_macroscopic_v0(lf_model, lf_curve):
-    rep = c_star_estimate(lf_model.psi, lf_curve, -0.3,
-                          [1e-5, 1e-6, 1e-7], seed_refine_tol=1e-9)
+def test_c_star_stable_at_macroscopic_v0(lf_model, seed_03):
+    rep = c_star_estimate(lf_model.psi, seed_03, [1e-5, 1e-6, 1e-7])
     assert rep.extrapolated > 1.0
     assert rep.spread_last3 < 0.05
 
@@ -99,16 +139,16 @@ def test_c_star_stable_at_macroscopic_v0(lf_model, lf_curve):
 # C_v
 # ---------------------------------------------------------------------------
 
-def test_c_v_at_origin_matches_closed_form(lf_model, lf_curve):
-    rep = c_v_estimate(lf_model.psi, lf_curve, 0.0, [1e-5, 1e-6])
+def test_c_v_at_origin_matches_closed_form(lf_model):
+    rep = c_v_estimate(lf_model.psi, make_seed(lf_model.psi, 0.0),
+                       [1e-5, 1e-6])
     target = PI_OVER_SQRT2 * math.log(2.0)
     assert abs(rep.target - target) < 1e-12
     assert rep.relative_gap < 0.05
 
 
-def test_c_v_small_v0_doubles_the_origin_constant(lf_model, lf_curve):
-    rep = c_v_estimate(lf_model.psi, lf_curve, -0.01, [1e-5, 1e-6, 1e-7],
-                       seed_refine_tol=1e-9)
+def test_c_v_small_v0_doubles_the_origin_constant(lf_model, seed_001):
+    rep = c_v_estimate(lf_model.psi, seed_001, [1e-5, 1e-6, 1e-7])
     c0 = PI_OVER_SQRT2 * math.log(2.0)
     assert abs(rep.extrapolated - 2.0 * c0) / (2.0 * c0) < 0.1
     assert rep.relative_gap < 0.1  # two estimation routes agree
@@ -209,16 +249,14 @@ def test_eta_zero_degenerate_affine(affine):
 # escape-time bound
 # ---------------------------------------------------------------------------
 
-def test_dual_time_bound_uniform_in_eps(lf_model, lf_curve):
+def test_dual_time_bound_uniform_in_eps(lf_model, seed_03):
     # the per-orbit supremum of (n* - k) v_k creeps toward its uniform
     # limit from below, so the fitted driver constant carries a 20% margin
-    raw = dual_time_bound(lf_model.psi, lf_curve, -0.3, 1e-4,
-                          seed_refine_tol=1e-9)
+    raw = dual_time_bound(lf_model.psi, seed_03, 1e-4)
     assert raw > 0.0
     fit = 1.2 * raw
     for eps in (1e-5, 1e-6, 1e-7):
-        later = dual_time_bound(lf_model.psi, lf_curve, -0.3, eps,
-                                seed_refine_tol=1e-9)
+        later = dual_time_bound(lf_model.psi, seed_03, eps)
         assert later <= fit
 
 

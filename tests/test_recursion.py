@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drlab.curve import h_eval
-from drlab.recursion import (PhaseLabel, backward_orbit, classify,
-                             classify_detail, compare_orbits, free_energy,
-                             initial_state, orbit, step, stopping_times,
+from drlab.drivers import driver_from_spec
+from drlab.recursion import (PhaseLabel, _iterate_log_free_energy,
+                             backward_orbit, classify, classify_detail,
+                             compare_orbits, free_energy, initial_state,
+                             log_f_one_zero, orbit, step, stopping_times,
                              write_orbit_csv)
 
 
@@ -166,6 +168,19 @@ def test_free_energy_monotone_sequence(lf_model):
     assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
 
 
+def test_log_f_one_zero_cache_keys_on_tolerance():
+    # a fresh driver object, so no earlier test has cached its value; the
+    # sequence settles to the last bit within a few steps, so only a tiny
+    # budget makes the first caller's value differ
+    psi, _ = driver_from_spec("lf:p=0.4,z=1")
+    coarse = log_f_one_zero(psi, tol=1e-3, max_iter=3)
+    fine, _, _ = _iterate_log_free_energy(1.0, 0.0, psi, tol=1e-12,
+                                          window=100, max_iter=10 ** 6)
+    assert coarse != fine
+    assert log_f_one_zero(psi) == fine
+    assert log_f_one_zero(psi, tol=1e-3, max_iter=3) == coarse
+
+
 def test_free_energy_bracket_contains_value(lf_model, lf_curve):
     h = h_eval(lf_curve, -0.3)
     fe = free_energy(h + 1e-4, -0.3, lf_model.psi)
@@ -200,6 +215,37 @@ def test_stopping_times_ordering_near_curve(lf_model, lf_curve):
     assert rec.n1_A < rec.n2_A < rec.n_star
     assert rec.N0 is not None and rec.n1_A < rec.N0 < rec.n2_A
     assert rec.n3_delta is not None and rec.n4_delta is not None
+
+
+def _u_n0_over_eps_reference(psi, h0, v0, eps, max_iter=10 ** 7):
+    """The turning-point loop c* was first estimated with: u at the last
+    step with v <= 0, over eps."""
+    u = h0 + eps
+    v = v0
+    for _ in range(max_iter):
+        v1 = v + u
+        if v1 > 0.0:
+            return u / eps
+        u = u * psi(v1)
+        v = v1
+    return math.nan
+
+
+@pytest.mark.parametrize("v0", [-0.3, -1e-4])
+def test_stopping_record_u_n0_matches_reference_loop(lf_model, lf_curve, v0):
+    h0 = h_eval(lf_curve, v0)
+    for eps in (1e-5, 1e-6, 1e-7):
+        rec = stopping_times(h0 + eps, v0, lf_model.psi, A=10.0, delta=0.1,
+                             epsilon=eps)
+        want = _u_n0_over_eps_reference(lf_model.psi, h0, v0, eps)
+        assert rec.u_N0_over_eps == want  # same operations, same bits
+
+
+def test_stopping_record_without_turning_point(lf_model):
+    rec = stopping_times(0.5, 0.1, lf_model.psi, A=1.0, delta=0.1,
+                         epsilon=1e-4)
+    assert rec.N0 is None and rec.u_N0 is None
+    assert math.isnan(rec.u_N0_over_eps)
 
 
 def test_stopping_times_validation(lf_model):

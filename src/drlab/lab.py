@@ -47,8 +47,8 @@ import numpy as np
 from .curve import CriticalCurve, bisect_h, h_eval
 from .drivers import PsiFunction
 from .errors import DomainError, NumericError
-from .recursion import (PhaseLabel, classify, free_energy, log_f_one_zero,
-                        stopping_times)
+from .recursion import (PhaseLabel, _orbit, classify, free_energy,
+                        initial_state, log_f_one_zero, stopping_times)
 
 __all__ = [
     "ScalingReport",
@@ -208,25 +208,18 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0")
-    u = seed.h
-    v = v0
-    marks = sorted({int(round(n_max ** (k / (n_samples - 1.0))))
-                    for k in range(n_samples)} | {n_max})
-    marks = [n for n in marks if n >= 1]
+    marks = {int(round(n_max ** (k / (n_samples - 1.0))))
+             for k in range(n_samples)} | {n_max}
     rows = []
     diverged = False
-    mark_iter = iter(marks)
-    next_mark = next(mark_iter)
-    for n in range(1, n_max + 1):
-        v = v + u
+    states = _orbit(initial_state(seed.h, v0), psi)
+    for n, (u, v, _, _) in zip(range(n_max + 1), states):
         if v > 0.0:
             diverged = True
             break
-        u = u * psi(v)
-        if n == next_mark:
+        if n in marks and n > 0:
             rows.append({"n": n, "n2_u": n * n * u, "n_v": n * v,
                          "u": u, "v": v})
-            next_mark = next(mark_iter, n_max + 1)
     flags = {"diverged": diverged}
     if diverged or not rows:
         return ScalingReport("critical_asymptotics", psi.name,
@@ -487,18 +480,17 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
                                           band_violation_x=x_bad,
                                           n4=None, first_violation=None,
                                           steps_checked=0, ok=False)
-    u, v = u0, v0
     am, bm = (1.0 - eta) * u0, (1.0 - eta) * v0
     ap, bp = (1.0 + eta) * u0, (1.0 + eta) * v0
     first_violation = None
     n4 = None
     k = 0
-    for k in range(1, max_iter + 1):
-        v = v + u
+    states = _orbit(initial_state(u0, v0), psi)
+    next(states)  # the start itself
+    for k, (u, v, _, _) in zip(range(1, max_iter + 1), states):
         if v > delta:
             n4 = k
             break
-        u = u * psi(v)
         bm = bm + am
         am = am * (1.0 + bm)
         bp = bp + ap
@@ -528,14 +520,10 @@ def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
     scales like 1/v)."""
     if not seed.v0 < 0.0:
         raise ValueError("need v0 < 0")
-    u = seed.h + eps
-    v = seed.v0
     vs = []
-    n_star = None
-    first_nonneg = None
-    for n in range(1, max_iter + 1):
-        v = v + u
-        u = u * psi(v)
+    n_star = first_nonneg = None
+    states = _orbit(initial_state(seed.h + eps, seed.v0), psi)
+    for n, (u, v, _, _) in zip(range(max_iter + 1), states):
         vs.append(v)
         if first_nonneg is None and v >= 0.0:
             first_nonneg = n
@@ -544,7 +532,5 @@ def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
             break
     if n_star is None or first_nonneg is None:
         raise DomainError("orbit did not reach u >= 1; eps too small or subcritical")
-    best = 0.0
-    for k in range(first_nonneg + 1, n_star + 1):
-        best = max(best, (n_star - k) * vs[k - 1])
-    return best
+    return max(((n_star - k) * vs[k]
+                for k in range(first_nonneg + 1, n_star + 1)), default=0.0)

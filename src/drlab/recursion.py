@@ -10,22 +10,29 @@ tracked both linearly and in natural log; the log is authoritative once u
 leaves the representable range (free energies at small epsilon need
 psi(inf)^(-n) with n in the thousands, far below underflow).
 
+All forward loops step through one kernel, :func:`_orbit`: it checks the
+domain's lower end once (v never decreases) and per step only the upper
+end, then calls the raw driver; bounded drivers take psi(inf) from
+``V_STOP`` on, and a zero of psi leaves u at an absorbing 0.
+
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
 classification detects the first case the moment v goes positive (v > 0 is
 a certificate of escape) and the second once u is numerically dead while v
 is bounded away from 0.  Orbits hugging the critical curve legitimately
 exhaust the iteration budget: Undetermined is a value, not an error,
-because criticality is not numerically decidable.
+because criticality is not numerically decidable.  The free energy walks
+its orbit once, classifying it on the way.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -51,7 +58,8 @@ __all__ = [
 ]
 
 _INF = math.inf
-V_STOP = 1e12  # |v| beyond this, psi(v) is psi(inf) to machine precision
+V_STOP = 1e12  # v beyond this, a bounded psi(v) is psi(inf) to machine precision
+_U_ZERO_TOL, _V_MARGIN = 1e-14, 1e-9  # classify: u is dead, v < -margin
 
 
 @dataclass(frozen=True)
@@ -77,25 +85,44 @@ def initial_state(u0: float, v0: float) -> OrbitState:
     return OrbitState(0, float(u0), float(v0), log_u)
 
 
+def _orbit(start: OrbitState, psi: PsiFunction
+           ) -> Iterator[tuple[float, float, float, float]]:
+    """Yields (u, v, log u, log w) for the start (w = nan) and after each
+    step, w being the driver value the step took.  The domain is checked
+    when the first step is taken."""
+    u, v, log_u = start.u, start.v, start.log_u
+    yield u, v, log_u, math.nan
+    if log_u != -_INF:
+        if not v + u >= psi.domain_min:  # v never decreases
+            psi(v + u)  # the checked call raises DomainError
+        fn, v_max, w_inf = psi.fn, psi.domain_max, psi.psi_inf
+        v_stop = V_STOP if psi.bounded else _INF
+        while True:
+            v = v + u
+            if not v <= v_max:  # also NaN
+                psi(v)  # the checked call raises DomainError
+            w = fn(v) if v < v_stop else w_inf
+            if w == 0.0:
+                break
+            log_w = math.log(w)
+            u = u * w
+            log_u = log_u + log_w
+            yield u, v, log_u, log_w
+    # u == 0 exactly: absorbing, psi is no longer consulted
+    while True:
+        yield 0.0, v, -_INF, -_INF
+
+
 def step(state: OrbitState, psi: PsiFunction) -> OrbitState:
-    """Advance one step.  A true zero of u is absorbing (u stays 0, v stays
-    put) without consulting psi, since 0 * psi(v) = 0 wherever psi is
-    defined."""
-    if state.log_u == -_INF:
-        return OrbitState(state.n + 1, 0.0, state.v, -_INF)
-    v1 = state.v + state.u
-    w = psi(v1)
-    if w == 0.0:
-        return OrbitState(state.n + 1, 0.0, v1, -_INF)
-    return OrbitState(state.n + 1, state.u * w, v1, state.log_u + math.log(w))
+    """Advance one step; a true zero of u is absorbing."""
+    _, (u, v, log_u, _) = itertools.islice(_orbit(state, psi), 2)
+    return OrbitState(state.n + 1, u, v, log_u)
 
 
 def orbit(u0: float, v0: float, psi: PsiFunction, n: int) -> list[OrbitState]:
     """States 0..n inclusive."""
-    states = [initial_state(u0, v0)]
-    for _ in range(n):
-        states.append(step(states[-1], psi))
-    return states
+    return [OrbitState(k, u, v, log_u) for k, (u, v, log_u, _)
+            in zip(range(n + 1), _orbit(initial_state(u0, v0), psi))]
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +131,17 @@ def orbit(u0: float, v0: float, psi: PsiFunction, n: int) -> list[OrbitState]:
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
                     max_iter: int = 10 ** 6,
-                    u_zero_tol: float = 1e-14,
-                    v_margin: float = 1e-9) -> tuple[PhaseLabel, OrbitState]:
+                    u_zero_tol: float = _U_ZERO_TOL,
+                    v_margin: float = _V_MARGIN
+                    ) -> tuple[PhaseLabel, OrbitState]:
     """Classification plus the state where the decision (or give-up) fired.
 
     The final state's v sign is the only usable direction hint when the
     label is Undetermined.
     """
-    if not u0 >= 0.0:
-        raise ValueError(f"u0={u0!r} must be nonnegative")
-    u = float(u0)
-    v = float(v0)
-    log_u = math.log(u) if u > 0.0 else -_INF
-    n = 0
-    for _ in range(max_iter + 1):
+    for n, (u, v, log_u, _) in enumerate(_orbit(initial_state(u0, v0), psi)):
+        if n > max_iter:
+            return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
         if v > 0.0 and log_u > -_INF:
             return PhaseLabel.SUPERCRITICAL, OrbitState(n, u, v, log_u)
         if u < u_zero_tol and v < -v_margin:
@@ -125,18 +149,12 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
         if log_u == -_INF:
             # u == 0 exactly and v in [-margin, 0]: frozen at the origin's edge
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
-        v = v + u
-        w = psi(v)
-        u = u * w
-        log_u = log_u + math.log(w) if w > 0.0 else -_INF
-        n += 1
-    return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
 
 
 def classify(u0: float, v0: float, psi: PsiFunction, *,
              max_iter: int = 10 ** 6,
-             u_zero_tol: float = 1e-14,
-             v_margin: float = 1e-9) -> PhaseLabel:
+             u_zero_tol: float = _U_ZERO_TOL,
+             v_margin: float = _V_MARGIN) -> PhaseLabel:
     label, _ = classify_detail(u0, v0, psi, max_iter=max_iter,
                                u_zero_tol=u_zero_tol, v_margin=v_margin)
     return label
@@ -171,47 +189,45 @@ def _require_bounded(psi: PsiFunction) -> None:
         raise ValueError(f"driver {psi.name!r} is unbounded; free energy needs psi(inf) < inf")
 
 
-def _iterate_log_free_energy(u0: float, v0: float, psi: PsiFunction, *,
-                             tol: float, window: int, max_iter: int
-                             ) -> tuple[float, int | None, bool]:
-    """Returns (log F estimate, n*, converged).
+def _free_energy_pass(u0: float, v0: float, psi: PsiFunction, *,
+                      tol: float, window: int, max_iter: int
+                      ) -> tuple[PhaseLabel, float, int | None, bool]:
+    """One walk of the orbit: (phase, log F estimate, n*, settled).
 
-    Iterates s_n = log u_n - n log psi(inf), a nonincreasing sequence;
-    stops once `window` consecutive steps each move it by less than `tol`.
+    s_n = log u_n - n log psi(inf) is nonincreasing; it settles once
+    `window` consecutive steps each move it by less than `tol`, or at an
+    exact zero of u.  Alongside, :func:`classify`'s checks run on states
+    0..max_iter until one decides; a subcritical verdict ends the walk.
     """
     log_pinf = math.log(psi.psi_inf)
-    u = float(u0)
-    v = float(v0)
-    log_u = math.log(u) if u > 0.0 else -_INF
-    s = log_u
-    n_star = 0 if (v >= 0.0 and u >= 1.0) else None
-    quiet = 0
-    for n in range(1, max_iter + 1):
-        if log_u == -_INF:
-            return -_INF, n_star, True
-        v = v + u
-        w = psi(v) if v < V_STOP else psi.psi_inf
-        if w == 0.0:
-            return -_INF, n_star, True
-        u = u * w
-        log_u = log_u + math.log(w)
-        ds = math.log(w) - log_pinf
-        s = s + ds
-        if n_star is None and v >= 0.0 and log_u >= 0.0:
-            n_star = n
-        if abs(ds) < tol:
-            quiet += 1
-            if quiet >= window:
-                return s, n_star, True
-        else:
-            quiet = 0
-    return s, n_star, False
+    start = initial_state(u0, v0)
+    s = start.log_u
+    n_star = 0 if (start.v >= 0.0 and start.u >= 1.0) else None
+    label, settled, quiet = None, False, 0
+    for n, (u, v, log_u, log_w) in enumerate(_orbit(start, psi)):
+        if n and not settled:
+            ds = log_w - log_pinf
+            s = s + ds
+            if n_star is None and v >= 0.0 and log_u >= 0.0:
+                n_star = n
+            quiet = quiet + 1 if abs(ds) < tol else 0
+            settled = quiet >= window
+        if label is None:
+            if v > 0.0 and log_u > -_INF:
+                label = PhaseLabel.SUPERCRITICAL
+            elif u < _U_ZERO_TOL and v < -_V_MARGIN:
+                return PhaseLabel.SUBCRITICAL, -_INF, None, True
+            elif log_u == -_INF:
+                label = PhaseLabel.UNDETERMINED
+        settled = settled or log_u == -_INF  # s is -inf there already
+        if (settled and label is not None) or n == max_iter:
+            return label or PhaseLabel.UNDETERMINED, s, n_star, settled
 
 
 @functools.lru_cache(maxsize=64)
 def _log_f_one_zero(psi: PsiFunction, tol: float, max_iter: int) -> float:
-    return _iterate_log_free_energy(1.0, 0.0, psi, tol=tol, window=100,
-                                    max_iter=max_iter)[0]
+    return _free_energy_pass(1.0, 0.0, psi, tol=tol, window=100,
+                             max_iter=max_iter)[1]
 
 
 def log_f_one_zero(psi: PsiFunction, *, tol: float = 1e-12,
@@ -231,12 +247,11 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
     entry time n* of [1, inf) x [0, inf).
     """
     _require_bounded(psi)
-    label = classify(u0, v0, psi, max_iter=max_iter)
+    label, log_f, n_star, settled = _free_energy_pass(
+        u0, v0, psi, tol=tol, window=window, max_iter=max_iter)
     if label is PhaseLabel.SUBCRITICAL:
         return FreeEnergyEstimate(0.0, -_INF, 0.0, 0.0, -_INF, -_INF,
                                   n_star=None, converged=True)
-    log_f, n_star, converged = _iterate_log_free_energy(
-        u0, v0, psi, tol=tol, window=window, max_iter=max_iter)
     if n_star is not None:
         log_pinf = math.log(psi.psi_inf)
         log_lower = log_f_one_zero(psi, tol=tol, max_iter=max_iter) - n_star * log_pinf
@@ -251,7 +266,7 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
         log_lower=log_lower,
         log_upper=log_upper,
         n_star=n_star,
-        converged=converged and label is PhaseLabel.SUPERCRITICAL,
+        converged=settled and label is PhaseLabel.SUPERCRITICAL,
     )
 
 
@@ -297,12 +312,12 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
     if not (A > 0.0 and delta > 0.0):
         raise ValueError("A and delta must be positive")
     a_eps = A * math.sqrt(epsilon)
-    u = float(u0)
-    v = float(v0)
-    log_u = math.log(u)
     first_pos = n_star = n1 = n2 = n3 = n4 = None
     u_last = None  # u at the last n with v_n <= 0 so far (v is nondecreasing)
-    for n in range(max_iter + 1):
+    states = zip(range(max_iter + 1), _orbit(initial_state(u0, v0), psi))
+    for n, (u, v, log_u, _) in states:
+        if log_u == -_INF:  # psi vanished: the orbit is dead
+            break
         if first_pos is None:
             if v > 0.0:
                 first_pos = n
@@ -320,12 +335,6 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
             n_star = n
         if None not in (first_pos, n_star, n1, n2, n3, n4):
             break
-        v = v + u
-        w = psi(v) if v < V_STOP else psi.psi_inf
-        if w == 0.0:
-            break
-        u = u * w
-        log_u = log_u + math.log(w)
     N0 = None
     if first_pos is not None:
         N0 = first_pos - 1 if first_pos > 0 else None
@@ -393,12 +402,11 @@ def compare_orbits(a0: tuple[float, float], b0: tuple[float, float],
         x_bad = float(xs[int(np.argmax(bad))])
         raise ValueError(
             f"psi_lo > psi_hi on the sampled domain (first at x={x_bad:.6g})")
-    sa = initial_state(ua, va)
-    sb = initial_state(ub, vb)
-    for k in range(1, n + 1):
-        sa = step(sa, psi_lo)
-        sb = step(sb, psi_hi)
-        if sa.u > sb.u or sa.v > sb.v:
+    # the start pair (k = 0) is ordered, checked above
+    states = zip(range(n + 1), _orbit(initial_state(ua, va), psi_lo),
+                 _orbit(initial_state(ub, vb), psi_hi))
+    for k, (u_a, v_a, _, _), (u_b, v_b, _, _) in states:
+        if u_a > u_b or v_a > v_b:
             return DominationReport(ok=False, first_violation=k, steps=k)
     return DominationReport(ok=True, first_violation=None, steps=n)
 

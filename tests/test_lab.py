@@ -264,3 +264,79 @@ def test_refined_h_agrees_with_curve(lf_model, lf_curve):
     from drlab.curve import h_eval
     got = refined_h(lf_model.psi, lf_curve, -0.3, 1e-8)
     assert abs(got - h_eval(lf_curve, -0.3)) < 2e-5
+
+
+# ---------------------------------------------------------------------------
+# the orbit loops against the hand-written loops they replaced
+# ---------------------------------------------------------------------------
+
+def _parent_dual_time_bound(psi, h, v0, eps, max_iter=10 ** 7):
+    u = h + eps
+    v = v0
+    vs = []
+    n_star = None
+    first_nonneg = None
+    for n in range(1, max_iter + 1):
+        v = v + u
+        u = u * psi(v)
+        vs.append(v)
+        if first_nonneg is None and v >= 0.0:
+            first_nonneg = n
+        if v >= 0.0 and u >= 1.0:
+            n_star = n
+            break
+    best = 0.0
+    for k in range(first_nonneg + 1, n_star + 1):
+        best = max(best, (n_star - k) * vs[k - 1])
+    return best
+
+
+def _parent_simplified_orbit(psi, u0, v0, eta, delta, max_iter=10 ** 7):
+    u, v = u0, v0
+    am, bm = (1.0 - eta) * u0, (1.0 - eta) * v0
+    ap, bp = (1.0 + eta) * u0, (1.0 + eta) * v0
+    first_violation = None
+    n4 = None
+    k = 0
+    for k in range(1, max_iter + 1):
+        v = v + u
+        if v > delta:
+            n4 = k
+            break
+        u = u * psi(v)
+        bm = bm + am
+        am = am * (1.0 + bm)
+        bp = bp + ap
+        ap = ap * (1.0 + bp)
+        if eta == 0.0:
+            tol = 1e-12 * max(1.0, abs(u), abs(v))
+            good = abs(am - u) <= tol and abs(ap - u) <= tol \
+                and abs(bm - v) <= tol and abs(bp - v) <= tol
+        else:
+            good = am < u < ap and bm < v < bp
+        if not good and first_violation is None:
+            first_violation = k
+    return n4, first_violation, k
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_dual_time_bound_matches_parent_loop(lf_model, fig1, seed_03,
+                                             seed_001, eps):
+    from drlab.lab import Seed
+    for psi, seed in ((lf_model.psi, seed_03), (lf_model.psi, seed_001),
+                      (fig1, Seed(-0.3, 0.045)), (fig1, Seed(-0.01, 5e-5))):
+        got = dual_time_bound(psi, seed, eps)
+        want = _parent_dual_time_bound(psi, seed.h, seed.v0, eps)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("u0,v0,eta,delta", [
+    (1e-4, 0.0, 0.1, 0.1), (1e-4, 0.0, 0.06, 0.05), (3e-3, -1e-3, 0.2, 0.1),
+    (1e-4, 0.0, 0.0, 0.1)])
+def test_simplified_comparison_matches_parent_loop(lf_model, affine, u0, v0,
+                                                    eta, delta):
+    psi = affine if eta == 0.0 else lf_model.psi
+    rep = simplified_comparison(psi, u0, v0, eta, delta)
+    assert rep.band_ok
+    want = _parent_simplified_orbit(psi, u0, v0, eta, delta)
+    assert (rep.n4, rep.first_violation, rep.steps_checked) == want

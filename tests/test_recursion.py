@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from drlab.curve import h_eval
 from drlab.drivers import driver_from_spec
-from drlab.recursion import (PhaseLabel, _iterate_log_free_energy,
+from drlab.errors import DomainError
+from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
                              backward_orbit, classify, classify_detail,
                              compare_orbits, free_energy, initial_state,
                              log_f_one_zero, orbit, step, stopping_times,
@@ -174,8 +175,8 @@ def test_log_f_one_zero_cache_keys_on_tolerance():
     # budget makes the first caller's value differ
     psi, _ = driver_from_spec("lf:p=0.4,z=1")
     coarse = log_f_one_zero(psi, tol=1e-3, max_iter=3)
-    fine, _, _ = _iterate_log_free_energy(1.0, 0.0, psi, tol=1e-12,
-                                          window=100, max_iter=10 ** 6)
+    _, fine, _, _ = _free_energy_pass(1.0, 0.0, psi, tol=1e-12, window=100,
+                                      max_iter=10 ** 6)
     assert coarse != fine
     assert log_f_one_zero(psi) == fine
     assert log_f_one_zero(psi, tol=1e-3, max_iter=3) == coarse
@@ -339,3 +340,210 @@ def test_orbit_csv_roundtrip(tmp_path, lf_model):
         n, u, v, log_u = line.split(",")
         assert int(n) == s.n
         assert float(u) == s.u and float(v) == s.v and float(log_u) == s.log_u
+
+
+# ---------------------------------------------------------------------------
+# every forward loop against reference loops through the checked psi(v)
+# ---------------------------------------------------------------------------
+
+def _kernel_drivers():
+    from drlab.drivers import dual_psi, make_fig1_psi
+    out = {spec: driver_from_spec(spec)[0] for spec in
+           ("lf:p=0.5,z=1", "clf:p=0.5,z=1", "fig1", "fig1-clamped", "affine")}
+    out["dual(fig1)"] = dual_psi(make_fig1_psi())
+    return out
+
+
+KERNEL_DRIVERS = _kernel_drivers()
+BOUNDED_DRIVERS = sorted(k for k, psi in KERNEL_DRIVERS.items() if psi.bounded)
+starts = dict(u0=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
+              v0=st.floats(-1.2, 0.6))
+
+
+def _reference_w(psi, v):
+    """The driver value a step takes: psi(inf) from V_STOP on for bounded
+    drivers, else the checked call."""
+    return psi.psi_inf if psi.bounded and v >= V_STOP else psi(v)
+
+
+def _reference_orbit(u0, v0, psi, n):
+    u, v = float(u0), float(v0)
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    states = [(u, v, log_u)]
+    for _ in range(n):
+        if log_u > -math.inf:  # a true zero of u is absorbing
+            v = v + u
+            w = _reference_w(psi, v)
+            u, log_u = (0.0, -math.inf) if w == 0.0 else (u * w, log_u + math.log(w))
+        states.append((u, v, log_u))
+    return states
+
+
+def _reference_classify(u0, v0, psi, max_iter):
+    """The classification loop as it stood before the orbit kernel."""
+    u, v = float(u0), float(v0)
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    n = 0
+    for _ in range(max_iter + 1):
+        if v > 0.0 and log_u > -math.inf:
+            return "supercritical", (n, u, v, log_u)
+        if u < 1e-14 and v < -1e-9:
+            return "subcritical", (n, u, v, log_u)
+        if log_u == -math.inf:
+            return "undetermined", (n, u, v, log_u)
+        v = v + u
+        w = psi(v)
+        u = u * w
+        log_u = log_u + math.log(w) if w > 0.0 else -math.inf
+        n += 1
+    return "undetermined", (n, u, v, log_u)
+
+
+def _reference_stopping(u0, v0, psi, A, delta, eps, max_iter):
+    """The stopping-time loop, stepping only to states it examines."""
+    a_eps = A * math.sqrt(eps)
+    u, v = float(u0), float(v0)
+    log_u = math.log(u)
+    first_pos = n_star = n1 = n2 = n3 = n4 = None
+    u_last = None
+    for n in range(max_iter + 1):
+        if n > 0:
+            v = v + u
+            w = _reference_w(psi, v)
+            if w == 0.0:
+                break
+            u = u * w
+            log_u = log_u + math.log(w)
+        if first_pos is None:
+            if v > 0.0:
+                first_pos = n
+            else:
+                u_last = u
+        if n1 is None and v > -a_eps:
+            n1 = n
+        if n2 is None and v > a_eps:
+            n2 = n
+        if n3 is None and v > -delta:
+            n3 = n
+        if n4 is None and v > delta:
+            n4 = n
+        if n_star is None and v >= 0.0 and log_u >= 0.0:
+            n_star = n
+        if None not in (first_pos, n_star, n1, n2, n3, n4):
+            break
+    N0 = first_pos - 1 if first_pos else None
+    return (N0, u_last if N0 is not None else None, n_star, n1, n2, n3, n4)
+
+
+def _reference_free_energy(u0, v0, psi, tol, window, max_iter):
+    """The two passes free_energy made before the orbit kernel: classify,
+    then iterate the log-scale sequence.  Returns (log F, n*, converged)."""
+    label, _ = _reference_classify(u0, v0, psi, max_iter)
+    if label == "subcritical":
+        return -math.inf, None, True
+    log_pinf = math.log(psi.psi_inf)
+    u, v = float(u0), float(v0)
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    s = log_u
+    n_star = 0 if (v >= 0.0 and u >= 1.0) else None
+    quiet = 0
+    for n in range(1, max_iter + 1):
+        if log_u == -math.inf:
+            return -math.inf, n_star, label == "supercritical"
+        v = v + u
+        w = psi(v) if v < V_STOP else psi.psi_inf
+        if w == 0.0:
+            return -math.inf, n_star, label == "supercritical"
+        u = u * w
+        log_u = log_u + math.log(w)
+        ds = math.log(w) - log_pinf
+        s = s + ds
+        if n_star is None and v >= 0.0 and log_u >= 0.0:
+            n_star = n
+        if abs(ds) < tol:
+            quiet += 1
+            if quiet >= window:
+                return s, n_star, label == "supercritical"
+        else:
+            quiet = 0
+    return s, n_star, False
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (exact to the bit, -0.0 included) or the name of
+    the exception raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (DomainError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)), n=st.integers(0, 80),
+       **starts)
+def test_orbit_matches_reference_loop(name, u0, v0, n):
+    psi = KERNEL_DRIVERS[name]
+    got = _outcome(lambda: [(s.u, s.v, s.log_u) for s in orbit(u0, v0, psi, n)])
+    assert got == _outcome(_reference_orbit, u0, v0, psi, n)
+
+
+def test_orbit_of_affine_passes_v_stop_unclipped(affine):
+    # unbounded drivers never take the V_STOP shortcut
+    states = orbit(1.0, 0.0, affine, 8)
+    assert states[-2].v > V_STOP
+    assert repr([(s.u, s.v, s.log_u) for s in states]) \
+        == repr(_reference_orbit(1.0, 0.0, affine, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       max_iter=st.integers(0, 3000), **starts)
+def test_classify_detail_matches_reference_loop(name, u0, v0, max_iter):
+    psi = KERNEL_DRIVERS[name]
+
+    def run():
+        label, last = classify_detail(u0, v0, psi, max_iter=max_iter)
+        return label.value, (last.n, last.u, last.v, last.log_u)
+    assert _outcome(run) == _outcome(_reference_classify, u0, v0, psi, max_iter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       u0=st.floats(1e-9, 3.0), v0=st.floats(-1.2, 0.6),
+       eps=st.sampled_from([1e-4, 1e-6]), max_iter=st.integers(0, 3000))
+def test_stopping_times_matches_reference_loop(name, u0, v0, eps, max_iter):
+    psi = KERNEL_DRIVERS[name]
+
+    def run():
+        r = stopping_times(u0, v0, psi, A=10.0, delta=0.1, epsilon=eps,
+                           max_iter=max_iter)
+        return (r.N0, r.u_N0, r.n_star, r.n1_A, r.n2_A, r.n3_delta, r.n4_delta)
+    assert _outcome(run) == _outcome(_reference_stopping, u0, v0, psi, 10.0,
+                                     0.1, eps, max_iter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(BOUNDED_DRIVERS),
+       tol=st.sampled_from([1e-12, 1e-3, 10.0]),
+       window=st.integers(1, 100), max_iter=st.integers(1, 3000), **starts)
+def test_free_energy_one_pass_matches_two_pass_reference(name, u0, v0, tol,
+                                                         window, max_iter):
+    # tol = 10 settles the sequence before the phase is decided.  At
+    # max_iter = 0 the reference's classify pass still takes one step, and
+    # so raises on a start outside the domain; the one pass takes none.
+    psi = KERNEL_DRIVERS[name]
+
+    def run():
+        fe = free_energy(u0, v0, psi, tol=tol, window=window,
+                         max_iter=max_iter)
+        return fe.log_value, fe.n_star, fe.converged
+    assert _outcome(run) == _outcome(_reference_free_energy, u0, v0, psi,
+                                     tol, window, max_iter)
+
+
+def test_out_of_domain_start_exits_2(capsys):
+    from drlab.cli import main
+    code = main(["classify", "--driver", "fig1", "--u0", "0.01",
+                 "--v0", "-0.9"])
+    assert code == 2
+    assert "outside domain" in capsys.readouterr().err

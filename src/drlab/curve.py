@@ -277,12 +277,16 @@ def bisect_h(psi: PsiFunction, v: float, tol: float = 1e-4, *,
     """
     if not v < 0.0:
         raise ValueError("bisect_h needs v < 0; h vanishes on the positives")
+    if not tol > 0.0:
+        raise ValueError(f"bisect_h needs tol > 0, got {tol!r}")
     if hi is None:
         hi = -v  # h(v) <= -v always
     lo = float(lo)
     hi = float(hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
+            break
         label, last = classify_detail(mid, v, psi, max_iter=classify_max_iter)
         if label is PhaseLabel.SUPERCRITICAL:
             hi = mid
@@ -348,22 +352,33 @@ def write_curve_csv(curve: CriticalCurve, psi: PsiFunction, out: TextIO) -> None
 
 
 def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
-    """Re-import a reference curve written by :func:`write_curve_csv`."""
+    """Re-import a reference curve written by :func:`write_curve_csv`.
+
+    Raises ValueError unless the file holds at least 2 rows of finite x and
+    h, with x rising uniformly (to 1e-6 of the spacing) to 0: the grid that
+    :func:`h_eval` and :attr:`CurveGrid.spacing` assume.
+    """
     it = iter(lines)
     header = next(it).strip()
     if header.split(",")[:3] != ["x", "g", "h"]:
         raise ValueError(f"unexpected curve CSV header {header!r}")
-    xs_l: list[float] = []
-    h_l: list[float] = []
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        xs_l.append(float(parts[0]))
-        h_l.append(float(parts[2]))
-    xs = np.array(xs_l)
-    h = np.array(h_l)
+    rows = [line.split(",") for line in map(str.strip, it) if line]
+    if any(len(parts) < 3 for parts in rows):
+        raise ValueError("curve CSV row with fewer than 3 columns")
+    xs = np.array([float(parts[0]) for parts in rows])
+    h = np.array([float(parts[2]) for parts in rows])
+    if len(xs) < 2:
+        raise ValueError("curve CSV needs at least 2 rows")
+    if not (np.isfinite(xs).all() and np.isfinite(h).all()):
+        raise ValueError("curve CSV holds a non-finite x or h")
+    step = np.diff(xs)
+    if not (step > 0.0).all():
+        raise ValueError("curve CSV x is not strictly increasing")
+    if xs[-1] != 0.0:
+        raise ValueError(f"curve CSV x ends at {xs[-1]!r}, not 0")
+    spacing = -xs[0] / (len(xs) - 1)
+    if float(np.max(np.abs(step - spacing))) > 1e-6 * spacing:
+        raise ValueError("curve CSV x is not uniformly spaced")
     grid = CurveGrid(A=-float(xs[0]), xs=xs, g=xs + h, K=math.nan, sweeps=0,
                      sup_change_last=0.0, clamp_last=0.0)
     return CriticalCurve(grid=grid, h_values=h, residual_sup=math.nan,

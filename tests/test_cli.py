@@ -257,3 +257,54 @@ def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     summary = json.loads((tmp_path / "crit.json").read_text())
     assert not summary["flags"]["diverged"]  # the curve alone fails the run
     assert (tmp_path / "crit.csv").exists()
+
+
+def _fig1_curve_lines():
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_fig1_psi
+    import io
+    buf = io.StringIO()
+    write_curve_csv(curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs),
+                    make_fig1_psi(), buf)
+    return buf.getvalue().splitlines()
+
+
+def _shuffled(rows):
+    rng = np.random.default_rng(0)
+    return [rows[0]] + [rows[1:][i] for i in rng.permutation(len(rows) - 1)]
+
+
+def _with_nan_h(rows):
+    x, g, _, res = rows[50].split(",")
+    return rows[:50] + [",".join([x, g, "nan", res])] + rows[51:]
+
+
+@pytest.mark.parametrize("mangle,v0", [
+    pytest.param(_shuffled, "-0.3", id="shuffled"),
+    pytest.param(lambda rows: rows[:195], "-0.01", id="stops-at-x=-0.015"),
+    pytest.param(lambda rows: rows[:100] + rows[101:], "-0.3",
+                 id="row-missing"),
+    pytest.param(lambda rows: rows[-1:], "-0.3", id="single-row"),
+    pytest.param(_with_nan_h, "-0.3", id="nan-h"),
+])
+def test_lab_rejects_a_malformed_curve_exit_2(tmp_path, capsys, mangle, v0):
+    rows = _fig1_curve_lines()
+    path = tmp_path / "curve.csv"
+    path.write_text("\n".join(rows[:1] + mangle(rows[1:])) + "\n")
+    code = run(["lab", "c-star", "--driver", "fig1", "--v0", v0,
+                "--eps", "1e-5", "--curve", str(path),
+                "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "curve CSV" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_lab_reads_a_well_formed_curve(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("\n".join(_fig1_curve_lines()) + "\n")
+    code = run(["lab", "c-star", "--driver", "fig1", "--v0", "-0.3",
+                "--eps", "1e-5", "--curve", str(path),
+                "--out", str(tmp_path / "c")])
+    assert code == 0
+    cstar = json.loads((tmp_path / "c.json").read_text())["raw_last"]
+    assert abs(cstar - 1.197) < 0.01

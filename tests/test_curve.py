@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +193,24 @@ def test_bisect_tiny_v_quadratic(fig1):
 def test_bisect_requires_negative_v(fig1):
     with pytest.raises(ValueError):
         bisect_h(fig1, 0.1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_bisect_rejects_nonpositive_tol(fig1, tol):
+    with pytest.raises(ValueError):
+        bisect_h(fig1, -0.3, tol=tol)
+
+
+def test_bisect_stops_at_float_resolution(fig1):
+    # 1e-20 is below the float spacing near h(-0.3) = 0.045: the bracket
+    # stops shrinking at adjacent floats, as a tol of one ulp stops it
+    start = time.perf_counter()
+    fine = bisect_h(fig1, -0.3, tol=1e-20, classify_max_iter=1000)
+    assert time.perf_counter() - start < 1.0
+    coarse = bisect_h(fig1, -0.3, tol=1e-15, classify_max_iter=1000)
+    assert abs(fine - coarse) <= 1e-15
+    assert fine == bisect_h(fig1, -0.3, tol=math.ulp(coarse),
+                            classify_max_iter=1000)
 
 
 # ---------------------------------------------------------------------------

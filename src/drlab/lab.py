@@ -521,7 +521,8 @@ def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
     if not seed.v0 < 0.0:
         raise ValueError("need v0 < 0")
     vs = []
-    n_star = first_nonneg = None
+    n_star = None
+    first_nonneg = None
     states = _orbit(initial_state(seed.h + eps, seed.v0), psi)
     for n, (u, v, _, _) in zip(range(max_iter + 1), states):
         vs.append(v)
@@ -532,5 +533,7 @@ def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
             break
     if n_star is None or first_nonneg is None:
         raise DomainError("orbit did not reach u >= 1; eps too small or subcritical")
-    return max(((n_star - k) * vs[k]
-                for k in range(first_nonneg + 1, n_star + 1)), default=0.0)
+    best = 0.0
+    for k in range(first_nonneg + 1, n_star + 1):
+        best = max(best, (n_star - k) * vs[k])  # vs[0] is v0
+    return best

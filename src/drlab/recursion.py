@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _INF = math.inf
-V_STOP = 1e12  # v beyond this, a bounded psi(v) is psi(inf) to machine precision
+V_STOP = 1e12  # v beyond this, bounded drivers take psi(inf) for psi(v)
 _U_ZERO_TOL, _V_MARGIN = 1e-14, 1e-9  # classify: u is dead, v < -margin
 
 

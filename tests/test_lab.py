@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
+from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
                        critical_asymptotics, dual_time_bound,
                        euler_tan_check, euler_tan_targets, make_seed,
                        n_star_scaling, refined_h, sandwich_check,
@@ -322,7 +322,6 @@ def _parent_simplified_orbit(psi, u0, v0, eta, delta, max_iter=10 ** 7):
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
 def test_dual_time_bound_matches_parent_loop(lf_model, fig1, seed_03,
                                              seed_001, eps):
-    from drlab.lab import Seed
     for psi, seed in ((lf_model.psi, seed_03), (lf_model.psi, seed_001),
                       (fig1, Seed(-0.3, 0.045)), (fig1, Seed(-0.01, 5e-5))):
         got = dual_time_bound(psi, seed, eps)

@@ -20,6 +20,7 @@ LF = ["--driver", "lf:p=0.5,z=1", "--m", "200"]
 EPS = ["--eps", "1e-5", "--eps", "1e-6"]
 LF_DRIVER = ["--driver", "lf:p=0.5,z=1"]
 H_LF_03 = "0.051806269642573365"  # on the lf curve at v = -0.3
+NEAR_LF_03 = "0.051806269742573365"  # 1e-10 above it: a 2e5-step orbit
 
 
 class Case(NamedTuple):
@@ -68,6 +69,14 @@ CASES = {
     "fe_budget": single("fe_budget", "free-energy", *LF_DRIVER,
                         "--u0", H_LF_03, "--v0", "-0.3",
                         "--max-iter", "1000", code=1),
+    "classify_near": single("classify_near", "classify", *LF_DRIVER,
+                            "--u0", NEAR_LF_03, "--v0", "-0.3"),
+    "curve_lf": Case(["curve", "--driver", "lf:p=0.5,z=1", "--m", "200",
+                      "--out", "OUT/curve_lf.csv"],
+                     ("curve_lf.csv", "curve_lf.csv.json")),
+    "curve_clf": Case(["curve", "--driver", "clf:p=0.5,z=1", "--m", "200",
+                       "--out", "OUT/curve_clf.csv"],
+                      ("curve_clf.csv", "curve_clf.csv.json")),
     "sandwich": Case(["lab", "sandwich", *LF_DRIVER, "--u0", "1", "--v0", "0",
                       "--out", "OUT/sandwich"], ("sandwich.json",)),
 }

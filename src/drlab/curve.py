@@ -175,7 +175,8 @@ def pick_K(psi: PsiFunction, A: float, m: int) -> float:
 
 
 def _sweep(xs: np.ndarray, g: np.ndarray, K: float,
-           psi: PsiFunction) -> tuple[np.ndarray, float, float]:
+           psi: Callable[[np.ndarray], np.ndarray]
+           ) -> tuple[np.ndarray, float, float]:
     gg = np.interp(g, xs, g)
     new = (gg + K * g - (g - xs) * psi(g)) / (K + 1.0)
     clipped = np.minimum(np.maximum(new, xs), 0.0)
@@ -202,7 +203,12 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     ``sweeps`` forces an exact sweep count (for regressions pinned to
     tabulated iterate values).  Non-convergence is flagged on the result, not
     raised.
+
+    The sweeps evaluate ``psi.array_fn`` unchecked: ``solve_g1`` checks
+    that [-A, 0] lies in the domain, and every iterate is clipped to [x, 0].
     """
+    if K_override is not None and not 0.0 <= K_override < math.inf:
+        raise ValueError(f"K={K_override!r} must be finite and >= 0")
     grid = solve_g1(psi, A, m, K=K_override)
     xs = grid.xs
     g = grid.g
@@ -212,7 +218,7 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     done = 0
     budget = sweeps if sweeps is not None else max_sweeps
     for _ in range(budget):
-        g, change, clamp = _sweep(xs, g, K, psi)
+        g, change, clamp = _sweep(xs, g, K, psi.array_fn)
         clamp_max = max(clamp_max, clamp)
         done += 1
         if sweeps is None and change < tol:

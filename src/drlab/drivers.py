@@ -31,6 +31,8 @@ Built-in drivers
 
 Every driver carries a fast scalar path (plain ``math``) and a vectorized
 path (numpy); orbit iteration uses the former, grid solvers the latter.
+The scalar function of each built-in driver also carries a ``native``
+description, from which ``_classify.c`` evaluates the same function.
 Driver objects are immutable and safe to share across threads.
 """
 
@@ -268,6 +270,24 @@ def _bisect_root(f: Callable[[float], float], lo: float = 1e-8, hi: float = 1.0,
 # built-in drivers
 # ---------------------------------------------------------------------------
 
+_KINDS = ("affine", "fig1", "fig1-clamped", "lf", "clf")
+
+
+def _describe(fn: Callable[[float], float], kind: str, *, inv_p=math.nan,
+              inv_slope=math.nan, root=math.nan, cap=math.nan, atoms=()):
+    """Attach the description ``_classify.c`` evaluates fn from: the kind's
+    index in _KINDS, the parameters (inv_p, inv_slope, root, cap, the atom
+    values, the atom probabilities) and the number of atoms."""
+    params = (inv_p, inv_slope, root, cap, *(float(v) for v, _ in atoms),
+              *(pr for _, pr in atoms))
+    fn.native = (_KINDS.index(kind), params, len(atoms))
+    return fn
+
+
+def _affine_fn(x: float) -> float:
+    return 1.0 + x
+
+
 def make_affine_psi() -> PsiFunction:
     """psi(x) = 1 + x on [-1, inf).
 
@@ -276,7 +296,7 @@ def make_affine_psi() -> PsiFunction:
     """
     return PsiFunction(
         name="affine",
-        fn=lambda x: 1.0 + x,
+        fn=_affine_fn,
         deriv_fn=lambda x: 1.0,
         array_fn=lambda x: 1.0 + x,
         array_deriv_fn=lambda x: np.ones_like(x),
@@ -288,6 +308,10 @@ def make_affine_psi() -> PsiFunction:
 
 def _fig1_fn(x: float) -> float:
     return 0.5 * (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+
+
+_describe(_affine_fn, "affine")
+_describe(_fig1_fn, "fig1")
 
 
 def _fig1_deriv(x: float) -> float:
@@ -333,9 +357,13 @@ def make_fig1_clamped_psi() -> PsiFunction:
     the derivative jumps to 0 there.
     """
     cap = _fig1_fn(0.5)
+
+    def fn(x: float) -> float:
+        return _fig1_fn(x) if x < 0.5 else cap
+
     return PsiFunction(
         name="fig1-clamped",
-        fn=lambda x: _fig1_fn(x) if x < 0.5 else cap,
+        fn=_describe(fn, "fig1-clamped", cap=cap),
         deriv_fn=lambda x: _fig1_deriv(x) if x < 0.5 else 0.0,
         array_fn=lambda x: _fig1_array(np.minimum(x, 0.5)),
         array_deriv_fn=lambda x: np.where(x < 0.5, _fig1_array_deriv(np.minimum(x, 0.5)), 0.0),
@@ -434,7 +462,8 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
     atoms = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
     psi = PsiFunction(
         name=f"lf(p={p:g},z={atoms})",
-        fn=fn,
+        fn=_describe(fn, "lf", inv_p=inv_p, inv_slope=inv_slope, root=xi,
+                     atoms=pairs),
         deriv_fn=deriv_fn,
         array_fn=array_fn,
         array_deriv_fn=array_deriv_fn,
@@ -520,7 +549,8 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
     atoms = ",".join(f"{v:g}@{pr:g}" for v, pr in pairs)
     psi = PsiFunction(
         name=f"clf(p={p:g},z={atoms})",
-        fn=fn,
+        fn=_describe(fn, "clf", inv_p=inv_p, inv_slope=inv_slope, root=tau,
+                     atoms=pairs),
         deriv_fn=deriv_fn,
         array_fn=array_fn,
         array_deriv_fn=array_deriv_fn,
@@ -600,9 +630,6 @@ def dual_psi(psi: PsiFunction) -> PsiFunction:
 # ---------------------------------------------------------------------------
 # driver specifications (config files / CLI)
 # ---------------------------------------------------------------------------
-
-_KINDS = ("affine", "fig1", "fig1-clamped", "lf", "clf")
-
 
 def parse_driver_string(text: str) -> dict:
     """Parse an inline driver spec.

@@ -27,10 +27,13 @@ its orbit once, classifying it on the way.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import itertools
 import math
+import os
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -129,6 +132,83 @@ def orbit(u0: float, v0: float, psi: PsiFunction, n: int) -> list[OrbitState]:
 # phase classification
 # ---------------------------------------------------------------------------
 
+_CC = "gcc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_CACHE_DIR = os.path.join(_HERE, "__pycache__")
+_native = None  # the loaded C classifier; False once loading has failed
+
+
+def _build(source: str, lib: str) -> bool:
+    import subprocess  # only here: it costs half a MB of RSS
+    tmp = f"{lib}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        subprocess.run([_CC, *_CFLAGS, "-o", tmp, source, "-lm"],
+                       check=True, capture_output=True)
+        os.replace(tmp, lib)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        return False
+
+
+def _load_native():
+    """The C classifier of ``_classify.c``, built on first use into the
+    cache directory under a name keyed by the source and the flags; None
+    when the build fails or the library does not load."""
+    source = os.path.join(_HERE, "_classify.c")
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read() + " ".join((_CC, *_CFLAGS)).encode())
+        lib = os.path.join(_CACHE_DIR, f"_classify-{key:08x}.so")
+        if not os.path.exists(lib) and not _build(source, lib):
+            return None
+        fn = ctypes.CDLL(lib).drlab_classify
+    except OSError:
+        return None
+    c_double, c_int64 = ctypes.c_double, ctypes.c_int64
+    fn.restype = ctypes.c_int
+    fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
+                   c_double, c_double, c_double, c_double, c_int64,
+                   c_double, c_double, ctypes.POINTER(c_double),
+                   ctypes.POINTER(c_int64))
+
+    def classify(desc, psi, start, max_iter, u_zero_tol, v_margin):
+        kind, params, n_atoms = desc
+        state = (c_double * 3)(start.u, start.v, start.log_u)
+        n = c_int64()
+        code = fn(kind, (c_double * len(params))(*params), n_atoms,
+                  psi.domain_min, psi.domain_max, psi.psi_inf,
+                  V_STOP if psi.bounded else _INF, max_iter, u_zero_tol,
+                  v_margin, state, ctypes.byref(n))
+        return code, OrbitState(n.value, *state)
+    return classify
+
+
+_LABELS = (PhaseLabel.SUPERCRITICAL, PhaseLabel.SUBCRITICAL,
+           PhaseLabel.UNDETERMINED)  # in the order of _classify.c's codes
+
+
+def _classify_native(start: OrbitState, psi: PsiFunction, max_iter,
+                     u_zero_tol, v_margin):
+    """classify_detail in C, or None: no native description on psi.fn, no
+    library, a max_iter outside int64, or a domain error (which the
+    Python kernel then raises from the checked call)."""
+    global _native
+    desc = getattr(psi.fn, "native", None)
+    if desc is None or not (isinstance(max_iter, int)
+                            and -2 ** 63 <= max_iter < 2 ** 63):
+        return None
+    if _native is None:
+        _native = _load_native() or False
+    if not _native:
+        return None
+    code, last = _native(desc, psi, start, max_iter, u_zero_tol, v_margin)
+    return (_LABELS[code], last) if code < len(_LABELS) else None
+
+
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
                     max_iter: int = 10 ** 6,
                     u_zero_tol: float = _U_ZERO_TOL,
@@ -137,9 +217,14 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     """Classification plus the state where the decision (or give-up) fired.
 
     The final state's v sign is the only usable direction hint when the
-    label is Undetermined.
+    label is Undetermined.  Built-in drivers run the loop of
+    ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     """
-    for n, (u, v, log_u, _) in enumerate(_orbit(initial_state(u0, v0), psi)):
+    start = initial_state(u0, v0)
+    native = _classify_native(start, psi, max_iter, u_zero_tol, v_margin)
+    if native is not None:
+        return native
+    for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
         if n > max_iter:
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
         if v > 0.0 and log_u > -_INF:

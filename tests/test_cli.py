@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ def test_curve_exact_sweep_mode_exit_0(tmp_path):
                 "--sweeps", "10", "--m", "200", "--out", str(path)])
     assert code == 0
     assert json.loads((tmp_path / "s.csv.json").read_text())["sweeps"] == 10
+
+
+@pytest.mark.parametrize("K", ["nan", "inf", "-1", "-2"])
+def test_curve_rejects_a_bad_damping_constant_exit_2(K, tmp_path, capsys):
+    # rejected before the first sweep, not after 10^5 sweeps on NaNs
+    start = time.perf_counter()
+    code = run(["curve", "--driver", "lf:p=0.5,z=1", "--K", K, "--m", "200",
+                "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_free_energy_cli(capsys):

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drlab.curve import h_eval
-from drlab.drivers import driver_from_spec
+from drlab import recursion
+from drlab.curve import bisect_h, h_eval
+from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
                              backward_orbit, classify, classify_detail,
                              compare_orbits, free_energy, initial_state,
@@ -346,15 +352,19 @@ def test_orbit_csv_roundtrip(tmp_path, lf_model):
 # ---------------------------------------------------------------------------
 
 def _kernel_drivers():
-    from drlab.drivers import dual_psi, make_fig1_psi
+    from drlab.drivers import make_fig1_psi
     out = {spec: driver_from_spec(spec)[0] for spec in
-           ("lf:p=0.5,z=1", "clf:p=0.5,z=1", "fig1", "fig1-clamped", "affine")}
+           ("lf:p=0.5,z=1", "lf:p=0.4,z=1@0.5+2@0.5", "lf:p=0.3,z=3",
+            "clf:p=0.5,z=1", "clf:p=0.4,z=0.5@0.3+2@0.7", "fig1",
+            "fig1-clamped", "affine")}
     out["dual(fig1)"] = dual_psi(make_fig1_psi())
     return out
 
 
 KERNEL_DRIVERS = _kernel_drivers()
 BOUNDED_DRIVERS = sorted(k for k, psi in KERNEL_DRIVERS.items() if psi.bounded)
+NATIVE_DRIVERS = sorted(k for k, psi in KERNEL_DRIVERS.items()
+                        if hasattr(psi.fn, "native"))
 starts = dict(u0=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
               v0=st.floats(-1.2, 0.6))
 
@@ -546,3 +556,113 @@ def test_out_of_domain_start_exits_2(capsys):
                  "--v0", "-0.9"])
     assert code == 2
     assert "outside domain" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the native classify loop against the Python kernel
+# ---------------------------------------------------------------------------
+
+def _outcome_exact(fn, *args, **kwargs):
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@example(name="lf:p=0.5,z=1", u0=2e12, v0=-0.3, max_iter=5)  # past V_STOP
+@example(name="affine", u0=2e12, v0=-0.3, max_iter=5)  # unbounded: fn(v)
+@given(name=st.sampled_from(NATIVE_DRIVERS),
+       max_iter=st.one_of(st.sampled_from([-1, 0]), st.integers(0, 20000)),
+       **starts)
+def test_native_classify_matches_python_kernel(name, u0, v0, max_iter):
+    psi = KERNEL_DRIVERS[name]
+
+    def run():
+        return classify_detail(u0, v0, psi, max_iter=max_iter)
+    got = _outcome_exact(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert got == _outcome_exact(run)
+
+
+@pytest.mark.parametrize("name", NATIVE_DRIVERS)
+def test_native_classify_matches_python_kernel_near_the_curve(name):
+    # long orbits, at both sides of a bisected h(-0.3) and at a wide budget
+    psi = KERNEL_DRIVERS[name]
+    h = bisect_h(psi, -0.3, tol=1e-7, classify_max_iter=20000)
+    starts = [(h * (1.0 + d), -0.3) for d in (-1e-6, 0.0, 1e-6)]
+    native = [classify_detail(u, v, psi, max_iter=20000) for u, v in starts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        python = [classify_detail(u, v, psi, max_iter=20000) for u, v in starts]
+    assert repr(native) == repr(python)
+    assert max(last.n for _, last in native) > 1000
+
+
+def _counting(psi):
+    calls = {"fn": 0}
+    base_fn = psi.fn
+
+    def counting_fn(x):
+        calls["fn"] += 1
+        return base_fn(x)
+    return counting_fn, calls
+
+
+def test_rebuilt_drivers_step_through_the_python_kernel():
+    # a PsiFunction whose fn is not a built-in one makes one fn call per
+    # step: the native loop would make none
+    lf = KERNEL_DRIVERS["lf:p=0.5,z=1"]
+    fn, calls = _counting(lf)
+    copies = [dataclasses.replace(lf, fn=fn),
+              make_custom_psi("counted", fn, psi_inf=lf.psi_inf,
+                              domain_min=lf.domain_min, bounded=True)]
+    for psi in copies:
+        calls["fn"] = 0
+        label, last = classify_detail(0.051806269642573365, -0.3, psi,
+                                      max_iter=1000)
+        assert label is PhaseLabel.UNDETERMINED
+        assert calls["fn"] == last.n == 1001
+    calls["fn"] = 0
+    dual = dual_psi(dataclasses.replace(lf, fn=fn))
+    _, last = classify_detail(0.001, -0.4, dual, max_iter=500)
+    assert calls["fn"] == last.n > 0
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_native_classifier_is_built_and_loaded():
+    classify_detail(0.1, -0.3, KERNEL_DRIVERS["lf:p=0.5,z=1"])
+    assert recursion._native  # a broken build must not pass in silence
+
+
+def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path):
+    psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
+    want = repr(classify_detail(0.05, -0.3, psi, max_iter=5000))
+    monkeypatch.setattr(recursion, "_CC", "no-such-c-compiler")
+    monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(recursion, "_native", None)
+    assert repr(classify_detail(0.05, -0.3, psi, max_iter=5000)) == want
+    assert recursion._native is False
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_import_does_not_load_and_a_cached_load_does_not_build():
+    classify_detail(0.1, -0.3, KERNEL_DRIVERS["fig1"])  # fills the cache
+    code = (
+        "import sys\n"
+        "import drlab.cli\n"
+        "from drlab import recursion\n"
+        "from drlab.drivers import make_fig1_psi\n"
+        "assert recursion._native is None\n"
+        "recursion.classify_detail(0.1, -0.3, make_fig1_psi())\n"
+        "assert recursion._native\n"
+        "assert 'subprocess' not in sys.modules, 'built again'\n"
+        "assert 'hashlib' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(recursion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -284,10 +284,6 @@ def _describe(fn: Callable[[float], float], kind: str, *, inv_p=math.nan,
     return fn
 
 
-def _affine_fn(x: float) -> float:
-    return 1.0 + x
-
-
 def make_affine_psi() -> PsiFunction:
     """psi(x) = 1 + x on [-1, inf).
 
@@ -296,7 +292,7 @@ def make_affine_psi() -> PsiFunction:
     """
     return PsiFunction(
         name="affine",
-        fn=_affine_fn,
+        fn=_describe(lambda x: 1.0 + x, "affine"),
         deriv_fn=lambda x: 1.0,
         array_fn=lambda x: 1.0 + x,
         array_deriv_fn=lambda x: np.ones_like(x),
@@ -308,10 +304,6 @@ def make_affine_psi() -> PsiFunction:
 
 def _fig1_fn(x: float) -> float:
     return 0.5 * (1.0 + x + math.sqrt(1.0 + 2.0 * x))
-
-
-_describe(_affine_fn, "affine")
-_describe(_fig1_fn, "fig1")
 
 
 def _fig1_deriv(x: float) -> float:
@@ -340,7 +332,7 @@ def make_fig1_psi() -> PsiFunction:
     """
     return PsiFunction(
         name="fig1",
-        fn=_fig1_fn,
+        fn=_describe(_fig1_fn, "fig1"),
         deriv_fn=_fig1_deriv,
         array_fn=_fig1_array,
         array_deriv_fn=_fig1_array_deriv,
@@ -357,13 +349,10 @@ def make_fig1_clamped_psi() -> PsiFunction:
     the derivative jumps to 0 there.
     """
     cap = _fig1_fn(0.5)
-
-    def fn(x: float) -> float:
-        return _fig1_fn(x) if x < 0.5 else cap
-
     return PsiFunction(
         name="fig1-clamped",
-        fn=_describe(fn, "fig1-clamped", cap=cap),
+        fn=_describe(lambda x: _fig1_fn(x) if x < 0.5 else cap,
+                     "fig1-clamped", cap=cap),
         deriv_fn=lambda x: _fig1_deriv(x) if x < 0.5 else 0.0,
         array_fn=lambda x: _fig1_array(np.minimum(x, 0.5)),
         array_deriv_fn=lambda x: np.where(x < 0.5, _fig1_array_deriv(np.minimum(x, 0.5)), 0.0),

@@ -355,7 +355,8 @@ def _kernel_drivers():
     from drlab.drivers import make_fig1_psi
     out = {spec: driver_from_spec(spec)[0] for spec in
            ("lf:p=0.5,z=1", "lf:p=0.4,z=1@0.5+2@0.5", "lf:p=0.3,z=3",
-            "clf:p=0.5,z=1", "clf:p=0.4,z=0.5@0.3+2@0.7", "fig1",
+            "clf:p=0.5,z=1", "clf:p=0.4,z=0.5@0.3+2@0.7", "clf:p=0.3,z=3",
+            "fig1",
             "fig1-clamped", "affine")}
     out["dual(fig1)"] = dual_psi(make_fig1_psi())
     return out
@@ -573,6 +574,7 @@ def _outcome_exact(fn, *args, **kwargs):
 @settings(max_examples=400, deadline=None)
 @example(name="lf:p=0.5,z=1", u0=2e12, v0=-0.3, max_iter=5)  # past V_STOP
 @example(name="affine", u0=2e12, v0=-0.3, max_iter=5)  # unbounded: fn(v)
+@example(name="affine", u0=0.5, v0=-1.5, max_iter=5)  # psi(v) = 0
 @given(name=st.sampled_from(NATIVE_DRIVERS),
        max_iter=st.one_of(st.sampled_from([-1, 0]), st.integers(0, 20000)),
        **starts)

@@ -148,18 +148,22 @@ _native = None  # the loaded C classifier; False once loading has failed
 
 
 def _build(source: str, lib: str) -> bool:
-    import subprocess  # only here: it costs half a MB of RSS
+    # os.posix_spawnp, not subprocess, whose import costs 0.4 MB of RSS
     tmp = f"{lib}.{os.getpid()}.tmp"
     try:
+        quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0)
+                 for fd in (1, 2)]
         os.makedirs(_CACHE_DIR, exist_ok=True)
-        subprocess.run([_CC, *_CFLAGS, "-o", tmp, source, "-lm"],
-                       check=True, capture_output=True)
-        os.replace(tmp, lib)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        return False
+        pid = os.posix_spawnp(_CC, [_CC, *_CFLAGS, "-o", tmp, source, "-lm"],
+                              os.environ, file_actions=quiet)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+            os.replace(tmp, lib)
+            return True
+    except (AttributeError, OSError):  # no posix_spawn, compiler or cache
+        pass
+    if os.path.exists(tmp):
+        os.remove(tmp)
+    return False
 
 
 def _load_native():

@@ -639,10 +639,13 @@ def test_native_classifier_is_built_and_loaded():
     assert recursion._native  # a broken build must not pass in silence
 
 
-def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path):
+@pytest.mark.parametrize("name,value", [("_CC", "no-such-c-compiler"),
+                                        ("_CFLAGS", ("--no-such-flag",))])
+def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
+                                                      name, value):
     psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
     want = repr(classify_detail(0.05, -0.3, psi, max_iter=5000))
-    monkeypatch.setattr(recursion, "_CC", "no-such-c-compiler")
+    monkeypatch.setattr(recursion, name, value)
     monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(recursion, "_native", None)
     assert repr(classify_detail(0.05, -0.3, psi, max_iter=5000)) == want

@@ -66,11 +66,25 @@ def test_curve_cli_writes_csv(tmp_path, capsys):
 
 
 def test_curve_nonconvergence_exit_1(tmp_path):
+    # --K selects the damped sweeps, which are far from converged after 3
     path = tmp_path / "c.csv"
     code = run(["curve", "--driver", "fig1", "--m", "200", "--tol", "1e-15",
-                "--max-sweeps", "3", "--out", str(path)])
+                "--max-sweeps", "3", "--K", "10", "--out", str(path)])
     assert code == 1
     assert path.exists()  # flagged results still written
+
+
+def test_curve_march_without_certificate_exit_1(tmp_path):
+    # --max-sweeps 0 skips the certifying sweep: the marched curve is
+    # written but not claimed converged
+    path = tmp_path / "c.csv"
+    code = run(["curve", "--driver", "fig1", "--m", "200",
+                "--max-sweeps", "0", "--out", str(path)])
+    assert code == 1
+    summary = json.loads((tmp_path / "c.csv.json").read_text())
+    assert summary["sweeps"] == 0 and not summary["converged"]
+    assert summary["sup_change_last"] == "inf"
+    assert path.exists()
 
 
 def test_curve_exact_sweep_mode_exit_0(tmp_path):
@@ -91,6 +105,21 @@ def test_curve_rejects_a_bad_damping_constant_exit_2(K, tmp_path, capsys):
     assert code == 2
     assert time.perf_counter() - start < 1.0
     assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
+                                        ("--tol", "-1"),
+                                        ("--max-sweeps", "-5")])
+def test_curve_rejects_a_bad_tolerance_or_budget_exit_2(flag, value, tmp_path,
+                                                        capsys):
+    # rejected before any work, not after 10^5 sweeps (or none) and exit 1
+    start = time.perf_counter()
+    code = run(["curve", "--driver", "lf:p=0.5,z=1", flag, value,
+                "--m", "200", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_free_energy_cli(capsys):
@@ -259,7 +288,8 @@ def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     solve = drlab.curve.solve_curve
 
     def three_sweeps(psi, A, m, **kwargs):
-        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=3)
+        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=3,
+                     K_override=10.0)
 
     monkeypatch.setattr(drlab.curve, "solve_curve", three_sweeps)
     code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",

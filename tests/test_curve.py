@@ -5,11 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from drlab.curve import (bisect_h, curve_from_h, dual_curve, h_eval,
-                         iterate_g, pick_K, read_curve_csv, residual,
+from drlab.curve import (_march, _sweep, bisect_h, curve_from_h, dual_curve,
+                         h_eval, iterate_g, pick_K, read_curve_csv, residual,
                          solve_curve, solve_g1, validate_grid,
                          write_curve_csv)
-from drlab.errors import DomainError
+from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
+from drlab.errors import DomainError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,91 @@ def test_curve_local_convexity_near_zero(lf_curve):
 
 
 def test_nonconvergence_is_flagged_not_raised(lf_model):
-    cur = solve_curve(lf_model.psi, 0.5, 200, tol=1e-15, max_sweeps=3)
+    cur = solve_curve(lf_model.psi, 0.5, 200, tol=1e-15, max_sweeps=3,
+                      K_override=10.0)
     assert not cur.converged
+
+
+def test_uncertified_march_is_not_converged(lf_model):
+    cur = solve_curve(lf_model.psi, 0.5, 200, max_sweeps=0)
+    assert not cur.converged
+    assert cur.grid.sweeps == 0 and cur.grid.sup_change_last == math.inf
+    assert np.array_equal(cur.grid.g, _march(lf_model.psi, 0.5, 200)[1])
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0},
+                                    {"tol": -1.0}, {"max_sweeps": -5},
+                                    {"sweeps": -1}])
+def test_solve_curve_rejects_a_bad_tolerance_or_budget(lf_model, kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        solve_curve(lf_model.psi, 0.5, 200, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the march, against the damped sweep as its oracle
+# ---------------------------------------------------------------------------
+
+MARCH_CASES = {  # name: (driver spec, A, m); "dual" marks the dual curve
+    "fig1": ("fig1", 0.5, 200),
+    "fig1-clamped": ("fig1-clamped", 0.5, 200),
+    "affine": ("affine", 0.5, 200),
+    "lf": ("lf:p=0.5,z=1", 0.5, 200),
+    "lf2": ("lf:p=0.4,z=1@0.5+2@0.5", 0.5, 200),
+    "clf": ("clf:p=0.5,z=1", 0.5, 200),
+    "dual lf": ("dual", 3.0, 300),
+}
+
+
+def _march_case(name, lf_model):
+    spec, A, m = MARCH_CASES[name]
+    if spec == "dual":
+        return dual_psi(lf_model.psi), A, m
+    return driver_from_spec(spec)[0], A, m
+
+
+@pytest.mark.parametrize("name", list(MARCH_CASES))
+def test_march_is_the_sweeps_fixed_point(name, lf_model):
+    psi, A, m = _march_case(name, lf_model)
+    cur = solve_curve(psi, A, m)
+    xs, g = _march(psi, A, m)
+    assert np.array_equal(cur.grid.g, g)  # the marched g, not the swept one
+    assert cur.converged and cur.grid.sweeps == 1
+    validate_grid(cur.grid)
+    K = pick_K(psi, A, m)
+    assert cur.grid.K == K
+    # one damped sweep from the marched g barely moves it ...
+    _, change, _ = _sweep(xs, g, K, psi.array_fn)
+    assert change <= 1e-15 and cur.grid.sup_change_last == change
+    # ... and the sweep run to tol 1e-12 stops just short of it
+    swept = solve_curve(psi, A, m, tol=1e-12, K_override=K)
+    assert swept.converged and swept.grid.sweeps > 1000
+    assert float(np.max(np.abs(swept.grid.g - g))) <= 1e-7
+
+
+def test_march_matches_fig1_exact_curve_as_the_sweep_does(fig1):
+    xs, g = _march(fig1, 0.5, 200)
+    swept = solve_curve(fig1, 0.5, 200, K_override=pick_K(fig1, 0.5, 200))
+    exact = 0.5 * xs * xs
+    err_march = float(np.max(np.abs(g - xs - exact)))
+    err_sweep = float(np.max(np.abs(swept.h_values - exact)))
+    # both carry the grid's O(spacing^2) bias; the sweep's shortfall from
+    # its fixed point (about 1e-9 here) happens to lean toward x^2/2, so
+    # the two agree to that shortfall, not to the last bit
+    assert err_march <= err_sweep * (1.0 + 1e-4)
+
+
+def test_dual_curve_is_marched(lf_model):
+    dc = dual_curve(lf_model.psi, 3.0, 300)
+    xs, g = _march(dual_psi(lf_model.psi), 3.0, 300)
+    assert dc.converged and dc.grid.sweeps == 1
+    assert np.array_equal(dc.h_values, (g - xs)[::-1] * lf_model.psi(-xs[::-1]))
+
+
+@pytest.mark.parametrize("fn", [lambda x: 2.0, lambda x: math.nan])
+def test_march_bracket_without_sign_change_raises(fn):
+    psi = make_custom_psi("bad", fn, lambda x: 0.0, domain_min=-1.0)
+    with pytest.raises(NumericError, match="x="):
+        _march(psi, 0.5, 100)
 
 
 # ---------------------------------------------------------------------------

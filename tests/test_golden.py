@@ -8,11 +8,16 @@ it yields are coarse, but the outputs are exactly reproducible, which is
 all a golden file needs.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import drlab
 from drlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,3 +95,55 @@ def test_lab_outputs_match_golden_bytes(name, tmp_path):
     for file in case.files:
         got = (tmp_path / file).read_bytes()
         assert got == (GOLDEN / file).read_bytes(), file
+
+
+def _avx512_targets() -> list:
+    """numpy's AVX-512 dispatch targets that this CPU runs, if any."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:
+        return []
+    return [t for t in __cpu_dispatch__
+            if (t == "X86_V4" or t.startswith("AVX512"))
+            and __cpu_features__.get(t)]
+
+
+AVX512 = _avx512_targets()
+SIMD_DIAGNOSTICS = ("residual_sup", "sup_change_last")
+
+
+@pytest.mark.skipif(not AVX512, reason="numpy dispatches no AVX-512 target")
+@pytest.mark.parametrize("name", ["curve_lf", "curve_clf"])
+def test_curve_golden_does_not_depend_on_numpy_simd(name, tmp_path):
+    """The solved curve is the same with numpy's AVX-512 kernels disabled.
+
+    The curve is marched with the scalar libm driver, so its x, g and h
+    columns are compared byte for byte.  The ``residual_local`` column and
+    the summary's ``residual_sup`` and ``sup_change_last`` are diagnostics
+    computed with numpy's array driver, whose SIMD ``exp`` may round
+    differently from libm, so they are left out.
+    """
+    case = CASES[name]
+    src = str(Path(drlab.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [a.replace("OUT", str(tmp_path)) for a in case.argv]
+    proc = subprocess.run([sys.executable, "-m", "drlab.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == case.code, proc.stderr
+    csv_name, json_name = case.files
+
+    def columns(path):
+        return [line.split(",")[:3]
+                for line in path.read_text().splitlines()]
+
+    assert columns(tmp_path / csv_name) == columns(GOLDEN / csv_name)
+
+    def summary(path):
+        data = json.loads(path.read_text())
+        return {k: v for k, v in data.items() if k not in SIMD_DIAGNOSTICS}
+
+    assert summary(tmp_path / json_name) == summary(GOLDEN / json_name)

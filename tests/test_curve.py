@@ -138,13 +138,6 @@ def test_nonconvergence_is_flagged_not_raised(lf_model):
     assert not cur.converged
 
 
-def test_uncertified_march_is_not_converged(lf_model):
-    cur = solve_curve(lf_model.psi, 0.5, 200, max_sweeps=0)
-    assert not cur.converged
-    assert cur.grid.sweeps == 0 and cur.grid.sup_change_last == math.inf
-    assert np.array_equal(cur.grid.g, _march(lf_model.psi, 0.5, 200)[1])
-
-
 @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0},
                                     {"tol": -1.0}, {"max_sweeps": -5},
                                     {"sweeps": -1}])

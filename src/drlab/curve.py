@@ -33,8 +33,9 @@ node i of the discretised equation reads g only at g(x_i) >= x_i, so
 scalar bisection with the libm driver.  One damped sweep from the marched
 g then certifies it; its change decides convergence against ``tol``, and
 the marched g, whose bits do not depend on numpy's SIMD kernels, is
-returned.  A forced sweep count (``sweeps``) or damping constant
-(``K_override``) runs the damped sweeps from g_1 instead.
+returned.  Only a forced sweep count (``sweeps``) runs the damped sweeps
+from g_1 instead; ``K_override`` sets the damping constant of whichever
+sweeps run.
 
 An independent oracle, :func:`bisect_h`, recovers h(v) by bisecting the
 phase classifier and is used to cross-validate the solver.
@@ -131,10 +132,10 @@ class CriticalCurve:
 def _check_domain(psi: PsiFunction, A: float) -> None:
     if A <= 0.0:
         raise ValueError("A must be positive")
-    if -A < psi.domain_min:
+    if -A < psi.domain_min or psi.domain_max < 0.0:
         raise DomainError(
             f"[-A, 0] = [{-A}, 0] leaves the domain of {psi.name!r} "
-            f"(domain_min={psi.domain_min})")
+            f"[{psi.domain_min}, {psi.domain_max}]")
 
 
 def _grid_xs(psi: PsiFunction, A: float, m: int) -> np.ndarray:
@@ -269,16 +270,16 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     """Solve the critical curve on a uniform grid of m cells over [-A, 0].
 
     By default g is marched node by node (:func:`_march`) and then
-    certified by one damped sweep at :func:`pick_K`'s K: that sweep's
-    sup-norm change is ``sup_change_last``, the result is ``converged`` when
-    it is below ``tol``, and the marched g is returned, not the swept one.
-    ``max_sweeps=0`` skips the certificate and leaves the curve unconverged.
+    certified by one damped sweep at :func:`pick_K`'s K, or at
+    ``K_override``: that sweep's sup-norm change is ``sup_change_last``, the
+    result is ``converged`` when it is below ``tol``, and the marched g is
+    returned, not the swept one.  ``max_sweeps=0`` skips the certificate and
+    leaves the curve unconverged.
 
-    ``K_override`` or ``sweeps`` selects the damped sweeps from g_1 instead,
-    run until the change drops below ``tol`` or ``max_sweeps`` is spent;
-    ``sweeps`` forces an exact sweep count (for regressions pinned to
-    tabulated iterate values).  Non-convergence is flagged on the result, not
-    raised; a ``tol`` that is not > 0 or a negative budget raises ValueError.
+    ``sweeps`` instead runs exactly that many damped sweeps from g_1 (for
+    regressions pinned to tabulated iterate values).  Non-convergence is
+    flagged on the result, not raised; a ``tol`` that is not > 0 or a
+    negative budget raises ValueError.
 
     The sweeps evaluate ``psi.array_fn`` unchecked: the domain is checked
     once for [-A, 0], and every iterate is clipped to [x, 0].
@@ -292,10 +293,10 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
         raise ValueError(f"K={K_override!r} must be finite and >= 0")
     change = math.inf
     clamp_max = 0.0
-    done = 0
-    if sweeps is None and K_override is None:
+    if sweeps is None:
         xs, g = _march(psi, A, m)
-        K = pick_K(psi, A, m)
+        K = pick_K(psi, A, m) if K_override is None else K_override
+        done = 0
         if max_sweeps > 0:
             _, change, clamp_max = _sweep(xs, g, K, psi.array_fn)
             done = 1
@@ -304,13 +305,10 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
         xs = grid.xs
         g = grid.g
         K = grid.K
-        budget = sweeps if sweeps is not None else max_sweeps
-        for _ in range(budget):
+        for _ in range(sweeps):
             g, change, clamp = _sweep(xs, g, K, psi.array_fn)
             clamp_max = max(clamp_max, clamp)
-            done += 1
-            if sweeps is None and change < tol:
-                break
+        done = sweeps
     out_grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=done,
                          sup_change_last=change, clamp_last=clamp_max)
     h = g - xs

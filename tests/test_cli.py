@@ -66,25 +66,16 @@ def test_curve_cli_writes_csv(tmp_path, capsys):
 
 
 def test_curve_nonconvergence_exit_1(tmp_path):
-    # --K selects the damped sweeps, which are far from converged after 3
-    path = tmp_path / "c.csv"
-    code = run(["curve", "--driver", "fig1", "--m", "200", "--tol", "1e-15",
-                "--max-sweeps", "3", "--K", "10", "--out", str(path)])
-    assert code == 1
-    assert path.exists()  # flagged results still written
-
-
-def test_curve_march_without_certificate_exit_1(tmp_path):
     # --max-sweeps 0 skips the certifying sweep: the marched curve is
     # written but not claimed converged
     path = tmp_path / "c.csv"
     code = run(["curve", "--driver", "fig1", "--m", "200",
                 "--max-sweeps", "0", "--out", str(path)])
     assert code == 1
+    assert path.exists()  # flagged results still written
     summary = json.loads((tmp_path / "c.csv.json").read_text())
     assert summary["sweeps"] == 0 and not summary["converged"]
     assert summary["sup_change_last"] == "inf"
-    assert path.exists()
 
 
 def test_curve_exact_sweep_mode_exit_0(tmp_path):
@@ -287,13 +278,14 @@ def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     import drlab.curve
     solve = drlab.curve.solve_curve
 
-    def three_sweeps(psi, A, m, **kwargs):
-        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=3,
-                     K_override=10.0)
+    def uncertified(psi, A, m, **kwargs):
+        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=0)
 
-    monkeypatch.setattr(drlab.curve, "solve_curve", three_sweeps)
+    monkeypatch.setattr(drlab.curve, "solve_curve", uncertified)
+    # the seed is refined, so the orbit starts on the curve even though
+    # the coarse marched h(-0.3) lies just above it and would escape
     code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
-                "--m", "100", "--n-max", "1000",
+                "--m", "100", "--n-max", "1000", "--refine-seed-tol", "1e-9",
                 "--out", str(tmp_path / "crit")])
     assert code == 1
     summary = json.loads((tmp_path / "crit.json").read_text())

@@ -48,6 +48,10 @@ def test_pick_k_positive_and_finite(lf_model, fig1):
 def test_pick_k_override_honored(lf_model):
     cur = solve_curve(lf_model.psi, 0.5, 200, K_override=10.0, sweeps=5)
     assert cur.grid.K == 10.0
+    # without a sweep count, K only damps the certifying sweep of the march
+    cur = solve_curve(lf_model.psi, 0.5, 200, K_override=10.0)
+    assert cur.grid.K == 10.0 and cur.grid.sweeps == 1 and cur.converged
+    assert np.array_equal(cur.grid.g, _march(lf_model.psi, 0.5, 200)[1])
 
 
 def test_pick_k_monotone_in_A(affine):
@@ -133,9 +137,9 @@ def test_curve_local_convexity_near_zero(lf_curve):
 
 
 def test_nonconvergence_is_flagged_not_raised(lf_model):
-    cur = solve_curve(lf_model.psi, 0.5, 200, tol=1e-15, max_sweeps=3,
-                      K_override=10.0)
-    assert not cur.converged
+    # max_sweeps=0 leaves the marched curve without its certifying sweep
+    cur = solve_curve(lf_model.psi, 0.5, 200, max_sweeps=0)
+    assert not cur.converged and cur.grid.sweeps == 0
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0},
@@ -168,6 +172,16 @@ def _march_case(name, lf_model):
     return driver_from_spec(spec)[0], A, m
 
 
+def _swept(psi, A, m, tol=1e-12):
+    """The damped sweeps from g_1 until the change drops below tol: the
+    solver before the march, kept as its oracle."""
+    grid = solve_g1(psi, A, m)
+    while not grid.sup_change_last < tol:
+        assert grid.sweeps < 10 ** 5
+        grid = iterate_g(grid, psi)
+    return grid
+
+
 @pytest.mark.parametrize("name", list(MARCH_CASES))
 def test_march_is_the_sweeps_fixed_point(name, lf_model):
     psi, A, m = _march_case(name, lf_model)
@@ -182,17 +196,17 @@ def test_march_is_the_sweeps_fixed_point(name, lf_model):
     _, change, _ = _sweep(xs, g, K, psi.array_fn)
     assert change <= 1e-15 and cur.grid.sup_change_last == change
     # ... and the sweep run to tol 1e-12 stops just short of it
-    swept = solve_curve(psi, A, m, tol=1e-12, K_override=K)
-    assert swept.converged and swept.grid.sweeps > 1000
-    assert float(np.max(np.abs(swept.grid.g - g))) <= 1e-7
+    swept = _swept(psi, A, m)
+    assert swept.sweeps > 1000
+    assert float(np.max(np.abs(swept.g - g))) <= 1e-7
 
 
 def test_march_matches_fig1_exact_curve_as_the_sweep_does(fig1):
     xs, g = _march(fig1, 0.5, 200)
-    swept = solve_curve(fig1, 0.5, 200, K_override=pick_K(fig1, 0.5, 200))
+    swept = _swept(fig1, 0.5, 200)
     exact = 0.5 * xs * xs
     err_march = float(np.max(np.abs(g - xs - exact)))
-    err_sweep = float(np.max(np.abs(swept.h_values - exact)))
+    err_sweep = float(np.max(np.abs(swept.g - xs - exact)))
     # both carry the grid's O(spacing^2) bias; the sweep's shortfall from
     # its fixed point (about 1e-9 here) happens to lean toward x^2/2, so
     # the two agree to that shortfall, not to the last bit
@@ -204,6 +218,14 @@ def test_dual_curve_is_marched(lf_model):
     xs, g = _march(dual_psi(lf_model.psi), 3.0, 300)
     assert dc.converged and dc.grid.sweeps == 1
     assert np.array_equal(dc.h_values, (g - xs)[::-1] * lf_model.psi(-xs[::-1]))
+
+
+def test_solve_curve_rejects_a_driver_undefined_at_0():
+    # fn fails above its domain_max; the march must not call it there
+    psi = make_custom_psi("neg", lambda x: 0.5 + math.sqrt(-0.1 - x),
+                          lambda x: 0.0, domain_min=-1.0, domain_max=-0.1)
+    with pytest.raises(DomainError, match="leaves the domain"):
+        solve_curve(psi, 0.5, 100)
 
 
 @pytest.mark.parametrize("fn", [lambda x: 2.0, lambda x: math.nan])

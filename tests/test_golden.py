@@ -26,6 +26,9 @@ EPS = ["--eps", "1e-5", "--eps", "1e-6"]
 LF_DRIVER = ["--driver", "lf:p=0.5,z=1"]
 H_LF_03 = "0.051806269642573365"  # on the lf curve at v = -0.3
 NEAR_LF_03 = "0.051806269742573365"  # 1e-10 above it: a 2e5-step orbit
+MC_MODEL = ["--p", "0.5", "--z", "1"]
+MC_RUN = ["--levels", "2", "--pool-size", "20000", "--seed", "3",
+          "--threads", "1"]
 
 
 class Case(NamedTuple):
@@ -84,6 +87,20 @@ CASES = {
                       ("curve_clf.csv", "curve_clf.csv.json")),
     "sandwich": Case(["lab", "sandwich", *LF_DRIVER, "--u0", "1", "--v0", "0",
                       "--out", "OUT/sandwich"], ("sandwich.json",)),
+    "psi_fig1_clamped": single("psi_fig1_clamped", "psi",
+                               "--driver", "fig1-clamped"),
+    "psi_affine": single("psi_affine", "psi", "--driver", "affine"),
+    "psi_lf": single("psi_lf", "psi", *LF_DRIVER),
+    "mc_lf": single("mc_lf", "mc", "validate", "--kind", "lf", *MC_MODEL,
+                    "--alpha", "0.6", "--beta", "0.9", *MC_RUN),
+    "mc_clf": single("mc_clf", "mc", "validate", "--kind", "clf", *MC_MODEL,
+                     "--lam", "2", "--rho", "0.5", *MC_RUN),
+    "orbit_lf": Case(["lf", *MC_MODEL, "--alpha", "0.6", "--beta", "0.9",
+                      "--steps", "20", "--out", "OUT/orbit_lf.csv"],
+                     ("orbit_lf.csv",)),
+    "orbit_clf": Case(["clf", *MC_MODEL, "--lam", "2", "--rho", "0.5",
+                       "--steps", "20", "--out", "OUT/orbit_clf.csv"],
+                      ("orbit_clf.csv",)),
 }
 
 

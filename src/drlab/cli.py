@@ -68,7 +68,7 @@ def _build_driver(args):
     return psi, constants
 
 
-def _load_config(args, parser: argparse.ArgumentParser) -> None:
+def _load_config(args) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
@@ -90,12 +90,20 @@ def _default(args, name, value) -> None:
         setattr(args, name, value)
 
 
+def _solve_curve(args, psi, **kwargs):
+    """Solve the curve of ``--A``, ``--m`` and ``--tol``, with the defaults
+    that ``curve`` and ``lab`` share."""
+    for name, value in (("A", 0.5), ("m", 1000), ("tol", 1e-12)):
+        _default(args, name, value)
+    return curve_mod.solve_curve(psi, float(args.A), int(args.m),
+                                 tol=float(args.tol), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_psi(args, parser) -> int:
-    _load_config(args, parser)
+def _cmd_psi(args) -> int:
     psi, constants = _build_driver(args)
     info = {
         "name": psi.name,
@@ -113,8 +121,7 @@ def _cmd_psi(args, parser) -> int:
     return 0
 
 
-def _cmd_classify(args, parser) -> int:
-    _load_config(args, parser)
+def _cmd_classify(args) -> int:
     _default(args, "max_iter", 10 ** 6)
     psi, _ = _build_driver(args)
     if args.u0 is None or args.v0 is None:
@@ -132,16 +139,10 @@ def _cmd_classify(args, parser) -> int:
     return 0
 
 
-def _cmd_curve(args, parser) -> int:
-    _load_config(args, parser)
-    _default(args, "A", 0.5)
-    _default(args, "m", 1000)
-    _default(args, "tol", 1e-12)
-    _default(args, "max_sweeps", 10 ** 5)
+def _cmd_curve(args) -> int:
     psi, _ = _build_driver(args)
-    cur = curve_mod.solve_curve(
-        psi, float(args.A), int(args.m), tol=float(args.tol),
-        max_sweeps=int(args.max_sweeps),
+    cur = _solve_curve(
+        args, psi,
         K_override=float(args.K) if args.K is not None else None,
         sweeps=int(args.sweeps) if args.sweeps is not None else None)
     if args.out:
@@ -161,8 +162,7 @@ def _cmd_curve(args, parser) -> int:
     return 0 if (cur.converged or args.sweeps is not None) else 1
 
 
-def _cmd_free_energy(args, parser) -> int:
-    _load_config(args, parser)
+def _cmd_free_energy(args) -> int:
     _default(args, "max_iter", 10 ** 6)
     psi, _ = _build_driver(args)
     if args.u0 is None or args.v0 is None:
@@ -188,8 +188,7 @@ def _model_from_args(args):
     return make_clf_model(float(args.p), ZSpecContinuous(atoms))
 
 
-def _cmd_model_orbit(args, parser, kind: str) -> int:
-    _load_config(args, parser)
+def _cmd_model_orbit(args, kind: str) -> int:
     _default(args, "p", 0.5)
     _default(args, "steps", 100)
     args.kind = kind
@@ -224,8 +223,7 @@ def _cmd_model_orbit(args, parser, kind: str) -> int:
     return 0
 
 
-def _cmd_mc(args, parser) -> int:
-    _load_config(args, parser)
+def _cmd_mc(args) -> int:
     if args.action != "validate":
         raise ConfigError(f"unknown mc action {args.action!r}")
     _default(args, "p", 0.5)
@@ -261,14 +259,10 @@ def _lab_curve(args, psi):
     if getattr(args, "curve", None):
         with open(args.curve) as fh:
             return curve_mod.read_curve_csv(fh)
-    A = float(args.A if args.A is not None else 0.5)
-    m = int(args.m if args.m is not None else 1000)
-    tol = float(args.tol if args.tol is not None else 1e-12)
-    return curve_mod.solve_curve(psi, A, m, tol=tol)
+    return _solve_curve(args, psi)
 
 
-def _cmd_lab(args, parser) -> int:
-    _load_config(args, parser)
+def _cmd_lab(args) -> int:
     exp = args.experiment
     if exp == "euler":
         eps = [float(e) for e in (args.eps or [1e-6, 1e-8])]
@@ -356,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--K", type=float)
     sp.add_argument("--tol", type=float)
-    sp.add_argument("--max-sweeps", dest="max_sweeps", type=int)
     sp.add_argument("--sweeps", type=int, help="run exactly this many sweeps")
     sp.set_defaults(handler=_cmd_curve)
 
@@ -377,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lam", type=float)
         sp.add_argument("--rho", type=float)
         sp.add_argument("--steps", type=int)
-        sp.set_defaults(handler=lambda a, pr, k=kind: _cmd_model_orbit(a, pr, k))
+        sp.set_defaults(handler=lambda a, k=kind: _cmd_model_orbit(a, k))
 
     sp = sub.add_parser("mc", help="Monte Carlo validation of the closed forms")
     sp.add_argument("action", choices=["validate"])
@@ -416,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        _load_config(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -264,8 +264,7 @@ def _march(psi: PsiFunction, A: float, m: int
 
 
 def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
-                tol: float = 1e-12, max_sweeps: int = 10 ** 5,
-                K_override: float | None = None,
+                tol: float = 1e-12, K_override: float | None = None,
                 sweeps: int | None = None) -> CriticalCurve:
     """Solve the critical curve on a uniform grid of m cells over [-A, 0].
 
@@ -273,38 +272,35 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     certified by one damped sweep at :func:`pick_K`'s K, or at
     ``K_override``: that sweep's sup-norm change is ``sup_change_last``, the
     result is ``converged`` when it is below ``tol``, and the marched g is
-    returned, not the swept one.  ``max_sweeps=0`` skips the certificate and
-    leaves the curve unconverged.
+    returned, not the swept one.  The change is about 1e-16, so a ``tol``
+    below it leaves the curve unconverged.
 
     ``sweeps`` instead runs exactly that many damped sweeps from g_1 (for
     regressions pinned to tabulated iterate values).  Non-convergence is
     flagged on the result, not raised; a ``tol`` that is not > 0 or a
-    negative budget raises ValueError.
+    negative ``sweeps`` raises ValueError.
 
     The sweeps evaluate ``psi.array_fn`` unchecked: the domain is checked
     once for [-A, 0], and every iterate is clipped to [x, 0].
     """
     if not tol > 0.0:
         raise ValueError(f"tol={tol!r} must be > 0")
-    for name, count in (("max_sweeps", max_sweeps), ("sweeps", sweeps)):
-        if count is not None and count < 0:
-            raise ValueError(f"{name}={count!r} must be >= 0")
+    if sweeps is not None and sweeps < 0:
+        raise ValueError(f"sweeps={sweeps!r} must be >= 0")
     if K_override is not None and not 0.0 <= K_override < math.inf:
         raise ValueError(f"K={K_override!r} must be finite and >= 0")
-    change = math.inf
-    clamp_max = 0.0
     if sweeps is None:
         xs, g = _march(psi, A, m)
         K = pick_K(psi, A, m) if K_override is None else K_override
-        done = 0
-        if max_sweeps > 0:
-            _, change, clamp_max = _sweep(xs, g, K, psi.array_fn)
-            done = 1
+        _, change, clamp_max = _sweep(xs, g, K, psi.array_fn)
+        done = 1
     else:
         grid = solve_g1(psi, A, m, K=K_override)
         xs = grid.xs
         g = grid.g
         K = grid.K
+        change = math.inf
+        clamp_max = 0.0
         for _ in range(sweeps):
             g, change, clamp = _sweep(xs, g, K, psi.array_fn)
             clamp_max = max(clamp_max, clamp)
@@ -317,15 +313,19 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     return replace(curve, residual_sup=residual(curve, psi))
 
 
-def curve_from_h(A: float, m: int, h_fn: Callable[[np.ndarray], np.ndarray],
-                 ) -> CriticalCurve:
-    """Reference curve from a known h (exact fixtures, imported data)."""
-    xs = np.linspace(-A, 0.0, m + 1)
-    h = np.asarray(h_fn(xs), dtype=float)
+def _given_curve(A: float, xs: np.ndarray, h: np.ndarray) -> CriticalCurve:
+    """A curve that was given, not solved: no solver metadata."""
     grid = CurveGrid(A=A, xs=xs, g=xs + h, K=math.nan, sweeps=0,
                      sup_change_last=0.0, clamp_last=0.0)
     return CriticalCurve(grid=grid, h_values=h, residual_sup=math.nan,
                          converged=True)
+
+
+def curve_from_h(A: float, m: int, h_fn: Callable[[np.ndarray], np.ndarray],
+                 ) -> CriticalCurve:
+    """Reference curve from a known h (exact fixtures, imported data)."""
+    xs = np.linspace(-A, 0.0, m + 1)
+    return _given_curve(A, xs, np.asarray(h_fn(xs), dtype=float))
 
 
 def h_eval(curve: CriticalCurve, x):
@@ -391,8 +391,7 @@ def bisect_h(psi: PsiFunction, v: float, tol: float = 1e-4, *,
     return 0.5 * (lo + hi)
 
 
-def dual_curve(psi: PsiFunction, A: float, m: int = 1000,
-               **solve_kwargs) -> CriticalCurve:
+def dual_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
     """Critical curve of the time-reversed dynamics, on [0, A].
 
     Solves the curve h~ for the dual driver 1/psi(-x) on [-A, 0] and maps
@@ -400,7 +399,7 @@ def dual_curve(psi: PsiFunction, A: float, m: int = 1000,
     at 0 like x^2/2 and grows without bound.
     """
     dpsi = dual_psi(psi)
-    dc = solve_curve(dpsi, A, m, **solve_kwargs)
+    dc = solve_curve(dpsi, A, m)
     xs = -dc.grid.xs[::-1]
     h_tilde = dc.h_values[::-1]
     h_dual = h_tilde * psi(xs)
@@ -412,16 +411,16 @@ def dual_curve(psi: PsiFunction, A: float, m: int = 1000,
                          converged=dc.converged)
 
 
-def validate_grid(grid: CurveGrid, *, lip_slack: float = 1e-9,
-                  mono_slack: float = 1e-12) -> None:
-    """Raise NumericError if any grid invariant is broken: g nondecreasing,
-    1-Lipschitz, g(0) = 0 and x <= g(x) <= 0."""
+def validate_grid(grid: CurveGrid) -> None:
+    """Raise NumericError if any grid invariant is broken: g nondecreasing
+    (to 1e-12), 1-Lipschitz (to a relative 1e-9), g(0) = 0 and
+    x <= g(x) <= 0."""
     xs = grid.xs
     g = grid.g
     d = np.diff(g)
-    if float(np.min(d)) < -mono_slack:
+    if float(np.min(d)) < -1e-12:
         raise NumericError("g is not nondecreasing on the grid")
-    if float(np.max(d)) > grid.spacing * (1.0 + lip_slack):
+    if float(np.max(d)) > grid.spacing * (1.0 + 1e-9):
         raise NumericError("g violates the 1-Lipschitz bound")
     if abs(float(g[-1])) > 1e-14:
         raise NumericError("g(0) != 0")
@@ -471,7 +470,4 @@ def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
     spacing = -xs[0] / (len(xs) - 1)
     if float(np.max(np.abs(step - spacing))) > 1e-6 * spacing:
         raise ValueError("curve CSV x is not uniformly spaced")
-    grid = CurveGrid(A=-float(xs[0]), xs=xs, g=xs + h, K=math.nan, sweeps=0,
-                     sup_change_last=0.0, clamp_last=0.0)
-    return CriticalCurve(grid=grid, h_values=h, residual_sup=math.nan,
-                         converged=True)
+    return _given_curve(-float(xs[0]), xs, h)

@@ -77,7 +77,8 @@ class PsiFunction:
     ``array_deriv_fn`` operate on numpy arrays.  The domain is the closed
     interval [domain_min, domain_max]; evaluation outside raises
     :class:`DomainError`.  ``psi_inf`` is the limit at +inf (``math.inf``
-    for unbounded drivers) and is returned for ``x = +inf``.
+    for unbounded drivers) and is returned for ``x = +inf``; the driver is
+    ``bounded`` exactly when that limit is finite.
     """
 
     name: str
@@ -88,7 +89,10 @@ class PsiFunction:
     psi_inf: float
     domain_min: float = -math.inf
     domain_max: float = math.inf
-    bounded: bool = False
+
+    @property
+    def bounded(self) -> bool:
+        return math.isfinite(self.psi_inf)
 
     def __call__(self, x):
         if type(x) is float or isinstance(x, (float, int)):
@@ -135,11 +139,10 @@ class PsiFunction:
         return out
 
 
-def central_difference(fn: Callable[[float], float], x: float,
-                       h: float = 1e-6) -> float:
-    """Symmetric difference quotient, the fallback derivative for
-    user-supplied drivers without an analytic one."""
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+def central_difference(fn: Callable[[float], float], x: float) -> float:
+    """Symmetric difference quotient with step 1e-6, the fallback
+    derivative for user-supplied drivers without an analytic one."""
+    return (fn(x + 1e-6) - fn(x - 1e-6)) / 2e-6
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,6 @@ def make_affine_psi() -> PsiFunction:
         array_deriv_fn=lambda x: np.ones_like(x),
         psi_inf=math.inf,
         domain_min=-1.0,
-        bounded=False,
     )
 
 
@@ -338,7 +340,6 @@ def make_fig1_psi() -> PsiFunction:
         array_deriv_fn=_fig1_array_deriv,
         psi_inf=math.inf,
         domain_min=-0.5,
-        bounded=False,
     )
 
 
@@ -358,7 +359,6 @@ def make_fig1_clamped_psi() -> PsiFunction:
         array_deriv_fn=lambda x: np.where(x < 0.5, _fig1_array_deriv(np.minimum(x, 0.5)), 0.0),
         psi_inf=cap,
         domain_min=-0.5,
-        bounded=True,
     )
 
 
@@ -458,7 +458,6 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
         array_deriv_fn=array_deriv_fn,
         psi_inf=inv_p,
         domain_min=-slope * xi,
-        bounded=True,
     )
     return psi, ModelConstants(p=p, root=xi, slope=slope)
 
@@ -545,7 +544,6 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
         array_deriv_fn=array_deriv_fn,
         psi_inf=inv_p,
         domain_min=-tau * slope,
-        bounded=True,
     )
     return psi, ModelConstants(p=p, root=tau, slope=slope)
 
@@ -554,8 +552,7 @@ def make_custom_psi(name: str, fn: Callable[[float], float],
                     deriv_fn: Callable[[float], float] | None = None,
                     *, psi_inf: float = math.inf,
                     domain_min: float = -math.inf,
-                    domain_max: float = math.inf,
-                    bounded: bool = False) -> PsiFunction:
+                    domain_max: float = math.inf) -> PsiFunction:
     """Wrap a user-supplied scalar function as a driver.
 
     Without an analytic derivative a central difference with step 1e-6 is
@@ -568,7 +565,7 @@ def make_custom_psi(name: str, fn: Callable[[float], float],
     return PsiFunction(name=name, fn=fn, deriv_fn=deriv_fn,
                        array_fn=array_fn, array_deriv_fn=array_deriv_fn,
                        psi_inf=psi_inf, domain_min=domain_min,
-                       domain_max=domain_max, bounded=bounded)
+                       domain_max=domain_max)
 
 
 def dual_psi(psi: PsiFunction) -> PsiFunction:
@@ -612,7 +609,6 @@ def dual_psi(psi: PsiFunction) -> PsiFunction:
         psi_inf=math.inf,
         domain_min=-base.domain_max,
         domain_max=-base.domain_min,
-        bounded=False,
     )
 
 

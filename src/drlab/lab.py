@@ -141,27 +141,29 @@ def _spread(vals: list[float]) -> float | None:
 
 
 def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
-              tol: float, *, bracket: float = 2e-5,
-              classify_max_iter: int = 3 * 10 ** 6) -> float:
+              tol: float) -> float:
     """h(v0) re-derived by the classifier-bisection oracle inside a
     bracket around the curve value; the curve supplies the bracket, the
     dynamics supply the digits.
 
-    The bracket is verified (lower end not supercritical, upper end
-    supercritical) and widened if the curve's bias exceeds it; endpoint
-    checks are cheap because the endpoints sit far from the boundary.
+    The bracket, +-2e-5 around the curve value, is verified (lower end not
+    supercritical, upper end supercritical) and widened fourfold while the
+    curve's bias exceeds it; endpoint checks are cheap because the
+    endpoints sit far from the boundary.  Every classification gets a
+    budget of 3e6 steps.
     """
     coarse = h_eval(curve, v0)
+    bracket, budget = 2e-5, 3 * 10 ** 6
     for _ in range(6):
         lo = max(0.0, coarse - bracket)
         hi = min(-v0, coarse + bracket)
         hi_super = classify(hi, v0, psi,
-                            max_iter=classify_max_iter) is PhaseLabel.SUPERCRITICAL
+                            max_iter=budget) is PhaseLabel.SUPERCRITICAL
         lo_super = lo > 0.0 and classify(
-            lo, v0, psi, max_iter=classify_max_iter) is PhaseLabel.SUPERCRITICAL
+            lo, v0, psi, max_iter=budget) is PhaseLabel.SUPERCRITICAL
         if hi_super and not lo_super:
             return bisect_h(psi, v0, tol=tol, lo=lo, hi=hi,
-                            classify_max_iter=classify_max_iter)
+                            classify_max_iter=budget)
         bracket *= 4.0
     raise NumericError(f"could not bracket h({v0}) around the curve value")
 
@@ -197,10 +199,9 @@ def make_seed(psi: PsiFunction, v0: float, *,
 # ---------------------------------------------------------------------------
 
 def critical_asymptotics(psi: PsiFunction, seed: Seed,
-                         n_max: int = 10 ** 5, *,
-                         n_samples: int = 16) -> ScalingReport:
+                         n_max: int = 10 ** 5) -> ScalingReport:
     """Start on the curve at (h(v0), v0) and record n^2 u_n and n v_n at
-    logarithmically spaced times; both tend to 2 (resp. -2).
+    16 logarithmically spaced times; both tend to 2 (resp. -2).
 
     If the orbit escapes (v goes positive: the seed was effectively
     off-curve) the report is flagged divergent and carries no targets.
@@ -208,8 +209,7 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0")
-    marks = {int(round(n_max ** (k / (n_samples - 1.0))))
-             for k in range(n_samples)} | {n_max}
+    marks = {int(round(n_max ** (k / 15.0))) for k in range(16)} | {n_max}
     rows = []
     diverged = False
     states = _orbit(initial_state(seed.h, v0), psi)
@@ -424,11 +424,10 @@ class SandwichReport:
     slack_upper: float
 
 
-def sandwich_check(psi: PsiFunction, u0: float, v0: float,
-                   **fe_kwargs) -> SandwichReport:
+def sandwich_check(psi: PsiFunction, u0: float, v0: float) -> SandwichReport:
     """Verify F(1,0) psi(inf)^(-n*) <= F(u0, v0) <= max(u0,1)
     psi(inf)^(-n*+1) by computing all three quantities independently."""
-    fe = free_energy(u0, v0, psi, **fe_kwargs)
+    fe = free_energy(u0, v0, psi)
     if fe.n_star is None or fe.log_value == -math.inf:
         return SandwichReport(fe.log_value, fe.log_lower, fe.log_upper,
                               fe.n_star, ok=False,
@@ -456,14 +455,13 @@ class SimplifiedComparisonReport:
 
 
 def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
-                          eta: float, delta: float, *,
-                          max_iter: int = 10 ** 7,
-                          band_points: int = 256) -> SimplifiedComparisonReport:
+                          eta: float, delta: float) -> SimplifiedComparisonReport:
     """Trap the orbit strictly between affine simplified systems started at
-    (1 +- eta)(u0, v0), valid while v stays below delta.
+    (1 +- eta)(u0, v0), valid while v stays below delta, for at most 1e7
+    steps.
 
     Requires (psi(x) - 1)/x within [1-eta, 1+eta] on (0, delta], verified
-    by grid sampling; a violation is reported with the offending x.  With
+    at 256 grid points; a violation is reported with the offending x.  With
     eta = 0 the three systems coincide (the driver must then be affine)
     and coincidence is checked instead of strictness.
     """
@@ -471,7 +469,7 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
         raise ValueError("need u0 > 0 and v0 in (-u0, 0]")
     if eta < 0.0 or delta <= 0.0:
         raise ValueError("need eta >= 0 and delta > 0")
-    xs = np.linspace(delta / band_points, delta, band_points)
+    xs = np.linspace(delta / 256, delta, 256)
     ratios = (psi(xs) - 1.0) / xs
     bad = (ratios < 1.0 - eta - 1e-12) | (ratios > 1.0 + eta + 1e-12)
     if bad.any():
@@ -487,7 +485,7 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
     k = 0
     states = _orbit(initial_state(u0, v0), psi)
     next(states)  # the start itself
-    for k, (u, v, _, _) in zip(range(1, max_iter + 1), states):
+    for k, (u, v, _, _) in zip(range(1, 10 ** 7 + 1), states):
         if v > delta:
             n4 = k
             break
@@ -513,18 +511,17 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
 # uniform escape-time bound along near-critical orbits
 # ---------------------------------------------------------------------------
 
-def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float, *,
-                    max_iter: int = 10 ** 7) -> float:
+def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float) -> float:
     """max over k past the sign change of (n* - k)_+ * v_k; bounded
     uniformly in eps for a fixed driver (the time left to reach u >= 1
-    scales like 1/v)."""
+    scales like 1/v).  The orbit gets at most 1e7 steps."""
     if not seed.v0 < 0.0:
         raise ValueError("need v0 < 0")
     vs = []
     n_star = None
     first_nonneg = None
     states = _orbit(initial_state(seed.h + eps, seed.v0), psi)
-    for n, (u, v, _, _) in zip(range(max_iter + 1), states):
+    for n, (u, v, _, _) in zip(range(10 ** 7 + 1), states):
         vs.append(v)
         if first_nonneg is None and v >= 0.0:
             first_nonneg = n

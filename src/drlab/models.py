@@ -206,21 +206,19 @@ def clf_tail(params: CLFParams, x: float) -> float:
 # free energies
 # ---------------------------------------------------------------------------
 
-def free_energy_lf(model: LFModel, params: LFParams,
-                   **fe_kwargs) -> FreeEnergyEstimate:
+def free_energy_lf(model: LFModel, params: LFParams) -> FreeEnergyEstimate:
     """Free energy lim p^n / alpha_n, computed on the recursion side and
     rescaled by p / ((1-p) slope)."""
     u0, v0 = lf_to_uv(params, model)
-    fe = free_energy(u0, v0, model.psi, **fe_kwargs)
+    fe = free_energy(u0, v0, model.psi)
     scale = model.p / ((1.0 - model.p) * model.constants.slope)
     return _rescale(fe, scale)
 
 
-def free_energy_clf(model: CLFModel, params: CLFParams,
-                    **fe_kwargs) -> FreeEnergyEstimate:
+def free_energy_clf(model: CLFModel, params: CLFParams) -> FreeEnergyEstimate:
     """Free energy lim p^n rho_n / lambda_n of the continuous model."""
     u0, v0 = clf_to_uv(params, model)
-    fe = free_energy(u0, v0, model.psi, **fe_kwargs)
+    fe = free_energy(u0, v0, model.psi)
     scale = model.p / ((1.0 - model.p) * model.constants.slope)
     return _rescale(fe, scale)
 
@@ -269,17 +267,16 @@ class ThresholdReport:
 
 
 def gamma_star(model: LFModel, alpha: float, beta: float,
-               curve: CriticalCurve, *, check_straddle: bool = True,
-               straddle_factor: float = 1.1,
-               classify_max_iter: int = 10 ** 6) -> ThresholdReport:
+               curve: CriticalCurve, *,
+               check_straddle: bool = True) -> ThresholdReport:
     """Critical scale gamma* of the family LF(alpha/gamma, beta/gamma).
 
     gamma* = p alpha h(v_seed) / (slope (1-p)) with
     v_seed = slope (beta/alpha - xi), valid when beta/alpha <= xi and the
     admissibility bound h(v_seed) < slope (1-p)(alpha+beta)/(p alpha)
     holds; otherwise the family's free energy is identically zero.
-    Optionally verifies by classification that gamma* +- 10% straddles the
-    phase boundary.
+    Optionally verifies by classification that 1.1 gamma* and gamma*/1.1
+    straddle the phase boundary.
     """
     c = model.constants
     p = model.p
@@ -299,18 +296,15 @@ def gamma_star(model: LFModel, alpha: float, beta: float,
     up = low = None
     if check_straddle and gam > 0.0:
         u_seed = c.slope * (1.0 - p) / (p * alpha)
-        up = classify(u_seed * straddle_factor * gam, v_seed, model.psi,
-                      max_iter=classify_max_iter)
-        low = classify(u_seed * gam / straddle_factor, v_seed, model.psi,
-                       max_iter=classify_max_iter)
+        up = classify(u_seed * 1.1 * gam, v_seed, model.psi)
+        low = classify(u_seed * gam / 1.1, v_seed, model.psi)
     return ThresholdReport(value=gam, hyp_ok=True, v_seed=v_seed,
                            h_at_seed=h_seed, message="ok",
                            straddle_upper=up, straddle_lower=low)
 
 
 def rho_star(model: CLFModel, lam: float, curve: CriticalCurve, *,
-             check_straddle: bool = True, straddle_factor: float = 1.1,
-             classify_max_iter: int = 10 ** 6) -> ThresholdReport:
+             check_straddle: bool = True) -> ThresholdReport:
     """Critical mass rho* of the family CLF(lambda, rho) at fixed rate
     lambda >= 1/tau:  rho* = lambda p h(v_seed) / (slope (1-p)) with
     v_seed = slope (1/lambda - tau)."""
@@ -329,10 +323,8 @@ def rho_star(model: CLFModel, lam: float, curve: CriticalCurve, *,
     up = low = None
     if check_straddle and rho > 0.0:
         u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
-        up = classify(u_unit * straddle_factor * rho, v_seed, model.psi,
-                      max_iter=classify_max_iter)
-        low = classify(u_unit * rho / straddle_factor, v_seed, model.psi,
-                       max_iter=classify_max_iter)
+        up = classify(u_unit * 1.1 * rho, v_seed, model.psi)
+        low = classify(u_unit * rho / 1.1, v_seed, model.psi)
     return ThresholdReport(value=rho, hyp_ok=True, v_seed=v_seed,
                            h_at_seed=h_seed, message="ok",
                            straddle_upper=up, straddle_lower=low)

@@ -122,36 +122,29 @@ def sample_geometric(p: float, rng: np.random.Generator, size: int | None = None
 
 
 def sample_lf(params: LFParams, rng: np.random.Generator,
-              size: int | None = None):
+              size: int) -> np.ndarray:
     """LF sampler: zero with probability 1 - 1/(alpha+beta), otherwise one
     plus a geometric with ratio beta/(alpha+beta)."""
     s = params.alpha + params.beta
-    m0 = 1.0 - 1.0 / s
     lam = params.beta / s
-    u = rng.random(size if size is not None else 1)
+    u = rng.random(size)
     w = (1.0 - u) * s  # uniform on (0, s]; tail part when w <= 1
     with np.errstate(divide="ignore"):
         k = np.where(w <= 1.0, 1 + np.floor(np.log(np.maximum(w, 1e-320))
                                             / math.log(lam)), 0.0)
-    out = k.astype(np.int64)
-    if size is None:
-        return int(out[0])
-    return out
+    return k.astype(np.int64)
 
 
 def sample_clf(params: CLFParams, rng: np.random.Generator,
-               size: int | None = None):
+               size: int) -> np.ndarray:
     """CLF sampler: zero with probability 1 - rho, otherwise exponential
     with rate lambda."""
-    u = rng.random(size if size is not None else 1)
-    out = np.zeros_like(u)
-    if params.rho > 0.0:
-        tail = u > 1.0 - params.rho
-        w = np.maximum((1.0 - u) / params.rho, 1e-320)
-        out = np.where(tail, -np.log(w) / params.lam, 0.0)
-    if size is None:
-        return float(out[0])
-    return out
+    u = rng.random(size)
+    if not params.rho > 0.0:
+        return np.zeros_like(u)
+    tail = u > 1.0 - params.rho
+    w = np.maximum((1.0 - u) / params.rho, 1e-320)
+    return np.where(tail, -np.log(w) / params.lam, 0.0)
 
 
 def _sample_z_discrete(z: ZSpecDiscrete, rng: np.random.Generator,
@@ -249,21 +242,16 @@ def _clf_thresholds(params: CLFParams) -> list[float]:
     return [k / params.lam for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
 
 
-def summarize_pool(pool: SamplePool, thresholds,
-                   tail_mode: str = "ge") -> EmpiricalSummary:
-    """Empirical mass at zero, tails and mean.  ``tail_mode`` picks the
-    inequality: 'ge' (P(X >= t), the integer-lattice convention) or 'gt'
-    (P(X > t), the continuous one)."""
+def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
+    """Empirical mass at zero, tails and mean.  The tail convention follows
+    the pool's dtype: an integer (LF) pool counts P(X >= t), the lattice
+    convention, and a real (CLF) pool counts P(X > t)."""
     x = pool.samples
     n = pool.size
-    if tail_mode == "ge":
-        tails = tuple((float(t), float(np.count_nonzero(x >= t) / n))
-                      for t in thresholds)
-    elif tail_mode == "gt":
-        tails = tuple((float(t), float(np.count_nonzero(x > t) / n))
-                      for t in thresholds)
-    else:
-        raise ValueError(f"unknown tail_mode {tail_mode!r}")
+    above = (np.greater_equal if np.issubdtype(x.dtype, np.integer)
+             else np.greater)
+    tails = tuple((float(t), float(np.count_nonzero(above(x, t)) / n))
+                  for t in thresholds)
     return EmpiricalSummary(
         mass_at_zero=float(np.count_nonzero(x == 0) / n),
         tail_probs=tails,
@@ -287,14 +275,14 @@ def compare_to_model(pool: SamplePool,
     mean_tol = tol * max(1.0, float(np.std(pool.samples)))
     rows = []
     if isinstance(predicted, LFParams):
-        summary = summarize_pool(pool, _lf_thresholds(predicted), "ge")
+        summary = summarize_pool(pool, _lf_thresholds(predicted))
         rows.append(("mass_at_zero", summary.mass_at_zero,
                      1.0 - 1.0 / (predicted.alpha + predicted.beta)))
         for (t, emp) in summary.tail_probs:
             rows.append((f"tail_ge_{int(t)}", emp, lf_tail(predicted, int(t))))
         rows.append(("mean", summary.mean, 1.0 / predicted.alpha))
     else:
-        summary = summarize_pool(pool, _clf_thresholds(predicted), "gt")
+        summary = summarize_pool(pool, _clf_thresholds(predicted))
         rows.append(("mass_at_zero", summary.mass_at_zero, 1.0 - predicted.rho))
         for (t, emp) in summary.tail_probs:
             rows.append((f"tail_gt_{t:g}", emp, clf_tail(predicted, t)))

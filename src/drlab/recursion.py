@@ -187,14 +187,14 @@ def _load_native():
                    c_double, c_double, ctypes.POINTER(c_double),
                    ctypes.POINTER(c_int64))
 
-    def classify(desc, psi, start, max_iter, u_zero_tol, v_margin):
+    def classify(desc, psi, start, max_iter):
         kind, params, n_atoms = desc
         state = (c_double * 3)(start.u, start.v, start.log_u)
         n = c_int64()
         code = fn(kind, (c_double * len(params))(*params), n_atoms,
                   psi.domain_min, psi.domain_max, psi.psi_inf,
-                  V_STOP if psi.bounded else _INF, max_iter, u_zero_tol,
-                  v_margin, state, ctypes.byref(n))
+                  V_STOP if psi.bounded else _INF, max_iter, _U_ZERO_TOL,
+                  _V_MARGIN, state, ctypes.byref(n))
         return code, OrbitState(n.value, *state)
     return classify
 
@@ -202,8 +202,7 @@ def _load_native():
 _LABELS = tuple(PhaseLabel)  # indexed by _classify.c's result codes
 
 
-def _classify_native(start: OrbitState, psi: PsiFunction, max_iter,
-                     u_zero_tol, v_margin):
+def _classify_native(start: OrbitState, psi: PsiFunction, max_iter):
     """classify_detail in C, or None: no native description on psi.fn, no
     library, a max_iter outside int64, or a domain error (which the
     Python kernel then raises from the checked call)."""
@@ -216,15 +215,12 @@ def _classify_native(start: OrbitState, psi: PsiFunction, max_iter,
         _native = _load_native() or False
     if not _native:
         return None
-    code, last = _native(desc, psi, start, max_iter, u_zero_tol, v_margin)
+    code, last = _native(desc, psi, start, max_iter)
     return (_LABELS[code], last) if code < len(_LABELS) else None
 
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
-                    max_iter: int = 10 ** 6,
-                    u_zero_tol: float = _U_ZERO_TOL,
-                    v_margin: float = _V_MARGIN
-                    ) -> tuple[PhaseLabel, OrbitState]:
+                    max_iter: int = 10 ** 6) -> tuple[PhaseLabel, OrbitState]:
     """Classification plus the state where the decision (or give-up) fired.
 
     The final state's v sign is the only usable direction hint when the
@@ -232,7 +228,7 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     """
     start = initial_state(u0, v0)
-    native = _classify_native(start, psi, max_iter, u_zero_tol, v_margin)
+    native = _classify_native(start, psi, max_iter)
     if native is not None:
         return native
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
@@ -240,7 +236,7 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
         if v > 0.0 and log_u > -_INF:
             return PhaseLabel.SUPERCRITICAL, OrbitState(n, u, v, log_u)
-        if u < u_zero_tol and v < -v_margin:
+        if u < _U_ZERO_TOL and v < -_V_MARGIN:
             return PhaseLabel.SUBCRITICAL, OrbitState(n, u, v, log_u)
         if log_u == -_INF:
             # u == 0 exactly and v in [-margin, 0]: frozen at the origin's edge
@@ -248,12 +244,8 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
 
 
 def classify(u0: float, v0: float, psi: PsiFunction, *,
-             max_iter: int = 10 ** 6,
-             u_zero_tol: float = _U_ZERO_TOL,
-             v_margin: float = _V_MARGIN) -> PhaseLabel:
-    label, _ = classify_detail(u0, v0, psi, max_iter=max_iter,
-                               u_zero_tol=u_zero_tol, v_margin=v_margin)
-    return label
+             max_iter: int = 10 ** 6) -> PhaseLabel:
+    return classify_detail(u0, v0, psi, max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,7 @@ class FreeEnergyEstimate:
 
 
 def _require_bounded(psi: PsiFunction) -> None:
-    if not (psi.bounded and math.isfinite(psi.psi_inf)):
+    if not psi.bounded:
         raise ValueError(f"driver {psi.name!r} is unbounded; free energy needs psi(inf) < inf")
 
 
@@ -476,13 +468,13 @@ class DominationReport:
 
 
 def compare_orbits(a0: tuple[float, float], b0: tuple[float, float],
-                   psi_lo: PsiFunction, psi_hi: PsiFunction, n: int,
-                   *, grid_points: int = 256) -> DominationReport:
+                   psi_lo: PsiFunction, psi_hi: PsiFunction, n: int
+                   ) -> DominationReport:
     """Check componentwise domination of the b-orbit (driver psi_hi) over
     the a-orbit (driver psi_lo) for n steps.
 
-    Preconditions (0 <= u_a <= u_b, v_a <= v_b, psi_lo <= psi_hi on a
-    sampled common domain) are enforced and raise ValueError; domination
+    Preconditions (0 <= u_a <= u_b, v_a <= v_b, psi_lo <= psi_hi at 256
+    points of the common domain, cut at 50) raise ValueError; domination
     failures are reported, not raised.
     """
     (ua, va), (ub, vb) = a0, b0
@@ -490,7 +482,7 @@ def compare_orbits(a0: tuple[float, float], b0: tuple[float, float],
         raise ValueError("initial pairs are not ordered")
     lo_dom = max(psi_lo.domain_min, psi_hi.domain_min)
     hi_dom = min(psi_lo.domain_max, psi_hi.domain_max, 50.0)
-    xs = np.linspace(lo_dom, hi_dom, grid_points)
+    xs = np.linspace(lo_dom, hi_dom, 256)
     ylo = psi_lo(xs)
     yhi = psi_hi(xs)
     bad = ylo > yhi + 1e-12

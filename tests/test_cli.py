@@ -66,16 +66,26 @@ def test_curve_cli_writes_csv(tmp_path, capsys):
 
 
 def test_curve_nonconvergence_exit_1(tmp_path):
-    # --max-sweeps 0 skips the certifying sweep: the marched curve is
-    # written but not claimed converged
+    # a tol below the certifying sweep's change (about 1e-16): the marched
+    # curve is written but not claimed converged
     path = tmp_path / "c.csv"
     code = run(["curve", "--driver", "fig1", "--m", "200",
-                "--max-sweeps", "0", "--out", str(path)])
+                "--tol", "1e-20", "--out", str(path)])
     assert code == 1
     assert path.exists()  # flagged results still written
     summary = json.loads((tmp_path / "c.csv.json").read_text())
-    assert summary["sweeps"] == 0 and not summary["converged"]
-    assert summary["sup_change_last"] == "inf"
+    assert summary["sweeps"] == 1 and not summary["converged"]
+    assert summary["sup_change_last"] >= 1e-20
+
+
+def test_curve_sweep_budget_is_gone_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["curve", "--driver", "fig1", "--max-sweeps", "0"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max_sweeps": 0}))
+    assert run(["curve", "--driver", "fig1", "--config", str(cfg)]) == 2
+    assert "unknown config keys ['max_sweeps']" in capsys.readouterr().err
 
 
 def test_curve_exact_sweep_mode_exit_0(tmp_path):
@@ -99,11 +109,10 @@ def test_curve_rejects_a_bad_damping_constant_exit_2(K, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
-                                        ("--tol", "-1"),
-                                        ("--max-sweeps", "-5")])
+                                        ("--tol", "-1")])
 def test_curve_rejects_a_bad_tolerance_or_budget_exit_2(flag, value, tmp_path,
                                                         capsys):
-    # rejected before any work, not after 10^5 sweeps (or none) and exit 1
+    # rejected before any work, not after the solve and exit 1
     start = time.perf_counter()
     code = run(["curve", "--driver", "lf:p=0.5,z=1", flag, value,
                 "--m", "200", "--out", str(tmp_path / "c.csv")])
@@ -279,7 +288,7 @@ def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     solve = drlab.curve.solve_curve
 
     def uncertified(psi, A, m, **kwargs):
-        return solve(psi, A, m, tol=kwargs["tol"], max_sweeps=0)
+        return solve(psi, A, m, tol=1e-20)  # below the certificate's change
 
     monkeypatch.setattr(drlab.curve, "solve_curve", uncertified)
     # the seed is refined, so the orbit starts on the curve even though

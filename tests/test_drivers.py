@@ -230,7 +230,7 @@ def test_general_z_lf_driver():
 
 def test_custom_psi_numeric_derivative():
     psi = make_custom_psi("tanh-like", lambda x: 1.0 + math.tanh(x),
-                          psi_inf=2.0, bounded=True)
+                          psi_inf=2.0)
     assert abs(psi.deriv(0.3) - (1.0 - math.tanh(0.3) ** 2)) < 1e-9
 
 

@@ -8,7 +8,7 @@ from drlab.models import (CLFParams, LFParams, clf_step, clf_tail, lf_pmf,
 from drlab.montecarlo import (SamplePool, block_rng, compare_to_model,
                               mc_step, pool_from_clf, pool_from_lf,
                               run_validation, sample_clf, sample_geometric,
-                              sample_lf)
+                              sample_lf, summarize_pool)
 
 N_BIG = 10 ** 6
 N_MED = 2 * 10 ** 5
@@ -124,6 +124,15 @@ def test_clf_subtract_tail_against_closed_form(z1_continuous):
 def test_pool_validation():
     with pytest.raises(ValueError):
         SamplePool(level=0, samples=np.zeros(10), seed=0, size=10)
+
+
+def test_tail_convention_follows_the_pool_dtype():
+    # the same values: an integer pool counts X >= t, a real one X > t
+    values = np.repeat([0, 1, 2, 3], 500)
+    tails = [summarize_pool(SamplePool(level=0, samples=values.astype(dtype),
+                                       seed=0, size=2000), [1, 2]).tail_probs
+             for dtype in (np.int64, np.float64)]
+    assert tails == [((1.0, 0.75), (2.0, 0.5)), ((1.0, 0.5), (2.0, 0.25))]
 
 
 def test_zero_pool_is_absorbing(lf_model):

@@ -620,7 +620,7 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
     fn, calls = _counting(lf)
     copies = [dataclasses.replace(lf, fn=fn),
               make_custom_psi("counted", fn, psi_inf=lf.psi_inf,
-                              domain_min=lf.domain_min, bounded=True)]
+                              domain_min=lf.domain_min)]
     for psi in copies:
         calls["fn"] = 0
         label, last = classify_detail(0.051806269642573365, -0.3, psi,

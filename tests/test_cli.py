@@ -1,11 +1,13 @@
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drlab.cli import main
+from drlab.cli import build_parser, main
 
 
 def run(args):
@@ -351,3 +353,27 @@ def test_lab_reads_a_well_formed_curve(tmp_path):
     assert code == 0
     cstar = json.loads((tmp_path / "c.json").read_text())["raw_last"]
     assert abs(cstar - 1.197) < 0.01
+
+
+def _readme_commands() -> list:
+    """Every ``drlab ...`` line of the README's shell blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = text.split("```sh\n")[1:]
+    lines = []
+    for block in blocks:
+        joined = block.split("```")[0].replace("\\\n", " ")
+        lines += [line for line in joined.splitlines()
+                  if line.startswith("drlab ")]
+    return lines
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

@@ -3,7 +3,7 @@
     u_{n+1} = u_n psi(v_{n+1}),    v_{n+1} = u_n + v_n,
 
 the generalized Derrida-Retaux dynamics.  The package builds critical
-curves by a damped fixed-point scheme, exposes the two exactly solvable
+curves by a right-to-left march, exposes the two exactly solvable
 model families (linear-fractional and continuous linear-fractional),
 validates their closed-form evolution by pool Monte Carlo, and measures
 the free-energy asymptotics exp(-C/sqrt(eps)) near the critical curve.

@@ -90,13 +90,14 @@ def _default(args, name, value) -> None:
         setattr(args, name, value)
 
 
-def _solve_curve(args, psi, **kwargs):
+def _solve_curve(args, psi, K=None, sweeps=None):
     """Solve the curve of ``--A``, ``--m`` and ``--tol``, with the defaults
     that ``curve`` and ``lab`` share."""
     for name, value in (("A", 0.5), ("m", 1000), ("tol", 1e-12)):
         _default(args, name, value)
     return curve_mod.solve_curve(psi, float(args.A), int(args.m),
-                                 tol=float(args.tol), **kwargs)
+                                 tol=float(args.tol), K_override=K,
+                                 sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +143,7 @@ def _cmd_classify(args) -> int:
 def _cmd_curve(args) -> int:
     psi, _ = _build_driver(args)
     cur = _solve_curve(
-        args, psi,
-        K_override=float(args.K) if args.K is not None else None,
+        args, psi, K=float(args.K) if args.K is not None else None,
         sweeps=int(args.sweeps) if args.sweeps is not None else None)
     if args.out:
         with open(args.out, "w") as fh:

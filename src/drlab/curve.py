@@ -313,9 +313,9 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     return replace(curve, residual_sup=residual(curve, psi))
 
 
-def _given_curve(A: float, xs: np.ndarray, h: np.ndarray) -> CriticalCurve:
-    """A curve that was given, not solved: no solver metadata."""
-    grid = CurveGrid(A=A, xs=xs, g=xs + h, K=math.nan, sweeps=0,
+def _given_curve(xs: np.ndarray, h: np.ndarray) -> CriticalCurve:
+    """A given, not solved, curve on the grid xs: no solver metadata."""
+    grid = CurveGrid(A=-float(xs[0]), xs=xs, g=xs + h, K=math.nan, sweeps=0,
                      sup_change_last=0.0, clamp_last=0.0)
     return CriticalCurve(grid=grid, h_values=h, residual_sup=math.nan,
                          converged=True)
@@ -325,7 +325,7 @@ def curve_from_h(A: float, m: int, h_fn: Callable[[np.ndarray], np.ndarray],
                  ) -> CriticalCurve:
     """Reference curve from a known h (exact fixtures, imported data)."""
     xs = np.linspace(-A, 0.0, m + 1)
-    return _given_curve(A, xs, np.asarray(h_fn(xs), dtype=float))
+    return _given_curve(xs, np.asarray(h_fn(xs), dtype=float))
 
 
 def h_eval(curve: CriticalCurve, x):
@@ -470,4 +470,4 @@ def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
     spacing = -xs[0] / (len(xs) - 1)
     if float(np.max(np.abs(step - spacing))) > 1e-6 * spacing:
         raise ValueError("curve CSV x is not uniformly spaced")
-    return _given_curve(-float(xs[0]), xs, h)
+    return _given_curve(xs, h)

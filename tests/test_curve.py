@@ -143,7 +143,8 @@ def test_nonconvergence_is_flagged_not_raised(lf_model):
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0},
-                                    {"tol": -1.0}, {"sweeps": -1}])
+                                    {"tol": -1.0}, {"sweeps": -1},
+                                    {"K_override": -1.0}])
 def test_solve_curve_rejects_a_bad_tolerance_or_budget(lf_model, kwargs):
     with pytest.raises(ValueError, match="must be"):
         solve_curve(lf_model.psi, 0.5, 200, **kwargs)

@@ -68,6 +68,9 @@ def _build_driver(args):
     return psi, constants
 
 
+_KINDS = ("lf", "clf")  # mc --kind; a config value is checked against it
+
+
 def _load_config(args) -> None:
     path = getattr(args, "config", None)
     if not path:
@@ -82,6 +85,9 @@ def _load_config(args) -> None:
         raise ConfigError(f"unknown config keys {sorted(unknown)!r}")
     for key, value in cfg.items():
         if getattr(args, key, None) is None:
+            if key == "kind" and value not in _KINDS:
+                raise ConfigError(f"config key 'kind': invalid choice "
+                                  f"{value!r} (choose from {_KINDS!r})")
             setattr(args, key, value)
 
 
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc", help="Monte Carlo validation of the closed forms")
     sp.add_argument("action", choices=["validate"])
     _add_common(sp)
-    sp.add_argument("--kind", choices=["lf", "clf"])
+    sp.add_argument("--kind", choices=_KINDS)
     sp.add_argument("--p", type=float)
     sp.add_argument("--z")
     sp.add_argument("--alpha", type=float)

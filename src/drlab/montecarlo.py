@@ -147,18 +147,11 @@ def sample_clf(params: CLFParams, rng: np.random.Generator,
     return np.where(tail, -np.log(w) / params.lam, 0.0)
 
 
-def _sample_z_discrete(z: ZSpecDiscrete, rng: np.random.Generator,
-                       size: int) -> np.ndarray:
+def _sample_z(z: ZSpecDiscrete | ZSpecContinuous, rng: np.random.Generator,
+              size: int, dtype) -> np.ndarray:
     vals, probs = z.values_probs()
     idx = np.searchsorted(np.cumsum(probs), rng.random(size), side="right")
-    return vals[np.minimum(idx, len(vals) - 1)].astype(np.int64)
-
-
-def _sample_z_continuous(z: ZSpecContinuous, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-    vals, probs = z.values_probs()
-    idx = np.searchsorted(np.cumsum(probs), rng.random(size), side="right")
-    return vals[np.minimum(idx, len(vals) - 1)]
+    return vals[np.minimum(idx, len(vals) - 1)].astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +183,20 @@ def mc_step(pool: SamplePool, model: LFModel | CLFModel,
     if pool.size == 0:
         raise ValueError("pool is empty")
     discrete = isinstance(model, LFModel)
+    dtype = np.int64 if discrete else np.float64
     prev = pool.samples
     n_prev = len(prev)
 
     def make_block(rng: np.random.Generator, size: int) -> np.ndarray:
         r = sample_geometric(model.p, rng, size)
-        if discrete:
-            z = _sample_z_discrete(model.zspec, rng, size)
-        else:
-            z = _sample_z_continuous(model.zspec, rng, size)
+        z = _sample_z(model.zspec, rng, size, dtype)
         idx = rng.integers(0, n_prev, size=int(r.sum()))
         offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
         sums = np.add.reduceat(prev[idx], offsets)
         return np.maximum(sums - z, 0 if discrete else 0.0)
 
     samples = _fill_blocks(pool.size, pool.level + 1, pool.seed, make_block,
-                           threads, np.int64 if discrete else np.float64)
+                           threads, dtype)
     return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed,
                       size=pool.size)
 

@@ -144,7 +144,7 @@ _CC = "gcc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
-_native = None  # the loaded C classifier; False once loading has failed
+_native = None  # the loaded C loops; False once loading has failed
 
 
 def _build(source: str, lib: str) -> bool:
@@ -167,9 +167,9 @@ def _build(source: str, lib: str) -> bool:
 
 
 def _load_native():
-    """The C classifier of ``_classify.c``, built on first use into the
-    cache directory under a name keyed by the source and the flags; None
-    when the build fails or the library does not load."""
+    """The C loops of ``_classify.c``, classify and stopping, built on first
+    use into the cache directory under a name keyed by the source and the
+    flags; None when the build fails or the library does not load."""
     source = os.path.join(_HERE, "_classify.c")
     try:
         with open(source, "rb") as fh:
@@ -177,46 +177,54 @@ def _load_native():
         lib = os.path.join(_CACHE_DIR, f"_classify-{key:08x}.so")
         if not os.path.exists(lib) and not _build(source, lib):
             return None
-        fn = ctypes.CDLL(lib).drlab_classify
+        dll = ctypes.CDLL(lib)
+        classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
     except OSError:
         return None
     c_double, c_int64 = ctypes.c_double, ctypes.c_int64
-    fn.restype = ctypes.c_int
-    fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
-                   c_double, c_double, c_double, c_double, c_int64,
-                   c_double, c_double, ctypes.POINTER(c_double),
-                   ctypes.POINTER(c_int64))
+    for fn in (classify_fn, stopping_fn):
+        fn.restype = ctypes.c_int
+        fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
+                       c_double, c_double, c_double, c_double, c_int64,
+                       c_double, c_double, ctypes.POINTER(c_double),
+                       ctypes.POINTER(c_int64))
 
-    def classify(desc, psi, start, max_iter):
-        kind, params, n_atoms = desc
+    def call(fn, psi, start, max_iter, a, b, out):
+        kind, params, n_atoms = psi.fn.native
         state = (c_double * 3)(start.u, start.v, start.log_u)
-        n = c_int64()
         code = fn(kind, (c_double * len(params))(*params), n_atoms,
                   psi.domain_min, psi.domain_max, psi.psi_inf,
-                  V_STOP if psi.bounded else _INF, max_iter, _U_ZERO_TOL,
-                  _V_MARGIN, state, ctypes.byref(n))
+                  V_STOP if psi.bounded else _INF, max_iter, a, b, state, out)
+        return code, state
+
+    def classify(psi, start, max_iter):
+        n = c_int64()
+        code, state = call(classify_fn, psi, start, max_iter,
+                           _U_ZERO_TOL, _V_MARGIN, ctypes.byref(n))
         return code, OrbitState(n.value, *state)
-    return classify
+
+    def stopping(psi, start, max_iter, a_eps, delta):
+        hits = (c_int64 * 6)()
+        code, state = call(stopping_fn, psi, start, max_iter, a_eps, delta,
+                           hits)
+        return code, state[0], [None if h < 0 else h for h in hits]
+    return classify, stopping
 
 
 _LABELS = tuple(PhaseLabel)  # indexed by _classify.c's result codes
+_DOMAIN_ERROR = len(_LABELS)
 
 
-def _classify_native(start: OrbitState, psi: PsiFunction, max_iter):
-    """classify_detail in C, or None: no native description on psi.fn, no
-    library, a max_iter outside int64, or a domain error (which the
-    Python kernel then raises from the checked call)."""
+def _native_loops(psi: PsiFunction, max_iter):
+    """The C loops (classify, stopping), or None: no native description on
+    psi.fn, a max_iter outside int64, or no library."""
     global _native
-    desc = getattr(psi.fn, "native", None)
-    if desc is None or not (isinstance(max_iter, int)
-                            and -2 ** 63 <= max_iter < 2 ** 63):
+    if not (hasattr(psi.fn, "native") and isinstance(max_iter, int)
+            and -2 ** 63 <= max_iter < 2 ** 63):
         return None
     if _native is None:
         _native = _load_native() or False
-    if not _native:
-        return None
-    code, last = _native(desc, psi, start, max_iter)
-    return (_LABELS[code], last) if code < len(_LABELS) else None
+    return _native or None
 
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
@@ -228,9 +236,11 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     """
     start = initial_state(u0, v0)
-    native = _classify_native(start, psi, max_iter)
+    native = _native_loops(psi, max_iter)
     if native is not None:
-        return native
+        code, last = native[0](psi, start, max_iter)
+        if code != _DOMAIN_ERROR:  # else the Python kernel raises it
+            return _LABELS[code], last
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
         if n > max_iter:
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
@@ -392,18 +402,15 @@ class StoppingRecord:
         return math.nan if self.u_N0 is None else self.u_N0 / self.epsilon_used
 
 
-def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
-                   delta: float, epsilon: float, *,
-                   max_iter: int = 10 ** 7) -> StoppingRecord:
-    if not u0 > 0.0:
-        raise ValueError("u0 must be positive")
-    if not (A > 0.0 and delta > 0.0):
-        raise ValueError("A and delta must be positive")
-    a_eps = A * math.sqrt(epsilon)
+def _stopping_pass(start: OrbitState, psi: PsiFunction, max_iter,
+                   a_eps: float, delta: float):
+    """(u at the last v_n <= 0, hits) over states 0..max_iter, hits being
+    the first n with v_n > 0, n*, n1_A, n2_A, n3_delta and n4_delta, None
+    where none: the loop of ``_classify.c``'s drlab_stopping, and its
+    oracle."""
     first_pos = n_star = n1 = n2 = n3 = n4 = None
     u_last = None  # u at the last n with v_n <= 0 so far (v is nondecreasing)
-    states = zip(range(max_iter + 1), _orbit(initial_state(u0, v0), psi))
-    for n, (u, v, log_u, _) in states:
+    for n, (u, v, log_u, _) in zip(range(max_iter + 1), _orbit(start, psi)):
         if log_u == -_INF:  # psi vanished: the orbit is dead
             break
         if first_pos is None:
@@ -423,9 +430,28 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
             n_star = n
         if None not in (first_pos, n_star, n1, n2, n3, n4):
             break
-    N0 = None
-    if first_pos is not None:
-        N0 = first_pos - 1 if first_pos > 0 else None
+    return u_last, (first_pos, n_star, n1, n2, n3, n4)
+
+
+def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
+                   delta: float, epsilon: float, *,
+                   max_iter: int = 10 ** 7) -> StoppingRecord:
+    """The hitting indices of one forward pass.  Built-in drivers run the
+    loop of ``_classify.c``; :func:`_stopping_pass` is its oracle and runs
+    everything else, and raises a domain error."""
+    if not u0 > 0.0:
+        raise ValueError("u0 must be positive")
+    if not (A > 0.0 and delta > 0.0):
+        raise ValueError("A and delta must be positive")
+    a_eps = A * math.sqrt(epsilon)
+    start = initial_state(u0, v0)
+    code, native = _DOMAIN_ERROR, _native_loops(psi, max_iter)
+    if native is not None:
+        code, u_last, hits = native[1](psi, start, max_iter, a_eps, delta)
+    if code == _DOMAIN_ERROR:
+        u_last, hits = _stopping_pass(start, psi, max_iter, a_eps, delta)
+    first_pos, n_star, n1, n2, n3, n4 = hits
+    N0 = first_pos - 1 if first_pos else None
     return StoppingRecord(N0=N0, u_N0=u_last if N0 is not None else None,
                           n_star=n_star, n1_A=n1, n2_A=n2,
                           n3_delta=n3, n4_delta=n4, A=A, delta=delta,

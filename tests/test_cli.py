@@ -228,6 +228,22 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["LF", "gauss", 1])
+def test_config_value_outside_the_choices_exit_2(tmp_path, capsys, kind):
+    # as --kind LF on the command line does, not a CLF run that exits 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind}))
+    args = ["mc", "validate", "--config", str(cfg), "--p", "0.5", "--z", "1",
+            "--lam", "2", "--rho", "0.5", "--levels", "1",
+            "--pool-size", "20000"]
+    assert run(args) == 2
+    err = capsys.readouterr()
+    assert "config key 'kind': invalid choice" in err.err and err.out == ""
+    with pytest.raises(SystemExit) as exc:
+        run(["mc", "validate", "--kind", "LF"])
+    assert exc.value.code == 2
+
+
 def test_missing_required_value_exit_2():
     assert run(["classify", "--driver", "fig1"]) == 2
     assert run(["free-energy", "--driver", "fig1"]) == 2

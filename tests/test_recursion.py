@@ -355,6 +355,7 @@ def _kernel_drivers():
     from drlab.drivers import make_fig1_psi
     out = {spec: driver_from_spec(spec)[0] for spec in
            ("lf:p=0.5,z=1", "lf:p=0.4,z=1@0.5+2@0.5", "lf:p=0.3,z=3",
+            "lf:p=0.4,z=3@0.6+1@0.4",  # the unit atom (s, not pow) second
             "clf:p=0.5,z=1", "clf:p=0.4,z=0.5@0.3+2@0.7", "clf:p=0.3,z=3",
             "fig1",
             "fig1-clamped", "affine")}
@@ -603,6 +604,51 @@ def test_native_classify_matches_python_kernel_near_the_curve(name):
     assert max(last.n for _, last in native) > 1000
 
 
+# ---------------------------------------------------------------------------
+# the native stopping-time loop against the Python kernel
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@example(name="lf:p=0.5,z=1", u0=2e12, v0=-0.3, eps=1e-6, max_iter=5)  # past V_STOP
+@example(name="affine", u0=2e12, v0=-0.3, eps=1e-6, max_iter=5)  # unbounded
+@example(name="affine", u0=0.5, v0=-1.5, eps=1e-6, max_iter=5)  # psi(v) = 0
+@example(name="fig1", u0=0.01, v0=-0.9, eps=1e-6, max_iter=1)  # outside
+@example(name="fig1", u0=0.01, v0=-0.9, eps=1e-6, max_iter=0)  # no step
+@given(name=st.sampled_from(NATIVE_DRIVERS),
+       u0=st.floats(1e-9, 3.0), v0=st.floats(-1.2, 0.6),
+       eps=st.sampled_from([1e-4, 1e-6, 1e-8]),
+       max_iter=st.one_of(st.sampled_from([-1, 0, 1]),
+                          st.integers(0, 20000)))
+def test_native_stopping_times_matches_python_kernel(name, u0, v0, eps,
+                                                     max_iter):
+    psi = KERNEL_DRIVERS[name]
+
+    def run():
+        return stopping_times(u0, v0, psi, A=10.0, delta=0.1, epsilon=eps,
+                              max_iter=max_iter)
+    got = _outcome_exact(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert got == _outcome_exact(run)
+
+
+@pytest.mark.parametrize("name", ["lf:p=0.5,z=1", "clf:p=0.5,z=1"])
+def test_native_stopping_times_matches_python_kernel_near_the_curve(name):
+    # the c-v pass: orbits started eps above a bisected h(-0.3)
+    psi = KERNEL_DRIVERS[name]
+    h = bisect_h(psi, -0.3, tol=1e-11)
+    args = [(h + eps, eps) for eps in (1e-6, 1e-7, 1e-8)]
+
+    def run():
+        return [stopping_times(u0, -0.3, psi, A=1.0, delta=0.1, epsilon=eps)
+                for u0, eps in args]
+    native = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert repr(native) == repr(run())
+    assert min(r.N0 for r in native) > 1000
+
+
 def _counting(psi):
     calls = {"fn": 0}
     base_fn = psi.fn
@@ -627,6 +673,10 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
                                       max_iter=1000)
         assert label is PhaseLabel.UNDETERMINED
         assert calls["fn"] == last.n == 1001
+        calls["fn"] = 0
+        rec = stopping_times(0.051806269642573365, -0.3, psi, A=1.0,
+                             delta=0.1, epsilon=1e-6, max_iter=1000)
+        assert rec.N0 is None and calls["fn"] == 1000
     calls["fn"] = 0
     dual = dual_psi(dataclasses.replace(lf, fn=fn))
     _, last = classify_detail(0.001, -0.4, dual, max_iter=500)
@@ -644,11 +694,16 @@ def test_native_classifier_is_built_and_loaded():
 def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
                                                       name, value):
     psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
-    want = repr(classify_detail(0.05, -0.3, psi, max_iter=5000))
+
+    def run():
+        return (classify_detail(0.05, -0.3, psi, max_iter=5000),
+                stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
+                               epsilon=1e-6, max_iter=5000))
+    want = repr(run())
     monkeypatch.setattr(recursion, name, value)
     monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(recursion, "_native", None)
-    assert repr(classify_detail(0.05, -0.3, psi, max_iter=5000)) == want
+    assert repr(run()) == want
     assert recursion._native is False
     assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 

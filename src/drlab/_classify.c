@@ -73,13 +73,9 @@ static int step(const driver *d, double *u, double *v, double *log_u,
 {
     double w;
 
-    if (first && !(*v + *u >= d->domain_min)) {
-        *v = *v + *u;
-        return DOMAIN_ERROR;
-    }
     *v = *v + *u;
-    if (!(*v <= d->domain_max)) /* also NaN */
-        return DOMAIN_ERROR;
+    if ((first && !(*v >= d->domain_min)) || !(*v <= d->domain_max))
+        return DOMAIN_ERROR; /* also NaN */
     w = *v < d->v_stop ? psi(d, *v) : d->w_inf;
     if (w == 0.0) {
         *u = 0.0;
@@ -137,7 +133,7 @@ int drlab_classify(int kind, const double *params, int n_atoms,
    -1 where none: hits[0..5] = first v > 0, n*, first v > -a_eps,
    first v > a_eps, first v > -delta, first v > delta.  state holds
    (u, v, log u) on entry, u > 0; state[0] is u at the last v <= 0 on
-   return (unset if v0 > 0).  Returns DOMAIN_ERROR, else 0. */
+   return (still u0 if v0 > 0).  Returns DOMAIN_ERROR, else 0. */
 int drlab_stopping(int kind, const double *params, int n_atoms,
                    double domain_min, double domain_max, double w_inf,
                    double v_stop, int64_t max_iter, double a_eps,

@@ -68,7 +68,7 @@ def _build_driver(args):
     return psi, constants
 
 
-_KINDS = ("lf", "clf")  # mc --kind; a config value is checked against it
+_MC_KINDS = ("lf", "clf")  # mc --kind; a config value is checked against it
 
 
 def _load_config(args) -> None:
@@ -85,9 +85,9 @@ def _load_config(args) -> None:
         raise ConfigError(f"unknown config keys {sorted(unknown)!r}")
     for key, value in cfg.items():
         if getattr(args, key, None) is None:
-            if key == "kind" and value not in _KINDS:
+            if key == "kind" and value not in _MC_KINDS:
                 raise ConfigError(f"config key 'kind': invalid choice "
-                                  f"{value!r} (choose from {_KINDS!r})")
+                                  f"{value!r} (choose from {_MC_KINDS!r})")
             setattr(args, key, value)
 
 
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc", help="Monte Carlo validation of the closed forms")
     sp.add_argument("action", choices=["validate"])
     _add_common(sp)
-    sp.add_argument("--kind", choices=_KINDS)
+    sp.add_argument("--kind", choices=_MC_KINDS)
     sp.add_argument("--p", type=float)
     sp.add_argument("--z")
     sp.add_argument("--alpha", type=float)

@@ -32,7 +32,10 @@ Built-in drivers
 Every driver carries a fast scalar path (plain ``math``) and a vectorized
 path (numpy); orbit iteration uses the former, grid solvers the latter.
 The scalar function of each built-in driver also carries a ``native``
-description, from which ``_classify.c`` evaluates the same function.
+description, from which ``_classify.c`` evaluates the same function for
+the C classifier and stopping-time loops.  There an lf atom of value 1
+contributes s, not pow(s, 1.0), which libm rounds to s exactly, as the
+single-atom path of :func:`make_lf_psi` does.
 Driver objects are immutable and safe to share across threads.
 """
 

@@ -15,13 +15,14 @@ domain's lower end once (v never decreases) and per step only the upper
 end, then calls the raw driver; bounded drivers take psi(inf) from
 ``V_STOP`` on, and a zero of psi leaves u at an absorbing 0.
 
-The classifier of the built-in drivers runs in C instead (``_classify.c``,
-compiled on first use with ``gcc -O2 -fPIC -shared -ffp-contract=off`` and
-``-lm``, cached in this package's ``__pycache__`` and loaded with ctypes).
-It keeps the kernel's order of operations, so its results are
+The classifier and the stopping-time pass of the built-in drivers run in
+C instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC
+-shared -ffp-contract=off`` and ``-lm``, cached in this package's
+``__pycache__`` and loaded with ctypes).  Both loops share one C step that
+keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
-driver, :func:`_orbit` runs, as the C loop's oracle.
+driver, :func:`_orbit` runs, as the C loops' oracle.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase

@@ -1,4 +1,5 @@
-/* Native orbit loops for the built-in drivers.
+/* Native orbit loops for the built-in drivers, and the Monte Carlo's
+   resampling and counting passes (at the end of the file).
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
@@ -11,6 +12,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* driver kinds: their index in drivers._KINDS */
 enum { AFFINE, FIG1, FIG1_CLAMPED, LF, CLF };
@@ -172,4 +174,159 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
             }
     }
     return 0;
+}
+
+/* The Monte Carlo resampling step of montecarlo.mc_step: segment i of idx,
+   of length r[i] >= 1, gives out[i] = max(sum of prev[idx[q]] - z[i], 0).
+   The numpy code it replaces is its oracle,
+   np.maximum(np.add.reduceat(prev[idx], offsets) - z, 0).  A float sum
+   keeps reduceat's association: the segment's first element plus numpy's
+   pairwise sum of the rest.  Returns 0, or -1 when the r do not cover the
+   m entries of idx or an index falls outside prev. */
+
+#define AHEAD 32 /* prefetch prev[idx[q + AHEAD]]: the gathers miss cache */
+
+typedef struct {
+    const double *prev;
+    const int64_t *idx;
+    int64_t n_prev, m;
+    int bad;
+} gather;
+
+static inline double at(gather *g, int64_t q)
+{
+    int64_t k = g->idx[q];
+
+    if (q + AHEAD < g->m)
+        __builtin_prefetch(g->prev + g->idx[q + AHEAD]);
+    if ((uint64_t)k >= (uint64_t)g->n_prev) {
+        g->bad = 1;
+        return 0.0;
+    }
+    return g->prev[k];
+}
+
+/* numpy's pairwise_sum of the n gathered values from q on: a plain loop
+   from -0.0 below 8 values, 8 accumulators up to 128, halves above */
+static double pairwise(gather *g, int64_t q, int64_t n)
+{
+    double acc[8], res = -0.0;
+    int64_t i, n2;
+    int j;
+
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            res += at(g, q + i);
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            acc[j] = at(g, q + j);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                acc[j] += at(g, q + i + j);
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+              + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        for (; i < n; i++)
+            res += at(g, q + i);
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    res = pairwise(g, q, n2);
+    return res + pairwise(g, q + n2, n - n2);
+}
+
+int drlab_resample_f64(const double *prev, int64_t n_prev,
+                       const int64_t *idx, int64_t m, const int64_t *r,
+                       const double *z, int64_t n, double *out)
+{
+    gather g = {prev, idx, n_prev, m, 0};
+    int64_t i, q = 0;
+    double d;
+
+    for (i = 0; i < n; i++) {
+        if (r[i] < 1 || r[i] > m - q)
+            return -1;
+        d = at(&g, q);
+        if (r[i] > 1)
+            d += pairwise(&g, q + 1, r[i] - 1);
+        d -= z[i];
+        out[i] = d > 0.0 || d != d ? d : 0.0; /* as np.maximum: NaN, not -0.0 */
+        q += r[i];
+    }
+    return q == m && !g.bad ? 0 : -1;
+}
+
+/* integer sums are exact in any order; unsigned arithmetic wraps as
+   numpy's int64 does */
+int drlab_resample_i64(const int64_t *prev, int64_t n_prev,
+                       const int64_t *idx, int64_t m, const int64_t *r,
+                       const int64_t *z, int64_t n, int64_t *out)
+{
+    int64_t i, j, k, q = 0, d;
+    uint64_t acc;
+
+    for (i = 0; i < n; i++) {
+        if (r[i] < 1 || r[i] > m - q)
+            return -1;
+        acc = 0;
+        for (j = q; j < q + r[i]; j++) {
+            k = idx[j];
+            if (j + AHEAD < m)
+                __builtin_prefetch(prev + idx[j + AHEAD]);
+            if ((uint64_t)k >= (uint64_t)n_prev)
+                return -1;
+            acc += (uint64_t)prev[k];
+        }
+        d = (int64_t)(acc - (uint64_t)z[i]);
+        out[i] = d > 0 ? d : 0;
+        q += r[i];
+    }
+    return q == m ? 0 : -1;
+}
+
+/* The counts of montecarlo.summarize_pool for a real pool, in one pass
+   over x: counts[0] is #{x == 0} and counts[1 + j] is #{x > t[j]}.  x is
+   read in blocks that stay in L1, and each block is compared with each
+   level in two-lane vectors (a comparison that holds is -1 in its lane).
+   An integer pool keeps numpy's passes: without SSE4.2 a 64-bit integer
+   comparison is not vectorised, and a scalar pass is no faster. */
+typedef double f64x2 __attribute__((vector_size(16)));
+typedef int64_t i64x2 __attribute__((vector_size(16)));
+
+#define COUNT_BLOCK 2048
+
+static inline int64_t count(const double *x, int64_t n, double level,
+                            int above)
+{
+    f64x2 x0, x1, lv = {level, level};
+    i64x2 c0 = {0, 0}, c1 = {0, 0};
+    int64_t i, c;
+
+    for (i = 0; i + 4 <= n; i += 4) {
+        memcpy(&x0, x + i, sizeof x0);
+        memcpy(&x1, x + i + 2, sizeof x1);
+        c0 -= above ? x0 > lv : x0 == lv;
+        c1 -= above ? x1 > lv : x1 == lv;
+    }
+    c = c0[0] + c0[1] + c1[0] + c1[1];
+    for (; i < n; i++)
+        c += above ? x[i] > level : x[i] == level;
+    return c;
+}
+
+void drlab_counts(const double *x, int64_t n, const double *t, int64_t nt,
+                  int64_t *counts)
+{
+    int64_t b, size, j;
+
+    for (j = 0; j <= nt; j++)
+        counts[j] = 0;
+    for (b = 0; b < n; b += size) {
+        size = n - b < COUNT_BLOCK ? n - b : COUNT_BLOCK;
+        counts[0] += count(x + b, size, 0.0, 0);
+        for (j = 0; j < nt; j++)
+            counts[1 + j] += count(x + b, size, t[j], 1);
+    }
 }

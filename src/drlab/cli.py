@@ -68,7 +68,28 @@ def _build_driver(args):
     return psi, constants
 
 
-_MC_KINDS = ("lf", "clf")  # mc --kind; a config value is checked against it
+_MC_KINDS = ("lf", "clf")  # mc --kind
+# a config value must be the JSON value of what its flag's type parses
+_JSON_TYPES = {None: ((str,), "a string"), int: ((int,), "an integer"),
+               float: ((int, float), "a number")}
+
+
+def _config_value(flag: argparse.Action, key: str, value):
+    """A config value checked and converted as its flag would be; a flag
+    given more than once (``--eps``) takes a list."""
+    many = isinstance(flag, argparse._AppendAction)
+    if many and not isinstance(value, list):
+        raise ConfigError(f"config key {key!r}: {value!r} is not a list")
+    types, name = _JSON_TYPES[flag.type]
+    items = []
+    for item in value if many else [value]:
+        if flag.choices is not None and item not in flag.choices:
+            raise ConfigError(f"config key {key!r}: invalid choice {item!r} "
+                              f"(choose from {flag.choices!r})")
+        if isinstance(item, bool) or not isinstance(item, types):
+            raise ConfigError(f"config key {key!r}: {item!r} is not {name}")
+        items.append(item if flag.type is None else flag.type(item))
+    return items if many else items[0]
 
 
 def _load_config(args) -> None:
@@ -79,15 +100,12 @@ def _load_config(args) -> None:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    dests = set(vars(args)) - {"command", "handler", "config"}
-    unknown = set(cfg) - dests
+    unknown = set(cfg) - set(args.flags)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)!r}")
     for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            if key == "kind" and value not in _MC_KINDS:
-                raise ConfigError(f"config key 'kind': invalid choice "
-                                  f"{value!r} (choose from {_MC_KINDS!r})")
+        value = _config_value(args.flags[key], key, value)
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -405,12 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve", help="import a reference curve CSV instead of solving")
     sp.add_argument("--v0", type=float)
     sp.add_argument("--u0", type=float)
-    sp.add_argument("--eps", action="append")
-    sp.add_argument("--t", action="append")
+    sp.add_argument("--eps", action="append", type=float)
+    sp.add_argument("--t", action="append", type=float)
     sp.add_argument("--n-max", dest="n_max", type=int)
     sp.add_argument("--refine-seed-tol", dest="refine_seed_tol", type=float)
     sp.set_defaults(handler=_cmd_lab)
 
+    for sp in sub.choices.values():  # what _load_config checks values with
+        sp.set_defaults(flags={a.dest: a for a in sp._actions
+                               if a.option_strings
+                               and a.dest not in ("help", "config")})
     return p
 
 

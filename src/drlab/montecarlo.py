@@ -10,6 +10,14 @@ Reproducibility: samples are produced in fixed blocks of 2^15 draws, each
 block from its own counter-based stream keyed (seed, level, block index).
 A thread pool may process blocks concurrently; the output is assembled in
 block order, so results are bit-identical for any worker count.
+
+numpy draws every random number of a block.  The resampling itself, the
+gather prev[idx], the segment sums, the subtraction of Z and the clamp,
+runs in one pass of ``_classify.c`` (built and loaded by ``recursion``);
+its float sums keep ``np.add.reduceat``'s association, so its pools are
+bit-identical to the numpy expression in :func:`_resample`, which is its
+oracle and runs without a compiler.  :func:`summarize_pool` counts the
+mass at zero and the tails of a real pool in one C pass the same way.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import recursion
 from .drivers import ZSpecContinuous, ZSpecDiscrete
 from .models import (CLFModel, CLFParams, LFModel, LFParams, clf_step,
                      clf_tail, lf_step, lf_tail)
@@ -147,11 +156,45 @@ def sample_clf(params: CLFParams, rng: np.random.Generator,
     return np.where(tail, -np.log(w) / params.lam, 0.0)
 
 
+def _skip_doubles(rng: np.random.Generator, size: int) -> None:
+    """Move rng on as rng.random(size) does.  Philox makes four doubles per
+    counter step, so from a spent buffer, with no 32-bit half kept, a
+    multiple of four draws is advance(size // 4); else they are drawn."""
+    bits = rng.bit_generator
+    state = bits.state
+    if size % 4 == 0 and state["buffer_pos"] == 4 and not state["has_uint32"]:
+        bits.advance(size // 4)
+    else:
+        rng.random(size)
+
+
 def _sample_z(z: ZSpecDiscrete | ZSpecContinuous, rng: np.random.Generator,
               size: int, dtype) -> np.ndarray:
     vals, probs = z.values_probs()
+    if len(vals) == 1:  # every draw is the atom, but the stream moves on
+        _skip_doubles(rng, size)
+        return np.full(size, vals.astype(dtype)[0])
     idx = np.searchsorted(np.cumsum(probs), rng.random(size), side="right")
     return vals[np.minimum(idx, len(vals) - 1)].astype(dtype, copy=False)
+
+
+def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """max(sum of prev[idx] over each segment - z, 0), segment i holding
+    the next r[i] >= 1 entries of idx.  One pass of the native kernel when
+    the library loaded (``native``) and the arrays suit it, else numpy's
+    gather and reduceat, the kernel's oracle."""
+    fn = native and native.resample.get(prev.dtype)
+    if (fn and z.dtype == prev.dtype and idx.dtype == r.dtype == np.int64
+            and all(a.flags.c_contiguous for a in (prev, idx, r, z))):
+        out = np.empty(len(r), prev.dtype)
+        if fn(prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
+              r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data):
+            raise RuntimeError("the segments do not partition the index draw")
+        return out
+    offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
+    sums = np.add.reduceat(prev[idx], offsets)
+    return np.maximum(sums - z, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +230,13 @@ def mc_step(pool: SamplePool, model: LFModel | CLFModel,
     prev = pool.samples
     n_prev = len(prev)
 
+    native = recursion._native_lib()  # before the threads: it may build
+
     def make_block(rng: np.random.Generator, size: int) -> np.ndarray:
         r = sample_geometric(model.p, rng, size)
         z = _sample_z(model.zspec, rng, size, dtype)
         idx = rng.integers(0, n_prev, size=int(r.sum()))
-        offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
-        sums = np.add.reduceat(prev[idx], offsets)
-        return np.maximum(sums - z, 0 if discrete else 0.0)
+        return _resample(native, prev, idx, r, z)
 
     samples = _fill_blocks(pool.size, pool.level + 1, pool.seed, make_block,
                            threads, dtype)
@@ -233,19 +276,34 @@ def _clf_thresholds(params: CLFParams) -> list[float]:
     return [k / params.lam for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
 
 
+def _counts(x: np.ndarray, thresholds) -> list[int]:
+    """[#{x == 0}] + [#{x above t} for t in thresholds], above being >= on
+    an integer pool and > on a real one.  One pass of the native kernel for
+    a float64 pool, else one numpy pass per count."""
+    native = recursion._native_lib()
+    if native and x.dtype == np.float64 and x.flags.c_contiguous:
+        ts = np.asarray(thresholds, dtype=np.float64)
+        out = np.empty(len(ts) + 1, np.int64)
+        native.counts(x.ctypes.data, len(x), ts.ctypes.data, len(ts),
+                      out.ctypes.data)
+        return out.tolist()
+    above = (np.greater_equal if np.issubdtype(x.dtype, np.integer)
+             else np.greater)
+    return [np.count_nonzero(x == 0),
+            *(np.count_nonzero(above(x, t)) for t in thresholds)]
+
+
 def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
     """Empirical mass at zero, tails and mean.  The tail convention follows
     the pool's dtype: an integer (LF) pool counts P(X >= t), the lattice
     convention, and a real (CLF) pool counts P(X > t)."""
     x = pool.samples
     n = pool.size
-    above = (np.greater_equal if np.issubdtype(x.dtype, np.integer)
-             else np.greater)
-    tails = tuple((float(t), float(np.count_nonzero(above(x, t)) / n))
-                  for t in thresholds)
+    zero, *above = _counts(x, thresholds)
     return EmpiricalSummary(
-        mass_at_zero=float(np.count_nonzero(x == 0) / n),
-        tail_probs=tails,
+        mass_at_zero=float(zero / n),
+        tail_probs=tuple((float(t), float(c / n))
+                         for t, c in zip(thresholds, above)),
         mean=float(np.mean(x)),
         pool_size=n)
 

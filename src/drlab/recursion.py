@@ -22,7 +22,9 @@ C instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC
 keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
-driver, :func:`_orbit` runs, as the C loops' oracle.
+driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
+holds the Monte Carlo's resampling and counting passes (see
+``montecarlo``), which fall back to numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -44,7 +46,8 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import (Callable, Iterable, Iterator, NamedTuple, Sequence,
+                    TextIO)
 
 import numpy as np
 
@@ -145,7 +148,18 @@ _CC = "gcc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
-_native = None  # the loaded C loops; False once loading has failed
+_native = None  # the loaded _Native; False once loading has failed
+
+
+class _Native(NamedTuple):
+    """The entry points of ``_classify.c``: the two orbit loops, wrapped,
+    and the Monte Carlo kernels as ctypes functions, resampling keyed by
+    the pool's dtype (float64, int64) and counting for float64 pools."""
+
+    classify: Callable
+    stopping: Callable
+    resample: dict
+    counts: Callable
 
 
 def _build(source: str, lib: str) -> bool:
@@ -167,10 +181,10 @@ def _build(source: str, lib: str) -> bool:
     return False
 
 
-def _load_native():
-    """The C loops of ``_classify.c``, classify and stopping, built on first
-    use into the cache directory under a name keyed by the source and the
-    flags; None when the build fails or the library does not load."""
+def _load_native() -> _Native | None:
+    """The entry points of ``_classify.c``, built on first use into the
+    cache directory under a name keyed by the source and the flags; None
+    when the build fails or the library does not load."""
     source = os.path.join(_HERE, "_classify.c")
     try:
         with open(source, "rb") as fh:
@@ -180,15 +194,23 @@ def _load_native():
             return None
         dll = ctypes.CDLL(lib)
         classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
-    except OSError:
+        resample = {np.dtype(np.float64): dll.drlab_resample_f64,
+                    np.dtype(np.int64): dll.drlab_resample_i64}
+        counts = dll.drlab_counts
+    except (OSError, AttributeError):  # no library, or a symbol missing
         return None
-    c_double, c_int64 = ctypes.c_double, ctypes.c_int64
+    c_double, c_int64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     for fn in (classify_fn, stopping_fn):
         fn.restype = ctypes.c_int
         fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                        c_double, c_double, c_double, c_double, c_int64,
                        c_double, c_double, ctypes.POINTER(c_double),
                        ctypes.POINTER(c_int64))
+    for fn in resample.values():  # prev, n_prev, idx, m, r, z, n, out
+        fn.restype = ctypes.c_int
+        fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
+    counts.restype = None
+    counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
 
     def call(fn, psi, start, max_iter, a, b, out):
         kind, params, n_atoms = psi.fn.native
@@ -209,23 +231,28 @@ def _load_native():
         code, state = call(stopping_fn, psi, start, max_iter, a_eps, delta,
                            hits)
         return code, state[0], [None if h < 0 else h for h in hits]
-    return classify, stopping
+    return _Native(classify, stopping, resample, counts)
+
+
+def _native_lib() -> _Native | None:
+    """The loaded library, loading it on first use; None without one."""
+    global _native
+    if _native is None:
+        _native = _load_native() or False
+    return _native or None
 
 
 _LABELS = tuple(PhaseLabel)  # indexed by _classify.c's result codes
 _DOMAIN_ERROR = len(_LABELS)
 
 
-def _native_loops(psi: PsiFunction, max_iter):
-    """The C loops (classify, stopping), or None: no native description on
+def _native_loops(psi: PsiFunction, max_iter) -> _Native | None:
+    """The library for an orbit loop, or None: no native description on
     psi.fn, a max_iter outside int64, or no library."""
-    global _native
     if not (hasattr(psi.fn, "native") and isinstance(max_iter, int)
             and -2 ** 63 <= max_iter < 2 ** 63):
         return None
-    if _native is None:
-        _native = _load_native() or False
-    return _native or None
+    return _native_lib()
 
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
@@ -239,7 +266,7 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     start = initial_state(u0, v0)
     native = _native_loops(psi, max_iter)
     if native is not None:
-        code, last = native[0](psi, start, max_iter)
+        code, last = native.classify(psi, start, max_iter)
         if code != _DOMAIN_ERROR:  # else the Python kernel raises it
             return _LABELS[code], last
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
@@ -448,7 +475,8 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
     start = initial_state(u0, v0)
     code, native = _DOMAIN_ERROR, _native_loops(psi, max_iter)
     if native is not None:
-        code, u_last, hits = native[1](psi, start, max_iter, a_eps, delta)
+        code, u_last, hits = native.stopping(psi, start, max_iter, a_eps,
+                                             delta)
     if code == _DOMAIN_ERROR:
         u_last, hits = _stopping_pass(start, psi, max_iter, a_eps, delta)
     first_pos, n_star, n1, n2, n3, n4 = hits

@@ -244,6 +244,39 @@ def test_config_value_outside_the_choices_exit_2(tmp_path, capsys, kind):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cfg,err", [
+    ({"levels": 1.5}, "config key 'levels': 1.5 is not an integer"),
+    ({"pool_size": "20000"}, "config key 'pool_size': '20000' is not an integer"),
+    ({"seed": True}, "config key 'seed': True is not an integer"),
+    ({"p": "0.5"}, "config key 'p': '0.5' is not a number"),
+    ({"z": 1}, "config key 'z': 1 is not a string")])
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, cfg, err):
+    # as --levels 1.5 on the command line does, not one level and exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["mc", "validate", "--config", str(path), "--kind", "clf",
+            "--p", "0.5", "--z", "1", "--lam", "2", "--rho", "0.5",
+            "--levels", "1", "--pool-size", "20000", "--seed", "1"]
+    assert run(args) == 2
+    out = capsys.readouterr()
+    assert err in out.err and out.out == ""
+
+
+def test_config_values_convert_as_their_flags_do(tmp_path, capsys):
+    # an integer for a float flag, and a list for a repeatable flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"driver": "lf:p=0.5,z=1", "v0": 0,
+                                "eps": [1e-6, 1e-7]}))
+    assert run(["lab", "c-v", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "0",
+                "--eps", "1e-6", "--eps", "1e-7"]) == 0
+    assert capsys.readouterr().out == from_config
+    path.write_text(json.dumps({"eps": 1e-6}))
+    assert run(["lab", "c-v", "--config", str(path)]) == 2
+    assert "config key 'eps': 1e-06 is not a list" in capsys.readouterr().err
+
+
 def test_missing_required_value_exit_2():
     assert run(["classify", "--driver", "fig1"]) == 2
     assert run(["free-energy", "--driver", "fig1"]) == 2

@@ -1,8 +1,11 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from drlab import montecarlo, recursion
+from drlab.cli import main as cli_main
 from drlab.models import (CLFParams, LFParams, clf_step, clf_tail, lf_pmf,
                           lf_step)
 from drlab.montecarlo import (SamplePool, block_rng, compare_to_model,
@@ -117,6 +120,26 @@ def test_clf_subtract_tail_against_closed_form(z1_continuous):
         assert abs(float(np.mean(w > t)) - want) <= tol
 
 
+@pytest.mark.parametrize("size", [4, 12, 1000, 2304, 32768, 1, 2, 1001])
+@pytest.mark.parametrize("before", [(), (3,), (32768,), (0,), (3, 0)])
+def test_skipping_doubles_moves_the_stream_as_drawing_them(size, before):
+    # the one-atom Z draw: every later draw, 64- or 32-bit, is unchanged.
+    # before: n > 0 draws n doubles, 0 one small integer, which keeps a
+    # 32-bit half (after (3, 0) at the end of a spent buffer)
+    drawn, skipped = rng(21), rng(21)
+    for g in (drawn, skipped):
+        for n in before:
+            if n:
+                g.random(n)
+            else:
+                g.integers(0, 10)
+    drawn.random(size)
+    montecarlo._skip_doubles(skipped, size)
+    after = [(g.integers(0, 4 * 10 ** 6, 999), g.random(5))
+             for g in (drawn, skipped)]
+    assert all(np.array_equal(a, b) for a, b in zip(*after))
+
+
 # ---------------------------------------------------------------------------
 # pools
 # ---------------------------------------------------------------------------
@@ -213,3 +236,133 @@ def test_pools_change_with_seed():
     a = pool_from_lf(LFParams(0.6, 0.9), N_MED, seed=1)
     b = pool_from_lf(LFParams(0.6, 0.9), N_MED, seed=2)
     assert not np.array_equal(a.samples, b.samples)
+
+
+# ---------------------------------------------------------------------------
+# the native resampling and counting kernels against numpy
+# ---------------------------------------------------------------------------
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no C compiler")
+
+
+def _kernel(prev, idx, r, z):
+    """The native resampling pass, called directly."""
+    out = np.empty(len(r), prev.dtype)
+    code = recursion._native_lib().resample[prev.dtype](
+        prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
+        r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data)
+    return code, out
+
+
+def _reduceat_oracle(prev, idx, r, z):
+    offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
+    return np.maximum(np.add.reduceat(prev[idx], offsets) - z, 0)
+
+
+def _segments(g):
+    # every length 1..200 in shuffled order, then the halving's deeper cases
+    return np.concatenate([g.permutation(np.arange(1, 201)),
+                           [256, 1000, 4099]]).astype(np.int64)
+
+
+@needs_gcc
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_resampling_kernel_matches_reduceat(dtype):
+    g = np.random.default_rng(11)
+    r = _segments(g)
+    n_prev = 5000
+    if dtype is np.float64:
+        # magnitudes 1e-8..1e8 of both signs: any other association of the
+        # sums shows in the last bits
+        prev = g.standard_normal(n_prev) * 10.0 ** g.integers(-8, 9, n_prev)
+        z = g.standard_normal(len(r)) * 10.0
+    else:  # sums that wrap around int64
+        prev = g.integers(-2 ** 63, 2 ** 63 - 1, n_prev)
+        z = g.integers(-2 ** 63, 2 ** 63 - 1, len(r))
+    idx = g.integers(0, n_prev, int(r.sum()))
+    code, got = _kernel(prev, idx, r, z)
+    want = _reduceat_oracle(prev, idx, r, z)
+    assert code == 0 and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert 0 < np.count_nonzero(want == 0) < len(r)  # the clamp is exercised
+
+
+@needs_gcc
+def test_resampling_kernel_matches_reduceat_on_special_values():
+    # NaN wins np.maximum, -0.0 sums and differences clamp to +0.0 (as
+    # numpy's SIMD maximum has it), infs cancel to NaN and sums overflow
+    # to inf
+    g = np.random.default_rng(12)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308,
+                        5e-324, 1.0, -1.0])
+    # and many short segments, whose sums can be -0.0
+    r = np.concatenate([_segments(g), g.integers(1, 4, 500)])
+    z_values = np.array([0.0, -0.0, 1.0, np.inf, np.nan])
+    for weights in ([1, 1, 1, 1, 1, 1, 1, 1, 1, 1],  # everything mixed
+                    [0, 0, 0, 1, 1, 0, 0, 0, 0, 0],  # signed zeros only
+                    [1, 0, 0, 3, 3, 1, 1, 0, 3, 3]):
+        prev = g.choice(special, 1000, p=np.divide(weights, sum(weights)))
+        z = g.choice(z_values, len(r))
+        idx = g.integers(0, len(prev), int(r.sum()))
+        code, got = _kernel(prev, idx, r, z)
+        with np.errstate(all="ignore"):
+            want = _reduceat_oracle(prev, idx, r, z)
+        assert code == 0
+        # which NaN an add of two NaNs returns (its sign) is the compiler's
+        # choice of operand order, in numpy too: only NaN positions compare
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert nan.any() and (want == 0).any()
+    with np.errstate(all="ignore"):
+        d = np.add.reduceat(prev[idx], np.cumsum(r) - r) - z
+    assert np.any((d == 0) & np.signbit(d))  # the -0.0 clamp is exercised
+
+
+@needs_gcc
+def test_resampling_kernel_refuses_a_bad_partition():
+    prev = np.arange(10.0)
+    r = np.array([2, 3], dtype=np.int64)
+    for idx in (np.array([0, 1, 2, 3], dtype=np.int64),  # r sums past idx
+                np.array([0, 1, 2, 3, 4, 5], dtype=np.int64),  # idx left over
+                np.array([0, 1, 2, 10, 4], dtype=np.int64)):  # outside prev
+        assert _kernel(prev, idx, r, np.zeros(2))[0] == -1
+    with pytest.raises(RuntimeError):
+        montecarlo._resample(recursion._native_lib(), prev, idx, r,
+                             np.zeros(2))
+
+
+@needs_gcc
+@pytest.mark.parametrize("thresholds", [[0.5, 1, 1.5, 2.0, 3.0], [1, 2], []])
+def test_counts_match_numpy(monkeypatch, thresholds):
+    g = np.random.default_rng(13)
+    x = g.choice(np.array([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0,
+                           np.nan, np.inf, -np.inf]), 10007)
+    sizes = [*range(1, 12), 4099, 10007]  # whole and partial blocks, lanes
+    got = [montecarlo._counts(x[:n], thresholds) for n in sizes]
+    monkeypatch.setattr(recursion, "_native", False)
+    assert got == [montecarlo._counts(x[:n], thresholds) for n in sizes]
+
+
+def _mc_json(tmp_path, name, args):
+    out = tmp_path / name
+    assert cli_main(["mc", "validate", *args, "--out", str(out)]) in (0, 1)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "lf", "--p", "0.4", "--z", "1@0.5+2@0.5", "--alpha", "0.6",
+     "--beta", "0.9"],
+    ["--kind", "clf", "--p", "0.5", "--z", "0.5@0.3+2@0.7", "--lam", "2.0",
+     "--rho", "0.5"]])
+def test_native_and_numpy_resampling_agree_byte_for_byte(monkeypatch,
+                                                         tmp_path, args):
+    # multi-atom Z, which the mc_lf/mc_clf goldens (Z = 1) do not reach
+    args = [*args, "--levels", "3", "--pool-size", "30000", "--seed", "5"]
+    native = [_mc_json(tmp_path, f"n{t}.json", [*args, "--threads", str(t)])
+              for t in (1, 2)]
+    monkeypatch.setattr(recursion, "_native", False)
+    numpy = [_mc_json(tmp_path, f"p{t}.json", [*args, "--threads", str(t)])
+             for t in (1, 2)]
+    assert native[0] == native[1] == numpy[0] == numpy[1]

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from drlab import recursion
 from drlab.curve import bisect_h, h_eval
 from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
+from drlab.models import CLFParams, LFParams
+from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
+                              summarize_pool)
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
                              backward_orbit, classify, classify_detail,
                              compare_orbits, free_energy, initial_state,
@@ -683,27 +686,55 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
     assert calls["fn"] == last.n > 0
 
 
+def _mc_pools(lf_model, clf_model):
+    """One Monte Carlo step and summary of each pool dtype."""
+    out = []
+    for pool, model in ((pool_from_lf(LFParams(0.6, 0.9), 20000, 3), lf_model),
+                        (pool_from_clf(CLFParams(2.0, 0.5), 20000, 3),
+                         clf_model)):
+        pool = mc_step(pool, model)
+        out.append((pool.samples.tobytes(), summarize_pool(pool, [1, 2])))
+    return out
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
-def test_native_classifier_is_built_and_loaded():
+def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
+                                               clf_model):
     classify_detail(0.1, -0.3, KERNEL_DRIVERS["lf:p=0.5,z=1"])
     assert recursion._native  # a broken build must not pass in silence
+    # nor may the Monte Carlo drop to numpy: each of its kernels is called
+    calls = set()
+
+    def spy(key, fn):
+        def call(*args):
+            calls.add(key)
+            return fn(*args)
+        return call
+    lib = recursion._native
+    monkeypatch.setattr(recursion, "_native", lib._replace(
+        resample={dt: spy(dt, fn) for dt, fn in lib.resample.items()},
+        counts=spy("counts", lib.counts)))
+    _mc_pools(lf_model, clf_model)
+    assert calls == {np.dtype(np.int64), np.dtype(np.float64), "counts"}
 
 
 @pytest.mark.parametrize("name,value", [("_CC", "no-such-c-compiler"),
                                         ("_CFLAGS", ("--no-such-flag",))])
 def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
-                                                      name, value):
+                                                      name, value, lf_model,
+                                                      clf_model):
     psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
 
     def run():
-        return (classify_detail(0.05, -0.3, psi, max_iter=5000),
-                stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
-                               epsilon=1e-6, max_iter=5000))
-    want = repr(run())
+        return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000)),
+                repr(stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
+                                    epsilon=1e-6, max_iter=5000)),
+                _mc_pools(lf_model, clf_model))
+    want = run()
     monkeypatch.setattr(recursion, name, value)
     monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(recursion, "_native", None)
-    assert repr(run()) == want
+    assert run() == want
     assert recursion._native is False
     assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 

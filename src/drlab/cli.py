@@ -5,9 +5,10 @@ Subcommands mirror the library: ``psi``, ``classify``, ``curve``,
 ``lab {critical, n-star, c-star, c-v, euler, sandwich}``.
 
 A JSON config file (flat keys matching the flag names) may supply any
-value; explicit flags win.  Unknown config keys are rejected.  Exit codes:
-0 success, 1 numeric non-convergence or failed validation (outputs are
-still written), 2 malformed configuration.  All floating-point output is
+value; explicit flags win.  Unknown config keys, and values whose JSON
+type does not fit their flag's type, are rejected.  Exit codes: 0 success,
+1 numeric non-convergence or failed validation (outputs are still
+written), 2 malformed configuration.  All floating-point output is
 formatted with 17 significant digits so files round-trip exactly, and
 outputs are byte-reproducible for a fixed (config, seed).
 """
@@ -68,7 +69,6 @@ def _build_driver(args):
     return psi, constants
 
 
-_MC_KINDS = ("lf", "clf")  # mc --kind
 # a config value must be the JSON value of what its flag's type parses
 _JSON_TYPES = {None: ((str,), "a string"), int: ((int,), "an integer"),
                float: ((int, float), "a number")}
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc", help="Monte Carlo validation of the closed forms")
     sp.add_argument("action", choices=["validate"])
     _add_common(sp)
-    sp.add_argument("--kind", choices=_MC_KINDS)
+    sp.add_argument("--kind", choices=("lf", "clf"))
     sp.add_argument("--p", type=float)
     sp.add_argument("--z")
     sp.add_argument("--alpha", type=float)

@@ -1,11 +1,12 @@
-/* Native orbit loops for the built-in drivers, and the Monte Carlo's
-   resampling and counting passes (at the end of the file).
+/* Native orbit loops for the built-in drivers, the drivers on arrays, and
+   the Monte Carlo's resampling and counting passes (at the end of the file).
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
-   and both evaluate the driver the way drivers.py does, one floating-point
-   operation for another, so that their results are bit-identical to the
-   Python kernel's.  That needs -ffp-contract=off (a fused multiply-add
+   and drlab_psi evaluates a driver on an array.  All three evaluate the
+   driver the way drivers.py does, one floating-point operation for
+   another, so that their results are bit-identical to the Python
+   kernel's.  That needs -ffp-contract=off (a fused multiply-add
    rounds once where Python rounds twice) and no -ffast-math, and libm's
    pow, exp, log and sqrt, which Python's math module calls too.
    recursion.py builds and loads this file. */
@@ -64,6 +65,18 @@ static double psi(const driver *d, double x)
             acc += probs[i] * exp(-values[i] / y);
     }
     return acc * inv_p;
+}
+
+/* psi at xs[0..n-1] into out: the array path of drivers.PsiFunction,
+   whose checks leave here only points in the domain and none at +inf */
+void drlab_psi(int kind, const double *params, int n_atoms,
+               const double *xs, double *out, int64_t n)
+{
+    const driver d = {kind, n_atoms, params, 0.0, 0.0, 0.0, 0.0};
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        out[i] = psi(&d, xs[i]);
 }
 
 /* One step of recursion._orbit from (*u, *v, *log_u), which must not be

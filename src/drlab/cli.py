@@ -335,7 +335,7 @@ def _emit_lab(report, out_base: str | None) -> int:
         _emit_json(summary, out_base + ".json")
     else:
         _emit_json(summary, None)
-    return 1 if report.flags.get("diverged") else 0
+    return 1 if report.flags.get("diverged") or report.exhausted else 0
 
 
 # ---------------------------------------------------------------------------

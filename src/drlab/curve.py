@@ -32,8 +32,10 @@ node i of the discretised equation reads g only at g(x_i) >= x_i, so
 :func:`_march` solves the nodes one by one from 0 leftwards, each by a
 scalar bisection with the libm driver.  One damped sweep from the marched
 g then certifies it; its change decides convergence against ``tol``, and
-the marched g, whose bits do not depend on numpy's SIMD kernels, is
-returned.  Only a forced sweep count (``sweeps``) runs the damped sweeps
+the marched g is returned.  The sweeps, :func:`pick_K` and
+:func:`residual_local` call the driver on arrays, which evaluates the same
+libm function at each node, so no result depends on numpy's SIMD
+kernels.  Only a forced sweep count (``sweeps``) runs the damped sweeps
 from g_1 instead; ``K_override`` sets the damping constant of whichever
 sweeps run.
 
@@ -191,8 +193,7 @@ def pick_K(psi: PsiFunction, A: float, m: int) -> float:
     return 1.1 * val
 
 
-def _sweep(xs: np.ndarray, g: np.ndarray, K: float,
-           psi: Callable[[np.ndarray], np.ndarray]
+def _sweep(xs: np.ndarray, g: np.ndarray, K: float, psi: PsiFunction
            ) -> tuple[np.ndarray, float, float]:
     gg = np.interp(g, xs, g)
     new = (gg + K * g - (g - xs) * psi(g)) / (K + 1.0)
@@ -279,9 +280,6 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     regressions pinned to tabulated iterate values).  Non-convergence is
     flagged on the result, not raised; a ``tol`` that is not > 0 or a
     negative ``sweeps`` raises ValueError.
-
-    The sweeps evaluate ``psi.array_fn`` unchecked: the domain is checked
-    once for [-A, 0], and every iterate is clipped to [x, 0].
     """
     if not tol > 0.0:
         raise ValueError(f"tol={tol!r} must be > 0")
@@ -292,7 +290,7 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     if sweeps is None:
         xs, g = _march(psi, A, m)
         K = pick_K(psi, A, m) if K_override is None else K_override
-        _, change, clamp_max = _sweep(xs, g, K, psi.array_fn)
+        _, change, clamp_max = _sweep(xs, g, K, psi)
         done = 1
     else:
         grid = solve_g1(psi, A, m, K=K_override)
@@ -302,7 +300,7 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
         change = math.inf
         clamp_max = 0.0
         for _ in range(sweeps):
-            g, change, clamp = _sweep(xs, g, K, psi.array_fn)
+            g, change, clamp = _sweep(xs, g, K, psi)
             clamp_max = max(clamp_max, clamp)
         done = sweeps
     out_grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=done,

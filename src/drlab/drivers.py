@@ -29,13 +29,13 @@ Built-in drivers
                   ``gamma(th) = E exp(-Z/th) / p``, tau the root of
                   ``gamma(tau) = 1``, ``psi(x) = gamma(x/gamma'(tau) + tau)``.
 
-Every driver carries a fast scalar path (plain ``math``) and a vectorized
-path (numpy); orbit iteration uses the former, grid solvers the latter.
-The scalar function of each built-in driver also carries a ``native``
-description, from which ``_classify.c`` evaluates the same function for
-the C classifier and stopping-time loops.  There an lf atom of value 1
-contributes s, not pow(s, 1.0), which libm rounds to s exactly, as the
-single-atom path of :func:`make_lf_psi` does.
+Every driver is one scalar function (plain ``math``).  The function of
+each built-in driver also carries a ``native`` description, from which
+``_classify.c`` evaluates the same function for the C classifier and
+stopping-time loops and for arrays; other drivers map the function over
+an array.  There an lf atom of value 1 contributes s, not pow(s, 1.0),
+which libm rounds to s exactly, as the single-atom path of
+:func:`make_lf_psi` does.
 Driver objects are immutable and safe to share across threads.
 """
 
@@ -76,19 +76,19 @@ __all__ = [
 class PsiFunction:
     """An evaluable driver with derivative, limit at +inf and domain bounds.
 
-    ``fn``/``deriv_fn`` take and return python floats; ``array_fn`` /
-    ``array_deriv_fn`` operate on numpy arrays.  The domain is the closed
-    interval [domain_min, domain_max]; evaluation outside raises
-    :class:`DomainError`.  ``psi_inf`` is the limit at +inf (``math.inf``
-    for unbounded drivers) and is returned for ``x = +inf``; the driver is
-    ``bounded`` exactly when that limit is finite.
+    ``fn``/``deriv_fn`` take and return python floats.  Called on an array,
+    the driver evaluates ``fn`` at each point: in ``_classify.c`` when
+    ``fn`` carries a ``native`` description and the library loaded, else
+    by mapping ``fn``; the derivative always maps ``deriv_fn``.  The domain
+    is the closed interval [domain_min, domain_max]; evaluation outside
+    raises :class:`DomainError`.  ``psi_inf`` is the limit at +inf
+    (``math.inf`` for unbounded drivers) and is returned for ``x = +inf``;
+    the driver is ``bounded`` exactly when that limit is finite.
     """
 
     name: str
     fn: Callable[[float], float]
     deriv_fn: Callable[[float], float]
-    array_fn: Callable[[np.ndarray], np.ndarray]
-    array_deriv_fn: Callable[[np.ndarray], np.ndarray]
     psi_inf: float
     domain_min: float = -math.inf
     domain_max: float = math.inf
@@ -107,7 +107,7 @@ class PsiFunction:
             if x == math.inf:
                 return self.psi_inf
             return self.fn(x)
-        return self._array_eval(x, self.array_fn, self.psi_inf)
+        return self._array_eval(x, self.fn, self.psi_inf)
 
     def deriv(self, x):
         if isinstance(x, float) or isinstance(x, int):
@@ -119,10 +119,12 @@ class PsiFunction:
             if x == math.inf:
                 return 0.0 if self.bounded else self.deriv_fn(x)
             return self.deriv_fn(x)
-        limit = 0.0 if self.bounded else math.inf
-        return self._array_eval(x, self.array_deriv_fn, limit)
+        return self._array_eval(x, self.deriv_fn,
+                                0.0 if self.bounded else None)
 
     def _array_eval(self, x, f, inf_value):
+        """f at each point of x after the domain checks; +inf gives
+        inf_value, or f's own value when inf_value is None."""
         arr = np.asarray(x, dtype=float)
         if arr.size:
             if np.isnan(arr).any():
@@ -133,12 +135,19 @@ class PsiFunction:
                 raise DomainError(
                     f"{self.name}: input range [{lo}, {hi}] outside domain "
                     f"[{self.domain_min}, {self.domain_max}]")
-        mask = np.isposinf(arr)
-        if mask.any():
-            out = np.asarray(f(np.where(mask, 0.0, arr)), dtype=float)
-            out = np.where(mask, inf_value, out)
+        at_inf = np.isposinf(arr)
+        given = inf_value is not None and at_inf.any()
+        if given:  # f need not be defined at +inf: its limit is given
+            arr = np.where(at_inf, 0.0, arr)
+        from .recursion import _native_lib  # recursion imports this module
+        native = hasattr(f, "native") and _native_lib()
+        if native:
+            out = native.psi(f.native, arr)
         else:
-            out = np.asarray(f(arr), dtype=float)
+            out = np.fromiter(map(f, arr.ravel().tolist()), float,
+                              arr.size).reshape(arr.shape)
+        if given:
+            out[at_inf] = inf_value
         return out
 
 
@@ -214,11 +223,9 @@ class ZSpecContinuous:
     def __post_init__(self):
         object.__setattr__(self, "atoms", _validate_atoms(self.atoms, integer=False))
 
-    def laplace(self, mu):
-        """E[exp(-mu Z)]; accepts floats or arrays."""
-        if isinstance(mu, float) or isinstance(mu, int):
-            return sum(p * math.exp(-mu * v) for v, p in self.atoms)
-        return sum(p * np.exp(-mu * v) for v, p in self.atoms)
+    def laplace(self, mu: float) -> float:
+        """E[exp(-mu Z)]."""
+        return sum(p * math.exp(-mu * v) for v, p in self.atoms)
 
     def values_probs(self) -> tuple[np.ndarray, np.ndarray]:
         vals = np.array([v for v, _ in self.atoms])
@@ -300,8 +307,6 @@ def make_affine_psi() -> PsiFunction:
         name="affine",
         fn=_describe(lambda x: 1.0 + x, "affine"),
         deriv_fn=lambda x: 1.0,
-        array_fn=lambda x: 1.0 + x,
-        array_deriv_fn=lambda x: np.ones_like(x),
         psi_inf=math.inf,
         domain_min=-1.0,
     )
@@ -318,15 +323,6 @@ def _fig1_deriv(x: float) -> float:
     return 0.5 * (1.0 + 1.0 / r)
 
 
-def _fig1_array(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + x + np.sqrt(1.0 + 2.0 * x))
-
-
-def _fig1_array_deriv(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 0.5 * (1.0 + 1.0 / np.sqrt(1.0 + 2.0 * x))
-
-
 def make_fig1_psi() -> PsiFunction:
     """The reference driver whose critical curve is exactly x^2/2.
 
@@ -339,8 +335,6 @@ def make_fig1_psi() -> PsiFunction:
         name="fig1",
         fn=_describe(_fig1_fn, "fig1"),
         deriv_fn=_fig1_deriv,
-        array_fn=_fig1_array,
-        array_deriv_fn=_fig1_array_deriv,
         psi_inf=math.inf,
         domain_min=-0.5,
     )
@@ -358,8 +352,6 @@ def make_fig1_clamped_psi() -> PsiFunction:
         fn=_describe(lambda x: _fig1_fn(x) if x < 0.5 else cap,
                      "fig1-clamped", cap=cap),
         deriv_fn=lambda x: _fig1_deriv(x) if x < 0.5 else 0.0,
-        array_fn=lambda x: _fig1_array(np.minimum(x, 0.5)),
-        array_deriv_fn=lambda x: np.where(x < 0.5, _fig1_array_deriv(np.minimum(x, 0.5)), 0.0),
         psi_inf=cap,
         domain_min=-0.5,
     )
@@ -437,28 +429,12 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
             return 0.0
         return pgf_prime_scalar(y / (y + 1.0)) / (p * (y + 1.0) ** 2) * inv_slope
 
-    def array_fn(x: np.ndarray) -> np.ndarray:
-        y = np.maximum(x * inv_slope + xi, 0.0)
-        with np.errstate(invalid="ignore"):
-            s = np.where(np.isposinf(y), 1.0, y / (y + 1.0))
-        return z.pgf(s) * inv_p
-
-    def array_deriv_fn(x: np.ndarray) -> np.ndarray:
-        y = np.maximum(x * inv_slope + xi, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(np.isposinf(y), 1.0, y / (y + 1.0))
-            return np.where(
-                np.isposinf(y), 0.0,
-                z.pgf_prime(s) / (p * (y + 1.0) ** 2) * inv_slope)
-
     atoms = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
     psi = PsiFunction(
         name=f"lf(p={p:g},z={atoms})",
         fn=_describe(fn, "lf", inv_p=inv_p, inv_slope=inv_slope, root=xi,
                      atoms=pairs),
         deriv_fn=deriv_fn,
-        array_fn=array_fn,
-        array_deriv_fn=array_deriv_fn,
         psi_inf=inv_p,
         domain_min=-slope * xi,
     )
@@ -524,27 +500,12 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
     def deriv_fn(x: float) -> float:
         return gamma_prime(x * inv_slope + tau) * inv_slope
 
-    def array_fn(x: np.ndarray) -> np.ndarray:
-        th = np.maximum(x * inv_slope + tau, 0.0)
-        with np.errstate(divide="ignore"):
-            inv_th = np.where(th > 0.0, 1.0 / th, math.inf)
-        return sum(pr * np.exp(-v * inv_th) for v, pr in pairs) * inv_p
-
-    def array_deriv_fn(x: np.ndarray) -> np.ndarray:
-        th = np.maximum(x * inv_slope + tau, 0.0)
-        with np.errstate(divide="ignore"):
-            inv_th = np.where(th > 0.0, 1.0 / th, math.inf)
-        out = sum(pr * v * inv_th ** 2 * np.exp(-v * inv_th) for v, pr in pairs)
-        return np.where(np.isposinf(inv_th), 0.0, out) * inv_p * inv_slope
-
     atoms = ",".join(f"{v:g}@{pr:g}" for v, pr in pairs)
     psi = PsiFunction(
         name=f"clf(p={p:g},z={atoms})",
         fn=_describe(fn, "clf", inv_p=inv_p, inv_slope=inv_slope, root=tau,
                      atoms=pairs),
         deriv_fn=deriv_fn,
-        array_fn=array_fn,
-        array_deriv_fn=array_deriv_fn,
         psi_inf=inv_p,
         domain_min=-tau * slope,
     )
@@ -559,14 +520,11 @@ def make_custom_psi(name: str, fn: Callable[[float], float],
     """Wrap a user-supplied scalar function as a driver.
 
     Without an analytic derivative a central difference with step 1e-6 is
-    used.  The array paths fall back to elementwise evaluation.
+    used.  Arrays are evaluated point by point.
     """
     if deriv_fn is None:
         deriv_fn = lambda x: central_difference(fn, x)  # noqa: E731
-    array_fn = np.vectorize(fn, otypes=[float])
-    array_deriv_fn = np.vectorize(deriv_fn, otypes=[float])
     return PsiFunction(name=name, fn=fn, deriv_fn=deriv_fn,
-                       array_fn=array_fn, array_deriv_fn=array_deriv_fn,
                        psi_inf=psi_inf, domain_min=domain_min,
                        domain_max=domain_max)
 
@@ -594,21 +552,10 @@ def dual_psi(psi: PsiFunction) -> PsiFunction:
             return math.inf
         return base.deriv(-x) / (val * val)
 
-    def array_fn(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 1.0 / base(-x)
-
-    def array_deriv_fn(x: np.ndarray) -> np.ndarray:
-        val = base(-x)
-        with np.errstate(divide="ignore"):
-            return base.deriv(-x) / (val * val)
-
     return PsiFunction(
         name=f"dual({base.name})",
         fn=fn,
         deriv_fn=deriv_fn,
-        array_fn=array_fn,
-        array_deriv_fn=array_deriv_fn,
         psi_inf=math.inf,
         domain_min=-base.domain_max,
         domain_max=-base.domain_min,

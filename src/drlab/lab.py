@@ -76,7 +76,9 @@ EPS_FLOOR = 1e-8  # below this, seed error contaminates eps even when refined
 
 @dataclass
 class ScalingReport:
-    """Observed statistics over a parameter grid plus limit diagnostics."""
+    """Observed statistics over a parameter grid plus limit diagnostics;
+    ``exhausted`` (not in the summary): an orbit did not reach a hitting
+    index the experiment reads within the stopping pass's budget."""
 
     experiment: str
     driver: str
@@ -88,6 +90,7 @@ class ScalingReport:
     relative_gap: float | None = None
     spread_last3: float | None = None
     flags: dict = field(default_factory=dict)
+    exhausted: bool = False
 
     def summary(self) -> dict:
         return {
@@ -128,6 +131,12 @@ def _extrapolate_sqrt(eps: list[float], vals: list[float]) -> float | None:
     r1, r2 = math.sqrt(eps[-2]), math.sqrt(eps[-1])
     y1, y2 = vals[-2], vals[-1]
     return (y2 * r1 - y1 * r2) / (r1 - r2)
+
+
+def _exhausted(records, v0: float) -> bool:
+    """True when a record lacks n*, or N0 below the origin (c* reads it)."""
+    return any(rec.n_star is None or (v0 < 0.0 and rec.N0 is None)
+               for rec in records)
 
 
 def _spread(vals: list[float]) -> float | None:
@@ -278,7 +287,8 @@ def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,
                          {"v0": v0, "eps": eps, "A": A, "delta": delta},
                          rows, raw_last=vals[-1], extrapolated=extrap,
                          target=target, relative_gap=gap,
-                         spread_last3=_spread(vals), flags=flags)
+                         spread_last3=_spread(vals), flags=flags,
+                         exhausted=_exhausted(records, v0))
 
 
 def c_star_estimate(psi: PsiFunction, seed: Seed,
@@ -290,15 +300,17 @@ def c_star_estimate(psi: PsiFunction, seed: Seed,
         raise ValueError("need v0 < 0 (at v0 = 0 the constant is exactly 1)")
     eps = _check_eps_list(eps_list)
     # A and delta set thresholds that u_{N0} does not depend on
-    vals = [stopping_times(seed.h + e, v0, psi, A=10.0, delta=0.1,
-                           epsilon=e).u_N0_over_eps for e in eps]
+    records = [stopping_times(seed.h + e, v0, psi, A=10.0, delta=0.1,
+                              epsilon=e) for e in eps]
+    vals = [rec.u_N0_over_eps for rec in records]
     rows = [{"eps": e, "u_N0_over_eps": val} for e, val in zip(eps, vals)]
     extrap = _extrapolate_sqrt(eps, vals)
     return ScalingReport("c_star_estimate", psi.name,
                          {"v0": v0, "eps": eps}, rows,
                          raw_last=vals[-1], extrapolated=extrap,
                          spread_last3=_spread(vals),
-                         flags={"eps_below_floor": eps[-1] < EPS_FLOOR})
+                         flags={"eps_below_floor": eps[-1] < EPS_FLOOR},
+                         exhausted=any(rec.N0 is None for rec in records))
 
 
 def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
@@ -351,7 +363,8 @@ def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
                          {"v0": v0, "eps": eps, "A": A, "delta": delta},
                          rows, raw_last=vals[-1], extrapolated=extrap,
                          target=cross, relative_gap=gap,
-                         spread_last3=_spread(vals), flags=flags)
+                         spread_last3=_spread(vals), flags=flags,
+                         exhausted=_exhausted(records, v0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
 driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
-holds the Monte Carlo's resampling and counting passes (see
-``montecarlo``), which fall back to numpy the same way.
+evaluates the built-in drivers on arrays (see ``drivers``), with the
+mapped scalar function as fallback and oracle, and holds the Monte
+Carlo's resampling and counting passes (see ``montecarlo``), which fall
+back to numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -152,12 +154,14 @@ _native = None  # the loaded _Native; False once loading has failed
 
 
 class _Native(NamedTuple):
-    """The entry points of ``_classify.c``: the two orbit loops, wrapped,
-    and the Monte Carlo kernels as ctypes functions, resampling keyed by
-    the pool's dtype (float64, int64) and counting for float64 pools."""
+    """The entry points of ``_classify.c``: the two orbit loops and the
+    driver on arrays, wrapped, and the Monte Carlo kernels as ctypes
+    functions, resampling keyed by the pool's dtype (float64, int64) and
+    counting for float64 pools."""
 
     classify: Callable
     stopping: Callable
+    psi: Callable
     resample: dict
     counts: Callable
 
@@ -194,6 +198,7 @@ def _load_native() -> _Native | None:
             return None
         dll = ctypes.CDLL(lib)
         classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
+        psi_fn = dll.drlab_psi
         resample = {np.dtype(np.float64): dll.drlab_resample_f64,
                     np.dtype(np.int64): dll.drlab_resample_i64}
         counts = dll.drlab_counts
@@ -206,16 +211,22 @@ def _load_native() -> _Native | None:
                        c_double, c_double, c_double, c_double, c_int64,
                        c_double, c_double, ctypes.POINTER(c_double),
                        ctypes.POINTER(c_int64))
+    psi_fn.restype = None
+    psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
+                       ptr, ptr, c_int64)  # ..., xs, out, n
     for fn in resample.values():  # prev, n_prev, idx, m, r, z, n, out
         fn.restype = ctypes.c_int
         fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
     counts.restype = None
     counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
 
+    def described(native):
+        kind, params, n_atoms = native
+        return kind, (c_double * len(params))(*params), n_atoms
+
     def call(fn, psi, start, max_iter, a, b, out):
-        kind, params, n_atoms = psi.fn.native
         state = (c_double * 3)(start.u, start.v, start.log_u)
-        code = fn(kind, (c_double * len(params))(*params), n_atoms,
+        code = fn(*described(psi.fn.native),
                   psi.domain_min, psi.domain_max, psi.psi_inf,
                   V_STOP if psi.bounded else _INF, max_iter, a, b, state, out)
         return code, state
@@ -231,7 +242,13 @@ def _load_native() -> _Native | None:
         code, state = call(stopping_fn, psi, start, max_iter, a_eps, delta,
                            hits)
         return code, state[0], [None if h < 0 else h for h in hits]
-    return _Native(classify, stopping, resample, counts)
+
+    def psi_array(native, xs):
+        out = np.empty(np.shape(xs))
+        xs = np.ascontiguousarray(xs, dtype=np.float64)  # at least 1-d
+        psi_fn(*described(native), xs.ctypes.data, out.ctypes.data, out.size)
+        return out
+    return _Native(classify, stopping, psi_array, resample, counts)
 
 
 def _native_lib() -> _Native | None:

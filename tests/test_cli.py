@@ -334,6 +334,31 @@ def test_lab_critical_diverged_exit_1(tmp_path):
     assert (tmp_path / "crit.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["c-v", "n-star", "c-star"])
+def test_lab_stopping_pass_without_its_hit_exit_1(monkeypatch, tmp_path,
+                                                  experiment):
+    import functools
+
+    import drlab.lab
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import driver_from_spec
+    # h = 0 puts every start below the curve: the orbit never reaches v > 0
+    # nor n*, and the stopping pass spends its budget (cut to 10^4 here)
+    zero = curve_from_h(0.5, 200, lambda xs: 0.0 * xs)
+    curve_path = tmp_path / "zero.csv"
+    with open(curve_path, "w") as fh:
+        write_curve_csv(zero, driver_from_spec("lf:p=0.5,z=1")[0], fh)
+    monkeypatch.setattr(drlab.lab, "stopping_times", functools.partial(
+        drlab.lab.stopping_times, max_iter=10 ** 4))
+    code = run(["lab", experiment, "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
+                "--curve", str(curve_path), "--eps", "1e-6", "--eps", "1e-7",
+                "--out", str(tmp_path / "lab")])
+    assert code == 1
+    summary = json.loads((tmp_path / "lab.json").read_text())
+    assert summary["raw_last"] == "nan"
+    assert (tmp_path / "lab.csv").exists()
+
+
 def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     import drlab.curve
     solve = drlab.curve.solve_curve

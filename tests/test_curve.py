@@ -193,7 +193,7 @@ def test_march_is_the_sweeps_fixed_point(name, lf_model):
     K = pick_K(psi, A, m)
     assert cur.grid.K == K
     # one damped sweep from the marched g barely moves it ...
-    _, change, _ = _sweep(xs, g, K, psi.array_fn)
+    _, change, _ = _sweep(xs, g, K, psi)
     assert change <= 1e-15 and cur.grid.sup_change_last == change
     # ... and the sweep run to tol 1e-12 stops just short of it
     swept = _swept(psi, A, m)

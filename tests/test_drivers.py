@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_recursion import KERNEL_DRIVERS
 
+from drlab import recursion
 from drlab.drivers import (ZSpecContinuous, ZSpecDiscrete, central_difference,
                            driver_from_spec, dual_psi, make_custom_psi,
                            make_lf_psi, parse_driver_string)
 from drlab.errors import ConfigError, DomainError
+from drlab.recursion import V_STOP
 
 
 def all_builtins(lf_model, clf_model, affine, fig1, fig1_clamped):
@@ -117,6 +122,55 @@ def test_scalar_and_array_paths_agree(lf_model, clf_model, affine, fig1, fig1_cl
         arr_d = psi.deriv(xs)
         sca_d = np.array([psi.deriv(float(x)) for x in xs])
         assert np.max(np.abs(arr_d - sca_d)) < 1e-15, name
+
+
+def _bad_points(psi):
+    """A NaN and the floats just outside each finite end of the domain."""
+    ends = [np.nextafter(psi.domain_min, -math.inf),
+            np.nextafter(psi.domain_max, math.inf)]
+    return [math.nan] + [x for x in ends if math.isfinite(x)]
+
+
+def _array_outcomes(psi, xs):
+    """The bytes of psi and psi.deriv on xs, then the DomainError message of
+    each on xs with each bad point appended."""
+    out = [psi(xs).tobytes(), psi.deriv(xs).tobytes()]
+    for x in _bad_points(psi):
+        for f in (psi, psi.deriv):
+            with pytest.raises(DomainError) as err:
+                f(np.append(xs, x))
+            out.append(str(err.value))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@example(name="clf:p=0.5,z=1", xs=[])
+@example(name="lf:p=0.3,z=3", xs=[-math.inf, 0.0, 2 * V_STOP, math.inf])
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       xs=st.lists(st.one_of(st.floats(-1.5, 1e3),
+                             st.sampled_from([-math.inf, 0.0, 2 * V_STOP,
+                                              math.inf])), max_size=50))
+def test_array_path_is_the_scalar_function(name, xs):
+    # the array path evaluates fn itself, bit for bit, in C for the built-in
+    # drivers and by mapping fn without the library; points are clipped to
+    # the domain, so -inf stands for domain_min
+    psi = KERNEL_DRIVERS[name]
+    xs = np.clip(np.array(xs, dtype=float), psi.domain_min, psi.domain_max)
+    got = _array_outcomes(psi, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert _array_outcomes(psi, xs) == got
+    points = xs.tolist()
+    want = [np.array([psi.fn(x) for x in points], float).tobytes(),
+            np.array([psi.deriv_fn(x) for x in points], float).tobytes()]
+    for x in _bad_points(psi):
+        arr = np.append(xs, x)
+        message = (f"{psi.name}: nan input" if x != x else
+                   f"{psi.name}: input range [{float(np.min(arr))}, "
+                   f"{float(np.max(arr))}] outside domain "
+                   f"[{psi.domain_min}, {psi.domain_max}]")
+        want += [message, message]
+    assert got == want
 
 
 def test_analytic_derivative_matches_central_difference(

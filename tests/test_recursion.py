@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drlab import recursion
-from drlab.curve import bisect_h, h_eval
+from drlab.curve import bisect_h, h_eval, residual_local, solve_curve
 from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
 from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
@@ -702,7 +702,8 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
                                                clf_model):
     classify_detail(0.1, -0.3, KERNEL_DRIVERS["lf:p=0.5,z=1"])
     assert recursion._native  # a broken build must not pass in silence
-    # nor may the Monte Carlo drop to numpy: each of its kernels is called
+    # nor may the curve solver map psi.fn in Python, nor the Monte Carlo
+    # drop to numpy: each of their kernels is called
     calls = set()
 
     def spy(key, fn):
@@ -712,10 +713,14 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
         return call
     lib = recursion._native
     monkeypatch.setattr(recursion, "_native", lib._replace(
+        psi=spy("psi", lib.psi),
         resample={dt: spy(dt, fn) for dt, fn in lib.resample.items()},
         counts=spy("counts", lib.counts)))
+    solve_curve(KERNEL_DRIVERS["clf:p=0.5,z=1"], 0.5, 100)
+    assert calls == {"psi"}
     _mc_pools(lf_model, clf_model)
-    assert calls == {np.dtype(np.int64), np.dtype(np.float64), "counts"}
+    assert calls == {"psi", np.dtype(np.int64), np.dtype(np.float64),
+                     "counts"}
 
 
 @pytest.mark.parametrize("name,value", [("_CC", "no-such-c-compiler"),
@@ -726,10 +731,13 @@ def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
     psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
 
     def run():
+        curve = solve_curve(psi, 0.5, 200)
         return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000)),
                 repr(stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
                                     epsilon=1e-6, max_iter=5000)),
-                _mc_pools(lf_model, clf_model))
+                _mc_pools(lf_model, clf_model),
+                curve.grid.g.tobytes(), repr(curve.grid),
+                residual_local(curve, psi).tobytes(), curve.residual_sup)
     want = run()
     monkeypatch.setattr(recursion, name, value)
     monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))

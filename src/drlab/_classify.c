@@ -102,12 +102,28 @@ static int step(const driver *d, double *u, double *v, double *log_u,
     return 0;
 }
 
+/* recursion's subcritical certificate at state n, w in (v, 0): with psi
+   nondecreasing, u <= (w - v)(1 - psi(w)) / 4 keeps every later v at or
+   below w (the recursion module docstring has the proof and the margin).
+   It is tested at the positive multiples of CHECK_EVERY, as a psi call per
+   step would double the step's cost; an exact zero of u needs no psi. */
+#define CHECK_EVERY 1024
+
+static int certified(const driver *d, int64_t n, double u, double v,
+                     double w)
+{
+    return v < 0.0
+           && (u == 0.0
+               || (n > 0 && n % CHECK_EVERY == 0
+                   && u <= 0.25 * (w - v) * (1.0 - psi(d, w))));
+}
+
 /* state holds (u, v, log u) on entry and the final state on return, *n the
    final index.  On DOMAIN_ERROR state[1] is the point outside the domain. */
 int drlab_classify(int kind, const double *params, int n_atoms,
                    double domain_min, double domain_max, double w_inf,
-                   double v_stop, int64_t max_iter, double u_zero_tol,
-                   double v_margin, double *state, int64_t *n)
+                   double v_stop, int64_t max_iter, double *state,
+                   int64_t *n)
 {
     const driver d = {kind, n_atoms, params, domain_min, domain_max, w_inf,
                       v_stop};
@@ -124,7 +140,7 @@ int drlab_classify(int kind, const double *params, int n_atoms,
             label = SUPERCRITICAL;
             break;
         }
-        if (u < u_zero_tol && v < -v_margin) {
+        if (certified(&d, k, u, v, 0.5 * v)) {
             label = SUBCRITICAL;
             break;
         }
@@ -148,16 +164,18 @@ int drlab_classify(int kind, const double *params, int n_atoms,
    -1 where none: hits[0..5] = first v > 0, n*, first v > -a_eps,
    first v > a_eps, first v > -delta, first v > delta.  state holds
    (u, v, log u) on entry, u > 0; state[0] is u at the last v <= 0 on
-   return (still u0 if v0 > 0).  Returns DOMAIN_ERROR, else 0. */
+   return (still u0 if v0 > 0).  The pass ends early once the certificate
+   holds at w, the least of v/2 and the open negative levels, with w > v:
+   then no open hit can fire.  Returns DOMAIN_ERROR, else 0. */
 int drlab_stopping(int kind, const double *params, int n_atoms,
                    double domain_min, double domain_max, double w_inf,
-                   double v_stop, int64_t max_iter, double a_eps,
-                   double delta, double *state, int64_t *hits)
+                   double v_stop, int64_t max_iter, double *state,
+                   double a_eps, double delta, int64_t *hits)
 {
     const driver d = {kind, n_atoms, params, domain_min, domain_max, w_inf,
                       v_stop};
     const double levels[4] = {-a_eps, a_eps, -delta, delta};
-    double u = state[0], v = state[1], log_u = state[2];
+    double u = state[0], v = state[1], log_u = state[2], w;
     int64_t k;
     int i, open = 6;
 
@@ -185,6 +203,12 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
                 hits[i + 2] = k;
                 open--;
             }
+        w = 0.5 * v;
+        for (i = 0; i < 4; i += 2) /* the negative levels */
+            if (hits[i + 2] < 0 && levels[i] < w)
+                w = levels[i];
+        if (w > v && certified(&d, k, u, v, w))
+            break;
     }
     return 0;
 }

@@ -31,11 +31,35 @@ back to numpy the same way.
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
 classification detects the first case the moment v goes positive (v > 0 is
-a certificate of escape) and the second once u is numerically dead while v
-is bounded away from 0.  Orbits hugging the critical curve legitimately
-exhaust the iteration budget: Undetermined is a value, not an error,
-because criticality is not numerically decidable.  The free energy walks
-its orbit once, classifying it on the way.
+a certificate of escape) and proves the second with a certificate of
+collapse.  Take a state with v_n < 0, a point w in (v_n, 0) and
+q = psi(w) <= 1, and suppose u_n <= (w - v_n)(1 - q).  If v_j <= w for
+n <= j <= k, every factor psi(v_j) with n < j <= k is at most q, because
+drivers are nondecreasing, so u_j <= u_n q^(j-n) and
+
+    v_{k+1} = v_n + u_n + ... + u_k <= v_n + u_n / (1 - q) <= w.
+
+By induction v_k <= w for every k >= n: u decays at least geometrically and
+v converges to a limit at most w < 0, so the orbit is subcritical.  The
+kernels test u_n <= (w - v_n)(1 - q) / 4, and the factor 1/4 covers the
+rounding of the computed orbit with two factors of 2.  First, the float sum
+v + u moves v only when u is at least half the gap above v, and then errs
+by at most that half gap, so each step raises v by at most 2u.  Second, the
+computed factors exceed q by the driver's last-bit error and the rounding
+of the product, a relative r - q of a few units of 2^-53, so the computed
+u_j <= u_n r^(j-n) with 1 - r >= (1 - q) / 2 once 1 - q is several such
+units, which holds for |w| above about 1e-15 (psi'(0) = 1).  Then
+v_k <= v_n + 2 u_n / (1 - r) <= v_n + 4 u_n / (1 - q) <= w.  (Nearer the
+origin the margin is not proved; there the test admits only u below
+about v^2 / 16 < 1e-30.)  The classifier and the free energy take
+w = v_n / 2; the stopping pass takes the least of v_n / 2 and its open
+negative levels, so that none of them can be hit.  The bound costs a
+driver call, so it is tested at every 1024th state only, never at the
+start (a start whose first step leaves the domain raises first); an exact
+zero of u with v < 0 is subcritical at once.  Orbits hugging the critical
+curve legitimately exhaust the iteration budget: Undetermined is a value,
+not an error, because criticality is not numerically decidable.  The free
+energy walks its orbit once, classifying it on the way.
 """
 
 from __future__ import annotations
@@ -76,7 +100,7 @@ __all__ = [
 
 _INF = math.inf
 V_STOP = 1e12  # v beyond this, bounded drivers take psi(inf) for psi(v)
-_U_ZERO_TOL, _V_MARGIN = 1e-14, 1e-9  # classify: u is dead, v < -margin
+_CHECK_EVERY = 1024  # states between two tests of the certificate
 
 
 @dataclass(frozen=True)
@@ -205,12 +229,14 @@ def _load_native() -> _Native | None:
     except (OSError, AttributeError):  # no library, or a symbol missing
         return None
     c_double, c_int64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    # the driver, max_iter and the state, then each loop's own arguments
+    head = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int, c_double,
+            c_double, c_double, c_double, c_int64, ctypes.POINTER(c_double))
+    classify_fn.argtypes = (*head, ctypes.POINTER(c_int64))
+    stopping_fn.argtypes = (*head, c_double, c_double,
+                            ctypes.POINTER(c_int64))
     for fn in (classify_fn, stopping_fn):
         fn.restype = ctypes.c_int
-        fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
-                       c_double, c_double, c_double, c_double, c_int64,
-                       c_double, c_double, ctypes.POINTER(c_double),
-                       ctypes.POINTER(c_int64))
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                        ptr, ptr, c_int64)  # ..., xs, out, n
@@ -224,17 +250,16 @@ def _load_native() -> _Native | None:
         kind, params, n_atoms = native
         return kind, (c_double * len(params))(*params), n_atoms
 
-    def call(fn, psi, start, max_iter, a, b, out):
+    def call(fn, psi, start, max_iter, *args):
         state = (c_double * 3)(start.u, start.v, start.log_u)
         code = fn(*described(psi.fn.native),
                   psi.domain_min, psi.domain_max, psi.psi_inf,
-                  V_STOP if psi.bounded else _INF, max_iter, a, b, state, out)
+                  V_STOP if psi.bounded else _INF, max_iter, state, *args)
         return code, state
 
     def classify(psi, start, max_iter):
         n = c_int64()
-        code, state = call(classify_fn, psi, start, max_iter,
-                           _U_ZERO_TOL, _V_MARGIN, ctypes.byref(n))
+        code, state = call(classify_fn, psi, start, max_iter, ctypes.byref(n))
         return code, OrbitState(n.value, *state)
 
     def stopping(psi, start, max_iter, a_eps, delta):
@@ -272,12 +297,28 @@ def _native_loops(psi: PsiFunction, max_iter) -> _Native | None:
     return _native_lib()
 
 
+def _certified(fn: Callable[[float], float], n: int, u: float, v: float,
+               w: float) -> bool:
+    """The subcritical certificate at state n for a w in (v, 0), fn being
+    the raw driver: ``_classify.c``'s certified(), operation for operation,
+    and its oracle.  An exact zero of u with v < 0 needs no driver call;
+    otherwise the bound is tested at the positive multiples of
+    _CHECK_EVERY only."""
+    return v < 0.0 and (u == 0.0 or (
+        n > 0 and n % _CHECK_EVERY == 0
+        and u <= 0.25 * (w - v) * (1.0 - fn(w))))
+
+
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
                     max_iter: int = 10 ** 6) -> tuple[PhaseLabel, OrbitState]:
     """Classification plus the state where the decision (or give-up) fired.
 
-    The final state's v sign is the only usable direction hint when the
-    label is Undetermined.  Built-in drivers run the loop of
+    Supercritical the moment v > 0 with u > 0; subcritical once the
+    certificate holds at w = v/2 (see the module docstring), which is
+    tested at every 1024th state, or at once for u == 0 with v < 0;
+    undetermined at u == 0 with v >= 0, or when the budget of max_iter
+    steps runs out.  The final state's v sign is the only usable direction
+    hint when the label is Undetermined.  Built-in drivers run the loop of
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     """
     start = initial_state(u0, v0)
@@ -286,15 +327,16 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
         code, last = native.classify(psi, start, max_iter)
         if code != _DOMAIN_ERROR:  # else the Python kernel raises it
             return _LABELS[code], last
+    fn = psi.fn
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
         if n > max_iter:
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
         if v > 0.0 and log_u > -_INF:
             return PhaseLabel.SUPERCRITICAL, OrbitState(n, u, v, log_u)
-        if u < _U_ZERO_TOL and v < -_V_MARGIN:
+        if _certified(fn, n, u, v, 0.5 * v):
             return PhaseLabel.SUBCRITICAL, OrbitState(n, u, v, log_u)
         if log_u == -_INF:
-            # u == 0 exactly and v in [-margin, 0]: frozen at the origin's edge
+            # u == 0 exactly and v >= 0: frozen at the origin's edge
             return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
 
 
@@ -339,10 +381,13 @@ def _free_energy_pass(u0: float, v0: float, psi: PsiFunction, *,
 
     s_n = log u_n - n log psi(inf) is nonincreasing; it settles once
     `window` consecutive steps each move it by less than `tol`, or at an
-    exact zero of u.  Alongside, :func:`classify`'s checks run on states
-    0..max_iter until one decides; a subcritical verdict ends the walk.
+    exact zero of u.  Alongside, :func:`classify_detail`'s checks run on
+    states 0..max_iter until one decides: v > 0 (supercritical), the
+    subcritical certificate at w = v/2, which ends the walk, or u == 0 at
+    v >= 0 (undetermined).
     """
     log_pinf = math.log(psi.psi_inf)
+    fn = psi.fn
     start = initial_state(u0, v0)
     s = start.log_u
     n_star = 0 if (start.v >= 0.0 and start.u >= 1.0) else None
@@ -358,7 +403,7 @@ def _free_energy_pass(u0: float, v0: float, psi: PsiFunction, *,
         if label is None:
             if v > 0.0 and log_u > -_INF:
                 label = PhaseLabel.SUPERCRITICAL
-            elif u < _U_ZERO_TOL and v < -_V_MARGIN:
+            elif _certified(fn, n, u, v, 0.5 * v):
                 return PhaseLabel.SUBCRITICAL, -_INF, None, True
             elif log_u == -_INF:
                 label = PhaseLabel.UNDETERMINED
@@ -452,7 +497,10 @@ def _stopping_pass(start: OrbitState, psi: PsiFunction, max_iter,
     """(u at the last v_n <= 0, hits) over states 0..max_iter, hits being
     the first n with v_n > 0, n*, n1_A, n2_A, n3_delta and n4_delta, None
     where none: the loop of ``_classify.c``'s drlab_stopping, and its
-    oracle."""
+    oracle.  The pass ends early once the subcritical certificate holds at
+    w, the least of v/2 and the open negative levels, with w > v: then v
+    stays at or below w, so no open hit can fire."""
+    fn = psi.fn
     first_pos = n_star = n1 = n2 = n3 = n4 = None
     u_last = None  # u at the last n with v_n <= 0 so far (v is nondecreasing)
     for n, (u, v, log_u, _) in zip(range(max_iter + 1), _orbit(start, psi)):
@@ -474,6 +522,12 @@ def _stopping_pass(start: OrbitState, psi: PsiFunction, max_iter,
         if n_star is None and v >= 0.0 and log_u >= 0.0:
             n_star = n
         if None not in (first_pos, n_star, n1, n2, n3, n4):
+            break
+        w = 0.5 * v
+        for hit, level in ((n1, -a_eps), (n3, -delta)):
+            if hit is None and level < w:
+                w = level
+        if w > v and _certified(fn, n, u, v, w):
             break
     return u_last, (first_pos, n_star, n1, n2, n3, n4)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import shutil
@@ -7,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drlab import recursion
@@ -130,6 +131,26 @@ def test_classify_undetermined_near_curve(fig1):
 def test_classify_detail_final_state(fig1):
     label, last = classify_detail(0.1, -0.4, fig1)
     assert label is PhaseLabel.SUPERCRITICAL and last.v > 0.0
+
+
+@pytest.mark.parametrize("spec", ["lf:p=0.5,z=1", "fig1"])
+def test_tiny_start_near_the_origin_escapes(spec):
+    # h(-1e-8) is about 5e-17, so u0 = 9e-15 lies far above the curve; a
+    # rule "u < 1e-14 and v < -1e-9" called this start subcritical at n = 0
+    psi, _ = driver_from_spec(spec)
+    label, last = classify_detail(9e-15, -1e-8, psi, max_iter=2 * 10 ** 6)
+    rec = stopping_times(9e-15, -1e-8, psi, A=1.0, delta=0.1, epsilon=1e-6)
+    assert label is PhaseLabel.SUPERCRITICAL
+    assert last.n == rec.N0 + 1 == 1115245  # the first v > 0
+    if psi.bounded:  # not the subcritical zero, and not settled so soon
+        fe = free_energy(9e-15, -1e-8, psi, max_iter=10 ** 4)
+        assert fe.log_value > -math.inf and not fe.converged
+
+
+def test_bisected_seed_is_unchanged(lf_model):
+    # the cv-refined seed bisection: the certificate moves no label there,
+    # so the bisection returns the same float as the u < 1e-14 rule did
+    assert bisect_h(lf_model.psi, -0.3, tol=1e-11) == 0.05180626964574911
 
 
 def test_supercritical_growth_rate(lf_model):
@@ -393,15 +414,29 @@ def _reference_orbit(u0, v0, psi, n):
     return states
 
 
+def _reference_collapses(psi, n, u, v, w):
+    """The certificate of collapse at state n, through the checked driver:
+    with w in (v, 0), u <= (w - v)(1 - psi(w)) / 4 keeps v at or below w.
+    Tested at n = 1024, 2048, ...; u == 0 with v < 0 needs no test."""
+    if not v < 0.0:
+        return False
+    if u == 0.0:
+        return True
+    if n < 1024 or n % 1024:
+        return False
+    return u <= 0.25 * (w - v) * (1.0 - psi(w))
+
+
 def _reference_classify(u0, v0, psi, max_iter):
-    """The classification loop as it stood before the orbit kernel."""
+    """The classification loop as it stood before the orbit kernel, with
+    the certificate of collapse at w = v/2."""
     u, v = float(u0), float(v0)
     log_u = math.log(u) if u > 0.0 else -math.inf
     n = 0
     for _ in range(max_iter + 1):
         if v > 0.0 and log_u > -math.inf:
             return "supercritical", (n, u, v, log_u)
-        if u < 1e-14 and v < -1e-9:
+        if _reference_collapses(psi, n, u, v, v / 2.0):
             return "subcritical", (n, u, v, log_u)
         if log_u == -math.inf:
             return "undetermined", (n, u, v, log_u)
@@ -607,6 +642,38 @@ def test_native_classify_matches_python_kernel_near_the_curve(name):
     assert max(last.n for _, last in native) > 1000
 
 
+@pytest.mark.parametrize("name", NATIVE_DRIVERS)
+def test_native_certificate_matches_python_kernel_below_the_curve(name):
+    # subcritical verdicts of the certificate, 1e-5 to 1e-9 below a
+    # bisected h(-0.3), each after at least one check
+    psi = KERNEL_DRIVERS[name]
+    h = bisect_h(psi, -0.3, tol=1e-11, classify_max_iter=3 * 10 ** 5)
+    starts = [(h - d, -0.3) for d in (1e-5, 1e-7, 1e-9)]
+    native = [classify_detail(u, v, psi, max_iter=10 ** 5) for u, v in starts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        python = [classify_detail(u, v, psi, max_iter=10 ** 5)
+                  for u, v in starts]
+    assert repr(native) == repr(python)
+    assert [label for label, _ in native] == [PhaseLabel.SUBCRITICAL] * 3
+    ns = [last.n for _, last in native]
+    assert ns == sorted(ns) and ns[0] >= 1024 and ns[0] % 1024 == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       v0=st.floats(-0.45, -1e-3), ratio=st.floats(0.2, 0.6))
+def test_certified_orbits_never_pass_w(name, v0, ratio):
+    # a state the certificate accepts (w = v/2) keeps v <= w for 10^5 more
+    # steps; an exact zero of u is accepted without the bound
+    psi = KERNEL_DRIVERS[name]
+    label, last = classify_detail(ratio * v0 * v0, v0, psi, max_iter=10 ** 5)
+    assume(label is PhaseLabel.SUBCRITICAL and last.u > 0.0)
+    w = 0.5 * last.v
+    for _, v, _, _ in itertools.islice(recursion._orbit(last, psi), 10 ** 5):
+        assert v <= w
+
+
 # ---------------------------------------------------------------------------
 # the native stopping-time loop against the Python kernel
 # ---------------------------------------------------------------------------
@@ -670,20 +737,36 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
     copies = [dataclasses.replace(lf, fn=fn),
               make_custom_psi("counted", fn, psi_inf=lf.psi_inf,
                               domain_min=lf.domain_min)]
+    # per step, plus one per test of the certificate (at n = 1024, 2048)
     for psi in copies:
         calls["fn"] = 0
         label, last = classify_detail(0.051806269642573365, -0.3, psi,
-                                      max_iter=1000)
-        assert label is PhaseLabel.UNDETERMINED
-        assert calls["fn"] == last.n == 1001
+                                      max_iter=3000)
+        assert label is PhaseLabel.UNDETERMINED and last.n == 3001
+        assert calls["fn"] == last.n + last.n // 1024
         calls["fn"] = 0
         rec = stopping_times(0.051806269642573365, -0.3, psi, A=1.0,
-                             delta=0.1, epsilon=1e-6, max_iter=1000)
-        assert rec.N0 is None and calls["fn"] == 1000
+                             delta=0.1, epsilon=1e-6, max_iter=3000)
+        assert rec.N0 is None and calls["fn"] == 3000 + 2
     calls["fn"] = 0
     dual = dual_psi(dataclasses.replace(lf, fn=fn))
-    _, last = classify_detail(0.001, -0.4, dual, max_iter=500)
-    assert calls["fn"] == last.n > 0
+    _, last = classify_detail(0.001, -0.4, dual, max_iter=3000)
+    assert calls["fn"] == last.n + last.n // 1024 > 0
+
+
+def test_stopping_pass_ends_once_below_the_curve():
+    # from (1e-6, -0.3), below h: no hit can fire, and the pass stops at
+    # the first test of the certificate instead of stepping 10^7 times
+    lf = KERNEL_DRIVERS["lf:p=0.5,z=1"]
+    fn, calls = _counting(lf)
+    psi = dataclasses.replace(lf, fn=fn)
+    rec = stopping_times(1e-6, -0.3, psi, A=1.0, delta=0.1, epsilon=1e-6)
+    assert calls["fn"] == 1024 + 1
+    assert (rec.N0, rec.u_N0, rec.n_star, rec.n1_A, rec.n2_A, rec.n3_delta,
+            rec.n4_delta) == _reference_stopping(1e-6, -0.3, lf, 1.0, 0.1,
+                                                 1e-6, 20000)
+    assert rec == stopping_times(1e-6, -0.3, lf, A=1.0, delta=0.1,
+                                 epsilon=1e-6)
 
 
 def _mc_pools(lf_model, clf_model):

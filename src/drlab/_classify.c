@@ -1,9 +1,11 @@
-/* Native orbit loops for the built-in drivers, the drivers on arrays, and
-   the Monte Carlo's resampling and counting passes (at the end of the file).
+/* Native orbit loops for the built-in drivers, the drivers on arrays, the
+   critical curve's march, and the Monte Carlo's resampling and counting
+   passes (at the end of the file).
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
-   and drlab_psi evaluates a driver on an array.  All three evaluate the
+   drlab_psi evaluates a driver on an array, and drlab_march solves the
+   curve the way curve._march's Python loop does.  All four evaluate the
    driver the way drivers.py does, one floating-point operation for
    another, so that their results are bit-identical to the Python
    kernel's.  That needs -ffp-contract=off (a fused multiply-add
@@ -209,6 +211,83 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
                 w = levels[i];
         if (w > v && certified(&d, k, u, v, w))
             break;
+    }
+    return 0;
+}
+
+/* curve._march's H at y for node i: the in-cell quotient while y lies left
+   of x[i+1], else g interpolated at y over the solved nodes right of x[i].
+   The binary search finds bisect_right(x, y) - 1, the last node <= y, and
+   x[i+1] <= y bounds it below. */
+static double march_h(const driver *d, const double *x, const double *g,
+                      int64_t m, int64_t i, double y)
+{
+    int64_t lo = i + 1, hi = m + 1, mid, j;
+    double gy;
+
+    if (y < x[i + 1])
+        return (g[i + 1] - y) / (x[i + 1] - x[i]) - psi(d, y);
+    while (lo < hi) { /* the first node > y lies in [lo, hi] */
+        mid = lo + (hi - lo) / 2;
+        if (y < x[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    j = lo - 1;
+    gy = j == m ? g[j]
+                : g[j] + (y - x[j]) * ((g[j + 1] - g[j]) / (x[j + 1] - x[j]));
+    return (gy - y) / (y - x[i]) - psi(d, y);
+}
+
+/* curve._march over the grid x[0..m], rising strictly to x[m] = 0, into
+   g[0..m], one floating-point operation for another: each node's root of
+   H is bisected to adjacent floats from [max(g[i+1] - dx, x[i]), g[i+1]],
+   dx the node's own cell.  Returns 0, or on failure NO_ROOT with
+   bad = (lo, hi, f_lo, f_hi) or NAN_H with bad[0] the y where H is NaN,
+   and the node in *node, for Python to raise curve._march's own message. */
+enum { NO_ROOT = 1, NAN_H };
+
+int drlab_march(int kind, const double *params, int n_atoms,
+                const double *x, int64_t m, double *g, int64_t *node,
+                double *bad)
+{
+    const driver d = {kind, n_atoms, params, 0.0, 0.0, 0.0, 0.0};
+    double lo, hi, mid, f, f_lo, f_hi;
+    int64_t i;
+
+    g[m] = 0.0;
+    for (i = m - 1; i >= 0; i--) {
+        hi = g[i + 1];
+        lo = hi - (x[i + 1] - x[i]);
+        if (x[i] > lo) /* Python's max(lo, x[i]): the first unless exceeded */
+            lo = x[i];
+        f_lo = march_h(&d, x, g, m, i, lo);
+        f_hi = march_h(&d, x, g, m, i, hi);
+        *node = i;
+        if (!(f_lo >= 0.0 && 0.0 >= f_hi)) {
+            bad[0] = lo;
+            bad[1] = hi;
+            bad[2] = f_lo;
+            bad[3] = f_hi;
+            return NO_ROOT;
+        }
+        mid = 0.5 * (lo + hi);
+        while (lo < mid && mid < hi) {
+            f = march_h(&d, x, g, m, i, mid);
+            if (f > 0.0) {
+                lo = mid;
+                f_lo = f;
+            } else if (f <= 0.0) {
+                hi = mid;
+                f_hi = f;
+            } else {
+                bad[0] = mid;
+                return NAN_H;
+            }
+            mid = 0.5 * (lo + hi);
+        }
+        g[i] = f_lo < -f_hi ? lo : hi;
     }
     return 0;
 }

@@ -30,9 +30,12 @@ The sweep approaches its fixed point linearly, in about 25,000 sweeps at
 m = 1000.  :func:`solve_curve` instead solves the fixed point directly:
 node i of the discretised equation reads g only at g(x_i) >= x_i, so
 :func:`_march` solves the nodes one by one from 0 leftwards, each by a
-scalar bisection with the libm driver.  One damped sweep from the marched
-g then certifies it; its change decides convergence against ``tol``, and
-the marched g is returned.  The sweeps, :func:`pick_K` and
+scalar bisection with the libm driver.  For the built-in drivers that loop
+runs in ``_classify.c``, bit for bit; the Python loop stays its oracle and
+marches every other driver, among them :func:`dual_curve`'s, since
+:func:`dual_psi` has no native description.  One damped sweep from the
+marched g then certifies it; its change decides convergence against
+``tol``, and the marched g is returned.  The sweeps, :func:`pick_K` and
 :func:`residual_local` call the driver on arrays, which evaluates the same
 libm function at each node, so no result depends on numpy's SIMD
 kernels.  Only a forced sweep count (``sweeps``) runs the damped sweeps
@@ -54,7 +57,7 @@ import numpy as np
 
 from .drivers import PsiFunction, dual_psi
 from .errors import DomainError, NumericError
-from .recursion import PhaseLabel, classify_detail
+from .recursion import PhaseLabel, _native_lib, classify_detail
 
 __all__ = [
     "CurveGrid",
@@ -212,9 +215,23 @@ def iterate_g(grid: CurveGrid, psi: PsiFunction) -> CurveGrid:
                    clamp_last=max(grid.clamp_last, clamp))
 
 
-def _march(psi: PsiFunction, A: float, m: int
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's fixed point, solved node by node from 0 leftwards.
+_NO_ROOT, _NAN_H = 1, 2  # the failures drlab_march returns
+
+
+def _no_root(x_i: float, lo: float, hi: float, f_lo: float, f_hi: float
+             ) -> NumericError:
+    return NumericError(
+        f"no root of the curve equation at x={x_i!r} in "
+        f"[{lo!r}, {hi!r}]: H = {f_lo!r}, {f_hi!r}")
+
+
+def _nan_h(y: float) -> NumericError:
+    return NumericError(f"curve equation is NaN at y={y!r}")
+
+
+def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
+    """The sweep's fixed point g on the grid xs, solved node by node from
+    0 leftwards.
 
     Node i of the discretised equation asks for y = g(x_i) with
     interp(y) = y + (y - x_i) psi(y), where interp is the piecewise-linear g.
@@ -222,14 +239,30 @@ def _march(psi: PsiFunction, A: float, m: int
     are already solved, or, inside the cell [x_i, x_{i+1}], at x_i itself,
     where g(x_i) = y.  Dividing out the trivial root y = x_i leaves
     H(y) = (interp(y) - y)/(y - x_i) - psi(y), which in that cell reads
-    (g_{i+1} - y)/dx - psi(y).  Monotonicity and the 1-Lipschitz bound put
-    the root in [max(g_{i+1} - dx, x_i), g_{i+1}]; it is bisected down to
-    adjacent floats.  A bracket without a sign change raises NumericError.
+    (g_{i+1} - y)/dx - psi(y), dx the cell's own width.  Monotonicity and
+    the 1-Lipschitz bound put the root in [max(g_{i+1} - dx, x_i), g_{i+1}];
+    it is bisected down to adjacent floats.  A bracket without a sign
+    change, or a NaN H inside one, raises NumericError.
 
-    psi is evaluated by its scalar ``fn``, unchecked: [-A, 0] was checked
-    to lie in its domain, and each node's bracket lies in [x_i, 0].
+    xs rises strictly to 0 inside psi's domain (:func:`_grid_xs` checks
+    that for the uniform grid), so psi is evaluated by its scalar ``fn``,
+    unchecked: each node's bracket lies in [x_i, 0].
+
+    A built-in driver marches in ``_classify.c`` (``drlab_march``) when the
+    library loaded: the same loop over the same floating-point operations,
+    so g is bit-identical, and a failure raises the same message.  Other
+    drivers, such as :func:`dual_psi`'s, and every driver without the
+    library run the loop below, the C loop's oracle.
     """
-    xs = _grid_xs(psi, A, m)
+    native = hasattr(psi.fn, "native") and _native_lib()
+    if native:
+        code, i, bad, g = native.march(psi.fn.native, xs)
+        if code == _NO_ROOT:
+            raise _no_root(float(xs[i]), *bad)
+        if code == _NAN_H:
+            raise _nan_h(bad[0])
+        return g
+    m = len(xs) - 1
     x = xs.tolist()
     g = [0.0] * (m + 1)
     fn = psi.fn
@@ -247,9 +280,7 @@ def _march(psi: PsiFunction, A: float, m: int
         lo = max(hi - (x[i + 1] - x[i]), x[i])
         f_lo, f_hi = H(lo, i), H(hi, i)
         if not (f_lo >= 0.0 >= f_hi):
-            raise NumericError(
-                f"no root of the curve equation at x={x[i]!r} in "
-                f"[{lo!r}, {hi!r}]: H = {f_lo!r}, {f_hi!r}")
+            raise _no_root(x[i], lo, hi, f_lo, f_hi)
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
             f = H(mid, i)
@@ -258,10 +289,10 @@ def _march(psi: PsiFunction, A: float, m: int
             elif f <= 0.0:
                 hi, f_hi = mid, f
             else:
-                raise NumericError(f"curve equation is NaN at y={mid!r}")
+                raise _nan_h(mid)
             mid = 0.5 * (lo + hi)
         g[i] = lo if f_lo < -f_hi else hi
-    return xs, np.array(g)
+    return np.array(g)
 
 
 def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
@@ -288,7 +319,8 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
     if K_override is not None and not 0.0 <= K_override < math.inf:
         raise ValueError(f"K={K_override!r} must be finite and >= 0")
     if sweeps is None:
-        xs, g = _march(psi, A, m)
+        xs = _grid_xs(psi, A, m)
+        g = _march(psi, xs)
         K = pick_K(psi, A, m) if K_override is None else K_override
         _, change, clamp_max = _sweep(xs, g, K, psi)
         done = 1
@@ -436,8 +468,8 @@ def write_curve_csv(curve: CriticalCurve, psi: PsiFunction, out: TextIO) -> None
     h = curve.h_values
     res = residual_local(curve, psi)
     out.write("x,g,h,residual_local\n")
-    for i in range(len(xs)):
-        out.write(f"{xs[i]:.17g},{g[i]:.17g},{h[i]:.17g},{res[i]:.17g}\n")
+    out.writelines(f"{x:.17g},{gx:.17g},{hx:.17g},{r:.17g}\n" for x, gx, hx, r
+                   in zip(xs.tolist(), g.tolist(), h.tolist(), res.tolist()))
 
 
 def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:

@@ -24,9 +24,10 @@ bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
 driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
 evaluates the built-in drivers on arrays (see ``drivers``), with the
-mapped scalar function as fallback and oracle, and holds the Monte
-Carlo's resampling and counting passes (see ``montecarlo``), which fall
-back to numpy the same way.
+mapped scalar function as fallback and oracle, marches the critical
+curve (see ``curve._march``), with the Python loop as fallback and
+oracle, and holds the Monte Carlo's resampling and counting passes (see
+``montecarlo``), which fall back to numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -178,14 +179,15 @@ _native = None  # the loaded _Native; False once loading has failed
 
 
 class _Native(NamedTuple):
-    """The entry points of ``_classify.c``: the two orbit loops and the
-    driver on arrays, wrapped, and the Monte Carlo kernels as ctypes
-    functions, resampling keyed by the pool's dtype (float64, int64) and
-    counting for float64 pools."""
+    """The entry points of ``_classify.c``: the two orbit loops, the
+    driver on arrays and the curve march, wrapped, and the Monte Carlo
+    kernels as ctypes functions, resampling keyed by the pool's dtype
+    (float64, int64) and counting for float64 pools."""
 
     classify: Callable
     stopping: Callable
     psi: Callable
+    march: Callable
     resample: dict
     counts: Callable
 
@@ -222,7 +224,7 @@ def _load_native() -> _Native | None:
             return None
         dll = ctypes.CDLL(lib)
         classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
-        psi_fn = dll.drlab_psi
+        psi_fn, march_fn = dll.drlab_psi, dll.drlab_march
         resample = {np.dtype(np.float64): dll.drlab_resample_f64,
                     np.dtype(np.int64): dll.drlab_resample_i64}
         counts = dll.drlab_counts
@@ -240,6 +242,10 @@ def _load_native() -> _Native | None:
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                        ptr, ptr, c_int64)  # ..., xs, out, n
+    march_fn.restype = ctypes.c_int
+    march_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
+                         ptr, c_int64, ptr, ctypes.POINTER(c_int64),
+                         ctypes.POINTER(c_double))  # ..., xs, m, g, node, bad
     for fn in resample.values():  # prev, n_prev, idx, m, r, z, n, out
         fn.restype = ctypes.c_int
         fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
@@ -273,7 +279,17 @@ def _load_native() -> _Native | None:
         xs = np.ascontiguousarray(xs, dtype=np.float64)  # at least 1-d
         psi_fn(*described(native), xs.ctypes.data, out.ctypes.data, out.size)
         return out
-    return _Native(classify, stopping, psi_array, resample, counts)
+
+    def march(native, xs):
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        if xs.ndim != 1 or not xs.size:
+            raise ValueError("the march needs a nonempty 1-d grid")
+        g = np.zeros(xs.size)  # as the Python loop's list starts
+        node, bad = c_int64(), (c_double * 4)()
+        code = march_fn(*described(native), xs.ctypes.data, xs.size - 1,
+                        g.ctypes.data, ctypes.byref(node), bad)
+        return code, node.value, list(bad), g
+    return _Native(classify, stopping, psi_array, march, resample, counts)
 
 
 def _native_lib() -> _Native | None:

@@ -1,14 +1,18 @@
 import io
 import math
+import shutil
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from drlab.curve import (_march, _sweep, bisect_h, curve_from_h, dual_curve,
-                         h_eval, iterate_g, pick_K, read_curve_csv, residual,
-                         solve_curve, solve_g1, validate_grid,
-                         write_curve_csv)
+from drlab import recursion
+from drlab.curve import (_grid_xs, _march, _sweep, bisect_h, curve_from_h,
+                         dual_curve, h_eval, iterate_g, pick_K,
+                         read_curve_csv, residual, solve_curve, solve_g1,
+                         validate_grid, write_curve_csv)
 from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
 from drlab.errors import DomainError, NumericError
 
@@ -51,7 +55,8 @@ def test_pick_k_override_honored(lf_model):
     # without a sweep count, K only damps the certifying sweep of the march
     cur = solve_curve(lf_model.psi, 0.5, 200, K_override=10.0)
     assert cur.grid.K == 10.0 and cur.grid.sweeps == 1 and cur.converged
-    assert np.array_equal(cur.grid.g, _march(lf_model.psi, 0.5, 200)[1])
+    xs = _grid_xs(lf_model.psi, 0.5, 200)
+    assert np.array_equal(cur.grid.g, _march(lf_model.psi, xs))
 
 
 def test_pick_k_monotone_in_A(affine):
@@ -186,7 +191,8 @@ def _swept(psi, A, m, tol=1e-12):
 def test_march_is_the_sweeps_fixed_point(name, lf_model):
     psi, A, m = _march_case(name, lf_model)
     cur = solve_curve(psi, A, m)
-    xs, g = _march(psi, A, m)
+    xs = _grid_xs(psi, A, m)
+    g = _march(psi, xs)
     assert np.array_equal(cur.grid.g, g)  # the marched g, not the swept one
     assert cur.converged and cur.grid.sweeps == 1
     validate_grid(cur.grid)
@@ -202,7 +208,8 @@ def test_march_is_the_sweeps_fixed_point(name, lf_model):
 
 
 def test_march_matches_fig1_exact_curve_as_the_sweep_does(fig1):
-    xs, g = _march(fig1, 0.5, 200)
+    xs = _grid_xs(fig1, 0.5, 200)
+    g = _march(fig1, xs)
     swept = _swept(fig1, 0.5, 200)
     exact = 0.5 * xs * xs
     err_march = float(np.max(np.abs(g - xs - exact)))
@@ -215,7 +222,9 @@ def test_march_matches_fig1_exact_curve_as_the_sweep_does(fig1):
 
 def test_dual_curve_is_marched(lf_model):
     dc = dual_curve(lf_model.psi, 3.0, 300)
-    xs, g = _march(dual_psi(lf_model.psi), 3.0, 300)
+    dpsi = dual_psi(lf_model.psi)
+    xs = _grid_xs(dpsi, 3.0, 300)
+    g = _march(dpsi, xs)
     assert dc.converged and dc.grid.sweeps == 1
     assert np.array_equal(dc.h_values, (g - xs)[::-1] * lf_model.psi(-xs[::-1]))
 
@@ -232,7 +241,86 @@ def test_solve_curve_rejects_a_driver_undefined_at_0():
 def test_march_bracket_without_sign_change_raises(fn):
     psi = make_custom_psi("bad", fn, lambda x: 0.0, domain_min=-1.0)
     with pytest.raises(NumericError, match="x="):
-        _march(psi, 0.5, 100)
+        _march(psi, _grid_xs(psi, 0.5, 100))
+
+
+# ---------------------------------------------------------------------------
+# the native march against the Python loop
+# ---------------------------------------------------------------------------
+
+NATIVE_MARCH_SPECS = ("affine", "fig1", "fig1-clamped", "lf:p=0.5,z=1",
+                      "lf:p=0.4,z=1@0.5+2@0.5", "lf:p=0.4,z=3@0.6+1@0.4",
+                      "clf:p=0.5,z=1", "clf:p=0.4,z=0.5@0.3+2@0.7")
+
+
+def _march_outcome(psi, xs):
+    """The marched g's bytes, or the NumericError's message."""
+    try:
+        return _march(psi, xs).tobytes()
+    except NumericError as exc:
+        return str(exc)
+
+
+def _both_marches(psi, xs):
+    native = _march_outcome(psi, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        return native, _march_outcome(psi, xs)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@settings(max_examples=30, deadline=None)
+@example(spec="fig1", A=0.5, m=1000, pinch=None)  # the curve-sweep curves
+@example(spec="lf:p=0.4,z=1@0.5+2@0.5", A=0.5, m=1000, pinch=None)
+@example(spec="clf:p=0.5,z=1", A=0.5, m=4000, pinch=None)
+@example(spec="lf:p=0.5,z=1", A=0.5, m=1000, pinch=None)  # cv-refined's
+@example(spec="fig1", A=0.5, m=1000, pinch=3)  # midpoints on a node
+@example(spec="lf:p=0.5,z=1", A=0.5, m=100, pinch=3)  # on it, H rounds to
+# a sign that a search for the node's left cell (bisect_left) flips
+@given(spec=st.sampled_from(NATIVE_MARCH_SPECS), A=st.floats(0.01, 1.0),
+       m=st.integers(100, 2000), pinch=st.none() | st.integers(2, 8))
+def test_native_march_matches_python_march(spec, A, m, pinch):
+    psi = driver_from_spec(spec)[0]
+    xs = _grid_xs(psi, min(A, -psi.domain_min), m)
+    if pinch is not None:
+        # move node k - 1 to x_k - h_k / psi(x_k), where node k - 1's
+        # equation has its root y = x_k: the bisection's midpoints land on
+        # node k itself, and nodes k and right of it keep their g
+        k = m - pinch
+        h_k = _march(psi, xs)[k] - xs[k]
+        xs[k - 1] = xs[k] - h_k / psi(float(xs[k]))
+        assert xs[k - 2] < xs[k - 1] < xs[k]
+    assert recursion._native_lib()
+    native, python = _both_marches(psi, xs)
+    assert native == python
+
+
+def _described_driver(kind, params, n_atoms):
+    """A driver whose scalar fn is _classify.c's psi for the description,
+    so that both marches see the same values."""
+    lib = recursion._native_lib()
+    native = (kind, params, n_atoms)
+
+    def fn(x):
+        return float(lib.psi(native, np.array([x]))[0])
+    fn.native = native
+    return make_custom_psi("described", fn, lambda x: 0.0, domain_min=-1.0)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@pytest.mark.parametrize("params,n_atoms,message", [
+    # lf:p=0.5,z=1 at twice its 1/p: psi(0) = 2, so H(x_{m-1}) = 1 - psi < 0
+    ((4.0, 2.000000000000057, 1.0000000000000284, math.nan, 1.0, 1.0), 1,
+     "no root of the curve equation at x="),
+    # psi is 0 left of -0.0025, inf * pow(s, 1000) = NaN just right of it
+    # and inf beyond: the bracket [-0.005, 0] holds, a midpoint is NaN
+    ((1.0, 1e4, 25.0, math.nan, 1000.0, math.inf), 1,
+     "curve equation is NaN at y="),
+])
+def test_native_march_failures_match_python(params, n_atoms, message):
+    psi = _described_driver(3, params, n_atoms)  # the lf kind
+    native, python = _both_marches(psi, _grid_xs(psi, 0.5, 100))
+    assert native == python and native.startswith(message)
 
 
 # ---------------------------------------------------------------------------

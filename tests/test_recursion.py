@@ -785,8 +785,8 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
                                                clf_model):
     classify_detail(0.1, -0.3, KERNEL_DRIVERS["lf:p=0.5,z=1"])
     assert recursion._native  # a broken build must not pass in silence
-    # nor may the curve solver map psi.fn in Python, nor the Monte Carlo
-    # drop to numpy: each of their kernels is called
+    # nor may the curve solver march or map psi.fn in Python, nor the Monte
+    # Carlo drop to numpy: each of their kernels is called
     calls = set()
 
     def spy(key, fn):
@@ -796,13 +796,13 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
         return call
     lib = recursion._native
     monkeypatch.setattr(recursion, "_native", lib._replace(
-        psi=spy("psi", lib.psi),
+        psi=spy("psi", lib.psi), march=spy("march", lib.march),
         resample={dt: spy(dt, fn) for dt, fn in lib.resample.items()},
         counts=spy("counts", lib.counts)))
     solve_curve(KERNEL_DRIVERS["clf:p=0.5,z=1"], 0.5, 100)
-    assert calls == {"psi"}
+    assert calls == {"psi", "march"}
     _mc_pools(lf_model, clf_model)
-    assert calls == {"psi", np.dtype(np.int64), np.dtype(np.float64),
+    assert calls == {"psi", "march", np.dtype(np.int64), np.dtype(np.float64),
                      "counts"}
 
 
@@ -815,12 +815,14 @@ def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
 
     def run():
         curve = solve_curve(psi, 0.5, 200)
+        fig1 = solve_curve(KERNEL_DRIVERS["fig1"], 0.5, 1000)  # curve-sweep's
         return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000)),
                 repr(stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
                                     epsilon=1e-6, max_iter=5000)),
                 _mc_pools(lf_model, clf_model),
                 curve.grid.g.tobytes(), repr(curve.grid),
-                residual_local(curve, psi).tobytes(), curve.residual_sup)
+                residual_local(curve, psi).tobytes(), curve.residual_sup,
+                fig1.grid.g.tobytes(), repr(fig1.grid), fig1.residual_sup)
     want = run()
     monkeypatch.setattr(recursion, name, value)
     monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))

@@ -275,8 +275,7 @@ def _both_marches(psi, xs):
 @example(spec="clf:p=0.5,z=1", A=0.5, m=4000, pinch=None)
 @example(spec="lf:p=0.5,z=1", A=0.5, m=1000, pinch=None)  # cv-refined's
 @example(spec="fig1", A=0.5, m=1000, pinch=3)  # midpoints on a node
-@example(spec="lf:p=0.5,z=1", A=0.5, m=100, pinch=3)  # on it, H rounds to
-# a sign that a search for the node's left cell (bisect_left) flips
+@example(spec="lf:p=0.5,z=1", A=0.5, m=100, pinch=3)  # bisect_left flips H
 @given(spec=st.sampled_from(NATIVE_MARCH_SPECS), A=st.floats(0.01, 1.0),
        m=st.integers(100, 2000), pinch=st.none() | st.integers(2, 8))
 def test_native_march_matches_python_march(spec, A, m, pinch):

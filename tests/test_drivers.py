@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -171,6 +173,68 @@ def test_array_path_is_the_scalar_function(name, xs):
                    f"[{psi.domain_min}, {psi.domain_max}]")
         want += [message, message]
     assert got == want
+
+
+def _digest_grid(psi) -> list:
+    """Points for the model-driver digest: the floats around the domain's
+    lower end, points below it, both zeros, ±1e300 and ±inf, and a dense
+    sweep from the lower end out to large values."""
+    lo = psi.domain_min
+    near = [lo]
+    for direction in (-math.inf, math.inf):
+        x = lo
+        for _ in range(8):
+            x = float(np.nextafter(x, direction))
+            near.append(x)
+    special = [lo - 1e-12, lo - 0.1, lo - 1.0, -1e300, -math.inf, -0.0, 0.0,
+               5e-324, -5e-324, 1e-300, 1e300, math.inf]
+    return (near + special + np.linspace(lo, 4.0, 4001).tolist()
+            + np.geomspace(1e-12, 1e12, 1001).tolist()
+            + (-np.geomspace(1e-12, -lo, 501)).tolist())
+
+
+# sha256 of each model driver's name, constants, limit, domain, native
+# description and the bytes of fn and deriv_fn on _digest_grid: a rewrite
+# of the lf/clf constructors must keep every one of these bits
+_DRIVER_DIGESTS = {
+    "lf:p=0.5,z=1":
+        "d4454c20072120c2af574832ff2aafa48df968868e7ea208843ed7b36452abba",
+    "lf:p=0.4,z=1@0.5+2@0.5":
+        "a7808978c5ae0f46a8173518a98c8715b500e205e9881bfc499450d0ee1c1ed3",
+    "lf:p=0.3,z=3":
+        "5f12260a1782f58ac60d2c9feec6573df0d2d1bbd4488a3fb7d1625e29ead323",
+    "lf:p=0.4,z=3@0.6+1@0.4":
+        "7b3dbc7d3caf2dac5c1fa35c64c1d619a380d4b5a76e5875e3d895fecccaf4cf",
+    "lf:p=0.2,z=1@0.2+2@0.3+7@0.5":
+        "5e8df27bd3e505db74822add549e721b34a163d06b510b9ca1a5d5d31ab3c008",
+    "clf:p=0.5,z=1":
+        "7394e213d18f806ac8df3fe23eb4cee1b300077e458f8d2c035595bf12a396c1",
+    "clf:p=0.4,z=0.5@0.3+2@0.7":
+        "e0d63b9626253b0c18651af7bceb5175d9d52ff0e6d2e3424fe100bc4dcc0f3c",
+    "clf:p=0.3,z=3":
+        "7694f0545fd34f605c2e0c484a8020feccddb2a94c6d8202a13e737c63881a89",
+}
+
+
+def _outcome_bytes(f, x) -> bytes:
+    """The bytes of f(x), or the name of the error it raises (lf's
+    deriv_fn overflows at 1e300)."""
+    try:
+        return struct.pack("<d", f(x))
+    except ArithmeticError as exc:
+        return type(exc).__name__.encode()
+
+
+@pytest.mark.parametrize("spec", sorted(_DRIVER_DIGESTS))
+def test_model_driver_bits_are_pinned(spec):
+    psi, constants = driver_from_spec(spec)
+    points = _digest_grid(psi)
+    h = hashlib.sha256(repr((psi.name, constants, psi.psi_inf,
+                             psi.domain_min, psi.fn.native)).encode())
+    for f in (psi.fn, psi.deriv_fn):
+        for x in points:
+            h.update(_outcome_bytes(f, x))
+    assert h.hexdigest() == _DRIVER_DIGESTS[spec]
 
 
 def test_analytic_derivative_matches_central_difference(

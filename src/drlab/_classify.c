@@ -50,6 +50,9 @@ static double psi(const driver *d, double x)
     case FIG1_CLAMPED:
         return x < 0.5 ? fig1(x) : d->params[3];
     }
+    /* lf and clf, the one construction of drivers._model_psi: the scale,
+       the guards at y <= 0 and at +inf, then 1/p times the mean over the
+       atoms that the model's base takes */
     y = x * d->params[1] + d->params[2];
     if (y <= 0.0)
         return 0.0;
@@ -57,8 +60,7 @@ static double psi(const driver *d, double x)
         return inv_p;
     if (d->kind == LF) {
         /* libm's pow is correctly rounded at a unit exponent, so pow(s, 1.0)
-           is s, and 0.0 + x is x for x >= 0: this loop equals the monomial
-           fast paths of make_lf_psi too */
+           is s: this loop equals ZSpecDiscrete.pgf for every atom list */
         double s = y / (y + 1.0);
         for (i = 0; i < d->n_atoms; i++)
             acc += probs[i] * (values[i] == 1.0 ? s : pow(s, values[i]));

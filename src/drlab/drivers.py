@@ -21,21 +21,21 @@ Built-in drivers
 ``fig1-clamped``  fig1 frozen at its value for x >= 1/2.  Bounded but only
                   C^0 at the clamp point; for experiments that require a
                   finite limit at infinity.
-``lf``            derived from the linear-fractional solvable model: with
-                  ``psi_base(x) = pgf_Z(x/(x+1)) / p`` and xi the root of
-                  ``psi_base(xi) = 1``, the driver is
-                  ``psi(x) = psi_base(x/psi_base'(xi) + xi)``.
-``clf``           continuous analogue via the Laplace transform:
-                  ``gamma(th) = E exp(-Z/th) / p``, tau the root of
-                  ``gamma(tau) = 1``, ``psi(x) = gamma(x/gamma'(tau) + tau)``.
+``lf``, ``clf``   the two solvable models, built by one construction: with
+                  ``base`` increasing from 0 to 1/p and r the root of
+                  ``base(r) = 1``, ``psi(x) = base(x/base'(r) + r)``.  For
+                  ``lf`` ``base(y) = pgf_Z(y/(y+1)) / p``; for ``clf``
+                  ``base(th) = E exp(-Z/th) / p``, the Laplace transform's
+                  continuous analogue.
 
 Every driver is one scalar function (plain ``math``).  The function of
 each built-in driver also carries a ``native`` description, from which
 ``_classify.c`` evaluates the same function for the C classifier and
 stopping-time loops and for arrays; other drivers map the function over
-an array.  There an lf atom of value 1 contributes s, not pow(s, 1.0),
-which libm rounds to s exactly, as the single-atom path of
-:func:`make_lf_psi` does.
+an array.  The C ``psi()`` evaluates lf and clf through one branch as
+well and is the oracle of this construction, bit for bit: its lf atom of
+value 1 contributes s where Python computes pow(s, 1.0), which libm
+rounds to s exactly.
 Driver objects are immutable and safe to share across threads.
 """
 
@@ -161,76 +161,75 @@ def central_difference(fn: Callable[[float], float], x: float) -> float:
 # subtraction-term specifications
 # ---------------------------------------------------------------------------
 
-def _validate_atoms(atoms, *, integer: bool) -> tuple:
-    out = []
-    total = 0.0
-    seen = set()
-    for value, prob in atoms:
-        v = float(value)
-        p = float(prob)
-        if integer:
-            if v != int(v) or v < 1:
-                raise ConfigError(f"atom value {value!r} is not a positive integer")
-            v = float(int(v))
-        elif not (v > 0.0 and math.isfinite(v)):
-            raise ConfigError(f"atom value {value!r} is not a positive real")
-        if v in seen:
-            raise ConfigError(f"duplicate atom value {value!r}")
-        seen.add(v)
-        if not (0.0 < p <= 1.0):
-            raise ConfigError(f"atom probability {prob!r} not in (0, 1]")
-        out.append((v, p))
-        total += p
-    if not out:
-        raise ConfigError("atom list is empty")
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigError(f"atom probabilities sum to {total!r}, expected 1")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class ZSpecDiscrete:
+class _AtomLaw:
+    """Finite-support law of the subtraction term Z: ``atoms`` holds
+    (value, probability) pairs, checked and stored as floats."""
+
+    atoms: tuple
+    integer = False  # whether the values must be positive integers
+
+    def __post_init__(self):
+        out = []
+        total = 0.0
+        seen = set()
+        for value, prob in self.atoms:
+            v = float(value)
+            p = float(prob)
+            if self.integer:
+                if v != int(v) or v < 1:
+                    raise ConfigError(f"atom value {value!r} is not a positive integer")
+                v = float(int(v))
+            elif not (v > 0.0 and math.isfinite(v)):
+                raise ConfigError(f"atom value {value!r} is not a positive real")
+            if v in seen:
+                raise ConfigError(f"duplicate atom value {value!r}")
+            seen.add(v)
+            if not (0.0 < p <= 1.0):
+                raise ConfigError(f"atom probability {prob!r} not in (0, 1]")
+            out.append((v, p))
+            total += p
+        if not out:
+            raise ConfigError("atom list is empty")
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"atom probabilities sum to {total!r}, expected 1")
+        object.__setattr__(self, "atoms", tuple(out))
+
+    def values_probs(self) -> tuple[np.ndarray, np.ndarray]:
+        vals = np.array([v for v, _ in self.atoms])
+        probs = np.array([p for _, p in self.atoms])
+        return vals, probs
+
+
+class ZSpecDiscrete(_AtomLaw):
     """Finite-support law of the subtraction term Z on {1, 2, ...}.
 
     Keeping the support finite makes the probability generating function
     and its derivative exact finite sums.
     """
 
-    atoms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _validate_atoms(self.atoms, integer=True))
+    integer = True
 
     def pgf(self, s):
         """E[s^Z]; accepts floats or arrays."""
-        return sum(p * s ** int(v) for v, p in self.atoms)
+        acc = 0.0
+        for v, p in self.atoms:
+            acc += p * s ** v
+        return acc
 
     def pgf_prime(self, s):
-        return sum(p * v * s ** (int(v) - 1) for v, p in self.atoms)
-
-    def values_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        return vals, probs
+        acc = 0.0
+        for v, p in self.atoms:
+            acc += p * v * s ** (v - 1.0)
+        return acc
 
 
-@dataclass(frozen=True)
-class ZSpecContinuous:
+class ZSpecContinuous(_AtomLaw):
     """Finite-support law of the subtraction term Z on (0, inf)."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _validate_atoms(self.atoms, integer=False))
 
     def laplace(self, mu: float) -> float:
         """E[exp(-mu Z)]."""
         return sum(p * math.exp(-mu * v) for v, p in self.atoms)
-
-    def values_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        return vals, probs
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def _describe(fn: Callable[[float], float], kind: str, *, inv_p=math.nan,
     """Attach the description ``_classify.c`` evaluates fn from: the kind's
     index in _KINDS, the parameters (inv_p, inv_slope, root, cap, the atom
     values, the atom probabilities) and the number of atoms."""
-    params = (inv_p, inv_slope, root, cap, *(float(v) for v, _ in atoms),
+    params = (inv_p, inv_slope, root, cap, *(v for v, _ in atoms),
               *(pr for _, pr in atoms))
     fn.native = (_KINDS.index(kind), params, len(atoms))
     return fn
@@ -357,159 +356,91 @@ def make_fig1_clamped_psi() -> PsiFunction:
     )
 
 
-def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants]:
-    """Driver of the linear-fractional solvable model.
+def _model_psi(kind: str, p: float, atoms: tuple, label: str,
+               base: Callable[[float], float],
+               base_prime: Callable[[float], float],
+               ) -> tuple[PsiFunction, ModelConstants]:
+    """The driver psi(x) = base(x/base'(r) + r) of a solvable model.
 
-    psi_base(x) = pgf_Z(x/(x+1)) / p is strictly increasing from 0 to 1/p,
-    so the normalizing root xi of psi_base(xi) = 1 exists and is unique; it
-    is found by doubling + bisection.  The returned driver has
-    psi(inf) = 1/p and domain minimum -psi_base'(xi) * xi.
+    ``base`` increases from 0 to 1/p on (0, inf), so the root r of
+    base(r) = 1 exists and is unique; it is found by doubling + bisection.
+    The driver is 0 where its argument y = x/base'(r) + r is <= 0 and 1/p
+    at y = inf, so psi(inf) = 1/p and the domain starts at -base'(r) r.
     """
     if not (0.0 < p < 1.0):
         raise ConfigError(f"p={p!r} not in (0, 1)")
-    if not isinstance(z, ZSpecDiscrete):
-        raise ConfigError("lf driver needs a ZSpecDiscrete")
     inv_p = 1.0 / p
-    pairs = tuple((int(v), pr) for v, pr in z.atoms)
-
-    if len(pairs) == 1:
-        # single atom: the pgf is a monomial; this path sits inside every
-        # orbit step, so skip the generic accumulation loop
-        k0, p0 = pairs[0]
-        if k0 == 1:
-            def pgf_scalar(s: float) -> float:
-                return p0 * s
-
-            def pgf_prime_scalar(s: float) -> float:
-                return p0
-        else:
-            def pgf_scalar(s: float) -> float:
-                return p0 * s ** k0
-
-            def pgf_prime_scalar(s: float) -> float:
-                return p0 * k0 * s ** (k0 - 1)
-    else:
-        def pgf_scalar(s: float) -> float:
-            acc = 0.0
-            for k, pr in pairs:
-                acc += pr * s ** k
-            return acc
-
-        def pgf_prime_scalar(s: float) -> float:
-            acc = 0.0
-            for k, pr in pairs:
-                acc += pr * k * s ** (k - 1)
-            return acc
-
-    def psi_base(x: float) -> float:
-        return pgf_scalar(x / (x + 1.0)) * inv_p
-
-    def psi_base_prime(x: float) -> float:
-        return pgf_prime_scalar(x / (x + 1.0)) / (p * (x + 1.0) ** 2)
-
-    xi = _bisect_root(lambda x: psi_base(x) - 1.0)
-    slope = psi_base_prime(xi)
+    root = _bisect_root(lambda y: base(y) - 1.0)
+    slope = base_prime(root)
     if not slope > 0.0:
         raise NumericError("derivative at the normalizing root is not positive")
     inv_slope = 1.0 / slope
 
     def fn(x: float) -> float:
-        y = x * inv_slope + xi
+        y = x * inv_slope + root
         if y <= 0.0:
             return 0.0
         if y == math.inf:
             return inv_p
-        return pgf_scalar(y / (y + 1.0)) * inv_p
+        return base(y)
 
     def deriv_fn(x: float) -> float:
-        y = x * inv_slope + xi
-        if y < 0.0:
-            y = 0.0
+        y = x * inv_slope + root
         if y == math.inf:
             return 0.0
-        return pgf_prime_scalar(y / (y + 1.0)) / (p * (y + 1.0) ** 2) * inv_slope
+        return base_prime(y) * inv_slope
 
-    atoms = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
     psi = PsiFunction(
-        name=f"lf(p={p:g},z={atoms})",
-        fn=_describe(fn, "lf", inv_p=inv_p, inv_slope=inv_slope, root=xi,
-                     atoms=pairs),
+        name=f"{kind}(p={p:g},z={label})",
+        fn=_describe(fn, kind, inv_p=inv_p, inv_slope=inv_slope, root=root,
+                     atoms=atoms),
         deriv_fn=deriv_fn,
         psi_inf=inv_p,
-        domain_min=-slope * xi,
+        domain_min=-slope * root,
     )
-    return psi, ModelConstants(p=p, root=xi, slope=slope)
+    return psi, ModelConstants(p=p, root=root, slope=slope)
+
+
+def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants]:
+    """Driver of the linear-fractional solvable model, with
+    base(y) = pgf_Z(y/(y+1)) / p; xi is its normalizing root."""
+    if not isinstance(z, ZSpecDiscrete):
+        raise ConfigError("lf driver needs a ZSpecDiscrete")
+
+    def base(y: float) -> float:
+        return z.pgf(y / (y + 1.0)) * (1.0 / p)
+
+    def base_prime(y: float) -> float:
+        y = max(y, 0.0)
+        return z.pgf_prime(y / (y + 1.0)) / (p * (y + 1.0) ** 2)
+
+    label = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
+    return _model_psi("lf", p, z.atoms, label, base, base_prime)
 
 
 def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConstants]:
-    """Driver of the continuous linear-fractional solvable model.
-
-    gamma(th) = E[exp(-Z/th)] / p increases from 0 to 1/p; tau solves
-    gamma(tau) = 1 and gamma'(th) = E[(Z/th^2) exp(-Z/th)] / p.
-    """
-    if not (0.0 < p < 1.0):
-        raise ConfigError(f"p={p!r} not in (0, 1)")
+    """Driver of the continuous linear-fractional solvable model, with
+    gamma(th) = E[exp(-Z/th)] / p; tau is its normalizing root."""
     if not isinstance(z, ZSpecContinuous):
         raise ConfigError("clf driver needs a ZSpecContinuous")
-    inv_p = 1.0 / p
-    pairs = z.atoms
-    _exp = math.exp
+    atoms = z.atoms
 
-    if len(pairs) == 1:
-        v0, p0 = pairs[0]
+    def base(th: float) -> float:
+        acc = 0.0
+        for v, pr in atoms:
+            acc += pr * math.exp(-v / th)
+        return acc * (1.0 / p)
 
-        def _mean_exp(th: float) -> float:
-            return p0 * _exp(-v0 / th)
-
-        def _mean_exp_prime(th: float) -> float:
-            return p0 * (v0 / (th * th)) * _exp(-v0 / th)
-    else:
-        def _mean_exp(th: float) -> float:
-            acc = 0.0
-            for v, pr in pairs:
-                acc += pr * _exp(-v / th)
-            return acc
-
-        def _mean_exp_prime(th: float) -> float:
-            acc = 0.0
-            for v, pr in pairs:
-                acc += pr * (v / (th * th)) * _exp(-v / th)
-            return acc
-
-    def gamma(th: float) -> float:
+    def base_prime(th: float) -> float:
         if th <= 0.0:
             return 0.0
-        if th == math.inf:
-            return inv_p
-        return _mean_exp(th) * inv_p
+        acc = 0.0
+        for v, pr in atoms:
+            acc += pr * (v / (th * th)) * math.exp(-v / th)
+        return acc * (1.0 / p)
 
-    def gamma_prime(th: float) -> float:
-        if th <= 0.0 or th == math.inf:
-            return 0.0
-        return _mean_exp_prime(th) * inv_p
-
-    tau = _bisect_root(lambda t: gamma(t) - 1.0)
-    slope = gamma_prime(tau)
-    if not slope > 0.0:
-        raise NumericError("derivative at the normalizing root is not positive")
-    inv_slope = 1.0 / slope
-
-    def fn(x: float) -> float:
-        return gamma(x * inv_slope + tau)
-
-    def deriv_fn(x: float) -> float:
-        return gamma_prime(x * inv_slope + tau) * inv_slope
-
-    atoms = ",".join(f"{v:g}@{pr:g}" for v, pr in pairs)
-    psi = PsiFunction(
-        name=f"clf(p={p:g},z={atoms})",
-        fn=_describe(fn, "clf", inv_p=inv_p, inv_slope=inv_slope, root=tau,
-                     atoms=pairs),
-        deriv_fn=deriv_fn,
-        psi_inf=inv_p,
-        domain_min=-tau * slope,
-    )
-    return psi, ModelConstants(p=p, root=tau, slope=slope)
+    label = ",".join(f"{v:g}@{pr:g}" for v, pr in atoms)
+    return _model_psi("clf", p, atoms, label, base, base_prime)
 
 
 def make_custom_psi(name: str, fn: Callable[[float], float],

@@ -94,21 +94,23 @@ def _blocks(n: int):
         yield b, start, min(BLOCK_SIZE, n - start)
 
 
-def _fill_blocks(n: int, level: int, seed: int, make_block, threads: int,
+def _fill_blocks(n: int, level: int, seed: int, fill_block, threads: int,
                  dtype) -> np.ndarray:
+    """A pool of n samples, each block filled in place by
+    fill_block(rng, out) with its own stream and its slice of the pool."""
     out = np.empty(n, dtype=dtype)
-    tasks = list(_blocks(n))
-    if threads <= 1:
-        for b, start, size in tasks:
-            out[start:start + size] = make_block(block_rng(seed, level, b), size)
-    else:
-        def job(task):
-            b, start, size = task
-            return start, size, make_block(block_rng(seed, level, b), size)
 
+    def job(task):
+        b, start, size = task
+        fill_block(block_rng(seed, level, b), out[start:start + size])
+
+    if threads <= 1:
+        for task in _blocks(n):
+            job(task)
+    else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start, size, chunk in pool.map(job, tasks):
-                out[start:start + size] = chunk
+            for _ in pool.map(job, _blocks(n)):  # raises a job's error
+                pass
     return out
 
 
@@ -179,43 +181,46 @@ def _sample_z(z: ZSpecDiscrete | ZSpecContinuous, rng: np.random.Generator,
 
 
 def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
-              z: np.ndarray) -> np.ndarray:
-    """max(sum of prev[idx] over each segment - z, 0), segment i holding
-    the next r[i] >= 1 entries of idx.  One pass of the native kernel when
-    the library loaded (``native``) and the arrays suit it, else numpy's
-    gather and reduceat, the kernel's oracle."""
+              z: np.ndarray, out: np.ndarray) -> None:
+    """out = max(sum of prev[idx] over each segment - z, 0), segment i
+    holding the next r[i] >= 1 entries of idx.  One pass of the native
+    kernel when the library loaded (``native``) and the arrays suit it,
+    else numpy's gather and reduceat, the kernel's oracle."""
     fn = native and native.resample.get(prev.dtype)
-    if (fn and z.dtype == prev.dtype and idx.dtype == r.dtype == np.int64
-            and all(a.flags.c_contiguous for a in (prev, idx, r, z))):
-        out = np.empty(len(r), prev.dtype)
+    if (fn and z.dtype == out.dtype == prev.dtype
+            and idx.dtype == r.dtype == np.int64
+            and all(a.flags.c_contiguous for a in (prev, idx, r, z, out))):
         if fn(prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
               r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data):
             raise RuntimeError("the segments do not partition the index draw")
-        return out
+        return
     offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
     sums = np.add.reduceat(prev[idx], offsets)
-    return np.maximum(sums - z, 0)
+    np.maximum(sums - z, 0, out=out)
 
 
 # ---------------------------------------------------------------------------
 # pools
 # ---------------------------------------------------------------------------
 
+def _level0_pool(sample, params, size: int, seed: int, threads: int,
+                 dtype) -> SamplePool:
+    def fill(rng, out):
+        out[:] = sample(params, rng, len(out))
+
+    samples = _fill_blocks(size, 0, seed, fill, threads, dtype)
+    return SamplePool(level=0, samples=samples, seed=seed, size=size)
+
+
 def pool_from_lf(params: LFParams, size: int, seed: int,
                  threads: int = 1) -> SamplePool:
     """Exact level-0 pool of LF samples."""
-    samples = _fill_blocks(size, 0, seed,
-                           lambda rng, n: sample_lf(params, rng, n),
-                           threads, np.int64)
-    return SamplePool(level=0, samples=samples, seed=seed, size=size)
+    return _level0_pool(sample_lf, params, size, seed, threads, np.int64)
 
 
 def pool_from_clf(params: CLFParams, size: int, seed: int,
                   threads: int = 1) -> SamplePool:
-    samples = _fill_blocks(size, 0, seed,
-                           lambda rng, n: sample_clf(params, rng, n),
-                           threads, np.float64)
-    return SamplePool(level=0, samples=samples, seed=seed, size=size)
+    return _level0_pool(sample_clf, params, size, seed, threads, np.float64)
 
 
 def mc_step(pool: SamplePool, model: LFModel | CLFModel,
@@ -232,13 +237,13 @@ def mc_step(pool: SamplePool, model: LFModel | CLFModel,
 
     native = recursion._native_lib()  # before the threads: it may build
 
-    def make_block(rng: np.random.Generator, size: int) -> np.ndarray:
-        r = sample_geometric(model.p, rng, size)
-        z = _sample_z(model.zspec, rng, size, dtype)
+    def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+        r = sample_geometric(model.p, rng, len(out))
+        z = _sample_z(model.zspec, rng, len(out), dtype)
         idx = rng.integers(0, n_prev, size=int(r.sum()))
-        return _resample(native, prev, idx, r, z)
+        _resample(native, prev, idx, r, z, out)
 
-    samples = _fill_blocks(pool.size, pool.level + 1, pool.seed, make_block,
+    samples = _fill_blocks(pool.size, pool.level + 1, pool.seed, fill,
                            threads, dtype)
     return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed,
                       size=pool.size)

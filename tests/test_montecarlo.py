@@ -330,7 +330,7 @@ def test_resampling_kernel_refuses_a_bad_partition():
         assert _kernel(prev, idx, r, np.zeros(2))[0] == -1
     with pytest.raises(RuntimeError):
         montecarlo._resample(recursion._native_lib(), prev, idx, r,
-                             np.zeros(2))
+                             np.zeros(2), np.empty(2))
 
 
 @needs_gcc

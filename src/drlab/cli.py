@@ -16,6 +16,7 @@ outputs are byte-reproducible for a fixed (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,16 +213,25 @@ def _model_from_args(args):
     return make_clf_model(float(args.p), ZSpecContinuous(atoms))
 
 
+def _start_params(args, command: str):
+    """The start law of ``args.kind``: LF(--alpha, --beta) or
+    CLF(--lam, --rho); ``command`` names the command in the error."""
+    law, names = ((LFParams, ("alpha", "beta")) if args.kind == "lf"
+                  else (CLFParams, ("lam", "rho")))
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise ConfigError(f"{command} requires --{names[0]} and --{names[1]}")
+    return law(*map(float, values))
+
+
 def _cmd_model_orbit(args, kind: str) -> int:
     _default(args, "p", 0.5)
     _default(args, "steps", 100)
     args.kind = kind
     model = _model_from_args(args)
+    params = _start_params(args, f"{kind} orbit")
     rows = []
     if kind == "lf":
-        if args.alpha is None or args.beta is None:
-            raise ConfigError("lf orbit requires --alpha and --beta")
-        params = LFParams(float(args.alpha), float(args.beta))
         for n in range(int(args.steps) + 1):
             u, v = lf_to_uv(params, model)
             s = params.alpha + params.beta
@@ -229,9 +239,6 @@ def _cmd_model_orbit(args, kind: str) -> int:
             params = lf_step(params, model)
         header = "n,alpha,beta,u,v,P_ge_1"
     else:
-        if args.lam is None or args.rho is None:
-            raise ConfigError("clf orbit requires --lam and --rho")
-        params = CLFParams(float(args.lam), float(args.rho))
         for n in range(int(args.steps) + 1):
             u, v = clf_to_uv(params, model)
             rows.append((n, params.lam, params.rho, u, v, params.rho))
@@ -257,14 +264,7 @@ def _cmd_mc(args) -> int:
     _default(args, "seed", 0)
     _default(args, "threads", 1)
     model = _model_from_args(args)
-    if args.kind == "lf":
-        if args.alpha is None or args.beta is None:
-            raise ConfigError("mc validate (lf) requires --alpha and --beta")
-        params0 = LFParams(float(args.alpha), float(args.beta))
-    else:
-        if args.lam is None or args.rho is None:
-            raise ConfigError("mc validate (clf) requires --lam and --rho")
-        params0 = CLFParams(float(args.lam), float(args.rho))
+    params0 = _start_params(args, f"mc validate ({args.kind})")
     reports = run_validation(model, params0, int(args.levels),
                              int(args.pool_size), int(args.seed),
                              int(args.threads))
@@ -348,7 +348,10 @@ def _add_common(sp):
     sp.add_argument("--out", help="output path (CSV/JSON depending on command)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: each
+    ``parse_args`` call starts from a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="drlab",
         description="Numerical laboratory for the two-parameter recursion "

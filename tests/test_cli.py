@@ -221,6 +221,41 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
     assert out["value"] > 0.0
 
 
+def test_successive_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process, so each call must parse afresh
+    assert build_parser() is build_parser()
+    for _ in range(2):  # --eps lists do not accumulate across calls
+        assert run(["lab", "euler", "--eps", "1e-6", "--t", "0.3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["params"] == {"eps": [1e-6], "t": [0.3]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0.5, "z": "1", "alpha": 0.6,
+                               "beta": 0.9, "steps": 2}))
+    path = tmp_path / "lf.csv"
+    assert run(["lf", "--config", str(cfg), "--out", str(path)]) == 0
+    assert len(path.read_text().splitlines()) == 1 + 3
+    # config values do not carry over: no alpha, beta or steps of cfg
+    assert run(["lf", "--p", "0.5", "--z", "1"]) == 2
+    assert "lf orbit requires --alpha and --beta" in capsys.readouterr().err
+    assert run(["lf", "--p", "0.5", "--z", "1", "--alpha", "0.6",
+                "--beta", "0.9", "--out", str(path)]) == 0
+    assert len(path.read_text().splitlines()) == 1 + 101
+
+
+@pytest.mark.parametrize("kind,flags,message", [
+    ("lf", ["--alpha", "0.6"], "lf orbit requires --alpha and --beta"),
+    ("clf", ["--rho", "0.5"], "clf orbit requires --lam and --rho"),
+    ("mc", ["--kind", "lf", "--beta", "0.9"],
+     "mc validate (lf) requires --alpha and --beta"),
+    ("mc", ["--kind", "clf", "--lam", "2"],
+     "mc validate (clf) requires --lam and --rho"),
+])
+def test_start_parameters_are_required(kind, flags, message, capsys):
+    argv = [kind] + (["validate"] if kind == "mc" else [])
+    assert run(argv + ["--p", "0.5", "--z", "1", *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_config_unknown_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"driver": "fig1", "wibble": 3}))

@@ -8,8 +8,8 @@ acceptance slack used by the closed-form comparisons.
 
 Reproducibility: samples are produced in fixed blocks of 2^15 draws, each
 block from its own counter-based stream keyed (seed, level, block index).
-A thread pool may process blocks concurrently; the output is assembled in
-block order, so results are bit-identical for any worker count.
+A thread pool may process blocks concurrently; each block writes its own
+slice of the pool, so results are bit-identical for any worker count.
 
 numpy draws every random number of a block.  The resampling itself, the
 gather prev[idx], the segment sums, the subtraction of Z and the clamp,
@@ -109,8 +109,7 @@ def _fill_blocks(n: int, level: int, seed: int, fill_block, threads: int,
             job(task)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(job, _blocks(n)):  # raises a job's error
-                pass
+            list(pool.map(job, _blocks(n)))  # re-raises a job's error
     return out
 
 

@@ -236,10 +236,9 @@ class ZSpecContinuous(_AtomLaw):
 class ModelConstants:
     """Normalizing constants of a solvable model.
 
-    ``root`` is xi (linear-fractional, root of psi_base = 1) or tau
-    (continuous variant, root of gamma = 1); ``slope`` is the derivative of
-    the normalizing function at that root.  The driver's domain starts at
-    ``-root * slope``.
+    ``root`` is the root of base = 1 (xi for the linear-fractional model,
+    tau for the continuous variant); ``slope`` is the derivative of base
+    at that root.  The driver's domain starts at ``-root * slope``.
     """
 
     p: float
@@ -411,7 +410,8 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
         return z.pgf(y / (y + 1.0)) * (1.0 / p)
 
     def base_prime(y: float) -> float:
-        y = max(y, 0.0)
+        if y < 0.0:
+            y = 0.0
         return z.pgf_prime(y / (y + 1.0)) / (p * (y + 1.0) ** 2)
 
     label = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
@@ -420,7 +420,7 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
 
 def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConstants]:
     """Driver of the continuous linear-fractional solvable model, with
-    gamma(th) = E[exp(-Z/th)] / p; tau is its normalizing root."""
+    base(th) = E[exp(-Z/th)] / p; tau is its normalizing root."""
     if not isinstance(z, ZSpecContinuous):
         raise ConfigError("clf driver needs a ZSpecContinuous")
     atoms = z.atoms

@@ -486,3 +486,110 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# ---------------------------------------------------------------------------
+# defaults: what a run without the flag hands to the library
+# ---------------------------------------------------------------------------
+
+class _Recorded(Exception):
+    """Raised by a recording stub once it has stored its arguments."""
+
+
+def _record(monkeypatch, owner, name, *, stop=True) -> dict:
+    """Replace ``owner.name`` by a stub that stores its arguments under
+    ``name`` and then raises _Recorded, or calls the original if not
+    ``stop``; returns the dict the arguments go to."""
+    real, seen = getattr(owner, name), {}
+
+    def stub(*args, **kwargs):
+        seen[name] = args, kwargs
+        if stop:
+            raise _Recorded
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, stub)
+    return seen
+
+
+def _recorded_run(argv) -> None:
+    with pytest.raises(_Recorded):
+        main(argv)
+
+
+@pytest.mark.parametrize("command,call", [("classify", "classify_detail"),
+                                          ("free-energy", "free_energy")])
+def test_default_max_iter(monkeypatch, command, call):
+    import drlab.cli
+    seen = _record(monkeypatch, drlab.cli, call)
+    _recorded_run([command, "--driver", "fig1", "--u0", "0.1", "--v0", "-0.4"])
+    assert seen[call][1]["max_iter"] == 10 ** 6
+
+
+def test_default_orbit_steps(monkeypatch, tmp_path):
+    import drlab.cli
+    seen = _record(monkeypatch, drlab.cli, "orbit")
+    _recorded_run(["classify", "--driver", "fig1", "--u0", "0.1", "--v0",
+                   "-0.4", "--orbit-out", str(tmp_path / "orbit.csv")])
+    assert seen["orbit"][0][3] == 100
+
+
+@pytest.mark.parametrize("argv", [["curve"], ["lab", "critical", "--v0", "-0.3"]])
+def test_default_curve_grid(monkeypatch, argv):
+    import drlab.curve
+    seen = _record(monkeypatch, drlab.curve, "solve_curve")
+    _recorded_run(argv + ["--driver", "fig1"])
+    args, kwargs = seen["solve_curve"]
+    assert args[1:] == (0.5, 1000) and kwargs["tol"] == 1e-12
+
+
+@pytest.mark.parametrize("kind", ["lf", "clf"])
+def test_default_model_orbit(monkeypatch, tmp_path, kind):
+    import drlab.cli
+    seen = _record(monkeypatch, drlab.cli, f"make_{kind}_model", stop=False)
+    start = ["--alpha", "0.6", "--beta", "0.9"] if kind == "lf" else \
+        ["--lam", "2", "--rho", "0.5"]
+    path = tmp_path / "orbit.csv"
+    assert main([kind, *start, "--out", str(path)]) == 0
+    p, zspec = seen[f"make_{kind}_model"][0]
+    assert (p, zspec.atoms) == (0.5, ((1.0, 1.0),))
+    assert len(path.read_text().splitlines()) == 1 + 101
+
+
+def test_default_mc_validate(monkeypatch):
+    import drlab.cli
+    from drlab.models import LFParams
+    seen = _record(monkeypatch, drlab.cli, "run_validation")
+    _recorded_run(["mc", "validate", "--alpha", "0.6", "--beta", "0.9"])
+    model, params0, *run = seen["run_validation"][0]
+    assert (model.p, model.zspec.atoms) == (0.5, ((1.0, 1.0),))
+    assert params0 == LFParams(0.6, 0.9)  # kind lf
+    assert run == [3, 10 ** 5, 0, 1]  # levels, pool size, seed, threads
+
+
+def test_default_lab_critical(monkeypatch):
+    import drlab.lab
+    seed = _record(monkeypatch, drlab.lab, "make_seed", stop=False)
+    seen = _record(monkeypatch, drlab.lab, "critical_asymptotics")
+    _recorded_run(["lab", "critical", "--driver", "fig1"])
+    assert seed["make_seed"][0][1] == 0.0  # v0
+    assert seen["critical_asymptotics"][0][2] == 10 ** 5  # n_max
+
+
+@pytest.mark.parametrize("experiment,call", [
+    ("n-star", "n_star_scaling"), ("c-star", "c_star_estimate"),
+    ("c-v", "c_v_estimate")])
+def test_default_lab_eps(monkeypatch, experiment, call):
+    import drlab.lab
+    seed = _record(monkeypatch, drlab.lab, "make_seed", stop=False)
+    seen = _record(monkeypatch, drlab.lab, call)
+    _recorded_run(["lab", experiment, "--driver", "fig1"])
+    assert seed["make_seed"][0][1] == 0.0  # v0
+    assert seen[call][0][2] == [1e-6]
+
+
+def test_default_lab_euler(monkeypatch):
+    import drlab.lab
+    seen = _record(monkeypatch, drlab.lab, "euler_tan_check")
+    _recorded_run(["lab", "euler"])
+    assert seen["euler_tan_check"][0] == ([1e-6, 1e-8], [0.3, 0.7, 1.0])

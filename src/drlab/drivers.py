@@ -412,7 +412,11 @@ def make_lf_psi(p: float, z: ZSpecDiscrete) -> tuple[PsiFunction, ModelConstants
     def base_prime(y: float) -> float:
         if y < 0.0:
             y = 0.0
-        return z.pgf_prime(y / (y + 1.0)) / (p * (y + 1.0) ** 2)
+        t = y + 1.0
+        try:
+            return z.pgf_prime(y / t) / (p * t ** 2)
+        except OverflowError:  # t ** 2 beyond the float range
+            return z.pgf_prime(y / t) / (p * t) / t
 
     label = ",".join(f"{int(v)}@{pr:g}" for v, pr in z.atoms)
     return _model_psi("lf", p, z.atoms, label, base, base_prime)

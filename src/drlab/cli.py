@@ -450,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DrlabError as exc:
+    except (DrlabError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
 

@@ -462,11 +462,15 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
         log_upper = math.log(max(u0, 1.0)) - (n_star - 1) * log_pinf
     else:
         log_lower, log_upper = -_INF, _INF
+    try:
+        upper = math.exp(log_upper)
+    except OverflowError:  # past the float range; log_upper keeps the value
+        upper = _INF
     return FreeEnergyEstimate(
         value=math.exp(log_f) if log_f > -_INF else 0.0,
         log_value=log_f,
         lower=math.exp(log_lower) if log_lower > -_INF else 0.0,
-        upper=math.exp(log_upper) if log_upper < _INF else _INF,
+        upper=upper,
         log_lower=log_lower,
         log_upper=log_upper,
         n_star=n_star,

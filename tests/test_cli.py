@@ -133,6 +133,27 @@ def test_free_energy_cli(capsys):
     assert out["n_star"] == 0
 
 
+def test_free_energy_upper_past_the_float_range_cli(capsys):
+    code = run(["free-energy", "--driver", "lf:p=0.5,z=1",
+                "--u0", "1e308", "--v0", "1"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["upper"] == "inf" and math.isfinite(out["log_upper"])
+
+
+def test_arithmetic_error_is_a_numeric_error_exit_1(monkeypatch, capsys):
+    import drlab.cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(drlab.cli, "free_energy", overflow)
+    code = run(["free-energy", "--driver", "lf:p=0.5,z=1",
+                "--u0", "1", "--v0", "1"])
+    assert code == 1
+    assert "numeric error: math range error" in capsys.readouterr().err
+
+
 def test_lf_orbit_csv(tmp_path):
     path = tmp_path / "lf.csv"
     code = run(["lf", "--p", "0.5", "--z", "1", "--alpha", "0.6",

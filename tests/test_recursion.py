@@ -190,6 +190,15 @@ def test_free_energy_supercritical_value(lf_model):
     assert fe.log_lower - 1e-9 <= fe.log_value <= fe.log_upper + 1e-9
 
 
+def test_free_energy_upper_bound_saturates_past_the_float_range(lf_model):
+    # log_upper = log(1e308) + log 2 > log(max float): upper is +inf and
+    # log_upper keeps the bound
+    fe = free_energy(1e308, 1.0, lf_model.psi)
+    assert fe.upper == math.inf and fe.n_star == 0 and fe.converged
+    assert fe.log_upper == math.log(1e308) + math.log(2.0)
+    assert fe.log_value <= fe.log_upper
+
+
 def test_free_energy_monotone_sequence(lf_model):
     # the normalized sequence decreases along any orbit
     psi = lf_model.psi

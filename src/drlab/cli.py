@@ -4,9 +4,12 @@ Subcommands mirror the library: ``psi``, ``classify``, ``curve``,
 ``free-energy``, ``lf``, ``clf``, ``mc validate`` and
 ``lab {critical, n-star, c-star, c-v, euler, sandwich}``.
 
-A JSON config file (flat keys matching the flag names) may supply any
-value; explicit flags win.  Unknown config keys, and values whose JSON
-type does not fit their flag's type, are rejected.  Exit codes: 0 success,
+Each flag is declared once (``_FLAGS``), and each command accepts only the
+flags it reads (``_COMMANDS``); any other flag is an argparse error.  A JSON
+config file (flat keys named like the flags' dests) may supply any value of
+those flags, or ``out``; explicit flags win.  Other config keys, and values
+whose JSON type does not fit their flag's type, are rejected.  A flag that
+neither sets takes its value from ``_DEFAULTS``.  Exit codes: 0 success,
 1 numeric non-convergence or failed validation (outputs are still
 written), 2 malformed configuration.  All floating-point output is
 formatted with 17 significant digits so files round-trip exactly, and
@@ -94,10 +97,9 @@ def _config_value(flag: argparse.Action, key: str, value):
 
 
 def _load_config(args) -> None:
-    path = getattr(args, "config", None)
-    if not path:
+    if not args.config:
         return
-    with open(path) as fh:
+    with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -110,19 +112,10 @@ def _load_config(args) -> None:
             setattr(args, key, value)
 
 
-def _default(args, name, value) -> None:
-    if getattr(args, name, None) is None:
-        setattr(args, name, value)
-
-
 def _solve_curve(args, psi, K=None, sweeps=None):
-    """Solve the curve of ``--A``, ``--m`` and ``--tol``, with the defaults
-    that ``curve`` and ``lab`` share."""
-    for name, value in (("A", 0.5), ("m", 1000), ("tol", 1e-12)):
-        _default(args, name, value)
-    return curve_mod.solve_curve(psi, float(args.A), int(args.m),
-                                 tol=float(args.tol), K_override=K,
-                                 sweeps=sweeps)
+    """Solve the curve of ``--A``, ``--m`` and ``--tol``."""
+    return curve_mod.solve_curve(psi, args.A, args.m, tol=args.tol,
+                                 K_override=K, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +141,16 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _default(args, "max_iter", 10 ** 6)
     psi, _ = _build_driver(args)
     if args.u0 is None or args.v0 is None:
         raise ConfigError("classify requires --u0 and --v0")
-    label, last = classify_detail(float(args.u0), float(args.v0), psi,
-                                  max_iter=int(args.max_iter))
+    label, last = classify_detail(args.u0, args.v0, psi,
+                                  max_iter=args.max_iter)
     out = {"label": label.value, "final_n": last.n, "final_u": last.u,
            "final_v": last.v, "final_log_u": last.log_u}
     _emit_json(_jsonable(out), args.out)
     if args.orbit_out:
-        states = orbit(float(args.u0), float(args.v0), psi,
-                       int(args.orbit_steps or 100))
+        states = orbit(args.u0, args.v0, psi, args.orbit_steps)
         with open(args.orbit_out, "w") as fh:
             write_orbit_csv(states, fh)
     return 0
@@ -167,9 +158,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_curve(args) -> int:
     psi, _ = _build_driver(args)
-    cur = _solve_curve(
-        args, psi, K=float(args.K) if args.K is not None else None,
-        sweeps=int(args.sweeps) if args.sweeps is not None else None)
+    cur = _solve_curve(args, psi, K=args.K, sweeps=args.sweeps)
     if args.out:
         with open(args.out, "w") as fh:
             curve_mod.write_curve_csv(cur, psi, fh)
@@ -188,12 +177,10 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_free_energy(args) -> int:
-    _default(args, "max_iter", 10 ** 6)
     psi, _ = _build_driver(args)
     if args.u0 is None or args.v0 is None:
         raise ConfigError("free-energy requires --u0 and --v0")
-    fe = free_energy(float(args.u0), float(args.v0), psi,
-                     max_iter=int(args.max_iter))
+    fe = free_energy(args.u0, args.v0, psi, max_iter=args.max_iter)
     out = {"value": fe.value, "log_value": fe.log_value,
            "lower": fe.lower, "upper": fe.upper,
            "log_lower": fe.log_lower, "log_upper": fe.log_upper,
@@ -203,14 +190,10 @@ def _cmd_free_energy(args) -> int:
 
 
 def _model_from_args(args):
-    z = args.z or "1"
-    if isinstance(z, (list, tuple)):  # config file: [[value, prob], ...]
-        atoms = tuple((float(v), float(p)) for v, p in z)
-    else:
-        atoms = tuple(parse_atoms(str(z)))
+    atoms = tuple(parse_atoms(args.z))
     if args.kind == "lf":
-        return make_lf_model(float(args.p), ZSpecDiscrete(atoms))
-    return make_clf_model(float(args.p), ZSpecContinuous(atoms))
+        return make_lf_model(args.p, ZSpecDiscrete(atoms))
+    return make_clf_model(args.p, ZSpecContinuous(atoms))
 
 
 def _start_params(args, command: str):
@@ -224,22 +207,20 @@ def _start_params(args, command: str):
     return law(*map(float, values))
 
 
-def _cmd_model_orbit(args, kind: str) -> int:
-    _default(args, "p", 0.5)
-    _default(args, "steps", 100)
-    args.kind = kind
+def _cmd_model_orbit(args) -> int:
+    kind = args.kind = args.command
     model = _model_from_args(args)
     params = _start_params(args, f"{kind} orbit")
     rows = []
     if kind == "lf":
-        for n in range(int(args.steps) + 1):
+        for n in range(args.steps + 1):
             u, v = lf_to_uv(params, model)
             s = params.alpha + params.beta
             rows.append((n, params.alpha, params.beta, u, v, 1.0 / s))
             params = lf_step(params, model)
         header = "n,alpha,beta,u,v,P_ge_1"
     else:
-        for n in range(int(args.steps) + 1):
+        for n in range(args.steps + 1):
             u, v = clf_to_uv(params, model)
             rows.append((n, params.lam, params.rho, u, v, params.rho))
             params = clf_step(params, model)
@@ -255,23 +236,13 @@ def _cmd_model_orbit(args, kind: str) -> int:
 
 
 def _cmd_mc(args) -> int:
-    if args.action != "validate":
-        raise ConfigError(f"unknown mc action {args.action!r}")
-    _default(args, "p", 0.5)
-    _default(args, "kind", "lf")
-    _default(args, "levels", 3)
-    _default(args, "pool_size", 10 ** 5)
-    _default(args, "seed", 0)
-    _default(args, "threads", 1)
     model = _model_from_args(args)
     params0 = _start_params(args, f"mc validate ({args.kind})")
-    reports = run_validation(model, params0, int(args.levels),
-                             int(args.pool_size), int(args.seed),
-                             int(args.threads))
+    reports = run_validation(model, params0, args.levels, args.pool_size,
+                             args.seed, args.threads)
     payload = {
-        "kind": args.kind, "p": float(args.p),
-        "levels": int(args.levels), "pool_size": int(args.pool_size),
-        "seed": int(args.seed),
+        "kind": args.kind, "p": args.p, "levels": args.levels,
+        "pool_size": args.pool_size, "seed": args.seed,
         "reports": [r.as_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
@@ -280,7 +251,7 @@ def _cmd_mc(args) -> int:
 
 
 def _lab_curve(args, psi):
-    if getattr(args, "curve", None):
+    if args.curve:
         with open(args.curve) as fh:
             return curve_mod.read_curve_csv(fh)
     return _solve_curve(args, psi)
@@ -289,14 +260,13 @@ def _lab_curve(args, psi):
 def _cmd_lab(args) -> int:
     exp = args.experiment
     if exp == "euler":
-        eps = [float(e) for e in (args.eps or [1e-6, 1e-8])]
-        ts = [float(t) for t in (args.t or [0.3, 0.7, 1.0])]
-        return _emit_lab(lab_mod.euler_tan_check(eps, ts), args.out)
+        return _emit_lab(lab_mod.euler_tan_check(args.eps or [1e-6, 1e-8],
+                                                 args.t), args.out)
     psi, _ = _build_driver(args)
     if exp == "sandwich":
         if args.u0 is None or args.v0 is None:
             raise ConfigError("lab sandwich requires --u0 and --v0")
-        rep = lab_mod.sandwich_check(psi, float(args.u0), float(args.v0))
+        rep = lab_mod.sandwich_check(psi, args.u0, args.v0)
         _emit_json(_jsonable({
             "log_value": rep.log_value, "log_lower": rep.log_lower,
             "log_upper": rep.log_upper, "n_star": rep.n_star,
@@ -304,20 +274,18 @@ def _cmd_lab(args) -> int:
             "slack_upper": rep.slack_upper}),
             (args.out + ".json") if args.out else None)
         return 0 if rep.ok else 1
-    v0 = float(args.v0 if args.v0 is not None else 0.0)
-    refine = (float(args.refine_seed_tol)
-              if args.refine_seed_tol is not None else None)
+    v0 = 0.0 if args.v0 is None else args.v0
     # the seed at v0 >= 0 is 0: no curve to solve or read
     cur = _lab_curve(args, psi) if v0 < 0.0 else None
-    seed = lab_mod.make_seed(psi, v0, curve=cur, refine_tol=refine)
+    seed = lab_mod.make_seed(psi, v0, curve=cur,
+                             refine_tol=args.refine_seed_tol)
     if exp == "critical":
-        report = lab_mod.critical_asymptotics(psi, seed,
-                                              int(args.n_max or 10 ** 5))
+        report = lab_mod.critical_asymptotics(psi, seed, args.n_max)
     else:
         run = {"n-star": lab_mod.n_star_scaling,
                "c-star": lab_mod.c_star_estimate,
                "c-v": lab_mod.c_v_estimate}[exp]
-        report = run(psi, seed, [float(e) for e in (args.eps or [1e-6])])
+        report = run(psi, seed, args.eps or [1e-6])
     code = _emit_lab(report, args.out)
     return 1 if cur is not None and not cur.converged else code
 
@@ -342,10 +310,77 @@ def _emit_lab(report, out_base: str | None) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags win")
-    sp.add_argument("--driver", help="driver spec, e.g. fig1 or lf:p=0.5,z=1")
-    sp.add_argument("--out", help="output path (CSV/JSON depending on command)")
+# every flag, declared once with its argparse keywords; argparse derives
+# its dest (--pool-size -> pool_size)
+_FLAGS = {
+    "--config": {"help": "JSON config file; flags win"},
+    "--out": {"help": "output path (CSV/JSON depending on command)"},
+    "--driver": {"help": "driver spec, e.g. fig1 or lf:p=0.5,z=1"},
+    "--u0": {"type": float}, "--v0": {"type": float},
+    "--max-iter": {"type": int},
+    "--orbit-out": {}, "--orbit-steps": {"type": int},
+    "--A": {"type": float}, "--m": {"type": int}, "--K": {"type": float},
+    "--tol": {"type": float},
+    "--sweeps": {"type": int, "help": "run exactly this many sweeps"},
+    "--kind": {"choices": ("lf", "clf")},
+    "--p": {"type": float},
+    "--z": {"help": "atoms value@prob joined by +, e.g. 1 or 1@0.5+2@0.5"},
+    "--alpha": {"type": float}, "--beta": {"type": float},
+    "--lam": {"type": float}, "--rho": {"type": float},
+    "--steps": {"type": int},
+    "--levels": {"type": int}, "--pool-size": {"type": int},
+    "--seed": {"type": int}, "--threads": {"type": int},
+    "--curve": {"help": "import a reference curve CSV instead of solving"},
+    "--eps": {"type": float, "action": "append"},
+    "--t": {"type": float, "action": "append"},
+    "--n-max": {"type": int},
+    "--refine-seed-tol": {"type": float},
+}
+
+# the value of a flag, by dest, that neither the command line nor the
+# config set; lab's --v0 and --eps default in _cmd_lab, per experiment
+_DEFAULTS = {"max_iter": 10 ** 6, "orbit_steps": 100, "A": 0.5, "m": 1000,
+             "tol": 1e-12, "kind": "lf", "p": 0.5, "z": "1", "steps": 100,
+             "levels": 3, "pool_size": 10 ** 5, "seed": 0, "threads": 1,
+             "n_max": 10 ** 5, "t": [0.3, 0.7, 1.0]}
+
+# the flags of a lab experiment that starts from a seed on the curve
+_SEEDED = ["--driver", "--A", "--m", "--tol", "--curve", "--v0",
+           "--refine-seed-tol"]
+
+# each command (a two-word one nests under its first word): its help, its
+# handler and the flags it reads; every command also takes --config and --out
+_COMMANDS = {
+    "psi": ("print driver constants", _cmd_psi, ["--driver"]),
+    "classify": ("phase of an initial pair", _cmd_classify,
+                 ["--driver", "--u0", "--v0", "--max-iter", "--orbit-out",
+                  "--orbit-steps"]),
+    "curve": ("solve the critical curve", _cmd_curve,
+              ["--driver", "--A", "--m", "--K", "--tol", "--sweeps"]),
+    "free-energy": ("free energy of an initial pair", _cmd_free_energy,
+                    ["--driver", "--u0", "--v0", "--max-iter"]),
+    "lf": ("closed-form lf parameter orbit", _cmd_model_orbit,
+           ["--p", "--z", "--alpha", "--beta", "--steps"]),
+    "clf": ("closed-form clf parameter orbit", _cmd_model_orbit,
+            ["--p", "--z", "--lam", "--rho", "--steps"]),
+    "mc validate": ("sample pools against the closed forms", _cmd_mc,
+                    ["--kind", "--p", "--z", "--alpha", "--beta", "--lam",
+                     "--rho", "--levels", "--pool-size", "--seed",
+                     "--threads"]),
+    "lab critical": ("on-curve decay of u_n and v_n", _cmd_lab,
+                     _SEEDED + ["--n-max"]),
+    "lab n-star": ("scaling of n*", _cmd_lab, _SEEDED + ["--eps"]),
+    "lab c-star": ("the transfer constant c*", _cmd_lab, _SEEDED + ["--eps"]),
+    "lab c-v": ("the free-energy constant C_v", _cmd_lab, _SEEDED + ["--eps"]),
+    "lab euler": ("simplified system against its tan solution", _cmd_lab,
+                  ["--eps", "--t"]),
+    "lab sandwich": ("two-sided free-energy bound", _cmd_lab,
+                     ["--driver", "--u0", "--v0"]),
+}
+
+# each command of commands: the dest of its subcommand, and its help
+_GROUPS = {"mc": ("action", "Monte Carlo validation of the closed forms"),
+           "lab": ("experiment", "scaling experiments")}
 
 
 @functools.cache
@@ -356,86 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="drlab",
         description="Numerical laboratory for the two-parameter recursion "
                     "u' = u psi(v'), v' = v + u")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("psi", help="print driver constants")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_psi)
-
-    sp = sub.add_parser("classify", help="phase of an initial pair")
-    _add_common(sp)
-    sp.add_argument("--u0", type=float)
-    sp.add_argument("--v0", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--orbit-out", dest="orbit_out")
-    sp.add_argument("--orbit-steps", dest="orbit_steps", type=int)
-    sp.set_defaults(handler=_cmd_classify)
-
-    sp = sub.add_parser("curve", help="solve the critical curve")
-    _add_common(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--K", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--sweeps", type=int, help="run exactly this many sweeps")
-    sp.set_defaults(handler=_cmd_curve)
-
-    sp = sub.add_parser("free-energy", help="free energy of an initial pair")
-    _add_common(sp)
-    sp.add_argument("--u0", type=float)
-    sp.add_argument("--v0", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.set_defaults(handler=_cmd_free_energy)
-
-    for kind in ("lf", "clf"):
-        sp = sub.add_parser(kind, help=f"closed-form {kind} parameter orbit")
-        _add_common(sp)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--z", help="atoms value@prob joined by +, e.g. 1 or 1@0.5+2@0.5")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--lam", type=float)
-        sp.add_argument("--rho", type=float)
-        sp.add_argument("--steps", type=int)
-        sp.set_defaults(handler=lambda a, k=kind: _cmd_model_orbit(a, k))
-
-    sp = sub.add_parser("mc", help="Monte Carlo validation of the closed forms")
-    sp.add_argument("action", choices=["validate"])
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("lf", "clf"))
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--z")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--pool-size", dest="pool_size", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.set_defaults(handler=_cmd_mc)
-
-    sp = sub.add_parser("lab", help="scaling experiments")
-    sp.add_argument("experiment",
-                    choices=["critical", "n-star", "c-star", "c-v", "euler",
-                             "sandwich"])
-    _add_common(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--curve", help="import a reference curve CSV instead of solving")
-    sp.add_argument("--v0", type=float)
-    sp.add_argument("--u0", type=float)
-    sp.add_argument("--eps", action="append", type=float)
-    sp.add_argument("--t", action="append", type=float)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--refine-seed-tol", dest="refine_seed_tol", type=float)
-    sp.set_defaults(handler=_cmd_lab)
-
-    for sp in sub.choices.values():  # what _load_config checks values with
-        sp.set_defaults(flags={a.dest: a for a in sp._actions
-                               if a.option_strings
-                               and a.dest not in ("help", "config")})
+    top = p.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (text, handler, flags) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            dest, group_text = _GROUPS[group]
+            groups[group] = top.add_parser(group, help=group_text) \
+                .add_subparsers(dest=dest, required=True)
+        # no abbreviations: curve --t would otherwise stand for --tol
+        sp = groups.get(group, top).add_parser(leaf, help=text,
+                                               allow_abbrev=False)
+        actions = [sp.add_argument(flag, **_FLAGS[flag])
+                   for flag in ["--config", "--out", *flags]]
+        # what _load_config checks config keys and values with
+        sp.set_defaults(handler=handler,
+                        flags={a.dest: a for a in actions[1:]})
     return p
 
 
@@ -443,6 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _load_config(args)
+        for dest in args.flags.keys() & _DEFAULTS.keys():
+            if getattr(args, dest) is None:
+                setattr(args, dest, _DEFAULTS[dest])
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

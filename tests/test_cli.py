@@ -614,3 +614,76 @@ def test_default_lab_euler(monkeypatch):
     seen = _record(monkeypatch, drlab.lab, "euler_tan_check")
     _recorded_run(["lab", "euler"])
     assert seen["euler_tan_check"][0] == ([1e-6, 1e-8], [0.3, 0.7, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# each command accepts only the flags it reads
+# ---------------------------------------------------------------------------
+
+def _unread_flags():
+    from drlab.cli import _COMMANDS, _FLAGS
+    return [pytest.param(name, flag, id=f"{name}-{flag}")
+            for name, (_, _, reads) in _COMMANDS.items()
+            for flag in _FLAGS
+            if flag not in ("--config", "--out", *reads)]
+
+
+def test_settable_pairs_are_the_flags_read():
+    from drlab.cli import _COMMANDS
+    assert len(_COMMANDS) == 13
+    assert sum(len(reads) for _, _, reads in _COMMANDS.values()) == 75
+    # 28 flags besides --config and --out
+    assert len(_unread_flags()) == 13 * 28 - 75
+
+
+@pytest.mark.parametrize("name,flag", _unread_flags())
+def test_a_flag_the_command_does_not_read_exit_2(tmp_path, capsys, name,
+                                                 flag):
+    value = "lf" if flag == "--kind" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([*name.split(), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    key = flag[2:].replace("-", "_")
+    cfg.write_text(json.dumps({key: value}))
+    assert main([*name.split(), "--config", str(cfg)]) == 2
+    assert f"unknown config keys [{key!r}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "psi", "classify", "curve", "free-energy", "lf", "clf", "mc validate",
+    "lab critical", "lab n-star", "lab c-star", "lab c-v", "lab euler",
+    "lab sandwich"])
+def test_help_of_every_command_exit_0(capsys, name):
+    from drlab.cli import _COMMANDS
+    with pytest.raises(SystemExit) as exc:
+        main([*name.split(), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in _COMMANDS[name][2])
+
+
+def test_ignored_driver_of_mc_validate_exit_2(capsys):
+    # it used to validate p = 0.5, Z = 1 and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "validate", "--driver", "clf:p=0.3,z=2", "--kind", "clf",
+              "--lam", "2", "--rho", "0.5", "--levels", "1",
+              "--pool-size", "20000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --driver" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--driver", "fig1", "--t", "1e-3"])  # not --tol
+    assert exc.value.code == 2
+
+
+def test_zero_orbit_steps_write_the_start_state_only(tmp_path, capsys):
+    path = tmp_path / "orbit.csv"
+    assert run(["classify", "--driver", "fig1", "--u0", "0.1", "--v0", "-0.4",
+                "--orbit-out", str(path), "--orbit-steps", "0"]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,u,v,log_u" and len(lines) == 2
+    assert lines[1].startswith("0,")

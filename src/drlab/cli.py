@@ -260,8 +260,8 @@ def _lab_curve(args, psi):
 def _cmd_lab(args) -> int:
     exp = args.experiment
     if exp == "euler":
-        return _emit_lab(lab_mod.euler_tan_check(args.eps or [1e-6, 1e-8],
-                                                 args.t), args.out)
+        eps = [1e-6, 1e-8] if args.eps is None else args.eps
+        return _emit_lab(lab_mod.euler_tan_check(eps, args.t), args.out)
     psi, _ = _build_driver(args)
     if exp == "sandwich":
         if args.u0 is None or args.v0 is None:
@@ -285,7 +285,7 @@ def _cmd_lab(args) -> int:
         run = {"n-star": lab_mod.n_star_scaling,
                "c-star": lab_mod.c_star_estimate,
                "c-v": lab_mod.c_v_estimate}[exp]
-        report = run(psi, seed, args.eps or [1e-6])
+        report = run(psi, seed, [1e-6] if args.eps is None else args.eps)
     code = _emit_lab(report, args.out)
     return 1 if cur is not None and not cur.converged else code
 

@@ -687,3 +687,23 @@ def test_zero_orbit_steps_write_the_start_state_only(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,u,v,log_u" and len(lines) == 2
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["lab", "euler"], {"t": []}),
+    (["lab", "euler"], {"eps": []}),
+    (["lab", "c-v", "--driver", "lf:p=0.5,z=1"], {"eps": []}),
+    (["lf", "--z", "", "--alpha", "0.6", "--beta", "0.9"], {}),
+])
+def test_an_empty_value_is_not_replaced_by_the_default_exit_2(
+        tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_n_max_is_not_replaced_by_the_default(capsys):
+    assert run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                "--m", "200", "--n-max", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["n_max"] == 0

@@ -6,14 +6,16 @@ Subcommands mirror the library: ``psi``, ``classify``, ``curve``,
 
 Each flag is declared once (``_FLAGS``), and each command accepts only the
 flags it reads (``_COMMANDS``); any other flag is an argparse error.  A JSON
-config file (flat keys named like the flags' dests) may supply any value of
-those flags, or ``out``; explicit flags win.  Other config keys, and values
-whose JSON type does not fit their flag's type, are rejected.  A flag that
-neither sets takes its value from ``_DEFAULTS``.  Exit codes: 0 success,
-1 numeric non-convergence or failed validation (outputs are still
-written), 2 malformed configuration.  All floating-point output is
-formatted with 17 significant digits so files round-trip exactly, and
-outputs are byte-reproducible for a fixed (config, seed).
+config file (flat keys named like the flags' dests) may supply the value
+of any of those flags, or ``out``; explicit flags win.  Other config keys,
+and values whose JSON type does not fit their flag's type, are rejected.
+A flag that neither sets takes its value from ``_DEFAULTS``.
+
+Exit codes: 0 success, 1 numeric non-convergence, a numeric or arithmetic
+error, or failed validation (outputs are still written), 2 malformed
+configuration.  All floating-point output is formatted with 17 significant
+digits so files round-trip exactly, and outputs are byte-reproducible for
+a fixed (config, seed).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drlab.cli import build_parser, main
+from drlab.cli import _COMMANDS, _FLAGS, build_parser, main
 
 
 def run(args):
@@ -621,7 +621,6 @@ def test_default_lab_euler(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _unread_flags():
-    from drlab.cli import _COMMANDS, _FLAGS
     return [pytest.param(name, flag, id=f"{name}-{flag}")
             for name, (_, _, reads) in _COMMANDS.items()
             for flag in _FLAGS
@@ -629,7 +628,6 @@ def _unread_flags():
 
 
 def test_settable_pairs_are_the_flags_read():
-    from drlab.cli import _COMMANDS
     assert len(_COMMANDS) == 13
     assert sum(len(reads) for _, _, reads in _COMMANDS.values()) == 75
     # 28 flags besides --config and --out
@@ -639,6 +637,7 @@ def test_settable_pairs_are_the_flags_read():
 @pytest.mark.parametrize("name,flag", _unread_flags())
 def test_a_flag_the_command_does_not_read_exit_2(tmp_path, capsys, name,
                                                  flag):
+    # also where it abbreviates one that it reads: curve --t is not --tol
     value = "lf" if flag == "--kind" else "1"
     with pytest.raises(SystemExit) as exc:
         main([*name.split(), flag, value])
@@ -651,12 +650,8 @@ def test_a_flag_the_command_does_not_read_exit_2(tmp_path, capsys, name,
     assert f"unknown config keys [{key!r}]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", [
-    "psi", "classify", "curve", "free-energy", "lf", "clf", "mc validate",
-    "lab critical", "lab n-star", "lab c-star", "lab c-v", "lab euler",
-    "lab sandwich"])
+@pytest.mark.parametrize("name", _COMMANDS)
 def test_help_of_every_command_exit_0(capsys, name):
-    from drlab.cli import _COMMANDS
     with pytest.raises(SystemExit) as exc:
         main([*name.split(), "--help"])
     assert exc.value.code == 0
@@ -672,12 +667,6 @@ def test_ignored_driver_of_mc_validate_exit_2(capsys):
               "--pool-size", "20000"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --driver" in capsys.readouterr().err
-
-
-def test_abbreviated_flag_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["curve", "--driver", "fig1", "--t", "1e-3"])  # not --tol
-    assert exc.value.code == 2
 
 
 def test_zero_orbit_steps_write_the_start_state_only(tmp_path, capsys):

@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         actions = [sp.add_argument(flag, **_FLAGS[flag])
                    for flag in ["--config", "--out", *flags]]
         # what _load_config checks config keys and values with
-        sp.set_defaults(handler=handler,
-                        flags={a.dest: a for a in actions[1:]})
+        sp.set_defaults(handler=handler, flags={
+            a.dest: a for a in actions if a.dest != "config"})
     return p
 
 

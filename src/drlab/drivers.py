@@ -532,18 +532,14 @@ def parse_atoms(text: str) -> list[tuple[float, float]]:
     return [(float(v), float(pr) if sep else 1.0) for v, sep, pr in pieces]
 
 
-def driver_from_spec(spec: str | dict):
-    """Build a driver from a config mapping or inline string.
+def driver_from_spec(spec: str):
+    """Build a driver from an inline spec (see :func:`parse_driver_string`).
 
     Returns ``(psi, constants)`` where ``constants`` is None for drivers
     that are not model-derived.
     """
-    if isinstance(spec, str):
-        spec = parse_driver_string(spec)
-    unknown = set(spec) - {"kind", "p", "z_atoms"}
-    if unknown:
-        raise ConfigError(f"unknown driver spec keys {sorted(unknown)!r}")
-    kind = spec.get("kind")
+    spec = parse_driver_string(spec)
+    kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown driver kind {kind!r}; expected one of {_KINDS}")
     if kind == "affine":
@@ -555,5 +551,5 @@ def driver_from_spec(spec: str | dict):
     if "p" not in spec or "z_atoms" not in spec:
         raise ConfigError(f"driver kind {kind!r} requires p and z atoms")
     if kind == "lf":
-        return make_lf_psi(float(spec["p"]), ZSpecDiscrete(tuple(map(tuple, spec["z_atoms"]))))
-    return make_clf_psi(float(spec["p"]), ZSpecContinuous(tuple(map(tuple, spec["z_atoms"]))))
+        return make_lf_psi(spec["p"], ZSpecDiscrete(tuple(spec["z_atoms"])))
+    return make_clf_psi(spec["p"], ZSpecContinuous(tuple(spec["z_atoms"])))

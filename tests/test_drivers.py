@@ -377,17 +377,15 @@ def test_driver_from_spec_roundtrip(lf_model):
     psi, consts = driver_from_spec("lf:p=0.5,z=1")
     assert abs(psi(1.0) - lf_model.psi(1.0)) < 1e-15
     assert consts is not None and abs(consts.root - 1.0) < 1e-12
-    psi2, c2 = driver_from_spec({"kind": "affine"})
+    psi2, c2 = driver_from_spec("affine")
     assert c2 is None and psi2(1.0) == 2.0
 
 
 def test_driver_from_spec_rejects_garbage():
-    with pytest.raises(ConfigError):
-        driver_from_spec("nonsense")
-    with pytest.raises(ConfigError):
-        driver_from_spec({"kind": "lf", "p": 0.5})  # missing atoms
-    with pytest.raises(ConfigError):
-        driver_from_spec({"kind": "lf", "p": 0.5, "z_atoms": [[1, 1.0]],
-                          "extra": 1})
-    with pytest.raises(ConfigError):
-        driver_from_spec("lf:p=0.5,z=1,frob=2")
+    for spec in ("nonsense",  # unknown kind
+                 "lf:p=0.5",  # missing atoms
+                 "clf:z=1",  # missing p
+                 "lf:p=0.5,z=1,frob=2",  # unknown key
+                 "lf:p=0.5,z"):  # an option without a value
+        with pytest.raises(ConfigError):
+            driver_from_spec(spec)

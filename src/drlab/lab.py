@@ -218,6 +218,8 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     marks = {int(round(n_max ** (k / 15.0))) for k in range(16)} | {n_max}
     rows = []
     diverged = False
@@ -230,7 +232,7 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
             rows.append({"n": n, "n2_u": n * n * u, "n_v": n * v,
                          "u": u, "v": v})
     flags = {"diverged": diverged}
-    if diverged or not rows:
+    if diverged:
         return ScalingReport("critical_asymptotics", psi.name,
                              {"v0": v0, "n_max": n_max}, rows, flags=flags)
     last = rows[-1]

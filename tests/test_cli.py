@@ -693,6 +693,8 @@ def test_an_empty_value_is_not_replaced_by_the_default_exit_2(
 
 
 def test_zero_n_max_is_not_replaced_by_the_default(capsys):
+    # the default 10^5 would run and exit 0; the 0 itself is refused
     assert run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
-                "--m", "200", "--n-max", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["params"]["n_max"] == 0
+                "--m", "200", "--n-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need n_max >= 1, got 0" in captured.err

@@ -71,6 +71,15 @@ def test_critical_asymptotics_off_curve_flags_divergence(fig1, fig1_exact_curve)
     assert rep.target is None
 
 
+def test_critical_asymptotics_needs_a_step(fig1, fig1_exact_curve):
+    # with no step there is no row to report, and the run must not pass
+    seed = make_seed(fig1, -0.3, curve=fig1_exact_curve)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            critical_asymptotics(fig1, seed, n_max=n_max)
+    assert [r["n"] for r in critical_asymptotics(fig1, seed, 1).rows] == [1]
+
+
 # ---------------------------------------------------------------------------
 # n* scaling
 # ---------------------------------------------------------------------------

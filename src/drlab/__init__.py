@@ -21,10 +21,10 @@ from .recursion import (FreeEnergyEstimate, OrbitState, PhaseLabel,
 from .curve import (CriticalCurve, CurveGrid, bisect_h, curve_from_h,
                     dual_curve, h_eval, iterate_g, pick_K, residual,
                     solve_curve, solve_g1)
-from .models import (CLFModel, CLFParams, LFModel, LFParams, clf_step,
-                     clf_to_uv, critical_tail_lf, free_energy_clf,
-                     free_energy_lf, gamma_star, lf_step, lf_to_uv,
-                     make_clf_model, make_lf_model, rho_star)
+from .models import (CLFParams, LFParams, Model, clf_step, clf_to_uv,
+                     critical_tail_lf, gamma_star, law_stats, lf_step,
+                     lf_to_uv, make_clf_model, make_lf_model,
+                     model_free_energy, model_step, model_to_uv, rho_star)
 from .montecarlo import (SamplePool, compare_to_model, mc_step,
                          pool_from_clf, pool_from_lf, run_validation,
                          sample_clf, sample_geometric, sample_lf)

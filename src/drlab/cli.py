@@ -21,6 +21,7 @@ a fixed (config, seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -32,8 +33,8 @@ from . import lab as lab_mod
 from .drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
                       parse_atoms)
 from .errors import ConfigError, DrlabError
-from .models import (CLFParams, LFParams, clf_step, clf_to_uv, lf_step,
-                     lf_to_uv, make_clf_model, make_lf_model)
+from .models import (CLFParams, LFParams, law_stats, make_clf_model,
+                     make_lf_model, model_step, model_to_uv)
 from .montecarlo import run_validation
 from .recursion import classify_detail, free_energy, orbit, write_orbit_csv
 
@@ -191,42 +192,37 @@ def _cmd_free_energy(args) -> int:
     return 0 if fe.converged else 1
 
 
-def _model_from_args(args):
-    atoms = tuple(parse_atoms(args.z))
-    if args.kind == "lf":
-        return make_lf_model(args.p, ZSpecDiscrete(atoms))
-    return make_clf_model(args.p, ZSpecContinuous(atoms))
+# the model family of --kind or of the lf/clf command: its model maker, Z
+# law, start law and that law's flags, and the header of its orbit CSV
+_FAMILIES = {
+    "lf": (make_lf_model, ZSpecDiscrete, LFParams, ("alpha", "beta"),
+           "n,alpha,beta,u,v,P_ge_1"),
+    "clf": (make_clf_model, ZSpecContinuous, CLFParams, ("lam", "rho"),
+            "n,lambda,rho,u,v,P_gt_0"),
+}
 
 
-def _start_params(args, command: str):
-    """The start law of ``args.kind``: LF(--alpha, --beta) or
-    CLF(--lam, --rho); ``command`` names the command in the error."""
-    law, names = ((LFParams, ("alpha", "beta")) if args.kind == "lf"
-                  else (CLFParams, ("lam", "rho")))
+def _model_and_start(args, kind: str, command: str):
+    """The model of --p and --z in family ``kind``, its start law from that
+    family's flags, and its orbit CSV header; ``command`` names the command
+    in the error."""
+    make, zspec, law, names, header = _FAMILIES[kind]
+    model = make(args.p, zspec(tuple(parse_atoms(args.z))))
     values = [getattr(args, name) for name in names]
     if None in values:
         raise ConfigError(f"{command} requires --{names[0]} and --{names[1]}")
-    return law(*map(float, values))
+    return model, law(*map(float, values)), header
 
 
 def _cmd_model_orbit(args) -> int:
-    kind = args.kind = args.command
-    model = _model_from_args(args)
-    params = _start_params(args, f"{kind} orbit")
+    kind = args.command
+    model, params, header = _model_and_start(args, kind, f"{kind} orbit")
     rows = []
-    if kind == "lf":
-        for n in range(args.steps + 1):
-            u, v = lf_to_uv(params, model)
-            s = params.alpha + params.beta
-            rows.append((n, params.alpha, params.beta, u, v, 1.0 / s))
-            params = lf_step(params, model)
-        header = "n,alpha,beta,u,v,P_ge_1"
-    else:
-        for n in range(args.steps + 1):
-            u, v = clf_to_uv(params, model)
-            rows.append((n, params.lam, params.rho, u, v, params.rho))
-            params = clf_step(params, model)
-        header = "n,lambda,rho,u,v,P_gt_0"
+    for n in range(args.steps + 1):
+        positive, _, _ = law_stats(params)
+        rows.append((n, *dataclasses.astuple(params),
+                     *model_to_uv(params, model), positive))
+        params = model_step(params, model)
     text = header + "\n" + "\n".join(
         f"{r[0]}," + ",".join(_f(x) for x in r[1:]) for r in rows) + "\n"
     if args.out:
@@ -238,8 +234,8 @@ def _cmd_model_orbit(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    model = _model_from_args(args)
-    params0 = _start_params(args, f"mc validate ({args.kind})")
+    model, params0, _ = _model_and_start(args, args.kind,
+                                         f"mc validate ({args.kind})")
     reports = run_validation(model, params0, args.levels, args.pool_size,
                              args.seed, args.threads)
     payload = {
@@ -324,7 +320,7 @@ _FLAGS = {
     "--A": {"type": float}, "--m": {"type": int}, "--K": {"type": float},
     "--tol": {"type": float},
     "--sweeps": {"type": int, "help": "run exactly this many sweeps"},
-    "--kind": {"choices": ("lf", "clf")},
+    "--kind": {"choices": tuple(_FAMILIES)},
     "--p": {"type": float},
     "--z": {"help": "atoms value@prob joined by +, e.g. 1 or 1@0.5+2@0.5"},
     "--alpha": {"type": float}, "--beta": {"type": float},

@@ -16,6 +16,11 @@ these parameter orbits are exactly orbits of the two-parameter recursion
 under the model's driver; that commuting square is the main cross-module
 consistency oracle of the test suite.
 
+One ``Model`` type serves both families, and this module is the only one
+that tells them apart: a model's family is its Z law's, and a law's is its
+parameter type, on which ``model_step``, ``model_to_uv``, ``law_stats``
+and ``model_free_energy`` dispatch.
+
 ``lf_step`` is deliberately the composition of the two elementary facts;
 the equivalent single-formula update is kept in the tests as an
 independent oracle.
@@ -26,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curve import CriticalCurve, h_eval
 from .drivers import (ModelConstants, PsiFunction, ZSpecContinuous,
                       ZSpecDiscrete, make_clf_psi, make_lf_psi)
@@ -34,8 +41,7 @@ from .recursion import FreeEnergyEstimate, PhaseLabel, classify, free_energy
 __all__ = [
     "LFParams",
     "CLFParams",
-    "LFModel",
-    "CLFModel",
+    "Model",
     "make_lf_model",
     "make_clf_model",
     "lf_geometric_sum",
@@ -46,11 +52,13 @@ __all__ = [
     "clf_subtract",
     "clf_step",
     "clf_to_uv",
+    "model_step",
+    "model_to_uv",
     "lf_pmf",
     "lf_tail",
     "clf_tail",
-    "free_energy_lf",
-    "free_energy_clf",
+    "law_stats",
+    "model_free_energy",
     "ThresholdReport",
     "gamma_star",
     "rho_star",
@@ -90,37 +98,31 @@ class CLFParams:
 
 
 @dataclass(frozen=True)
-class LFModel:
+class Model:
+    """A solvable model: geometric(p) sums and the law of Z, with the
+    driver and constants they give.  Z's law is the family: LF (laws on the
+    integers, ``constants.root`` = xi) for a ZSpecDiscrete, CLF (tau) for a
+    ZSpecContinuous."""
+
     p: float
-    zspec: ZSpecDiscrete
+    zspec: ZSpecDiscrete | ZSpecContinuous
     constants: ModelConstants
     psi: PsiFunction
 
     @property
-    def xi(self) -> float:
-        return self.constants.root
+    def dtype(self) -> type:
+        """The type of the family's samples."""
+        return np.int64 if self.zspec.integer else np.float64
 
 
-@dataclass(frozen=True)
-class CLFModel:
-    p: float
-    zspec: ZSpecContinuous
-    constants: ModelConstants
-    psi: PsiFunction
-
-    @property
-    def tau(self) -> float:
-        return self.constants.root
-
-
-def make_lf_model(p: float, zspec: ZSpecDiscrete) -> LFModel:
+def make_lf_model(p: float, zspec: ZSpecDiscrete) -> Model:
     psi, constants = make_lf_psi(p, zspec)
-    return LFModel(p=p, zspec=zspec, constants=constants, psi=psi)
+    return Model(p=p, zspec=zspec, constants=constants, psi=psi)
 
 
-def make_clf_model(p: float, zspec: ZSpecContinuous) -> CLFModel:
+def make_clf_model(p: float, zspec: ZSpecContinuous) -> Model:
     psi, constants = make_clf_psi(p, zspec)
-    return CLFModel(p=p, zspec=zspec, constants=constants, psi=psi)
+    return Model(p=p, zspec=zspec, constants=constants, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +141,13 @@ def lf_subtract(params: LFParams, z: ZSpecDiscrete) -> LFParams:
     return LFParams(params.alpha / d, params.beta / d)
 
 
-def lf_step(params: LFParams, model: LFModel) -> LFParams:
+def lf_step(params: LFParams, model: Model) -> LFParams:
     """One step of the distributional recursion: geometric sum, then
     subtraction of Z with positive part."""
     return lf_subtract(lf_geometric_sum(params, model.p), model.zspec)
 
 
-def lf_to_uv(params: LFParams, model: LFModel) -> tuple[float, float]:
+def lf_to_uv(params: LFParams, model: Model) -> tuple[float, float]:
     """Coordinates of the LF parameter pair on the two-parameter recursion:
     u = slope (1-p) / (p alpha), v = slope (beta/alpha - xi)."""
     c = model.constants
@@ -165,17 +167,29 @@ def clf_subtract(params: CLFParams, z: ZSpecContinuous) -> CLFParams:
     return CLFParams(params.lam, params.rho * z.laplace(params.lam))
 
 
-def clf_step(params: CLFParams, model: CLFModel) -> CLFParams:
+def clf_step(params: CLFParams, model: Model) -> CLFParams:
     return clf_subtract(clf_geometric_sum(params, model.p), model.zspec)
 
 
-def clf_to_uv(params: CLFParams, model: CLFModel) -> tuple[float, float]:
+def clf_to_uv(params: CLFParams, model: Model) -> tuple[float, float]:
     """u = slope ((1-p)/p) (rho/lambda), v = slope (1/lambda - tau);
     the commuting square with the recursion requires v > -tau slope."""
     c = model.constants
     u = c.slope * (1.0 - model.p) / model.p * (params.rho / params.lam)
     v = c.slope * (1.0 / params.lam - c.root)
     return u, v
+
+
+def model_step(params: LFParams | CLFParams, model: Model):
+    """lf_step or clf_step, by the family of ``params``."""
+    step = lf_step if isinstance(params, LFParams) else clf_step
+    return step(params, model)
+
+
+def model_to_uv(params: LFParams | CLFParams, model: Model):
+    """lf_to_uv or clf_to_uv, by the family of ``params``."""
+    to_uv = lf_to_uv if isinstance(params, LFParams) else clf_to_uv
+    return to_uv(params, model)
 
 
 # ---------------------------------------------------------------------------
@@ -202,39 +216,38 @@ def clf_tail(params: CLFParams, x: float) -> float:
     return params.rho * math.exp(-params.lam * x)
 
 
+def law_stats(params: LFParams | CLFParams):
+    """What a pool of the law ``params`` is checked on: (P(X > 0), the five
+    tails as (name, t, P), and the mean).  A tail is P(X >= t) on LF's
+    integers and P(X > t) on CLF's reals."""
+    if isinstance(params, LFParams):
+        return (1.0 / (params.alpha + params.beta),
+                [(f"tail_ge_{k}", k, lf_tail(params, k)) for k in range(1, 6)],
+                1.0 / params.alpha)
+    ts = [k / params.lam for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    return (params.rho, [(f"tail_gt_{t:g}", t, clf_tail(params, t))
+                         for t in ts], params.rho / params.lam)
+
+
 # ---------------------------------------------------------------------------
-# free energies
+# free energy
 # ---------------------------------------------------------------------------
 
-def free_energy_lf(model: LFModel, params: LFParams) -> FreeEnergyEstimate:
-    """Free energy lim p^n / alpha_n, computed on the recursion side and
+def model_free_energy(model: Model,
+                      params: LFParams | CLFParams) -> FreeEnergyEstimate:
+    """Free energy of the law ``params``, lim p^n / alpha_n (LF) or
+    lim p^n rho_n / lambda_n (CLF): computed on the recursion side and
     rescaled by p / ((1-p) slope)."""
-    u0, v0 = lf_to_uv(params, model)
-    fe = free_energy(u0, v0, model.psi)
+    fe = free_energy(*model_to_uv(params, model), model.psi)
     scale = model.p / ((1.0 - model.p) * model.constants.slope)
-    return _rescale(fe, scale)
-
-
-def free_energy_clf(model: CLFModel, params: CLFParams) -> FreeEnergyEstimate:
-    """Free energy lim p^n rho_n / lambda_n of the continuous model."""
-    u0, v0 = clf_to_uv(params, model)
-    fe = free_energy(u0, v0, model.psi)
-    scale = model.p / ((1.0 - model.p) * model.constants.slope)
-    return _rescale(fe, scale)
-
-
-def _rescale(fe: FreeEnergyEstimate, scale: float) -> FreeEnergyEstimate:
     log_scale = math.log(scale)
-
-    def lin(x: float) -> float:
-        return x * scale
 
     def lg(x: float) -> float:
         return x + log_scale if math.isfinite(x) else x
 
     return FreeEnergyEstimate(
-        value=lin(fe.value), log_value=lg(fe.log_value),
-        lower=lin(fe.lower), upper=lin(fe.upper),
+        value=fe.value * scale, log_value=lg(fe.log_value),
+        lower=fe.lower * scale, upper=fe.upper * scale,
         log_lower=lg(fe.log_lower), log_upper=lg(fe.log_upper),
         n_star=fe.n_star, converged=fe.converged)
 
@@ -266,7 +279,28 @@ class ThresholdReport:
                 and self.straddle_lower is PhaseLabel.SUBCRITICAL)
 
 
-def gamma_star(model: LFModel, alpha: float, beta: float,
+def _threshold(model: Model, value: float | None, u_unit: float,
+               v_seed: float, h_seed: float,
+               check_straddle: bool) -> ThresholdReport:
+    """The report of a threshold ``value`` (None: the admissibility bound
+    fails) whose start is (u_unit value, v_seed).  With ``check_straddle``
+    a positive value is checked by classifying the starts 1.1 and 1/1.1
+    times as far up."""
+    if value is None:
+        return ThresholdReport(
+            value=None, hyp_ok=False, v_seed=v_seed, h_at_seed=h_seed,
+            message="admissibility bound fails: free energy identically 0 "
+                    "on the family")
+    up = low = None
+    if check_straddle and value > 0.0:
+        up = classify(u_unit * 1.1 * value, v_seed, model.psi)
+        low = classify(u_unit * value / 1.1, v_seed, model.psi)
+    return ThresholdReport(value=value, hyp_ok=True, v_seed=v_seed,
+                           h_at_seed=h_seed, message="ok",
+                           straddle_upper=up, straddle_lower=low)
+
+
+def gamma_star(model: Model, alpha: float, beta: float,
                curve: CriticalCurve, *,
                check_straddle: bool = True) -> ThresholdReport:
     """Critical scale gamma* of the family LF(alpha/gamma, beta/gamma).
@@ -286,24 +320,14 @@ def gamma_star(model: LFModel, alpha: float, beta: float,
         raise ValueError("need beta/alpha <= xi (v_seed <= 0)")
     v_seed = c.slope * (beta / alpha - c.root)
     h_seed = h_eval(curve, v_seed)
-    bound = c.slope * (1.0 - p) * (alpha + beta) / (p * alpha)
-    if not h_seed < bound:
-        return ThresholdReport(
-            value=None, hyp_ok=False, v_seed=v_seed, h_at_seed=h_seed,
-            message="admissibility bound fails: free energy identically 0 "
-                    "on the family")
-    gam = p * alpha * h_seed / (c.slope * (1.0 - p))
-    up = low = None
-    if check_straddle and gam > 0.0:
-        u_seed = c.slope * (1.0 - p) / (p * alpha)
-        up = classify(u_seed * 1.1 * gam, v_seed, model.psi)
-        low = classify(u_seed * gam / 1.1, v_seed, model.psi)
-    return ThresholdReport(value=gam, hyp_ok=True, v_seed=v_seed,
-                           h_at_seed=h_seed, message="ok",
-                           straddle_upper=up, straddle_lower=low)
+    gam = (p * alpha * h_seed / (c.slope * (1.0 - p))
+           if h_seed < c.slope * (1.0 - p) * (alpha + beta) / (p * alpha)
+           else None)
+    return _threshold(model, gam, c.slope * (1.0 - p) / (p * alpha),
+                      v_seed, h_seed, check_straddle)
 
 
-def rho_star(model: CLFModel, lam: float, curve: CriticalCurve, *,
+def rho_star(model: Model, lam: float, curve: CriticalCurve, *,
              check_straddle: bool = True) -> ThresholdReport:
     """Critical mass rho* of the family CLF(lambda, rho) at fixed rate
     lambda >= 1/tau:  rho* = lambda p h(v_seed) / (slope (1-p)) with
@@ -314,20 +338,10 @@ def rho_star(model: CLFModel, lam: float, curve: CriticalCurve, *,
         raise ValueError("need lambda >= 1/tau (v_seed <= 0)")
     v_seed = c.slope * (1.0 / lam - c.root)
     h_seed = h_eval(curve, v_seed)
-    if not lam * p * h_seed < c.slope * (1.0 - p):
-        return ThresholdReport(
-            value=None, hyp_ok=False, v_seed=v_seed, h_at_seed=h_seed,
-            message="admissibility bound fails: free energy identically 0 "
-                    "on the family")
-    rho = lam * p * h_seed / (c.slope * (1.0 - p))
-    up = low = None
-    if check_straddle and rho > 0.0:
-        u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
-        up = classify(u_unit * 1.1 * rho, v_seed, model.psi)
-        low = classify(u_unit * rho / 1.1, v_seed, model.psi)
-    return ThresholdReport(value=rho, hyp_ok=True, v_seed=v_seed,
-                           h_at_seed=h_seed, message="ok",
-                           straddle_upper=up, straddle_lower=low)
+    rho = (lam * p * h_seed / (c.slope * (1.0 - p))
+           if lam * p * h_seed < c.slope * (1.0 - p) else None)
+    u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
+    return _threshold(model, rho, u_unit, v_seed, h_seed, check_straddle)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +363,7 @@ class TailReport:
     gamma_star_used: float
 
 
-def critical_tail_lf(model: LFModel, curve: CriticalCurve,
+def critical_tail_lf(model: Model, curve: CriticalCurve,
                      alpha: float = 1.0, beta: float = 0.5,
                      n_max: int = 10 ** 4, *,
                      record_at: tuple[int, ...] | None = None,

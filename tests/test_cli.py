@@ -340,12 +340,12 @@ def test_missing_required_value_exit_2():
 
 
 def test_z_flag_and_driver_spec_parse_atoms_alike():
-    from drlab.cli import _model_from_args, build_parser
+    from drlab.cli import _model_and_start, build_parser
     from drlab.drivers import driver_from_spec
     args = build_parser().parse_args(
         ["mc", "validate", "--kind", "lf", "--p", "0.4",
-         "--z", "1@0.5+2@0.5"])
-    model = _model_from_args(args)
+         "--z", "1@0.5+2@0.5", "--alpha", "0.6", "--beta", "0.9"])
+    model, _, _ = _model_and_start(args, "lf", "mc validate")
     psi, _ = driver_from_spec("lf:p=0.4,z=1@0.5+2@0.5")
     assert model.zspec.atoms == ((1, 0.5), (2, 0.5))
     assert model.psi.name == psi.name
@@ -567,13 +567,14 @@ def test_default_curve_grid(monkeypatch, argv):
 @pytest.mark.parametrize("kind", ["lf", "clf"])
 def test_default_model_orbit(monkeypatch, tmp_path, kind):
     import drlab.cli
-    seen = _record(monkeypatch, drlab.cli, f"make_{kind}_model", stop=False)
+    seen = _record(monkeypatch, drlab.cli, "model_to_uv", stop=False)
     start = ["--alpha", "0.6", "--beta", "0.9"] if kind == "lf" else \
         ["--lam", "2", "--rho", "0.5"]
     path = tmp_path / "orbit.csv"
     assert main([kind, *start, "--out", str(path)]) == 0
-    p, zspec = seen[f"make_{kind}_model"][0]
-    assert (p, zspec.atoms) == (0.5, ((1.0, 1.0),))
+    _, model = seen["model_to_uv"][0]
+    assert (model.p, model.zspec.atoms) == (0.5, ((1.0, 1.0),))
+    assert model.zspec.integer == (kind == "lf")
     assert len(path.read_text().splitlines()) == 1 + 101
 
 

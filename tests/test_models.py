@@ -9,10 +9,11 @@ from drlab.curve import solve_curve
 from drlab.drivers import ZSpecDiscrete
 from drlab.lab import refined_h
 from drlab.models import (CLFParams, LFParams, clf_geometric_sum, clf_step,
-                          clf_subtract, clf_to_uv, critical_tail_lf,
-                          free_energy_clf, free_energy_lf, gamma_star,
-                          lf_geometric_sum, lf_pmf, lf_step, lf_subtract,
-                          lf_tail, lf_to_uv, make_lf_model, rho_star)
+                          clf_subtract, clf_tail, clf_to_uv, critical_tail_lf,
+                          gamma_star, law_stats, lf_geometric_sum, lf_pmf,
+                          lf_step, lf_subtract, lf_tail, lf_to_uv,
+                          make_lf_model, model_free_energy, model_step,
+                          model_to_uv, rho_star)
 from drlab.recursion import PhaseLabel, initial_state, step
 
 
@@ -102,7 +103,7 @@ def test_lf_to_uv_examples(lf_model):
     u, v = lf_to_uv(LFParams(1.0, 0.5), lf_model)
     assert abs(u - 0.5) < 1e-12
     assert abs(v + 0.25) < 1e-12
-    _, v0 = lf_to_uv(LFParams(1.0, lf_model.xi), lf_model)
+    _, v0 = lf_to_uv(LFParams(1.0, lf_model.constants.root), lf_model)
     assert abs(v0) < 1e-12
 
 
@@ -150,7 +151,7 @@ def test_clf_invariant_preserved(clf_model, lam, rho):
 
 
 def test_clf_to_uv_examples(clf_model):
-    tau = clf_model.tau
+    tau = clf_model.constants.root
     _, v = clf_to_uv(CLFParams(1.0 / tau, 0.7), clf_model)
     assert abs(v) < 1e-12
     u, v = clf_to_uv(CLFParams(math.log(2.0), 0.3), clf_model)
@@ -195,16 +196,48 @@ def test_clf_commuting_square(clf_model):
 
 
 # ---------------------------------------------------------------------------
+# one model type: the family follows the Z law and the params type
+# ---------------------------------------------------------------------------
+
+def test_model_family_follows_the_z_law(lf_model, clf_model):
+    assert lf_model.dtype is np.int64 and clf_model.dtype is np.float64
+    assert type(lf_model) is type(clf_model)
+
+
+def test_model_step_and_to_uv_follow_the_params_family(lf_model, clf_model):
+    lf, clf = LFParams(0.6, 0.9), CLFParams(2.0, 0.5)
+    assert model_step(lf, lf_model) == lf_step(lf, lf_model)
+    assert model_step(clf, clf_model) == clf_step(clf, clf_model)
+    assert model_to_uv(lf, lf_model) == lf_to_uv(lf, lf_model)
+    assert model_to_uv(clf, clf_model) == clf_to_uv(clf, clf_model)
+
+
+def test_law_stats_of_each_family():
+    lf = LFParams(0.8, 1.7)
+    positive, tails, mean = law_stats(lf)
+    assert abs(positive - (1.0 - lf_pmf(lf, 0))) < 1e-15
+    assert tails == [(f"tail_ge_{k}", k, lf_tail(lf, k)) for k in range(1, 6)]
+    assert mean == 1.0 / 0.8
+    clf = CLFParams(2.0, 0.5)
+    positive, tails, mean = law_stats(clf)
+    assert positive == 0.5 and mean == 0.25
+    assert [name for name, _, _ in tails] == [
+        "tail_gt_0.25", "tail_gt_0.5", "tail_gt_0.75", "tail_gt_1",
+        "tail_gt_1.5"]
+    assert all(pr == clf_tail(clf, t) for _, t, pr in tails)
+
+
+# ---------------------------------------------------------------------------
 # free energies
 # ---------------------------------------------------------------------------
 
 def test_free_energy_lf_subcritical(lf_model):
-    assert free_energy_lf(lf_model, LFParams(20.0, 1.0)).value == 0.0
+    assert model_free_energy(lf_model, LFParams(20.0, 1.0)).value == 0.0
 
 
 def test_free_energy_lf_matches_direct_iteration(lf_model):
     params0 = LFParams(0.6, 0.9)
-    fe = free_energy_lf(lf_model, params0)
+    fe = model_free_energy(lf_model, params0)
     assert fe.value > 0.0 and fe.converged
     # independent oracle: iterate p^n / alpha_n directly to stabilization
     params = params0
@@ -221,7 +254,7 @@ def test_free_energy_lf_matches_direct_iteration(lf_model):
 
 
 def test_free_energy_clf_positive_in_supercritical(clf_model):
-    fe = free_energy_clf(clf_model, CLFParams(0.5, 0.9))
+    fe = model_free_energy(clf_model, CLFParams(0.5, 0.9))
     assert fe.value > 0.0
 
 
@@ -230,7 +263,7 @@ def test_free_energy_lf_monotone_in_scale(lf_model):
     alpha, beta = 1.0, 0.5
     values = []
     for gamma in (0.12, 0.16, 0.2):
-        fe = free_energy_lf(lf_model, LFParams(alpha / gamma, beta / gamma))
+        fe = model_free_energy(lf_model, LFParams(alpha / gamma, beta / gamma))
         values.append(fe.value)
     assert values[0] <= values[1] <= values[2]
     assert values[-1] > 0.0
@@ -241,7 +274,7 @@ def test_free_energy_lf_monotone_in_scale(lf_model):
 # ---------------------------------------------------------------------------
 
 def test_gamma_star_at_the_ray_edge(lf_model, lf_curve):
-    rep = gamma_star(lf_model, 1.0, lf_model.xi, lf_curve,
+    rep = gamma_star(lf_model, 1.0, lf_model.constants.root, lf_curve,
                      check_straddle=False)
     assert rep.hyp_ok and abs(rep.value) < 1e-12
 
@@ -258,8 +291,8 @@ def test_gamma_star_reference_value(lf_model, lf_curve):
 def test_gamma_star_straddle_by_free_energy(lf_model, lf_curve):
     rep = gamma_star(lf_model, 1.0, 0.5, lf_curve, check_straddle=False)
     gam = rep.value
-    above = free_energy_lf(lf_model, LFParams(1.0 / (1.1 * gam), 0.5 / (1.1 * gam)))
-    below = free_energy_lf(lf_model, LFParams(1.0 / (0.9 * gam), 0.5 / (0.9 * gam)))
+    above = model_free_energy(lf_model, LFParams(1.0 / (1.1 * gam), 0.5 / (1.1 * gam)))
+    below = model_free_energy(lf_model, LFParams(1.0 / (0.9 * gam), 0.5 / (0.9 * gam)))
     assert above.value > 0.0
     assert below.value == 0.0
 
@@ -272,12 +305,12 @@ def test_gamma_star_admissibility_failure_regime():
     rep = gamma_star(model, 0.5, 0.5, cur, check_straddle=False)
     assert not rep.hyp_ok and rep.value is None
     assert "identically 0" in rep.message
-    fe = free_energy_lf(model, LFParams(0.5 / 0.9, 0.5 / 0.9))
+    fe = model_free_energy(model, LFParams(0.5 / 0.9, 0.5 / 0.9))
     assert fe.value == 0.0
 
 
 def test_rho_star_edges_and_value(clf_model, clf_curve):
-    rep0 = rho_star(clf_model, 1.0 / clf_model.tau, clf_curve,
+    rep0 = rho_star(clf_model, 1.0 / clf_model.constants.root, clf_curve,
                     check_straddle=False)
     assert rep0.hyp_ok and abs(rep0.value) < 1e-12
     rep = rho_star(clf_model, 2.0 * math.log(2.0), clf_curve)
@@ -307,4 +340,4 @@ def test_critical_tail_constants(lf_model, lf_curve):
 def test_critical_orbit_ratio_tends_to_xi(lf_model, lf_curve):
     rep = critical_tail_lf(lf_model, lf_curve, 1.0, 0.5, n_max=1000)
     ratios = {n: q for n, _, _, q in rep.rows}
-    assert abs(ratios[1000] - lf_model.xi) < 0.05
+    assert abs(ratios[1000] - lf_model.constants.root) < 0.05

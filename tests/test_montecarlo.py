@@ -166,6 +166,19 @@ def test_zero_pool_is_absorbing(lf_model):
     assert out.level == 1
 
 
+def test_mc_step_refuses_a_pool_of_the_other_family(lf_model, clf_model):
+    # the pool's sample type must be the model's: an integer pool would
+    # truncate CLF's real Z, a real pool would give LF real samples
+    ints = SamplePool(level=0, samples=np.ones(2000, dtype=np.int64),
+                      seed=1, size=2000)
+    reals = SamplePool(level=0, samples=np.ones(2000), seed=1, size=2000)
+    for pool, model in ((ints, clf_model), (reals, lf_model)):
+        with pytest.raises(ValueError, match="pool of"):
+            mc_step(pool, model)
+    assert mc_step(ints, lf_model).samples.dtype == np.int64
+    assert mc_step(reals, clf_model).samples.dtype == np.float64
+
+
 def test_mc_step_one_level_matches_closed_form(lf_model):
     params = LFParams(0.6, 0.9)
     pool = pool_from_lf(params, N_BIG, seed=12)

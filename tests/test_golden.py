@@ -8,6 +8,7 @@ it yields are coarse, but the outputs are exactly reproducible, which is
 all a golden file needs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -128,25 +129,49 @@ def _avx512_targets() -> list:
 AVX512 = _avx512_targets()
 
 
-@pytest.mark.skipif(not AVX512, reason="numpy dispatches no AVX-512 target")
-@pytest.mark.parametrize("name", ["curve_lf", "curve_clf"])
-def test_curve_golden_does_not_depend_on_numpy_simd(name, tmp_path):
-    """The curve files are the same with numpy's AVX-512 kernels disabled.
+# runs every case in one interpreter, each writing into the directory argv[1]
+_RUN_ALL = """
+import json, sys
+from drlab.cli import main
+out = sys.argv[1]
+cases = json.load(sys.stdin)
+codes = {name: main([a.replace("OUT", out) for a in argv])
+         for name, argv in cases.items()}
+with open(out + "/codes.json", "w") as fh:
+    json.dump(codes, fh)
+"""
 
-    The curve is marched with the scalar libm driver, and the certifying
-    sweep, K and the residuals evaluate that same function on arrays, so
-    both files are compared byte for byte.
-    """
-    case = CASES[name]
+
+@pytest.fixture(scope="module")
+def without_avx512(tmp_path_factory):
+    """The directory of every case's files, written by one subprocess with
+    numpy's AVX-512 kernels disabled, and each case's exit code."""
+    out = tmp_path_factory.mktemp("no_avx512")
     src = str(Path(drlab.__file__).parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [a.replace("OUT", str(tmp_path)) for a in case.argv]
-    proc = subprocess.run([sys.executable, "-m", "drlab.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == case.code, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, str(out)], env=env,
+        input=json.dumps({name: case.argv for name, case in CASES.items()}),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return out, json.loads((out / "codes.json").read_text())
+
+
+@pytest.mark.skipif(not AVX512, reason="numpy dispatches no AVX-512 target")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_curve_golden_does_not_depend_on_numpy_simd(name, without_avx512):
+    """Every golden file is the same with numpy's AVX-512 kernels disabled.
+
+    The curve is marched with the scalar libm driver, and the certifying
+    sweep, K and the residuals evaluate that same function on arrays.  The
+    orbits and seeds run scalar code.  The Monte Carlo reports keep only
+    counts and means of their pools, which came out the same both ways,
+    although numpy's SIMD ``log`` moves single samples of a CLF pool.
+    """
+    out, codes = without_avx512
+    case = CASES[name]
+    assert codes[name] == case.code
     for file in case.files:
-        got = (tmp_path / file).read_bytes()
-        assert got == (GOLDEN / file).read_bytes(), file
+        assert (out / file).read_bytes() == (GOLDEN / file).read_bytes(), file

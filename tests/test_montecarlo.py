@@ -167,8 +167,8 @@ def test_zero_pool_is_absorbing(lf_model):
 
 
 def test_mc_step_refuses_a_pool_of_the_other_family(lf_model, clf_model):
-    # the pool's sample type must be the model's: an integer pool would
-    # truncate CLF's real Z, a real pool would give LF real samples
+    # the pool's sample type must be the model's: resampling an integer
+    # pool under a CLF model, or a real pool under an LF one, mixes families
     ints = SamplePool(level=0, samples=np.ones(2000, dtype=np.int64),
                       seed=1, size=2000)
     reals = SamplePool(level=0, samples=np.ones(2000), seed=1, size=2000)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
                        critical_asymptotics, dual_time_bound,
@@ -273,6 +276,33 @@ def test_refined_h_agrees_with_curve(lf_model, lf_curve):
     from drlab.curve import h_eval
     got = refined_h(lf_model.psi, lf_curve, -0.3, 1e-8)
     assert abs(got - h_eval(lf_curve, -0.3)) < 2e-5
+
+
+SEED_SPECS = ("fig1", "lf:p=0.5,z=1", "lf:p=0.4,z=1@0.5+2@0.5",
+              "clf:p=0.5,z=1")
+
+
+@functools.lru_cache(maxsize=None)
+def _driver_and_curve(spec):
+    from drlab.curve import solve_curve
+    from drlab.drivers import driver_from_spec
+    psi = driver_from_spec(spec)[0]
+    return psi, solve_curve(psi, 0.5, 200)
+
+
+@settings(max_examples=24, deadline=None)
+@example(spec="lf:p=0.5,z=1", v0=-0.3, tol=1e-10)  # cv-refined's start
+@example(spec="lf:p=0.5,z=1", v0=-0.01, tol=1e-10)  # h ~ 5e-5
+@example(spec="fig1", v0=-0.4, tol=1e-9)
+@given(spec=st.sampled_from(SEED_SPECS), v0=st.floats(-0.4, -0.01),
+       tol=st.sampled_from([1e-9, 1e-10]))
+def test_refined_h_agrees_with_the_bisection_oracle(spec, v0, tol):
+    # both are midpoints of brackets of width <= tol around h(v0), the
+    # oracle's bracket being the full [0, -v0]
+    from drlab.curve import bisect_h
+    psi, cur = _driver_and_curve(spec)
+    oracle = bisect_h(psi, v0, tol, classify_max_iter=3 * 10 ** 6)
+    assert abs(refined_h(psi, cur, v0, tol) - oracle) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CriticalCurve, bisect_h, h_eval
+from .curve import CriticalCurve, h_eval
 from .drivers import PsiFunction
 from .errors import DomainError, NumericError
-from .recursion import (PhaseLabel, _orbit, classify, free_energy,
+from .recursion import (PhaseLabel, _orbit, classify_detail, free_energy,
                         initial_state, log_f_one_zero, stopping_times)
 
 __all__ = [
@@ -151,30 +151,82 @@ def _spread(vals: list[float]) -> float | None:
 
 def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
               tol: float) -> float:
-    """h(v0) re-derived by the classifier-bisection oracle inside a
-    bracket around the curve value; the curve supplies the bracket, the
-    dynamics supply the digits.
+    """h(v0) found by the escape-time law and certified by the classifier
+    to within tol; the curve supplies only the first guess.
 
-    The bracket, +-2e-5 around the curve value, is verified (lower end not
-    supercritical, upper end supercritical) and widened fourfold while the
-    curve's bias exceeds it; endpoint checks are cheap because the
-    endpoints sit far from the boundary.  Every classification gets a
-    budget of 3e6 steps.
+    A start u above the curve escapes (v > 0) at a step n with
+    n^2 (u - h) -> const as u -> h, so the escape steps n1, n2 of the
+    starts u1 = est + delta and u2 = est + 4 delta give the estimate
+    (u1 n1^2 - u2 n2^2)/(n1^2 - n2^2).  delta starts at a hundredth of the
+    curve value and shrinks stage by stage to a tenth of the estimate's
+    last move, down to a floor at which the law's own error is about
+    tol/8: 10 tol, or less for small h.  The pair est -+ tol/2, of float
+    width at most tol, is then classified.
+
+    Every verdict, those of the estimating orbits included, tightens a
+    bracket that starts as [0, -v0]: its lower end is certified
+    subcritical, its upper end supercritical.  Where a guess lands on the
+    wrong side of h, the search steps out from the estimate by doubling
+    steps and halves what is left, until hi - lo <= tol.  Each
+    classification gets 3e6 steps; NumericError if an end of the final
+    bracket rests on one that ran out of them (undetermined, sided by the
+    sign of v as in :func:`bisect_h`).
     """
-    coarse = h_eval(curve, v0)
-    bracket, budget = 2e-5, 3 * 10 ** 6
-    for _ in range(6):
-        lo = max(0.0, coarse - bracket)
-        hi = min(-v0, coarse + bracket)
-        hi_super = classify(hi, v0, psi,
-                            max_iter=budget) is PhaseLabel.SUPERCRITICAL
-        lo_super = lo > 0.0 and classify(
-            lo, v0, psi, max_iter=budget) is PhaseLabel.SUPERCRITICAL
-        if hi_super and not lo_super:
-            return bisect_h(psi, v0, tol=tol, lo=lo, hi=hi,
-                            classify_max_iter=budget)
-        bracket *= 4.0
-    raise NumericError(f"could not bracket h({v0}) around the curve value")
+    lo, hi = 0.0, -v0
+    lo_sure = hi_sure = True
+
+    def probe(u: float) -> int | None:
+        """Classify u and tighten [lo, hi]; u's escape step, if it escapes."""
+        nonlocal lo, hi, lo_sure, hi_sure
+        label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6)
+        sure = label is not PhaseLabel.UNDETERMINED
+        if label is PhaseLabel.SUPERCRITICAL or not sure and last.v > 0.0:
+            if u < hi:
+                hi, hi_sure = u, sure
+            return last.n if sure else None
+        if u > lo:
+            lo, lo_sure = u, sure
+        return None
+
+    est = h_eval(curve, v0)
+    floor = min(10.0 * tol, (tol * math.sqrt(est) / 40.0) ** (2.0 / 3.0))
+    delta = max(0.01 * est, floor)
+    for _ in range(64):  # a cap: the estimates settle in about 8 stages
+        u1, u2 = est + delta, est + 4.0 * delta
+        n1 = probe(u1)
+        n2 = n1 and probe(u2)
+        if not (n2 and n1 > n2):  # u1 did not escape: est lies below h
+            break
+        new = (u1 * n1 * n1 - u2 * n2 * n2) / (n1 * n1 - n2 * n2)
+        if not lo < new < hi:
+            break
+        move, est = abs(new - est), new
+        if delta == floor:
+            break
+        delta = max(floor, 0.1 * move)
+    a = est - 0.5 * tol
+    b = a + tol
+    while b - a > tol:
+        b = math.nextafter(b, a)
+    for u in (a, b):
+        if lo < u < hi:
+            probe(u)
+    step = tol
+    while hi - lo > tol:  # a guess landed wrong: step out from est, halve
+        mid = 0.5 * (lo + hi)
+        u = min(max(mid, est - step), est + step)
+        if not lo < u < hi:
+            u = mid
+        if not lo < u < hi:  # adjacent floats: tol is below their spacing
+            break
+        probe(u)
+        step *= 2.0
+    if hi - lo > tol or not (lo_sure and hi_sure):
+        raise NumericError(
+            f"could not certify h({v0}) to within {tol}: an end of "
+            f"[{lo!r}, {hi!r}] rests on a classification that ran out of "
+            f"steps, or tol is below the float spacing")
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

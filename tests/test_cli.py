@@ -39,6 +39,12 @@ def test_unknown_driver_exit_2():
     assert run(["psi", "--driver", "warp"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["fig1:p=0.3,z=2", "affine:z=0.5@0.5"])
+def test_options_on_a_fixed_driver_exit_2(spec, capsys):
+    assert run(["psi", "--driver", spec]) == 2
+    assert "takes no options" in capsys.readouterr().err
+
+
 def test_classify_cli(capsys, tmp_path):
     orbit_path = tmp_path / "orbit.csv"
     code = run(["classify", "--driver", "fig1", "--u0", "0.1", "--v0", "-0.4",
@@ -358,6 +364,16 @@ def test_lab_nonpositive_refine_tol_exit_2(v0, tol, capsys):
                 "--eps", "1e-5", "--m", "100", "--refine-seed-tol", tol])
     assert code == 2
     assert "refine tol must be positive" in capsys.readouterr().err
+
+
+def test_lab_uncertified_refined_seed_exit_1(tmp_path, capsys):
+    # at tol 1e-14 the bracket's ends sit 5e-15 from h, where an orbit
+    # needs far more than the 3e6 steps a classification gets
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
+                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-14",
+                "--out", str(tmp_path / "cv")])
+    assert code == 1
+    assert "could not certify h(-0.3)" in capsys.readouterr().err
 
 
 def test_lab_at_origin_never_solves_a_curve(monkeypatch, tmp_path):

@@ -305,6 +305,69 @@ def test_refined_h_agrees_with_the_bisection_oracle(spec, v0, tol):
     assert abs(refined_h(psi, cur, v0, tol) - oracle) <= tol
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """(u0, label, final n) of every classification, counted once each."""
+    import drlab.curve
+    import drlab.lab
+    import drlab.recursion
+    from drlab.recursion import classify_detail
+    seen = []
+
+    def counted(u0, v0, psi, **kwargs):
+        label, last = classify_detail(u0, v0, psi, **kwargs)
+        seen.append((u0, label, last.n))
+        return label, last
+
+    for module in (drlab.recursion, drlab.curve, drlab.lab):
+        monkeypatch.setattr(module, "classify_detail", counted)
+    return seen
+
+
+def _bisection_seed(psi, curve, v0, tol):
+    """The seed search the escape-law search replaced: a +-2e-5 bracket
+    around the curve value, widened fourfold until it straddles h, then
+    bisected."""
+    from drlab.curve import bisect_h, h_eval
+    coarse, bracket, budget = h_eval(curve, v0), 2e-5, 3 * 10 ** 6
+    while True:
+        lo, hi = max(0.0, coarse - bracket), min(-v0, coarse + bracket)
+        if (classify(hi, v0, psi, max_iter=budget) is PhaseLabel.SUPERCRITICAL
+                and not (lo > 0.0 and classify(lo, v0, psi, max_iter=budget)
+                         is PhaseLabel.SUPERCRITICAL)):
+            return bisect_h(psi, v0, tol=tol, lo=lo, hi=hi,
+                            classify_max_iter=budget)
+        bracket *= 4.0
+
+
+def test_cv_refined_seed_costs_under_2_5m_steps(lf_model, lf_curve,
+                                                verdicts):
+    # the benchmark's seed: lf:p=0.5,z=1 at v0 -0.3, m 1000, tol 1e-11;
+    # the bisection it replaced took 5,476,175 steps
+    got = refined_h(lf_model.psi, lf_curve, -0.3, 1e-11)
+    assert sum(n for _, _, n in verdicts) <= 2_500_000
+    # the seed is the midpoint of a certified bracket of width <= tol
+    below = max(u for u, label, _ in verdicts
+                if label is PhaseLabel.SUBCRITICAL)
+    above = min(u for u, label, _ in verdicts
+                if label is PhaseLabel.SUPERCRITICAL)
+    assert above - below <= 1e-11 and got == 0.5 * (below + above)
+
+
+@pytest.mark.parametrize("spec,v0", [
+    ("lf:p=0.5,z=1", -0.3), ("lf:p=0.5,z=1", -0.01), ("fig1", -0.3),
+    ("fig1", -0.01), ("clf:p=0.5,z=1", -0.3),
+    ("lf:p=0.4,z=1@0.5+2@0.5", -0.3)])
+def test_escape_law_search_never_costs_more_than_bisection(spec, v0,
+                                                           verdicts):
+    psi, cur = _driver_and_curve(spec)
+    _bisection_seed(psi, cur, v0, 1e-10)
+    old = sum(n for _, _, n in verdicts)
+    verdicts.clear()
+    refined_h(psi, cur, v0, 1e-10)
+    assert sum(n for _, _, n in verdicts) <= 1.1 * old
+
+
 # ---------------------------------------------------------------------------
 # the orbit loops against the hand-written loops they replaced
 # ---------------------------------------------------------------------------

@@ -536,18 +536,20 @@ def driver_from_spec(spec: str):
     """Build a driver from an inline spec (see :func:`parse_driver_string`).
 
     Returns ``(psi, constants)`` where ``constants`` is None for drivers
-    that are not model-derived.
+    that are not model-derived.  The fixed drivers (affine, fig1,
+    fig1-clamped) take no options: one given to them is an error, not
+    ignored.
     """
     spec = parse_driver_string(spec)
     kind = spec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown driver kind {kind!r}; expected one of {_KINDS}")
-    if kind == "affine":
-        return make_affine_psi(), None
-    if kind == "fig1":
-        return make_fig1_psi(), None
-    if kind == "fig1-clamped":
-        return make_fig1_clamped_psi(), None
+    fixed = {"affine": make_affine_psi, "fig1": make_fig1_psi,
+             "fig1-clamped": make_fig1_clamped_psi}.get(kind)
+    if fixed is not None:
+        if len(spec) > 1:
+            raise ConfigError(f"driver kind {kind!r} takes no options")
+        return fixed(), None
     if "p" not in spec or "z_atoms" not in spec:
         raise ConfigError(f"driver kind {kind!r} requires p and z atoms")
     if kind == "lf":

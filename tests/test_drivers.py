@@ -386,6 +386,9 @@ def test_driver_from_spec_rejects_garbage():
                  "lf:p=0.5",  # missing atoms
                  "clf:z=1",  # missing p
                  "lf:p=0.5,z=1,frob=2",  # unknown key
-                 "lf:p=0.5,z"):  # an option without a value
+                 "lf:p=0.5,z",  # an option without a value
+                 "fig1:p=0.3,z=2",  # fixed drivers read no option
+                 "fig1-clamped:p=0.5",
+                 "affine:z=0.5@0.5"):
         with pytest.raises(ConfigError):
             driver_from_spec(spec)

@@ -30,11 +30,12 @@ limit:
 
 Seeding: experiments start at u0 = h(v0) + eps, with h(v0) from a
 :class:`Seed` that :func:`make_seed` builds once per start: 0 at v0 >= 0,
-else read off a solved curve.  A solved grid carries an O(spacing^2)-scale
+else read off a solved curve.  A solved grid carries an O(spacing^1.5)
 bias that a small epsilon cannot dominate, so ``refine_tol`` re-derives
-h(v0) by bisecting the phase classifier inside a bracket around the curve
-value.  Decade grids of eps stop at 1e-8; below that even refined seeds
-are contaminated and results carry a flag.
+h(v0) from the dynamics: escape times near the curve value, then a
+bracket certified by the phase classifier.  Decade grids of eps stop at
+1e-8; below that even refined seeds are contaminated and results carry
+a flag.
 """
 
 from __future__ import annotations
@@ -151,26 +152,21 @@ def _spread(vals: list[float]) -> float | None:
 
 def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
               tol: float) -> float:
-    """h(v0) found by the escape-time law and certified by the classifier
-    to within tol; the curve supplies only the first guess.
+    """h(v0) to within tol, found by the escape-time law and certified by
+    the classifier; the curve value is only the first guess.
 
-    A start u above the curve escapes (v > 0) at a step n with
-    n^2 (u - h) -> const as u -> h, so the escape steps n1, n2 of the
-    starts u1 = est + delta and u2 = est + 4 delta give the estimate
-    (u1 n1^2 - u2 n2^2)/(n1^2 - n2^2).  delta starts at a hundredth of the
-    curve value and shrinks stage by stage to a tenth of the estimate's
-    last move, down to a floor at which the law's own error is about
-    tol/8: 10 tol, or less for small h.  The pair est -+ tol/2, of float
-    width at most tol, is then classified.
-
-    Every verdict, those of the estimating orbits included, tightens a
-    bracket that starts as [0, -v0]: its lower end is certified
-    subcritical, its upper end supercritical.  Where a guess lands on the
-    wrong side of h, the search steps out from the estimate by doubling
-    steps and halves what is left, until hi - lo <= tol.  Each
-    classification gets 3e6 steps; NumericError if an end of the final
-    bracket rests on one that ran out of them (undetermined, sided by the
-    sign of v as in :func:`bisect_h`).
+    A start u above h escapes (v > 0) at a step n with n^2 (u - h) ->
+    const, so the starts u1 = est + delta and u2 = est + 4 delta, escaping
+    at n1 and n2, estimate h as (u1 n1^2 - u2 n2^2)/(n1^2 - n2^2).  delta
+    starts at est/100 and shrinks to a tenth of the estimate's last move,
+    down to a floor (10 tol, less for small h) where the law's own error
+    is near tol/8; then the pair est -+ tol/2 is classified.  Every
+    verdict tightens a bracket, first [0, -v0], whose lower end is
+    certified subcritical and upper end supercritical.  Where a guess
+    lands on the wrong side of h, the search steps out from est by
+    doubling steps and halves, until hi - lo <= tol.  Each classification
+    gets 3e6 steps; NumericError if an end of the final bracket rests on
+    one that ran out of them (sided by the sign of v, as in bisect_h).
     """
     lo, hi = 0.0, -v0
     lo_sure = hi_sure = True

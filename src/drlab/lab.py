@@ -176,13 +176,12 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
         nonlocal lo, hi, lo_sure, hi_sure
         label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6)
         sure = label is not PhaseLabel.UNDETERMINED
-        if label is PhaseLabel.SUPERCRITICAL or not sure and last.v > 0.0:
-            if u < hi:
-                hi, hi_sure = u, sure
-            return last.n if sure else None
-        if u > lo:
+        above = label is PhaseLabel.SUPERCRITICAL or not sure and last.v > 0.0
+        if above and u < hi:
+            hi, hi_sure = u, sure
+        if not above and u > lo:
             lo, lo_sure = u, sure
-        return None
+        return last.n if label is PhaseLabel.SUPERCRITICAL else None
 
     est = h_eval(curve, v0)
     floor = min(10.0 * tol, (tol * math.sqrt(est) / 40.0) ** (2.0 / 3.0))

@@ -2,7 +2,9 @@
 
 Each case runs one ``drlab`` command, checks its exit code and compares the
 files it writes with the copies under ``tests/golden/``.  The copies were
-made by running the same argv with ``OUT`` standing for ``tests/golden``.
+made by running the same argv with ``OUT`` standing for ``tests/golden``,
+after :func:`write_inputs` had put the input files there (they are not
+kept).
 A small grid (m = 200) keeps each lab command to a few seconds; the seeds
 it yields are coarse, but the outputs are exactly reproducible, which is
 all a golden file needs.
@@ -29,6 +31,17 @@ NEAR_LF_03 = "0.051806269742573365"  # 1e-10 above it: a 2e5-step orbit
 MC_MODEL = ["--p", "0.5", "--z", "1"]
 MC_RUN = ["--levels", "2", "--pool-size", "20000", "--seed", "3",
           "--threads", "1"]
+LIFTED = "OUT/lifted_fig1.csv"  # an input, written by write_inputs
+
+
+def write_inputs(out: Path) -> None:
+    """The input files of the cases into ``out``: ``LIFTED``, fig1's exact
+    curve x^2/2 lifted by 0.02, on m = 200."""
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_fig1_psi
+    lifted = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + 0.02)
+    with open(LIFTED.replace("OUT", str(out)), "w") as fh:
+        write_curve_csv(lifted, make_fig1_psi(), fh)
 
 
 class Case(NamedTuple):
@@ -58,6 +71,12 @@ CASES = {
     "critical_fig1": lab("critical_fig1", "critical", "--driver", "fig1",
                          "--m", "200", "--v0", "-0.3", "--n-max", "10000",
                          code=1),  # the coarse seed escapes: flagged diverged
+    # the seed on the lifted curve escapes at step 1: a CSV with no rows
+    "critical_no_rows": lab("critical_no_rows", "critical", "--driver",
+                            "fig1", "--v0", "-0.01", "--curve", LIFTED,
+                            "--n-max", "1000", code=1),
+    # the only summary with a float-keyed dict (flags.max_gap_by_eps)
+    "euler": lab("euler", "euler"),
     "classify_super": single("classify_super", "classify", "--driver", "fig1",
                              "--u0", "0.1", "--v0", "-0.4"),
     "classify_sub": single("classify_sub", "classify", *LF_DRIVER,
@@ -107,6 +126,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lab_outputs_match_golden_bytes(name, tmp_path):
     case = CASES[name]
+    write_inputs(tmp_path)
     assert main([a.replace("OUT", str(tmp_path)) for a in case.argv]) \
         == case.code
     for file in case.files:
@@ -147,6 +167,7 @@ def without_avx512(tmp_path_factory):
     """The directory of every case's files, written by one subprocess with
     numpy's AVX-512 kernels disabled, and each case's exit code."""
     out = tmp_path_factory.mktemp("no_avx512")
+    write_inputs(out)
     src = str(Path(drlab.__file__).parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
                PYTHONPATH=os.pathsep.join(

@@ -149,9 +149,8 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify requires --u0 and --v0")
     label, last = classify_detail(args.u0, args.v0, psi,
                                   max_iter=args.max_iter)
-    out = {"label": label.value, "final_n": last.n, "final_u": last.u,
-           "final_v": last.v, "final_log_u": last.log_u}
-    _emit_json(_jsonable(out), args.out)
+    out = {"final_" + key: x for key, x in dataclasses.asdict(last).items()}
+    _emit_json(_jsonable({"label": label.value, **out}), args.out)
     if args.orbit_out:
         states = orbit(args.u0, args.v0, psi, args.orbit_steps)
         with open(args.orbit_out, "w") as fh:
@@ -184,11 +183,7 @@ def _cmd_free_energy(args) -> int:
     if args.u0 is None or args.v0 is None:
         raise ConfigError("free-energy requires --u0 and --v0")
     fe = free_energy(args.u0, args.v0, psi, max_iter=args.max_iter)
-    out = {"value": fe.value, "log_value": fe.log_value,
-           "lower": fe.lower, "upper": fe.upper,
-           "log_lower": fe.log_lower, "log_upper": fe.log_upper,
-           "n_star": fe.n_star, "converged": fe.converged}
-    _emit_json(_jsonable(out), args.out)
+    _emit_json(_jsonable(dataclasses.asdict(fe)), args.out)
     return 0 if fe.converged else 1
 
 
@@ -265,12 +260,8 @@ def _cmd_lab(args) -> int:
         if args.u0 is None or args.v0 is None:
             raise ConfigError("lab sandwich requires --u0 and --v0")
         rep = lab_mod.sandwich_check(psi, args.u0, args.v0)
-        _emit_json(_jsonable({
-            "log_value": rep.log_value, "log_lower": rep.log_lower,
-            "log_upper": rep.log_upper, "n_star": rep.n_star,
-            "ok": rep.ok, "slack_lower": rep.slack_lower,
-            "slack_upper": rep.slack_upper}),
-            (args.out + ".json") if args.out else None)
+        _emit_json(_jsonable(dataclasses.asdict(rep)),
+                   (args.out + ".json") if args.out else None)
         return 0 if rep.ok else 1
     v0 = 0.0 if args.v0 is None else args.v0
     # the seed at v0 >= 0 is 0: no curve to solve or read
@@ -289,18 +280,16 @@ def _cmd_lab(args) -> int:
 
 
 def _emit_lab(report, out_base: str | None) -> int:
-    summary = _jsonable(report.summary())
     if out_base:
-        cols, rows = lab_mod.report_csv_rows(report)
         with open(out_base + ".csv", "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
+            # the columns are the first row's keys; no rows, an empty header
+            fh.write(",".join(report.rows[0] if report.rows else ()) + "\n")
+            for row in report.rows:
                 fh.write(",".join(
                     _f(x) if isinstance(x, float) else str(x)
-                    for x in row) + "\n")
-        _emit_json(summary, out_base + ".json")
-    else:
-        _emit_json(summary, None)
+                    for x in row.values()) + "\n")
+    _emit_json(_jsonable(report.summary()),
+               (out_base + ".json") if out_base else None)
     return 1 if report.flags.get("diverged") or report.exhausted else 0
 
 

@@ -433,12 +433,8 @@ def dual_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
     xs = -dc.grid.xs[::-1]
     h_tilde = dc.h_values[::-1]
     h_dual = h_tilde * psi(xs)
-    grid = CurveGrid(A=A, xs=xs, g=xs + h_dual, K=dc.grid.K,
-                     sweeps=dc.grid.sweeps,
-                     sup_change_last=dc.grid.sup_change_last,
-                     clamp_last=dc.grid.clamp_last)
-    return CriticalCurve(grid=grid, h_values=h_dual, residual_sup=math.nan,
-                         converged=dc.converged)
+    return replace(dc, grid=replace(dc.grid, xs=xs, g=xs + h_dual),
+                   h_values=h_dual, residual_sup=math.nan)
 
 
 def validate_grid(grid: CurveGrid) -> None:

@@ -41,7 +41,7 @@ a flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "SimplifiedComparisonReport",
     "dual_time_bound",
     "refined_h",
-    "report_csv_rows",
 ]
 
 PI_OVER_SQRT2 = math.pi / math.sqrt(2.0)
@@ -94,26 +93,9 @@ class ScalingReport:
     exhausted: bool = False
 
     def summary(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "driver": self.driver,
-            "params": self.params,
-            "raw_last": self.raw_last,
-            "extrapolated": self.extrapolated,
-            "target": self.target,
-            "relative_gap": self.relative_gap,
-            "spread_last3": self.spread_last3,
-            "flags": self.flags,
-            "rows": self.rows,
-        }
-
-
-def report_csv_rows(report: ScalingReport) -> tuple[list[str], list[list]]:
-    """Column names and rows for the experiment's cell-grid CSV."""
-    if not report.rows:
-        return [], []
-    cols = list(report.rows[0].keys())
-    return cols, [[row[c] for c in cols] for row in report.rows]
+        out = asdict(self)
+        del out["exhausted"]
+        return out
 
 
 def _check_eps_list(eps_list) -> list[float]:
@@ -490,16 +472,13 @@ def sandwich_check(psi: PsiFunction, u0: float, v0: float) -> SandwichReport:
     """Verify F(1,0) psi(inf)^(-n*) <= F(u0, v0) <= max(u0,1)
     psi(inf)^(-n*+1) by computing all three quantities independently."""
     fe = free_energy(u0, v0, psi)
-    if fe.n_star is None or fe.log_value == -math.inf:
-        return SandwichReport(fe.log_value, fe.log_lower, fe.log_upper,
-                              fe.n_star, ok=False,
-                              slack_lower=math.nan, slack_upper=math.nan)
-    slack_lo = fe.log_value - fe.log_lower
-    slack_hi = fe.log_upper - fe.log_value
-    ok = slack_lo >= -1e-9 and slack_hi >= -1e-9
+    slack_lo = slack_hi = math.nan  # no n* or F = 0: nothing to bracket
+    if fe.n_star is not None and fe.log_value != -math.inf:
+        slack_lo = fe.log_value - fe.log_lower
+        slack_hi = fe.log_upper - fe.log_value
     return SandwichReport(fe.log_value, fe.log_lower, fe.log_upper,
-                          fe.n_star, ok=ok, slack_lower=slack_lo,
-                          slack_upper=slack_hi)
+                          fe.n_star, ok=slack_lo >= -1e-9 and slack_hi >= -1e-9,
+                          slack_lower=slack_lo, slack_upper=slack_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,11 +245,9 @@ def model_free_energy(model: Model,
     def lg(x: float) -> float:
         return x + log_scale if math.isfinite(x) else x
 
-    return FreeEnergyEstimate(
-        value=fe.value * scale, log_value=lg(fe.log_value),
-        lower=fe.lower * scale, upper=fe.upper * scale,
-        log_lower=lg(fe.log_lower), log_upper=lg(fe.log_upper),
-        n_star=fe.n_star, converged=fe.converged)
+    return replace(fe, value=fe.value * scale, log_value=lg(fe.log_value),
+                   lower=fe.lower * scale, upper=fe.upper * scale,
+                   log_lower=lg(fe.log_lower), log_upper=lg(fe.log_upper))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,9 @@ def _cmd_classify(args) -> int:
     psi, _ = _build_driver(args)
     if args.u0 is None or args.v0 is None:
         raise ConfigError("classify requires --u0 and --v0")
+    if args.orbit_steps < 0:
+        raise ConfigError(
+            f"--orbit-steps must be >= 0, got {args.orbit_steps}")
     label, last = classify_detail(args.u0, args.v0, psi,
                                   max_iter=args.max_iter)
     out = {"final_" + key: x for key, x in dataclasses.asdict(last).items()}
@@ -212,6 +215,8 @@ def _model_and_start(args, kind: str, command: str):
 def _cmd_model_orbit(args) -> int:
     kind = args.command
     model, params, header = _model_and_start(args, kind, f"{kind} orbit")
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     rows = []
     for n in range(args.steps + 1):
         positive, _, _ = law_stats(params)

@@ -344,6 +344,12 @@ def run_validation(model: Model, params0: LFParams | CLFParams,
                    threads: int = 1) -> list[ComparisonReport]:
     """Propagate a pool `levels` generations and compare each one against
     the corresponding closed-form parameters."""
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    if not 0 <= seed < 2 ** 64:  # Philox's key is a uint64
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     pool = _LEVEL0[type(params0)](params0, pool_size, seed, threads)
     params = params0
     reports = [compare_to_model(pool, params)]

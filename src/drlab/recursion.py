@@ -161,8 +161,15 @@ def step(state: OrbitState, psi: PsiFunction) -> OrbitState:
     return OrbitState(state.n + 1, u, v, log_u)
 
 
+def _check_steps(name: str, n: int) -> None:
+    """A step budget or count below 0 is malformed."""
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n!r}")
+
+
 def orbit(u0: float, v0: float, psi: PsiFunction, n: int) -> list[OrbitState]:
     """States 0..n inclusive."""
+    _check_steps("n", n)
     return [OrbitState(k, u, v, log_u) for k, (u, v, log_u, _)
             in zip(range(n + 1), _orbit(initial_state(u0, v0), psi))]
 
@@ -337,6 +344,7 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     hint when the label is Undetermined.  Built-in drivers run the loop of
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     """
+    _check_steps("max_iter", max_iter)
     start = initial_state(u0, v0)
     native = _native_loops(psi, max_iter)
     if native is not None:
@@ -438,6 +446,7 @@ def log_f_one_zero(psi: PsiFunction, *, tol: float = 1e-12,
                    max_iter: int = 10 ** 6) -> float:
     """log F(1, 0), the reference free energy, cached per argument set."""
     _require_bounded(psi)
+    _check_steps("max_iter", max_iter)
     return _log_f_one_zero(psi, tol, max_iter)
 
 
@@ -451,6 +460,7 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
     entry time n* of [1, inf) x [0, inf).
     """
     _require_bounded(psi)
+    _check_steps("max_iter", max_iter)
     label, log_f, n_star, settled = _free_energy_pass(
         u0, v0, psi, tol=tol, window=window, max_iter=max_iter)
     if label is PhaseLabel.SUBCRITICAL:
@@ -562,6 +572,7 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
         raise ValueError("u0 must be positive")
     if not (A > 0.0 and delta > 0.0):
         raise ValueError("A and delta must be positive")
+    _check_steps("max_iter", max_iter)
     a_eps = A * math.sqrt(epsilon)
     start = initial_state(u0, v0)
     code, native = _DOMAIN_ERROR, _native_loops(psi, max_iter)

@@ -130,6 +130,47 @@ def test_curve_rejects_a_bad_tolerance_or_budget_exit_2(flag, value, tmp_path,
     assert not (tmp_path / "c.csv").exists()
 
 
+_LF_START = ["--driver", "lf:p=0.5,z=1", "--u0", "0.051806269642573365",
+             "--v0", "-0.3"]
+_LF_LAW = ["--p", "0.5", "--z", "1", "--alpha", "0.6", "--beta", "0.9"]
+_MC = ["mc", "validate", "--kind", "lf", *_LF_LAW, "--pool-size", "20000"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["free-energy", *_LF_START, "--max-iter", "-1"], "max_iter"),
+    (["classify", *_LF_START, "--max-iter", "-1"], "max_iter"),
+    (["classify", *_LF_START, "--orbit-out", "ORBIT", "--orbit-steps", "-5"],
+     "--orbit-steps"),
+    (["lf", *_LF_LAW, "--steps", "-3", "--out", "ORBIT"], "--steps"),
+    ([*_MC, "--levels", "-1"], "levels"),
+    ([*_MC, "--threads", "-3"], "threads"),
+    ([*_MC, "--seed", "-1"], "seed"),
+], ids=["free-energy-max-iter", "classify-max-iter", "orbit-steps", "steps",
+        "levels", "threads", "seed"])
+def test_a_negative_budget_count_or_seed_exit_2(argv, name, tmp_path, capsys):
+    # before: a negative budget walked the orbit without limit, a negative
+    # count wrote a header-only CSV or one report, a negative seed exit 1
+    orbit_csv = tmp_path / "orbit.csv"
+    assert run([str(orbit_csv) if a == "ORBIT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"{name} must be" in captured.err
+    assert captured.out == "" and not orbit_csv.exists()
+
+
+def test_a_zero_budget_or_count_keeps_its_output(tmp_path, capsys):
+    assert run(["free-energy", *_LF_START, "--max-iter", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["n_star"] is None
+    path = tmp_path / "orbit.csv"
+    assert run(["classify", *_LF_START, "--orbit-out", str(path),
+                "--orbit-steps", "0"]) == 0
+    assert len(path.read_text().splitlines()) == 2  # header and the start
+    assert run(["lf", *_LF_LAW, "--steps", "0", "--out", str(path)]) == 0
+    assert len(path.read_text().splitlines()) == 2
+    capsys.readouterr()
+    assert run([*_MC, "--levels", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 1
+
+
 def test_free_energy_cli(capsys):
     code = run(["free-energy", "--driver", "lf:p=0.5,z=1",
                 "--u0", "1", "--v0", "1"])

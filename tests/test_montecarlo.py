@@ -206,6 +206,16 @@ def test_five_level_closure(lf_model):
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("levels,seed,threads,message", [
+    (-1, 0, 1, "levels must be >= 0"), (1, -1, 1, "seed must be in"),
+    (1, 2 ** 64, 1, "seed must be in"), (1, 0, 0, "threads must be >= 1")])
+def test_run_validation_rejects_a_bad_count_or_seed(lf_model, levels, seed,
+                                                    threads, message):
+    with pytest.raises(ValueError, match=message):
+        run_validation(lf_model, LFParams(0.6, 0.9), levels, N_MED, seed,
+                       threads)
+
+
 def test_compare_to_model_self_test(lf_model):
     params = LFParams(0.6, 0.9)
     pool = pool_from_lf(params, N_MED, seed=14)

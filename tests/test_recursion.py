@@ -294,6 +294,20 @@ def test_stopping_times_validation(lf_model):
         stopping_times(1.0, -0.1, lf_model.psi, A=-1.0, delta=0.1, epsilon=1e-6)
 
 
+def test_a_negative_step_budget_or_count_is_a_value_error(lf_model):
+    psi = lf_model.psi
+    calls = [lambda: classify_detail(0.05, -0.3, psi, max_iter=-1),
+             lambda: free_energy(0.05, -0.3, psi, max_iter=-1),
+             lambda: log_f_one_zero(psi, max_iter=-1),
+             lambda: stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
+                                    epsilon=1e-6, max_iter=-1),
+             lambda: orbit(0.05, -0.3, psi, -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            call()
+    assert [s.n for s in orbit(0.05, -0.3, psi, 0)] == [0]
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------

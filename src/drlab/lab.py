@@ -47,7 +47,7 @@ import numpy as np
 
 from .curve import CriticalCurve, h_eval
 from .drivers import PsiFunction
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from .recursion import (PhaseLabel, _orbit, classify_detail, free_energy,
                         initial_state, log_f_one_zero, stopping_times)
 
@@ -570,7 +570,9 @@ def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float) -> float:
             n_star = n
             break
     if n_star is None or first_nonneg is None:
-        raise DomainError("orbit did not reach u >= 1; eps too small or subcritical")
+        raise NumericError(
+            "orbit did not reach u >= 1 in 1e7 steps; eps too small or "
+            "subcritical")
     best = 0.0
     for k in range(first_nonneg + 1, n_star + 1):
         best = max(best, (n_star - k) * vs[k])  # vs[0] is v0

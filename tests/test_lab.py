@@ -272,6 +272,23 @@ def test_dual_time_bound_uniform_in_eps(lf_model, seed_03):
         assert later <= fit
 
 
+def test_dual_time_bound_without_n_star_is_a_numeric_error(monkeypatch,
+                                                           lf_model):
+    import itertools
+
+    import drlab.lab
+    from drlab.errors import DomainError, NumericError
+    # a start far below the curve never reaches u >= 1: a failed
+    # computation (exit 1 in the CLI), not a malformed input; the orbit is
+    # cut to 10^3 states here instead of the 10^7 it gets
+    real = drlab.lab._orbit
+    monkeypatch.setattr(drlab.lab, "_orbit", lambda start, psi:
+                        itertools.islice(real(start, psi), 1000))
+    with pytest.raises(NumericError, match="did not reach u >= 1") as err:
+        dual_time_bound(lf_model.psi, Seed(-0.3, 0.0), 0.01)
+    assert not isinstance(err.value, DomainError)
+
+
 def test_refined_h_agrees_with_curve(lf_model, lf_curve):
     from drlab.curve import h_eval
     got = refined_h(lf_model.psi, lf_curve, -0.3, 1e-8)

@@ -268,6 +268,8 @@ def _cmd_lab(args) -> int:
         _emit_json(_jsonable(dataclasses.asdict(rep)),
                    (args.out + ".json") if args.out else None)
         return 0 if rep.ok else 1
+    if args.v0 is None and exp in ("critical", "c-star"):
+        raise ConfigError(f"lab {exp} requires --v0 < 0")  # no default
     v0 = 0.0 if args.v0 is None else args.v0
     # the seed at v0 >= 0 is 0: no curve to solve or read
     cur = _lab_curve(args, psi) if v0 < 0.0 else None
@@ -330,7 +332,8 @@ _FLAGS = {
 }
 
 # the value of a flag, by dest, that neither the command line nor the
-# config set; lab's --v0 and --eps default in _cmd_lab, per experiment
+# config set; lab's --v0 (n-star and c-v only) and --eps default in _cmd_lab,
+# per experiment
 _DEFAULTS = {"max_iter": 10 ** 6, "orbit_steps": 100, "A": 0.5, "m": 1000,
              "tol": 1e-12, "kind": "lf", "p": 0.5, "z": "1", "steps": 100,
              "levels": 3, "pool_size": 10 ** 5, "seed": 0, "threads": 1,

@@ -648,22 +648,34 @@ def test_default_mc_validate(monkeypatch):
 
 def test_default_lab_critical(monkeypatch):
     import drlab.lab
-    seed = _record(monkeypatch, drlab.lab, "make_seed", stop=False)
     seen = _record(monkeypatch, drlab.lab, "critical_asymptotics")
-    _recorded_run(["lab", "critical", "--driver", "fig1"])
-    assert seed["make_seed"][0][1] == 0.0  # v0
+    _recorded_run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                   "--m", "200"])
     assert seen["critical_asymptotics"][0][2] == 10 ** 5  # n_max
 
 
-@pytest.mark.parametrize("experiment,call", [
-    ("n-star", "n_star_scaling"), ("c-star", "c_star_estimate"),
-    ("c-v", "c_v_estimate")])
-def test_default_lab_eps(monkeypatch, experiment, call):
+@pytest.mark.parametrize("experiment", ["critical", "c-star"])
+def test_lab_without_its_start_below_the_origin_exit_2(monkeypatch, capsys,
+                                                       experiment):
+    # both need v0 < 0, so neither has a default --v0 (it used to be 0,
+    # which each rejected); nothing is solved before the error
+    import drlab.curve
+    seen = _record(monkeypatch, drlab.curve, "solve_curve")
+    assert run(["lab", experiment, "--driver", "fig1"]) == 2
+    assert f"lab {experiment} requires --v0 < 0" in capsys.readouterr().err
+    assert not seen
+
+
+@pytest.mark.parametrize("experiment,call,v0", [
+    ("n-star", "n_star_scaling", 0.0), ("c-star", "c_star_estimate", -0.3),
+    ("c-v", "c_v_estimate", 0.0)])
+def test_default_lab_eps(monkeypatch, experiment, call, v0):
     import drlab.lab
     seed = _record(monkeypatch, drlab.lab, "make_seed", stop=False)
     seen = _record(monkeypatch, drlab.lab, call)
-    _recorded_run(["lab", experiment, "--driver", "fig1"])
-    assert seed["make_seed"][0][1] == 0.0  # v0
+    given = [] if v0 == 0.0 else ["--v0", str(v0), "--m", "200"]
+    _recorded_run(["lab", experiment, "--driver", "fig1", *given])
+    assert seed["make_seed"][0][1] == v0  # n-star and c-v default to 0
     assert seen[call][0][2] == [1e-6]
 
 

@@ -11,6 +11,12 @@ of any of those flags, or ``out``; explicit flags win.  Other config keys,
 and values whose JSON type does not fit their flag's type, are rejected.
 A flag that neither sets takes its value from ``_DEFAULTS``.
 
+A command's JSON is its result dataclass through ``dataclasses.asdict``
+(a lab report's through ``ScalingReport.summary``), so a new field of a
+result reaches the output with no edit here; only ``psi``, ``curve`` and
+``mc validate`` gather theirs from several objects.  Keys are sorted.  A
+lab CSV's columns are the keys of the report's first row.
+
 Exit codes: 0 success, 1 numeric non-convergence, a numeric or arithmetic
 error, or failed validation (outputs are still written), 2 malformed
 configuration.  All floating-point output is formatted with 17 significant

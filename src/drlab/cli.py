@@ -275,7 +275,7 @@ def _cmd_lab(args) -> int:
                    (args.out + ".json") if args.out else None)
         return 0 if rep.ok else 1
     if args.v0 is None and exp in ("critical", "c-star"):
-        raise ConfigError(f"lab {exp} requires --v0 < 0")  # no default
+        raise ConfigError(f"lab {exp} requires --v0 < 0")
     v0 = 0.0 if args.v0 is None else args.v0
     # the seed at v0 >= 0 is 0: no curve to solve or read
     cur = _lab_curve(args, psi) if v0 < 0.0 else None

@@ -476,9 +476,10 @@ def sandwich_check(psi: PsiFunction, u0: float, v0: float) -> SandwichReport:
     if fe.n_star is not None and fe.log_value != -math.inf:
         slack_lo = fe.log_value - fe.log_lower
         slack_hi = fe.log_upper - fe.log_value
+    ok = slack_lo >= -1e-9 and slack_hi >= -1e-9
     return SandwichReport(fe.log_value, fe.log_lower, fe.log_upper,
-                          fe.n_star, ok=slack_lo >= -1e-9 and slack_hi >= -1e-9,
-                          slack_lower=slack_lo, slack_upper=slack_hi)
+                          fe.n_star, ok=ok, slack_lower=slack_lo,
+                          slack_upper=slack_hi)
 
 
 # ---------------------------------------------------------------------------

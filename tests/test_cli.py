@@ -148,8 +148,7 @@ _MC = ["mc", "validate", "--kind", "lf", *_LF_LAW, "--pool-size", "20000"]
 ], ids=["free-energy-max-iter", "classify-max-iter", "orbit-steps", "steps",
         "levels", "threads", "seed"])
 def test_a_negative_budget_count_or_seed_exit_2(argv, name, tmp_path, capsys):
-    # before: a negative budget walked the orbit without limit, a negative
-    # count wrote a header-only CSV or one report, a negative seed exit 1
+    # rejected before any output is written
     orbit_csv = tmp_path / "orbit.csv"
     assert run([str(orbit_csv) if a == "ORBIT" else a for a in argv]) == 2
     captured = capsys.readouterr()
@@ -657,8 +656,8 @@ def test_default_lab_critical(monkeypatch):
 @pytest.mark.parametrize("experiment", ["critical", "c-star"])
 def test_lab_without_its_start_below_the_origin_exit_2(monkeypatch, capsys,
                                                        experiment):
-    # both need v0 < 0, so neither has a default --v0 (it used to be 0,
-    # which each rejected); nothing is solved before the error
+    # both need v0 < 0, so neither has a default --v0; nothing is solved
+    # before the error
     import drlab.curve
     seen = _record(monkeypatch, drlab.curve, "solve_curve")
     assert run(["lab", experiment, "--driver", "fig1"]) == 2

@@ -665,16 +665,18 @@ def test_lab_without_its_start_below_the_origin_exit_2(monkeypatch, capsys,
     assert not seen
 
 
-@pytest.mark.parametrize("experiment,call,v0", [
-    ("n-star", "n_star_scaling", 0.0), ("c-star", "c_star_estimate", -0.3),
-    ("c-v", "c_v_estimate", 0.0)])
-def test_default_lab_eps(monkeypatch, experiment, call, v0):
+@pytest.mark.parametrize("experiment,call", [
+    ("n-star", "n_star_scaling"), ("c-star", "c_star_estimate"),
+    ("c-v", "c_v_estimate")])
+def test_default_lab_eps(monkeypatch, experiment, call):
     import drlab.lab
     seed = _record(monkeypatch, drlab.lab, "make_seed", stop=False)
     seen = _record(monkeypatch, drlab.lab, call)
-    given = [] if v0 == 0.0 else ["--v0", str(v0), "--m", "200"]
+    # c-star has no default --v0; n-star and c-v default to 0
+    v0 = -0.3 if experiment == "c-star" else 0.0
+    given = ["--v0", "-0.3", "--m", "200"] if v0 else []
     _recorded_run(["lab", experiment, "--driver", "fig1", *given])
-    assert seed["make_seed"][0][1] == v0  # n-star and c-v default to 0
+    assert seed["make_seed"][0][1] == v0
     assert seen[call][0][2] == [1e-6]
 
 

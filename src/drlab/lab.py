@@ -40,16 +40,18 @@ a flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .curve import CriticalCurve, h_eval
-from .drivers import PsiFunction
+from .drivers import PsiFunction, make_affine_psi
 from .errors import NumericError
-from .recursion import (PhaseLabel, _orbit, classify_detail, free_energy,
-                        initial_state, log_f_one_zero, stopping_times)
+from .recursion import (PhaseLabel, _log_bracket, _orbit, classify_detail,
+                        free_energy, initial_state, log_f_one_zero,
+                        stopping_times)
 
 __all__ = [
     "ScalingReport",
@@ -370,9 +372,8 @@ def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
                          "c_hat": math.nan})
             vals.append(math.nan)
             continue
-        log_lower = log_f10 - rec.n_star * log_pinf
-        log_upper = math.log(max(h0 + e, 1.0)) - (rec.n_star - 1) * log_pinf
-        log_mid = 0.5 * (log_lower + log_upper)
+        lo, hi = _log_bracket(log_f10, log_pinf, rec.n_star, h0 + e)
+        log_mid = 0.5 * (lo + hi)
         c_hat = -math.sqrt(e) * log_mid
         vals.append(c_hat)
         rows.append({"eps": e, "n_star": rec.n_star, "log_f_mid": log_mid,
@@ -413,7 +414,7 @@ def euler_tan_targets(t: float) -> tuple[float, float]:
 def euler_tan_check(eps_list, t_list) -> ScalingReport:
     """Iterate the affine simplified system from (eps, 0), rescale to
     (x, y) = (a/eps, b/sqrt(eps)) and compare with the tan solution at
-    steps floor(t/sqrt(eps))."""
+    step floor(t/sqrt(eps)): one row per t and eps, in increasing t."""
     eps = _check_eps_list(eps_list)
     ts = sorted(float(t) for t in t_list)
     if not ts or ts[0] < 0.0:
@@ -423,29 +424,24 @@ def euler_tan_check(eps_list, t_list) -> ScalingReport:
     rows = []
     worst = 0.0
     gaps_by_eps = {}
+    affine = make_affine_psi()
     for e in eps:
         sq = math.sqrt(e)
-        ks = [int(t / sq) for t in ts]
-        a, b = e, 0.0
-        k_max = max(ks)
-        want = {k: t for k, t in zip(ks, ts)}
         gap_here = 0.0
-        for k in range(1, k_max + 1):
-            b = b + a
-            a = a * (1.0 + b)
-            if k in want:
-                t = want[k]
-                x_t, y_t = euler_tan_targets(t)
-                x_e, y_e = a / e, b / sq
-                gap = abs(y_e - y_t)
-                gap_here = max(gap_here, gap)
-                worst = max(worst, gap / max(1.0, abs(y_t)))
-                rows.append({"eps": e, "t": t, "k": k, "x": x_e, "y": y_e,
-                             "x_exact": x_t, "y_exact": y_t, "y_gap": gap})
-        if 0.0 in want:
-            x_t, y_t = 1.0, 0.0
-            rows.append({"eps": e, "t": 0.0, "k": 0, "x": 1.0, "y": 0.0,
-                         "x_exact": x_t, "y_exact": y_t, "y_gap": 0.0})
+        states = _orbit(initial_state(e, 0.0), affine)
+        at, (a, b, _, _) = 0, next(states)
+        for t in ts:  # sorted, so the steps k do not decrease
+            k = int(t / sq)
+            if k > at:
+                a, b, _, _ = next(itertools.islice(states, k - at - 1, None))
+                at = k
+            x_t, y_t = euler_tan_targets(t)
+            x_e, y_e = a / e, b / sq
+            gap = abs(y_e - y_t)
+            gap_here = max(gap_here, gap)
+            worst = max(worst, gap / max(1.0, abs(y_t)))
+            rows.append({"eps": e, "t": t, "k": k, "x": x_e, "y": y_e,
+                         "x_exact": x_t, "y_exact": y_t, "y_gap": gap})
         gaps_by_eps[e] = gap_here
     return ScalingReport("euler_tan_check", "affine",
                          {"eps": eps, "t": ts}, rows,
@@ -505,12 +501,13 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
     Requires (psi(x) - 1)/x within [1-eta, 1+eta] on (0, delta], verified
     at 256 grid points; a violation is reported with the offending x.  With
     eta = 0 the three systems coincide (the driver must then be affine)
-    and coincidence is checked instead of strictness.
+    and coincidence is checked instead of strictness.  All three walk
+    :func:`_orbit`; past eta = 1 the lower one would start at u < 0.
     """
     if not (u0 > 0.0 and -u0 < v0 <= 0.0):
         raise ValueError("need u0 > 0 and v0 in (-u0, 0]")
-    if eta < 0.0 or delta <= 0.0:
-        raise ValueError("need eta >= 0 and delta > 0")
+    if not (0.0 <= eta <= 1.0 and delta > 0.0):
+        raise ValueError("need eta in [0, 1] and delta > 0")
     xs = np.linspace(delta / 256, delta, 256)
     ratios = (psi(xs) - 1.0) / xs
     bad = (ratios < 1.0 - eta - 1e-12) | (ratios > 1.0 + eta + 1e-12)
@@ -520,21 +517,16 @@ def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
                                           band_violation_x=x_bad,
                                           n4=None, first_violation=None,
                                           steps_checked=0, ok=False)
-    am, bm = (1.0 - eta) * u0, (1.0 - eta) * v0
-    ap, bp = (1.0 + eta) * u0, (1.0 + eta) * v0
-    first_violation = None
-    n4 = None
-    k = 0
-    states = _orbit(initial_state(u0, v0), psi)
-    next(states)  # the start itself
-    for k, (u, v, _, _) in zip(range(1, 10 ** 7 + 1), states):
+    first_violation = n4 = None
+    affine = make_affine_psi()
+    states = zip(*(_orbit(initial_state(c * u0, c * v0), p) for c, p in
+                   ((1.0, psi), (1.0 - eta, affine), (1.0 + eta, affine))))
+    next(states)  # the starts themselves
+    for k, ((u, v, _, _), (am, bm, _, _), (ap, bp, _, _)) in zip(
+            range(1, 10 ** 7 + 1), states):
         if v > delta:
             n4 = k
             break
-        bm = bm + am
-        am = am * (1.0 + bm)
-        bp = bp + ap
-        ap = ap * (1.0 + bp)
         if eta == 0.0:
             tol = 1e-12 * max(1.0, abs(u), abs(v))
             good = abs(am - u) <= tol and abs(ap - u) <= tol \

@@ -60,7 +60,8 @@ start (a start whose first step leaves the domain raises first); an exact
 zero of u with v < 0 is subcritical at once.  Orbits hugging the critical
 curve legitimately exhaust the iteration budget: Undetermined is a value,
 not an error, because criticality is not numerically decidable.  The free
-energy walks its orbit once, classifying it on the way.
+energy takes its phase from the classifier, then walks its orbit until
+log u_n - n log psi(inf) settles.
 """
 
 from __future__ import annotations
@@ -400,46 +401,42 @@ def _require_bounded(psi: PsiFunction) -> None:
 
 def _free_energy_pass(u0: float, v0: float, psi: PsiFunction, *,
                       tol: float, window: int, max_iter: int
-                      ) -> tuple[PhaseLabel, float, int | None, bool]:
-    """One walk of the orbit: (phase, log F estimate, n*, settled).
+                      ) -> tuple[float, int | None, bool]:
+    """The settle walk of the orbit: (log F estimate, n*, settled).
 
     s_n = log u_n - n log psi(inf) is nonincreasing; it settles once
     `window` consecutive steps each move it by less than `tol`, or at an
-    exact zero of u.  Alongside, :func:`classify_detail`'s checks run on
-    states 0..max_iter until one decides: v > 0 (supercritical), the
-    subcritical certificate at w = v/2, which ends the walk, or u == 0 at
-    v >= 0 (undetermined).
+    exact zero of u.  The walk ends there, or after state max_iter.
     """
     log_pinf = math.log(psi.psi_inf)
-    fn = psi.fn
     start = initial_state(u0, v0)
     s = start.log_u
     n_star = 0 if (start.v >= 0.0 and start.u >= 1.0) else None
-    label, settled, quiet = None, False, 0
+    quiet = 0
     for n, (u, v, log_u, log_w) in enumerate(_orbit(start, psi)):
-        if n and not settled:
+        if n:
             ds = log_w - log_pinf
             s = s + ds
             if n_star is None and v >= 0.0 and log_u >= 0.0:
                 n_star = n
             quiet = quiet + 1 if abs(ds) < tol else 0
-            settled = quiet >= window
-        if label is None:
-            if v > 0.0 and log_u > -_INF:
-                label = PhaseLabel.SUPERCRITICAL
-            elif _certified(fn, n, u, v, 0.5 * v):
-                return PhaseLabel.SUBCRITICAL, -_INF, None, True
-            elif log_u == -_INF:
-                label = PhaseLabel.UNDETERMINED
-        settled = settled or log_u == -_INF  # s is -inf there already
-        if (settled and label is not None) or n == max_iter:
-            return label or PhaseLabel.UNDETERMINED, s, n_star, settled
+        settled = n > 0 and quiet >= window or log_u == -_INF  # s = -inf
+        if settled or n == max_iter:
+            return s, n_star, settled
+
+
+def _log_bracket(log_f10: float, log_pinf: float, n_star: int,
+                 u0: float) -> tuple[float, float]:
+    """(log lower, log upper) of the bracket F(1,0) psi(inf)^(-n*) <= F(u0, .)
+    <= max(u0,1) psi(inf)^(1-n*), from log F(1,0), log psi(inf) and n*."""
+    return (log_f10 - n_star * log_pinf,
+            math.log(max(u0, 1.0)) - (n_star - 1) * log_pinf)
 
 
 @functools.lru_cache(maxsize=64)
 def _log_f_one_zero(psi: PsiFunction, tol: float, max_iter: int) -> float:
     return _free_energy_pass(1.0, 0.0, psi, tol=tol, window=100,
-                             max_iter=max_iter)[1]
+                             max_iter=max_iter)[0]
 
 
 def log_f_one_zero(psi: PsiFunction, *, tol: float = 1e-12,
@@ -455,21 +452,22 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
                 max_iter: int = 10 ** 6) -> FreeEnergyEstimate:
     """Estimate F(u0, v0) = lim psi(inf)^(-n) u_n for a bounded driver.
 
-    Subcritical points report 0 exactly.  Otherwise the nonincreasing
-    log-scale sequence is iterated to stability and bracketed through the
-    entry time n* of [1, inf) x [0, inf).
+    The phase is :func:`classify_detail`'s.  Subcritical points report 0
+    exactly.  Otherwise the nonincreasing log-scale sequence is iterated
+    to stability and bracketed through the entry time n* of
+    [1, inf) x [0, inf).
     """
     _require_bounded(psi)
-    _check_steps("max_iter", max_iter)
-    label, log_f, n_star, settled = _free_energy_pass(
-        u0, v0, psi, tol=tol, window=window, max_iter=max_iter)
+    label = classify_detail(u0, v0, psi, max_iter=max_iter)[0]
     if label is PhaseLabel.SUBCRITICAL:
         return FreeEnergyEstimate(0.0, -_INF, 0.0, 0.0, -_INF, -_INF,
                                   n_star=None, converged=True)
+    log_f, n_star, settled = _free_energy_pass(
+        u0, v0, psi, tol=tol, window=window, max_iter=max_iter)
     if n_star is not None:
-        log_pinf = math.log(psi.psi_inf)
-        log_lower = log_f_one_zero(psi, tol=tol, max_iter=max_iter) - n_star * log_pinf
-        log_upper = math.log(max(u0, 1.0)) - (n_star - 1) * log_pinf
+        log_lower, log_upper = _log_bracket(
+            log_f_one_zero(psi, tol=tol, max_iter=max_iter),
+            math.log(psi.psi_inf), n_star, u0)
     else:
         log_lower, log_upper = -_INF, _INF
     try:

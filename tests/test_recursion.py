@@ -213,8 +213,8 @@ def test_log_f_one_zero_cache_keys_on_tolerance():
     # budget makes the first caller's value differ
     psi, _ = driver_from_spec("lf:p=0.4,z=1")
     coarse = log_f_one_zero(psi, tol=1e-3, max_iter=3)
-    _, fine, _, _ = _free_energy_pass(1.0, 0.0, psi, tol=1e-12, window=100,
-                                      max_iter=10 ** 6)
+    fine, _, _ = _free_energy_pass(1.0, 0.0, psi, tol=1e-12, window=100,
+                                   max_iter=10 ** 6)
     assert coarse != fine
     assert log_f_one_zero(psi) == fine
     assert log_f_one_zero(psi, tol=1e-3, max_iter=3) == coarse

@@ -270,6 +270,16 @@ def test_lab_euler_cli_files(tmp_path):
         assert all(float(x) == float(x) for x in line.split(","))
 
 
+def test_lab_euler_writes_a_row_per_t_on_a_shared_step(tmp_path):
+    # both t fall on step 3 at eps 1e-2
+    code = run(["lab", "euler", "--eps", "1e-2", "--t", "0.31", "--t", "0.35",
+                "--out", str(tmp_path / "euler")])
+    assert code == 0
+    lines = (tmp_path / "euler.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in lines[1:]] == [
+        ["0.31", "3"], ["0.34999999999999998", "3"]]
+
+
 def test_lab_sandwich_cli(capsys):
     code = run(["lab", "sandwich", "--driver", "lf:p=0.5,z=1",
                 "--u0", "1", "--v0", "0"])

@@ -199,6 +199,24 @@ def test_euler_gap_does_not_diverge_with_eps():
     assert gaps[1e-8] <= gaps[1e-6] + 0.01
 
 
+def test_euler_writes_one_row_per_t():
+    # 0.31 and 0.35 both fall on step 3 at eps 1e-2
+    rep = euler_tan_check([1e-2], [0.35, 0.31])
+    assert [(r["t"], r["k"]) for r in rep.rows] == [(0.31, 3), (0.35, 3)]
+    assert rep.rows[0]["y_exact"] != rep.rows[1]["y_exact"]
+    assert rep.rows[0]["y_gap"] != rep.rows[1]["y_gap"]
+
+
+def test_euler_row_at_step_0_keeps_its_t():
+    # t = 5e-5 falls on step 0 at eps 1e-8: the row is first and compares
+    # the start with the tan solution at 5e-5, not at 0
+    rep = euler_tan_check([1e-8], [5e-5, 0.3])
+    row = rep.rows[0]
+    assert (row["t"], row["k"], row["x"], row["y"]) == (5e-5, 0, 1.0, 0.0)
+    assert (row["x_exact"], row["y_exact"]) == euler_tan_targets(5e-5)
+    assert row["y_gap"] == euler_tan_targets(5e-5)[1] > 0.0
+
+
 def test_euler_rejects_t_near_blowup():
     with pytest.raises(ValueError):
         euler_tan_check([1e-6], [PI_OVER_SQRT2 - 0.01])
@@ -255,6 +273,14 @@ def test_eta_band_violation_reported(lf_model):
 def test_eta_zero_degenerate_affine(affine):
     rep = simplified_comparison(affine, 1e-4, 0.0, 0.0, 0.1)
     assert rep.band_ok and rep.ok
+
+
+@pytest.mark.parametrize("eta,delta", [(-0.1, 0.1), (1.5, 0.1),
+                                       (math.nan, 0.1), (0.1, 0.0)])
+def test_simplified_comparison_rejects_a_bad_eta_or_delta(affine, eta, delta):
+    # past eta = 1 the lower system would start at a negative u
+    with pytest.raises(ValueError, match="eta in"):
+        simplified_comparison(affine, 1e-4, 0.0, eta, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +464,33 @@ def _parent_simplified_orbit(psi, u0, v0, eta, delta, max_iter=10 ** 7):
     return n4, first_violation, k
 
 
+def _plain_euler_rows(e, ts):
+    """euler_tan_check's rows for one eps from a plain loop over the affine
+    simplified system."""
+    sq = math.sqrt(e)
+    a, b, k = e, 0.0, 0
+    rows = []
+    for t in sorted(ts):
+        while k < int(t / sq):
+            b += a
+            a *= 1 + b
+            k += 1
+        x_t, y_t = euler_tan_targets(t)
+        rows.append({"eps": e, "t": t, "k": k, "x": a / e, "y": b / sq,
+                     "x_exact": x_t, "y_exact": y_t,
+                     "y_gap": abs(b / sq - y_t)})
+    return rows
+
+
+@pytest.mark.parametrize("eps,ts", [
+    ([1e-2], [0.31, 0.35]), ([1e-4, 1e-6], [0.0, 0.3, 0.7, 1.0]),
+    ([1e-8], [5e-5, 0.3, 2.0])])
+def test_euler_rows_match_plain_loop(eps, ts):
+    rep = euler_tan_check(eps, ts)
+    want = [row for e in eps for row in _plain_euler_rows(e, ts)]
+    assert repr(rep.rows) == repr(want)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
 def test_dual_time_bound_matches_parent_loop(lf_model, fig1, seed_03,
                                              seed_001, eps):
@@ -450,7 +503,7 @@ def test_dual_time_bound_matches_parent_loop(lf_model, fig1, seed_03,
 
 @pytest.mark.parametrize("u0,v0,eta,delta", [
     (1e-4, 0.0, 0.1, 0.1), (1e-4, 0.0, 0.06, 0.05), (3e-3, -1e-3, 0.2, 0.1),
-    (1e-4, 0.0, 0.0, 0.1)])
+    (1e-4, 0.0, 0.0, 0.1), (2e-3, -1e-3, 0.0, 0.05), (1e-4, 0.0, 1.0, 0.1)])
 def test_simplified_comparison_matches_parent_loop(lf_model, affine, u0, v0,
                                                     eta, delta):
     psi = affine if eta == 0.0 else lf_model.psi

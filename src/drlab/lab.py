@@ -211,7 +211,8 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
 @dataclass(frozen=True)
 class Seed:
     """The critical start h(v0) of the near-critical experiments, with the
-    bisection tolerance that refined it (None: read off the curve)."""
+    tol of the escape-law search that refined it (None: read off the
+    curve)."""
 
     v0: float
     h: float
@@ -222,11 +223,16 @@ def make_seed(psi: PsiFunction, v0: float, *,
               curve: CriticalCurve | None = None,
               refine_tol: float | None = None) -> Seed:
     """h(v0): 0 at v0 >= 0 (no curve needed), else the curve value, refined
-    by :func:`refined_h` when ``refine_tol`` is given."""
-    if refine_tol is not None and not refine_tol > 0.0:
-        raise ValueError(f"refine tol must be positive, got {refine_tol!r}")
+    by :func:`refined_h` when ``refine_tol`` is given; below the origin
+    the tol must be below -v0, the width of the bracket h starts in."""
+    if refine_tol is not None and not 0.0 < refine_tol < math.inf:
+        raise ValueError(
+            f"refine tol must be positive and finite, got {refine_tol!r}")
     if v0 >= 0.0:
         return Seed(v0, 0.0, refine_tol)
+    if refine_tol is not None and not refine_tol < -v0:
+        raise ValueError(f"refine tol must be below -v0 = {-v0!r}, the "
+                         f"width of h's bracket [0, -v0], got {refine_tol!r}")
     if curve is None:
         raise ValueError("a seed below the origin needs a curve")
     h = (h_eval(curve, v0) if refine_tol is None

@@ -416,6 +416,18 @@ def test_lab_nonpositive_refine_tol_exit_2(v0, tol, capsys):
     assert "refine tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("v0,tol,message", [
+    ("-0.3", "inf", "positive and finite"), ("0", "inf", "positive and finite"),
+    ("-0.3", "nan", "positive and finite"), ("-0.3", "0.3", "below -v0"),
+    ("-0.3", "1", "below -v0")])
+def test_lab_unbounded_refine_tol_exit_2(v0, tol, message, capsys):
+    # a tol as wide as the bracket [0, -v0] certifies its midpoint unprobed
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", v0,
+                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", tol])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_lab_uncertified_refined_seed_exit_1(tmp_path, capsys):
     # at tol 1e-14 the bracket's ends sit 5e-15 from h, where an orbit
     # needs far more than the 3e6 steps a classification gets

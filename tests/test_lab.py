@@ -52,6 +52,14 @@ def test_seed_rejects_nonpositive_refine_tol(lf_model, tol):
         make_seed(lf_model.psi, 0.0, refine_tol=tol)
 
 
+@pytest.mark.parametrize("v0,tol", [(0.0, math.inf), (-0.3, math.inf),
+                                    (-0.3, 0.3), (-0.01, 0.02)])
+def test_seed_rejects_a_refine_tol_not_below_the_bracket(lf_model, lf_curve,
+                                                         v0, tol):
+    with pytest.raises(ValueError):
+        make_seed(lf_model.psi, v0, curve=lf_curve, refine_tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # on-curve decay
 # ---------------------------------------------------------------------------

@@ -240,6 +240,23 @@ def make_seed(psi: PsiFunction, v0: float, *,
     return Seed(v0, h, refine_tol)
 
 
+def _seed_unresolved(psi: PsiFunction, seed: Seed, eps_min: float) -> bool:
+    """Whether the seed's error could exceed eps_min / 10, where it would
+    move sqrt(eps)-scaled statistics by about 5%.  A refined seed is within
+    refine_tol / 2 of h; an unrefined one below the origin is unresolved
+    when the start eps_min / 10 below it is supercritical or the one above
+    it subcritical (an undetermined verdict counts as resolved)."""
+    d = eps_min / 10.0
+    if seed.v0 >= 0.0:
+        return False
+    if seed.refine_tol is not None:
+        return seed.refine_tol / 2.0 > d
+    below = classify_detail(max(seed.h - d, 0.0), seed.v0, psi)[0]
+    above = classify_detail(seed.h + d, seed.v0, psi)[0]
+    return (below is PhaseLabel.SUPERCRITICAL
+            or above is PhaseLabel.SUBCRITICAL)
+
+
 # ---------------------------------------------------------------------------
 # on-curve decay
 # ---------------------------------------------------------------------------
@@ -311,7 +328,8 @@ def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,
         rows.append({"eps": e, "n_star": rec.n_star, "sqrt_eps_n_star": val,
                      "N0": rec.N0, "n1_A": rec.n1_A, "n2_A": rec.n2_A})
     flags = {"eps_below_floor": eps[-1] < EPS_FLOOR,
-             "seed_refined": seed.refine_tol is not None}
+             "seed_refined": seed.refine_tol is not None,
+             "seed_unresolved": _seed_unresolved(psi, seed, eps[-1])}
     if v0 == 0.0:
         target = PI_OVER_SQRT2
     else:
@@ -348,7 +366,9 @@ def c_star_estimate(psi: PsiFunction, seed: Seed,
                          {"v0": v0, "eps": eps}, rows,
                          raw_last=vals[-1], extrapolated=extrap,
                          spread_last3=_spread(vals),
-                         flags={"eps_below_floor": eps[-1] < EPS_FLOOR},
+                         flags={"eps_below_floor": eps[-1] < EPS_FLOOR,
+                                "seed_unresolved": _seed_unresolved(
+                                    psi, seed, eps[-1])},
                          exhausted=any(rec.N0 is None for rec in records))
 
 
@@ -385,7 +405,8 @@ def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
         rows.append({"eps": e, "n_star": rec.n_star, "log_f_mid": log_mid,
                      "c_hat": c_hat})
     extrap = _extrapolate_sqrt(eps, vals)
-    flags = {"eps_below_floor": eps[-1] < EPS_FLOOR}
+    flags = {"eps_below_floor": eps[-1] < EPS_FLOOR,
+             "seed_unresolved": _seed_unresolved(psi, seed, eps[-1])}
     if v0 == 0.0:
         cross = PI_OVER_SQRT2 * log_pinf
         flags["cross_route"] = "pi/sqrt2 * log psi_inf (v0 = 0)"

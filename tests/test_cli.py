@@ -428,6 +428,16 @@ def test_lab_unbounded_refine_tol_exit_2(v0, tol, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_lab_unresolved_seed_exit_1(tmp_path):
+    # the m = 1000 curve sits 5.2e-6 above h(-0.3), far more than eps
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
+                "--eps", "1e-6", "--eps", "1e-7", "--eps", "1e-8",
+                "--out", str(tmp_path / "cv")])
+    assert code == 1
+    summary = json.loads((tmp_path / "cv.json").read_text())
+    assert summary["flags"]["seed_unresolved"] is True
+
+
 def test_lab_uncertified_refined_seed_exit_1(tmp_path, capsys):
     # at tol 1e-14 the bracket's ends sit 5e-15 from h, where an orbit
     # needs far more than the 3e6 steps a classification gets

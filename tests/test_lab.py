@@ -11,6 +11,7 @@ from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
                        euler_tan_check, euler_tan_targets, make_seed,
                        n_star_scaling, refined_h, sandwich_check,
                        simplified_comparison)
+from drlab import lab
 from drlab.recursion import classify, PhaseLabel
 
 
@@ -58,6 +59,44 @@ def test_seed_rejects_a_refine_tol_not_below_the_bracket(lf_model, lf_curve,
                                                          v0, tol):
     with pytest.raises(ValueError):
         make_seed(lf_model.psi, v0, curve=lf_curve, refine_tol=tol)
+
+
+@pytest.mark.parametrize("seed,eps_min,unresolved", [
+    (Seed(-0.3, 0.045), 1e-5, False),  # fig1's h(-0.3) is 0.045
+    (Seed(-0.3, 0.045 + 1e-5), 1e-5, True),  # h - eps/10 escapes
+    (Seed(-0.3, 0.045 - 1e-5), 1e-5, True),  # h + eps/10 collapses
+    (Seed(-0.3, 0.045), 1e-14, False),  # both undetermined: resolved
+    (Seed(0.0, 0.0), 1e-5, False)])
+def test_seed_unresolved_classifies_a_tenth_of_eps_either_side(
+        fig1, seed, eps_min, unresolved):
+    assert lab._seed_unresolved(fig1, seed, eps_min) is unresolved
+
+
+@pytest.mark.parametrize("tol,unresolved", [(1e-9, False), (2e-6, False),
+                                            (3e-6, True)])
+def test_refined_seed_is_unresolved_by_its_tol_alone(fig1, monkeypatch, tol,
+                                                     unresolved):
+    # the bracket is within tol / 2 of h: compared with eps / 10, no orbit
+    monkeypatch.setattr(lab, "classify_detail", None)
+    seed = Seed(-0.3, 0.045, refine_tol=tol)
+    assert lab._seed_unresolved(fig1, seed, 1e-5) is unresolved
+
+
+def test_exact_m200_fig1_seed_is_resolved(fig1):
+    from drlab.curve import curve_from_h
+    exact = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs)
+    seed = make_seed(fig1, -0.3, curve=exact)
+    assert not c_star_estimate(fig1, seed, [1e-5]).flags["seed_unresolved"]
+
+
+@pytest.mark.parametrize("experiment", [n_star_scaling, c_star_estimate,
+                                        c_v_estimate])
+def test_scaling_reports_flag_an_unresolved_seed(lf_model, seed_03,
+                                                 experiment):
+    off = Seed(-0.3, seed_03.h + 2e-6)
+    assert not experiment(lf_model.psi, seed_03, [1e-5]).flags[
+        "seed_unresolved"]
+    assert experiment(lf_model.psi, off, [1e-5]).flags["seed_unresolved"]
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,7 @@ def _free_energy_pass(u0: float, v0: float, psi: PsiFunction, *,
     s = start.log_u
     n_star = 0 if (start.v >= 0.0 and start.u >= 1.0) else None
     quiet = 0
-    for n, (u, v, log_u, log_w) in enumerate(_orbit(start, psi)):
+    for n, (_, v, log_u, log_w) in enumerate(_orbit(start, psi)):
         if n:
             ds = log_w - log_pinf
             s = s + ds

@@ -1,10 +1,11 @@
 """Golden outputs: CLI CSV and JSON files must stay byte-identical.
 
 Each case runs one ``drlab`` command, checks its exit code and compares the
-files it writes with the copies under ``tests/golden/``.  The copies were
-made by running the same argv with ``OUT`` standing for ``tests/golden``,
-after :func:`write_inputs` had put the input files there (they are not
-kept).
+files it writes with the copies under ``tests/golden/``.  The copies are
+made by ``PYTHONPATH=src python tests/test_golden.py NAME ...``, which
+runs each named case with ``OUT`` standing for ``tests/golden`` after
+:func:`write_inputs` has put the input files there, prints its exit code
+and removes the inputs again.
 A small grid (m = 200) keeps each lab command to a few seconds; the seeds
 it yields are coarse, but the outputs are exactly reproducible, which is
 all a golden file needs.
@@ -34,14 +35,18 @@ MC_RUN = ["--levels", "2", "--pool-size", "20000", "--seed", "3",
 LIFTED = "OUT/lifted_fig1.csv"  # an input, written by write_inputs
 
 
-def write_inputs(out: Path) -> None:
-    """The input files of the cases into ``out``: ``LIFTED``, fig1's exact
-    curve x^2/2 lifted by 0.02, on m = 200."""
+def write_inputs(out: Path) -> list[Path]:
+    """The input files of the cases, written into ``out``: fig1's exact
+    curve x^2/2 on m = 200, ``LIFTED`` by 0.02."""
     from drlab.curve import curve_from_h, write_curve_csv
     from drlab.drivers import make_fig1_psi
-    lifted = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + 0.02)
-    with open(LIFTED.replace("OUT", str(out)), "w") as fh:
-        write_curve_csv(lifted, make_fig1_psi(), fh)
+    paths = []
+    for name, shift in ((LIFTED, 0.02),):
+        paths.append(Path(name.replace("OUT", str(out))))
+        curve = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + shift)
+        with open(paths[-1], "w") as fh:
+            write_curve_csv(curve, make_fig1_psi(), fh)
+    return paths
 
 
 class Case(NamedTuple):
@@ -197,3 +202,15 @@ def test_curve_golden_does_not_depend_on_numpy_simd(name, without_avx512):
     assert codes[name] == case.code
     for file in case.files:
         assert (out / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py NAME ...: re-capture the named cases
+    inputs = write_inputs(GOLDEN)
+    try:
+        for name in sys.argv[1:]:
+            print(name, main([a.replace("OUT", str(GOLDEN))
+                              for a in CASES[name].argv]))
+    finally:
+        for path in inputs:
+            path.unlink()

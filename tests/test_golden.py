@@ -32,16 +32,17 @@ NEAR_LF_03 = "0.051806269742573365"  # 1e-10 above it: a 2e5-step orbit
 MC_MODEL = ["--p", "0.5", "--z", "1"]
 MC_RUN = ["--levels", "2", "--pool-size", "20000", "--seed", "3",
           "--threads", "1"]
-LIFTED = "OUT/lifted_fig1.csv"  # an input, written by write_inputs
+LIFTED = "OUT/lifted_fig1.csv"  # inputs, written by write_inputs
+LOWERED = "OUT/lowered_fig1.csv"
 
 
 def write_inputs(out: Path) -> list[Path]:
     """The input files of the cases, written into ``out``: fig1's exact
-    curve x^2/2 on m = 200, ``LIFTED`` by 0.02."""
+    curve x^2/2 on m = 200, ``LIFTED`` by 0.02 and ``LOWERED`` by 1e-6."""
     from drlab.curve import curve_from_h, write_curve_csv
     from drlab.drivers import make_fig1_psi
     paths = []
-    for name, shift in ((LIFTED, 0.02),):
+    for name, shift in ((LIFTED, 0.02), (LOWERED, -1e-6)):
         paths.append(Path(name.replace("OUT", str(out))))
         curve = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + shift)
         with open(paths[-1], "w") as fh:
@@ -81,6 +82,10 @@ CASES = {
     "critical_no_rows": lab("critical_no_rows", "critical", "--driver",
                             "fig1", "--v0", "-0.01", "--curve", LIFTED,
                             "--n-max", "1000", code=1),
+    # the seed on the lowered curve collapses (u -> 0) within the run
+    "critical_collapse": lab("critical_collapse", "critical", "--driver",
+                             "fig1", "--v0", "-0.3", "--curve", LOWERED,
+                             "--n-max", "10000"),
     # the only summary with a float-keyed dict (flags.max_gap_by_eps)
     "euler": lab("euler", "euler"),
     "classify_super": single("classify_super", "classify", "--driver", "fig1",

@@ -303,8 +303,7 @@ def _emit_lab(report, out_base: str | None) -> int:
                     for x in row.values()) + "\n")
     _emit_json(_jsonable(report.summary()),
                (out_base + ".json") if out_base else None)
-    return 1 if (report.flags.get("diverged") or report.exhausted
-                 or report.flags.get("seed_unresolved")) else 0
+    return 1 if report.failed else 0
 
 
 # ---------------------------------------------------------------------------

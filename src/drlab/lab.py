@@ -74,13 +74,14 @@ __all__ = [
 
 PI_OVER_SQRT2 = math.pi / math.sqrt(2.0)
 EPS_FLOOR = 1e-8  # below this, seed error contaminates eps even when refined
+_DELTA = 0.1  # the scans' delta level; no statistic they report reads it
 
 
 @dataclass
 class ScalingReport:
     """Observed statistics over a parameter grid plus limit diagnostics;
-    ``exhausted`` (not in the summary): an orbit did not reach a hitting
-    index the experiment reads within the stopping pass's budget."""
+    ``failed`` (not in the summary): the run's answer cannot be trusted,
+    for a reason its flags name, and the command exits 1."""
 
     experiment: str
     driver: str
@@ -92,11 +93,11 @@ class ScalingReport:
     relative_gap: float | None = None
     spread_last3: float | None = None
     flags: dict = field(default_factory=dict)
-    exhausted: bool = False
+    failed: bool = False
 
     def summary(self) -> dict:
         out = asdict(self)
-        del out["exhausted"]
+        del out["failed"]
         return out
 
 
@@ -116,12 +117,6 @@ def _extrapolate_sqrt(eps: list[float], vals: list[float]) -> float | None:
     r1, r2 = math.sqrt(eps[-2]), math.sqrt(eps[-1])
     y1, y2 = vals[-2], vals[-1]
     return (y2 * r1 - y1 * r2) / (r1 - r2)
-
-
-def _exhausted(records, v0: float) -> bool:
-    """True when a record lacks n*, or N0 below the origin (c* reads it)."""
-    return any(rec.n_star is None or (v0 < 0.0 and rec.N0 is None)
-               for rec in records)
 
 
 def _spread(vals: list[float]) -> float | None:
@@ -288,7 +283,8 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     flags = {"diverged": diverged}
     if diverged:
         return ScalingReport("critical_asymptotics", psi.name,
-                             {"v0": v0, "n_max": n_max}, rows, flags=flags)
+                             {"v0": v0, "n_max": n_max}, rows, flags=flags,
+                             failed=True)
     last = rows[-1]
     flags["gap_n2_u"] = abs(last["n2_u"] - 2.0)
     flags["gap_n_v"] = abs(last["n_v"] + 2.0)
@@ -304,22 +300,65 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
 # n* scaling and the free-energy constants
 # ---------------------------------------------------------------------------
 
+def _scan(psi: PsiFunction, seed: Seed, eps_list, A: float = 10.0):
+    """(eps, records, flags): the stopping pass from h(v0) + eps for each
+    eps of a checked, decreasing grid, and the flags every scan carries."""
+    eps = _check_eps_list(eps_list)
+    records = [stopping_times(seed.h + e, seed.v0, psi, A=A, delta=_DELTA,
+                              epsilon=e) for e in eps]
+    return eps, records, {"eps_below_floor": eps[-1] < EPS_FLOOR,
+                          "seed_unresolved": _seed_unresolved(psi, seed,
+                                                              eps[-1])}
+
+
+def _target(seed: Seed, scan, scale: float) -> float | None:
+    """scale * pi/sqrt(2) at v0 = 0; below it scale * pi sqrt(2)/sqrt(c*),
+    with c* extrapolated on the scan's grid and stored in its flags (None
+    unless c* > 0)."""
+    if seed.v0 == 0.0:
+        return PI_OVER_SQRT2 * scale
+    eps, records, flags = scan
+    cstar = flags["c_star"] = _extrapolate_sqrt(
+        eps, [rec.u_N0_over_eps for rec in records])
+    return (math.pi * math.sqrt(2.0) * scale / math.sqrt(cstar)
+            if cstar and cstar > 0.0 else None)
+
+
+def _report(experiment: str, psi: PsiFunction, seed: Seed, scan, rows,
+            vals: list[float], target: float | None = None,
+            **params) -> ScalingReport:
+    """The report of a scan whose statistic is vals, one per eps.  It
+    failed on an unresolved seed, or when the pass ran out of steps before
+    a hitting index the scan reads: a nan value, or below the origin an
+    N0 (c* reads it)."""
+    eps, records, flags = scan
+    extrap = _extrapolate_sqrt(eps, vals)
+    gap = (abs(extrap - target) / abs(target)
+           if target is not None and extrap is not None else None)
+    failed = (flags["seed_unresolved"] or any(map(math.isnan, vals))
+              or seed.v0 < 0.0 and any(rec.N0 is None for rec in records))
+    return ScalingReport(experiment, psi.name,
+                         {"v0": seed.v0, "eps": eps, **params}, rows,
+                         raw_last=vals[-1], extrapolated=extrap,
+                         target=target, relative_gap=gap,
+                         spread_last3=_spread(vals), flags=flags,
+                         failed=failed)
+
+
 def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,
-                   A: float = 10.0, delta: float = 0.1) -> ScalingReport:
+                   A: float = 10.0) -> ScalingReport:
     """sqrt(eps) * n*(h(v0)+eps, v0) over a decreasing eps grid.
 
     Target: pi/sqrt(2) at v0 = 0 (the turning point is the start itself,
     c* = 1, and only the outgoing half of the excursion remains);
     pi sqrt(2)/sqrt(c*) for v0 < 0, with c* estimated on the same grid.
     """
-    v0 = seed.v0
     if not psi.bounded:
         raise ValueError("n* scaling needs a bounded driver")
-    if v0 > 0.0:
+    if seed.v0 > 0.0:
         raise ValueError("need v0 <= 0")
-    eps = _check_eps_list(eps_list)
-    records = [stopping_times(seed.h + e, v0, psi, A=A, delta=delta,
-                              epsilon=e) for e in eps]
+    eps, records, flags = scan = _scan(psi, seed, eps_list, A)
+    flags["seed_refined"] = seed.refine_tol is not None
     rows = []
     vals = []
     for e, rec in zip(eps, records):
@@ -327,69 +366,37 @@ def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,
         vals.append(val)
         rows.append({"eps": e, "n_star": rec.n_star, "sqrt_eps_n_star": val,
                      "N0": rec.N0, "n1_A": rec.n1_A, "n2_A": rec.n2_A})
-    flags = {"eps_below_floor": eps[-1] < EPS_FLOOR,
-             "seed_refined": seed.refine_tol is not None,
-             "seed_unresolved": _seed_unresolved(psi, seed, eps[-1])}
-    if v0 == 0.0:
-        target = PI_OVER_SQRT2
-    else:
-        cstar = flags["c_star"] = _extrapolate_sqrt(
-            eps, [rec.u_N0_over_eps for rec in records])
-        target = (math.pi * math.sqrt(2.0) / math.sqrt(cstar)
-                  if cstar and cstar > 0.0 else None)
-    extrap = _extrapolate_sqrt(eps, vals)
-    gap = (abs(extrap - target) / target
-           if target is not None and extrap is not None else None)
-    return ScalingReport("n_star_scaling", psi.name,
-                         {"v0": v0, "eps": eps, "A": A, "delta": delta},
-                         rows, raw_last=vals[-1], extrapolated=extrap,
-                         target=target, relative_gap=gap,
-                         spread_last3=_spread(vals), flags=flags,
-                         exhausted=_exhausted(records, v0))
+    return _report("n_star_scaling", psi, seed, scan, rows, vals,
+                   _target(seed, scan, 1.0), A=A, delta=_DELTA)
 
 
 def c_star_estimate(psi: PsiFunction, seed: Seed,
                     eps_list) -> ScalingReport:
     """u at the last nonpositive-v step, divided by eps; stabilizes to the
     transfer constant c*."""
-    v0 = seed.v0
-    if not v0 < 0.0:
+    if not seed.v0 < 0.0:
         raise ValueError("need v0 < 0 (at v0 = 0 the constant is exactly 1)")
-    eps = _check_eps_list(eps_list)
-    # A and delta set thresholds that u_{N0} does not depend on
-    records = [stopping_times(seed.h + e, v0, psi, A=10.0, delta=0.1,
-                              epsilon=e) for e in eps]
+    # u_{N0} depends on neither A nor delta
+    eps, records, _ = scan = _scan(psi, seed, eps_list)
     vals = [rec.u_N0_over_eps for rec in records]
     rows = [{"eps": e, "u_N0_over_eps": val} for e, val in zip(eps, vals)]
-    extrap = _extrapolate_sqrt(eps, vals)
-    return ScalingReport("c_star_estimate", psi.name,
-                         {"v0": v0, "eps": eps}, rows,
-                         raw_last=vals[-1], extrapolated=extrap,
-                         spread_last3=_spread(vals),
-                         flags={"eps_below_floor": eps[-1] < EPS_FLOOR,
-                                "seed_unresolved": _seed_unresolved(
-                                    psi, seed, eps[-1])},
-                         exhausted=any(rec.N0 is None for rec in records))
+    return _report("c_star_estimate", psi, seed, scan, rows, vals)
 
 
-def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
-                 A: float = 10.0, delta: float = 0.1) -> ScalingReport:
+def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list) -> ScalingReport:
     """-sqrt(eps) log F(h(v0)+eps, v0), with log F taken as the midpoint of
     the two-sided bracket (the direct value underflows at these eps).
 
     Cross-checked against pi sqrt(2) log psi(inf) / sqrt(c*) for v0 < 0 and
     against (pi/sqrt(2)) log psi(inf) at v0 = 0.
     """
-    v0, h0 = seed.v0, seed.h
     if not psi.bounded:
         raise ValueError("free-energy constants need a bounded driver")
-    if v0 > 0.0:
+    if seed.v0 > 0.0:
         raise ValueError("need v0 <= 0")
-    eps = _check_eps_list(eps_list)
     log_pinf = math.log(psi.psi_inf)
     log_f10 = log_f_one_zero(psi)
-    records = [stopping_times(h0 + e, v0, psi, A=A, delta=delta, epsilon=e)
-               for e in eps]
+    eps, records, flags = scan = _scan(psi, seed, eps_list)
     rows = []
     vals = []
     for e, rec in zip(eps, records):
@@ -398,32 +405,17 @@ def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list, *,
                          "c_hat": math.nan})
             vals.append(math.nan)
             continue
-        lo, hi = _log_bracket(log_f10, log_pinf, rec.n_star, h0 + e)
+        lo, hi = _log_bracket(log_f10, log_pinf, rec.n_star, seed.h + e)
         log_mid = 0.5 * (lo + hi)
         c_hat = -math.sqrt(e) * log_mid
         vals.append(c_hat)
         rows.append({"eps": e, "n_star": rec.n_star, "log_f_mid": log_mid,
                      "c_hat": c_hat})
-    extrap = _extrapolate_sqrt(eps, vals)
-    flags = {"eps_below_floor": eps[-1] < EPS_FLOOR,
-             "seed_unresolved": _seed_unresolved(psi, seed, eps[-1])}
-    if v0 == 0.0:
-        cross = PI_OVER_SQRT2 * log_pinf
-        flags["cross_route"] = "pi/sqrt2 * log psi_inf (v0 = 0)"
-    else:
-        cstar = flags["c_star"] = _extrapolate_sqrt(
-            eps, [rec.u_N0_over_eps for rec in records])
-        cross = (math.pi * math.sqrt(2.0) * log_pinf / math.sqrt(cstar)
-                 if cstar and cstar > 0.0 else None)
-        flags["cross_route"] = "pi sqrt2 log psi_inf / sqrt(c*)"
-    gap = (abs(extrap - cross) / abs(cross)
-           if cross is not None and extrap is not None else None)
-    return ScalingReport("c_v_estimate", psi.name,
-                         {"v0": v0, "eps": eps, "A": A, "delta": delta},
-                         rows, raw_last=vals[-1], extrapolated=extrap,
-                         target=cross, relative_gap=gap,
-                         spread_last3=_spread(vals), flags=flags,
-                         exhausted=_exhausted(records, v0))
+    flags["cross_route"] = ("pi/sqrt2 * log psi_inf (v0 = 0)"
+                            if seed.v0 == 0.0 else
+                            "pi sqrt2 log psi_inf / sqrt(c*)")
+    return _report("c_v_estimate", psi, seed, scan, rows, vals,
+                   _target(seed, scan, log_pinf), A=10.0, delta=_DELTA)
 
 
 # ---------------------------------------------------------------------------

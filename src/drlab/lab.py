@@ -4,7 +4,10 @@ Each experiment runs a family of orbits started a distance epsilon above
 the critical curve and reports a scaling statistic against its predicted
 limit:
 
-  * ``critical_asymptotics``  on-curve decay u_n ~ 2/n^2, v_n ~ -2/n;
+  * ``critical_asymptotics``  on-curve decay u_n ~ 2/n^2, v_n ~ -2/n,
+                              flagged when the classifier sees the orbit
+                              escape or collapse (its certificate is
+                              tested at every 1024th step);
   * ``n_star_scaling``        sqrt(eps) * n* tends to pi/sqrt(2) when the
                               start sits at v0 = 0, and to
                               pi sqrt(2)/sqrt(c*) for v0 < 0;
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -261,39 +264,43 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     """Start on the curve at (h(v0), v0) and record n^2 u_n and n v_n at
     16 logarithmically spaced times; both tend to 2 (resp. -2).
 
-    If the orbit escapes (v goes positive: the seed was effectively
-    off-curve) the report is flagged divergent and carries no targets.
+    The walk from one mark to the next is one :func:`classify_detail`
+    call.  An escape (v > 0: ``diverged``) or a collapse (the subcritical
+    certificate, tested at every 1024th step of a walk, so only when
+    n_max is above about 2000: ``collapsed``) ends the rows, and the
+    report carries no target.  ``seed_unresolved``: the seed's error could
+    exceed 0.25/n_max^2, which moves n^2 u at n_max by about 5%.
     """
     v0 = seed.v0
     if not v0 < 0.0:
         raise ValueError("need v0 < 0")
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    marks = {int(round(n_max ** (k / 15.0))) for k in range(16)} | {n_max}
+    marks = sorted({round(n_max ** (k / 15.0)) for k in range(16)} | {n_max})
     rows = []
-    diverged = False
-    states = _orbit(initial_state(seed.h, v0), psi)
-    for n, (u, v, _, _) in zip(range(n_max + 1), states):
-        if v > 0.0:
-            diverged = True
+    u, v = seed.h, v0
+    for at, n in zip([0, *marks], marks):
+        # undetermined at mark n, unless the walk stopped before it
+        label, last = classify_detail(u, v, psi, max_iter=n - at - 1)
+        u, v = last.u, last.v
+        if label is not PhaseLabel.UNDETERMINED or v > 0.0:
             break
-        if n in marks and n > 0:
-            rows.append({"n": n, "n2_u": n * n * u, "n_v": n * v,
-                         "u": u, "v": v})
-    flags = {"diverged": diverged}
-    if diverged:
-        return ScalingReport("critical_asymptotics", psi.name,
-                             {"v0": v0, "n_max": n_max}, rows, flags=flags,
-                             failed=True)
-    last = rows[-1]
-    flags["gap_n2_u"] = abs(last["n2_u"] - 2.0)
-    flags["gap_n_v"] = abs(last["n_v"] + 2.0)
-    flags["u_over_half_v2"] = last["u"] / (0.5 * last["v"] ** 2)
-    return ScalingReport("critical_asymptotics", psi.name,
-                         {"v0": v0, "n_max": n_max}, rows,
-                         raw_last=last["n2_u"], target=2.0,
-                         relative_gap=abs(last["n2_u"] - 2.0) / 2.0,
-                         flags=flags)
+        rows.append({"n": n, "n2_u": n * n * u, "n_v": n * v,
+                     "u": u, "v": v})
+    flags = {"diverged": v > 0.0,
+             "collapsed": label is PhaseLabel.SUBCRITICAL,
+             "seed_unresolved": _seed_unresolved(psi, seed, 2.5 / n_max ** 2)}
+    report = ScalingReport("critical_asymptotics", psi.name,
+                           {"v0": v0, "n_max": n_max}, rows, flags=flags,
+                           failed=any(flags.values()))
+    if flags["diverged"] or flags["collapsed"]:
+        return report
+    n2_u, n_v, u, v = (rows[-1][k] for k in ("n2_u", "n_v", "u", "v"))
+    return replace(report, raw_last=n2_u, target=2.0,
+                   relative_gap=abs(n2_u - 2.0) / 2.0,
+                   flags={**flags, "gap_n2_u": abs(n2_u - 2.0),
+                          "gap_n_v": abs(n_v + 2.0),
+                          "u_over_half_v2": u / (0.5 * v ** 2)})
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,10 @@ CASES = {
     "critical_no_rows": lab("critical_no_rows", "critical", "--driver",
                             "fig1", "--v0", "-0.01", "--curve", LIFTED,
                             "--n-max", "1000", code=1),
-    # the seed on the lowered curve collapses (u -> 0) within the run
+    # the seed on the lowered curve collapses (u -> 0): flagged collapsed
     "critical_collapse": lab("critical_collapse", "critical", "--driver",
                              "fig1", "--v0", "-0.3", "--curve", LOWERED,
-                             "--n-max", "10000"),
+                             "--n-max", "10000", code=1),
     # the only summary with a float-keyed dict (flags.max_gap_by_eps)
     "euler": lab("euler", "euler"),
     "classify_super": single("classify_super", "classify", "--driver", "fig1",

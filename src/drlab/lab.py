@@ -407,14 +407,11 @@ def c_v_estimate(psi: PsiFunction, seed: Seed, eps_list) -> ScalingReport:
     rows = []
     vals = []
     for e, rec in zip(eps, records):
-        if rec.n_star is None:
-            rows.append({"eps": e, "n_star": None, "log_f_mid": math.nan,
-                         "c_hat": math.nan})
-            vals.append(math.nan)
-            continue
-        lo, hi = _log_bracket(log_f10, log_pinf, rec.n_star, seed.h + e)
-        log_mid = 0.5 * (lo + hi)
-        c_hat = -math.sqrt(e) * log_mid
+        log_mid = c_hat = math.nan  # no n*: nothing to bracket
+        if rec.n_star is not None:
+            lo, hi = _log_bracket(log_f10, log_pinf, rec.n_star, seed.h + e)
+            log_mid = 0.5 * (lo + hi)
+            c_hat = -math.sqrt(e) * log_mid
         vals.append(c_hat)
         rows.append({"eps": e, "n_star": rec.n_star, "log_f_mid": log_mid,
                      "c_hat": c_hat})

@@ -322,24 +322,16 @@ def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
         xs = _grid_xs(psi, A, m)
         g = _march(psi, xs)
         K = pick_K(psi, A, m) if K_override is None else K_override
-        _, change, clamp_max = _sweep(xs, g, K, psi)
-        done = 1
+        _, change, clamp = _sweep(xs, g, K, psi)
+        grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=1,
+                         sup_change_last=change, clamp_last=clamp)
     else:
         grid = solve_g1(psi, A, m, K=K_override)
-        xs = grid.xs
-        g = grid.g
-        K = grid.K
-        change = math.inf
-        clamp_max = 0.0
         for _ in range(sweeps):
-            g, change, clamp = _sweep(xs, g, K, psi)
-            clamp_max = max(clamp_max, clamp)
-        done = sweeps
-    out_grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=done,
-                         sup_change_last=change, clamp_last=clamp_max)
-    h = g - xs
-    curve = CriticalCurve(grid=out_grid, h_values=h, residual_sup=math.nan,
-                          converged=(change < tol))
+            grid = iterate_g(grid, psi)
+    curve = CriticalCurve(grid=grid, h_values=grid.g - grid.xs,
+                          residual_sup=math.nan,
+                          converged=grid.sup_change_last < tol)
     return replace(curve, residual_sup=residual(curve, psi))
 
 

@@ -478,6 +478,35 @@ def test_lab_critical_diverged_exit_1(tmp_path):
     assert (tmp_path / "crit.csv").exists()
 
 
+def test_lab_critical_collapsed_exit_1(tmp_path):
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_fig1_psi
+    # a curve lowered 1e-6 below the exact h = x^2/2: the orbit collapses
+    lowered = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs - 1e-6)
+    curve_path = tmp_path / "lowered.csv"
+    with open(curve_path, "w") as fh:
+        write_curve_csv(lowered, make_fig1_psi(), fh)
+    code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                "--curve", str(curve_path), "--n-max", "100000",
+                "--out", str(tmp_path / "crit")])
+    assert code == 1
+    summary = json.loads((tmp_path / "crit.json").read_text())
+    assert summary["flags"]["collapsed"] is True
+    assert summary["flags"]["diverged"] is False
+    assert summary["target"] is None
+
+
+@pytest.mark.parametrize("tol,code", [("1e-9", 1), ("1e-11", 0)])
+def test_lab_critical_refine_tol_against_n_max(tmp_path, tol, code):
+    # at the default n_max 10^5 a seed is resolved for tol / 2 <= 2.5e-11
+    assert run(["lab", "critical", "--driver", "lf:p=0.5,z=1",
+                "--v0", "-0.3", "--refine-seed-tol", tol,
+                "--out", str(tmp_path / "crit")]) == code
+    flags = json.loads((tmp_path / "crit.json").read_text())["flags"]
+    assert flags["seed_unresolved"] is bool(code)
+    assert not (flags["diverged"] or flags["collapsed"])
+
+
 @pytest.mark.parametrize("experiment", ["c-v", "n-star", "c-star"])
 def test_lab_stopping_pass_without_its_hit_exit_1(monkeypatch, tmp_path,
                                                   experiment):

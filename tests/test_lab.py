@@ -12,7 +12,8 @@ from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
                        n_star_scaling, refined_h, sandwich_check,
                        simplified_comparison)
 from drlab import lab
-from drlab.recursion import classify, PhaseLabel
+from drlab.drivers import make_custom_psi
+from drlab.recursion import PhaseLabel, _orbit, classify, initial_state
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,128 @@ def test_critical_asymptotics_needs_a_step(fig1, fig1_exact_curve):
         with pytest.raises(ValueError, match="n_max"):
             critical_asymptotics(fig1, seed, n_max=n_max)
     assert [r["n"] for r in critical_asymptotics(fig1, seed, 1).rows] == [1]
+
+
+def _walked(psi, seed, n_max):
+    """(rows, diverged) of a plain walk of the orbit to n_max that stops
+    at the first v > 0: critical_asymptotics' oracle, which sees no
+    collapse."""
+    marks = {int(round(n_max ** (k / 15.0))) for k in range(16)} | {n_max}
+    rows = []
+    states = _orbit(initial_state(seed.h, seed.v0), psi)
+    for n, (u, v, _, _) in zip(range(n_max + 1), states):
+        if v > 0.0:
+            return rows, True
+        if n in marks and n > 0:
+            rows.append({"n": n, "n2_u": n * n * u, "n_v": n * v,
+                         "u": u, "v": v})
+    return rows, False
+
+
+def _escape_step(psi, seed):
+    return next(n for n, (_, v, _, _) in enumerate(
+        _orbit(initial_state(seed.h, seed.v0), psi)) if v > 0.0)
+
+
+def _fig1_in_python(fig1):
+    """fig1 without its native description: the Python classifier runs."""
+    return make_custom_psi("fig1-python", fig1.fn, fig1.deriv_fn,
+                           psi_inf=fig1.psi_inf, domain_min=fig1.domain_min,
+                           domain_max=fig1.domain_max)
+
+
+@pytest.mark.parametrize("python", [False, True])
+@pytest.mark.parametrize("dh", [0.0, 1e-4, 1e-9, -1e-9])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 100, 10 ** 4])
+def test_critical_rows_match_a_plain_walk(fig1, python, dh, n_max):
+    # fig1's h(-0.3) is 0.045: on the curve, escaping between marks, and
+    # a hair either side; none of these collapses within 10^4 steps
+    psi = _fig1_in_python(fig1) if python else fig1
+    seed = Seed(-0.3, 0.045 + dh)
+    rows, diverged = _walked(psi, seed, n_max)
+    rep = critical_asymptotics(psi, seed, n_max)
+    assert repr(rep.rows) == repr(rows)
+    assert rep.flags["diverged"] is diverged
+    assert not rep.flags["collapsed"]
+
+
+@pytest.mark.parametrize("python", [False, True])
+@pytest.mark.parametrize("at_mark", [False, True])
+def test_critical_escape_at_or_between_marks(fig1, python, at_mark):
+    # the orbit escapes at step n_e; with n_max = n_e the escape falls on
+    # the last mark, whose row is not written, as in the plain walk
+    psi = _fig1_in_python(fig1) if python else fig1
+    seed = Seed(-0.3, 0.045 + 1e-4)
+    n_e = _escape_step(psi, seed)
+    n_max = n_e if at_mark else 10 ** 4
+    marks = {int(round(n_max ** (k / 15.0))) for k in range(16)} | {n_max}
+    assert (n_e in marks) is at_mark
+    rows, diverged = _walked(psi, seed, n_max)
+    rep = critical_asymptotics(psi, seed, n_max)
+    assert diverged and rep.flags["diverged"] and rep.failed
+    assert repr(rep.rows) == repr(rows) and rows[-1]["n"] < n_e
+    assert rep.target is None and rep.relative_gap is None
+
+
+def test_critical_rows_match_a_plain_walk_on_lf(lf_model):
+    seed = Seed(-0.3, 0.05180626966866757)  # lf's h(-0.3) to about 1e-11
+    rows, diverged = _walked(lf_model.psi, seed, 10 ** 4)
+    rep = critical_asymptotics(lf_model.psi, seed, 10 ** 4)
+    assert repr(rep.rows) == repr(rows) and not diverged
+    assert not rep.failed and rep.relative_gap < 0.01
+
+
+@pytest.mark.parametrize("python", [False, True])
+def test_critical_asymptotics_flags_a_collapse(fig1, python):
+    # 1e-6 below h the orbit is subcritical: n^2 u falls to 9e-5 by 10^4
+    # steps, and the certificate ends the rows where it first holds
+    psi = _fig1_in_python(fig1) if python else fig1
+    seed = Seed(-0.3, 0.045 - 1e-6)
+    rows, diverged = _walked(psi, seed, 10 ** 4)
+    rep = critical_asymptotics(psi, seed, 10 ** 4)
+    assert rep.flags["collapsed"] and not rep.flags["diverged"]
+    assert rep.failed and not diverged
+    assert rep.target is None and rep.raw_last is None
+    assert 0 < len(rep.rows) < len(rows)
+    assert repr(rep.rows) == repr(rows[:len(rep.rows)])
+
+
+def test_critical_collapse_needs_a_stretch_of_1024_steps(fig1):
+    # below n_max 1024 no stretch between two marks reaches the
+    # certificate's first test, so the collapse is not flagged
+    seed = Seed(-0.3, 0.045 - 1e-6)
+    rep = critical_asymptotics(fig1, seed, 1000)
+    assert not rep.flags["collapsed"]
+    assert rep.relative_gap > 0.1
+
+
+@pytest.mark.parametrize("h,unresolved", [(0.045, False),
+                                          (0.045 + 1e-8, True)])
+def test_critical_unrefined_seed_is_classified_a_quarter_over_n_max2(
+        fig1, h, unresolved):
+    # at n_max 10^4 the seed must sit within 2.5e-9 of h
+    rep = critical_asymptotics(fig1, Seed(-0.3, h), 10 ** 4)
+    assert rep.flags["seed_unresolved"] is unresolved
+    assert rep.failed is unresolved
+
+
+@pytest.mark.parametrize("tol,unresolved", [(1e-9, True), (1e-11, False)])
+def test_critical_refined_seed_is_unresolved_by_its_tol(lf_model, lf_curve,
+                                                        tol, unresolved):
+    # at n_max 10^5 tol / 2 must stay below 2.5e-11; the 1e-9 seed reads
+    # n^2 u 5% off its target, the 1e-11 one 0.05%
+    seed = make_seed(lf_model.psi, -0.3, curve=lf_curve, refine_tol=tol)
+    rep = critical_asymptotics(lf_model.psi, seed)
+    assert rep.flags["seed_unresolved"] is unresolved
+    assert not (rep.flags["diverged"] or rep.flags["collapsed"])
+    assert rep.failed is unresolved
+    assert (rep.relative_gap > 0.01) is unresolved
+
+
+def test_summary_leaves_out_failed(fig1):
+    rep = critical_asymptotics(fig1, Seed(-0.3, 0.045 + 1e-4), 100)
+    assert rep.failed
+    assert "failed" not in rep.summary()
 
 
 # ---------------------------------------------------------------------------

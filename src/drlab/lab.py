@@ -239,20 +239,25 @@ def make_seed(psi: PsiFunction, v0: float, *,
 
 
 def _seed_unresolved(psi: PsiFunction, seed: Seed, eps_min: float) -> bool:
-    """Whether the seed's error could exceed eps_min / 10, where it would
-    move sqrt(eps)-scaled statistics by about 5%.  A refined seed is within
-    refine_tol / 2 of h; an unrefined one below the origin is unresolved
-    when the start eps_min / 10 below it is supercritical or the one above
-    it subcritical (an undetermined verdict counts as resolved)."""
+    """Whether the seed's error could exceed d = eps_min / 10, where it
+    would move sqrt(eps)-scaled statistics by about 5%.  A refined seed is
+    within refine_tol / 2 of h.  An unrefined one below the origin is
+    resolved only when the start d below it collapses and the one d above
+    it escapes.  By the escape law a start d from h is decided in about
+    2/sqrt(d) steps, so each start gets 4 times that, and at least
+    classify_detail's default 10^6; a verdict still undetermined there
+    counts as unresolved."""
     d = eps_min / 10.0
     if seed.v0 >= 0.0:
         return False
     if seed.refine_tol is not None:
         return seed.refine_tol / 2.0 > d
-    below = classify_detail(max(seed.h - d, 0.0), seed.v0, psi)[0]
-    above = classify_detail(seed.h + d, seed.v0, psi)[0]
-    return (below is PhaseLabel.SUPERCRITICAL
-            or above is PhaseLabel.SUBCRITICAL)
+    budget = max(10 ** 6, math.ceil(8.0 / math.sqrt(d)))
+    below = classify_detail(max(seed.h - d, 0.0), seed.v0, psi,
+                            max_iter=budget)[0]
+    above = classify_detail(seed.h + d, seed.v0, psi, max_iter=budget)[0]
+    return not (below is PhaseLabel.SUBCRITICAL
+                and above is PhaseLabel.SUPERCRITICAL)
 
 
 # ---------------------------------------------------------------------------

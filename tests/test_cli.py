@@ -496,6 +496,24 @@ def test_lab_critical_collapsed_exit_1(tmp_path):
     assert summary["target"] is None
 
 
+def test_lab_critical_unresolved_seed_at_a_million_steps_exit_1(tmp_path):
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_fig1_psi
+    # a curve lifted 1e-12 above the exact h = x^2/2: at n_max 10^6 the
+    # seed check's lower start escapes only after 2.3e6 steps
+    lifted = curve_from_h(0.5, 200, lambda xs: 0.5 * xs * xs + 1e-12)
+    curve_path = tmp_path / "lifted.csv"
+    with open(curve_path, "w") as fh:
+        write_curve_csv(lifted, make_fig1_psi(), fh)
+    code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
+                "--curve", str(curve_path), "--n-max", "1000000",
+                "--out", str(tmp_path / "crit")])
+    assert code == 1
+    flags = json.loads((tmp_path / "crit.json").read_text())["flags"]
+    assert flags["seed_unresolved"] is True
+    assert not (flags["diverged"] or flags["collapsed"])
+
+
 @pytest.mark.parametrize("tol,code", [("1e-9", 1), ("1e-11", 0)])
 def test_lab_critical_refine_tol_against_n_max(tmp_path, tol, code):
     # at the default n_max 10^5 a seed is resolved for tol / 2 <= 2.5e-11

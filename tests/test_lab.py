@@ -66,11 +66,27 @@ def test_seed_rejects_a_refine_tol_not_below_the_bracket(lf_model, lf_curve,
     (Seed(-0.3, 0.045), 1e-5, False),  # fig1's h(-0.3) is 0.045
     (Seed(-0.3, 0.045 + 1e-5), 1e-5, True),  # h - eps/10 escapes
     (Seed(-0.3, 0.045 - 1e-5), 1e-5, True),  # h + eps/10 collapses
-    (Seed(-0.3, 0.045), 1e-14, False),  # both undetermined: resolved
+    (Seed(-0.3, 0.045), 1e-14, False),  # each decided after about 7e7 steps
     (Seed(0.0, 0.0), 1e-5, False)])
 def test_seed_unresolved_classifies_a_tenth_of_eps_either_side(
         fig1, seed, eps_min, unresolved):
     assert lab._seed_unresolved(fig1, seed, eps_min) is unresolved
+
+
+@pytest.mark.parametrize("eps_min,budget", [(1e-5, 10 ** 6),
+                                            (2.5e-12, 16 * 10 ** 6)])
+def test_seed_check_budget_follows_the_escape_law(fig1, monkeypatch, eps_min,
+                                                  budget):
+    # 4 * 2/sqrt(d) steps for d = eps_min / 10, at least 10^6; a verdict
+    # still undetermined there leaves the seed unresolved
+    budgets = []
+
+    def undetermined(u, v, psi, *, max_iter):
+        budgets.append(max_iter)
+        return PhaseLabel.UNDETERMINED, None
+    monkeypatch.setattr(lab, "classify_detail", undetermined)
+    assert lab._seed_unresolved(fig1, Seed(-0.3, 0.045), eps_min)
+    assert budgets == [budget, budget]
 
 
 @pytest.mark.parametrize("tol,unresolved", [(1e-9, False), (2e-6, False),
@@ -232,6 +248,14 @@ def test_critical_unrefined_seed_is_classified_a_quarter_over_n_max2(
     rep = critical_asymptotics(fig1, Seed(-0.3, h), 10 ** 4)
     assert rep.flags["seed_unresolved"] is unresolved
     assert rep.failed is unresolved
+
+
+def test_critical_seed_check_reaches_past_a_million_steps(fig1):
+    # at n_max 10^6 the start h - 2.5e-13 of a seed 1e-12 above h escapes
+    # only at step 2,344,990; n^2 u ends 23% off its target
+    rep = critical_asymptotics(fig1, Seed(-0.3, 0.045 + 1e-12), 10 ** 6)
+    assert rep.flags["seed_unresolved"] and rep.failed
+    assert rep.relative_gap > 0.2
 
 
 @pytest.mark.parametrize("tol,unresolved", [(1e-9, True), (1e-11, False)])

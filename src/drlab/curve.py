@@ -451,13 +451,19 @@ def validate_grid(grid: CurveGrid) -> None:
 # ---------------------------------------------------------------------------
 
 def write_curve_csv(curve: CriticalCurve, psi: PsiFunction, out: TextIO) -> None:
-    xs = curve.grid.xs
-    g = curve.grid.g
-    h = curve.h_values
-    res = residual_local(curve, psi)
+    """Write x, g, h and :func:`residual_local` per node, each value as
+    ``f"{v:.17g}"`` writes it.  With the library loaded ``_classify.c``
+    formats the rows, in chunks of 64 KB, to the same bytes; the f-string
+    loop below is its fallback and oracle."""
+    cols = (curve.grid.xs, curve.grid.g, curve.h_values,
+            residual_local(curve, psi))
     out.write("x,g,h,residual_local\n")
+    native = _native_lib()
+    if native:
+        native.write_rows(out, cols)
+        return
     out.writelines(f"{x:.17g},{gx:.17g},{hx:.17g},{r:.17g}\n" for x, gx, hx, r
-                   in zip(xs.tolist(), g.tolist(), h.tolist(), res.tolist()))
+                   in zip(*(c.tolist() for c in cols)))
 
 
 def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:

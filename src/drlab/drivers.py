@@ -28,14 +28,15 @@ Built-in drivers
                   ``base(th) = E exp(-Z/th) / p``, the Laplace transform's
                   continuous analogue.
 
-Every driver is one scalar function (plain ``math``).  The function of
-each built-in driver also carries a ``native`` description, from which
-``_classify.c`` evaluates the same function for the C classifier and
-stopping-time loops and for arrays; other drivers map the function over
-an array.  The C ``psi()`` evaluates lf and clf through one branch as
-well and is the oracle of this construction, bit for bit: its lf atom of
-value 1 contributes s where Python computes pow(s, 1.0), which libm
-rounds to s exactly.
+Every driver is one scalar function (plain ``math``) and its derivative.
+Both functions of each built-in driver also carry a ``native``
+description, from which ``_classify.c`` evaluates the same function for
+the C classifier and stopping-time loops and for arrays (``psi()``, and
+``dpsi()`` for the derivative); other drivers map the functions over an
+array.  The C ``psi()`` evaluates lf and clf through one branch as well
+and is the oracle of this construction, bit for bit: its lf atom of value
+1 contributes s where Python computes pow(s, 1.0), which libm rounds to s
+exactly.
 Driver objects are immutable and safe to share across threads.
 """
 
@@ -77,9 +78,9 @@ class PsiFunction:
     """An evaluable driver with derivative, limit at +inf and domain bounds.
 
     ``fn``/``deriv_fn`` take and return python floats.  Called on an array,
-    the driver evaluates ``fn`` at each point: in ``_classify.c`` when
-    ``fn`` carries a ``native`` description and the library loaded, else
-    by mapping ``fn``; the derivative always maps ``deriv_fn``.  The domain
+    the driver evaluates ``fn`` (``deriv`` evaluates ``deriv_fn``) at each
+    point: in ``_classify.c`` when the function carries a ``native``
+    description and the library loaded, else by mapping it.  The domain
     is the closed interval [domain_min, domain_max]; evaluation outside
     raises :class:`DomainError`.  ``psi_inf`` is the limit at +inf
     (``math.inf`` for unbounded drivers) and is returned for ``x = +inf``;
@@ -284,15 +285,21 @@ def _bisect_root(f: Callable[[float], float], lo: float = 1e-8, hi: float = 1.0,
 _KINDS = ("affine", "fig1", "fig1-clamped", "lf", "clf")
 
 
-def _describe(fn: Callable[[float], float], kind: str, *, inv_p=math.nan,
-              inv_slope=math.nan, root=math.nan, cap=math.nan, atoms=()):
-    """Attach the description ``_classify.c`` evaluates fn from: the kind's
-    index in _KINDS, the parameters (inv_p, inv_slope, root, cap, the atom
-    values, the atom probabilities) and the number of atoms."""
+def _described(kind: str, fn: Callable[[float], float],
+               deriv_fn: Callable[[float], float], *, p=math.nan,
+               inv_p=math.nan, inv_slope=math.nan, root=math.nan,
+               cap=math.nan, atoms=()) -> dict:
+    """fn and deriv_fn, as PsiFunction's keywords, with the descriptions
+    ``_classify.c`` evaluates them from attached: the kind's index in
+    _KINDS, the parameters (inv_p, inv_slope, root, cap, the atom values,
+    the atom probabilities) and the number of atoms.  deriv_fn's parameters
+    end in p, which lf's derivative divides by, and its description in
+    the derivative flag."""
     params = (inv_p, inv_slope, root, cap, *(v for v, _ in atoms),
               *(pr for _, pr in atoms))
     fn.native = (_KINDS.index(kind), params, len(atoms))
-    return fn
+    deriv_fn.native = (_KINDS.index(kind), (*params, p), len(atoms), 1)
+    return {"fn": fn, "deriv_fn": deriv_fn}
 
 
 def make_affine_psi() -> PsiFunction:
@@ -303,8 +310,7 @@ def make_affine_psi() -> PsiFunction:
     """
     return PsiFunction(
         name="affine",
-        fn=_describe(lambda x: 1.0 + x, "affine"),
-        deriv_fn=lambda x: 1.0,
+        **_described("affine", lambda x: 1.0 + x, lambda x: 1.0),
         psi_inf=math.inf,
         domain_min=-1.0,
     )
@@ -331,8 +337,7 @@ def make_fig1_psi() -> PsiFunction:
     """
     return PsiFunction(
         name="fig1",
-        fn=_describe(_fig1_fn, "fig1"),
-        deriv_fn=_fig1_deriv,
+        **_described("fig1", _fig1_fn, _fig1_deriv),
         psi_inf=math.inf,
         domain_min=-0.5,
     )
@@ -347,9 +352,9 @@ def make_fig1_clamped_psi() -> PsiFunction:
     cap = _fig1_fn(0.5)
     return PsiFunction(
         name="fig1-clamped",
-        fn=_describe(lambda x: _fig1_fn(x) if x < 0.5 else cap,
-                     "fig1-clamped", cap=cap),
-        deriv_fn=lambda x: _fig1_deriv(x) if x < 0.5 else 0.0,
+        **_described("fig1-clamped",
+                     lambda x: _fig1_fn(x) if x < 0.5 else cap,
+                     lambda x: _fig1_deriv(x) if x < 0.5 else 0.0, cap=cap),
         psi_inf=cap,
         domain_min=-0.5,
     )
@@ -391,9 +396,8 @@ def _model_psi(kind: str, p: float, atoms: tuple, label: str,
 
     psi = PsiFunction(
         name=f"{kind}(p={p:g},z={label})",
-        fn=_describe(fn, kind, inv_p=inv_p, inv_slope=inv_slope, root=root,
-                     atoms=atoms),
-        deriv_fn=deriv_fn,
+        **_described(kind, fn, deriv_fn, p=p, inv_p=inv_p,
+                     inv_slope=inv_slope, root=root, atoms=atoms),
         psi_inf=inv_p,
         domain_min=-slope * root,
     )

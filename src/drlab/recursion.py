@@ -23,9 +23,11 @@ keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
 driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
-evaluates the built-in drivers on arrays (see ``drivers``), with the
-mapped scalar function as fallback and oracle, marches the critical
-curve (see ``curve._march``), with the Python loop as fallback and
+evaluates the built-in drivers and their derivatives on arrays (see
+``drivers``), with the mapped scalar functions as fallback and oracle,
+marches the critical curve (see ``curve._march``), with the Python loop as
+fallback and oracle, formats the curve CSV's rows (see
+``curve.write_curve_csv``), with Python's formatting as fallback and
 oracle, and holds the Monte Carlo's resampling and counting passes (see
 ``montecarlo``), which fall back to numpy the same way.
 
@@ -184,18 +186,20 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _native = None  # the loaded _Native; False once loading has failed
+_CHUNK = 1 << 16  # bytes of CSV rows formatted per call
 
 
 class _Native(NamedTuple):
     """The entry points of ``_classify.c``: the two orbit loops, the
-    driver on arrays and the curve march, wrapped, and the Monte Carlo
-    kernels as ctypes functions, resampling keyed by the pool's dtype
-    (float64, int64) and counting for float64 pools."""
+    driver on arrays, the curve march and the CSV rows, wrapped, and the
+    Monte Carlo kernels as ctypes functions, resampling keyed by the pool's
+    dtype (float64, int64) and counting for float64 pools."""
 
     classify: Callable
     stopping: Callable
     psi: Callable
     march: Callable
+    write_rows: Callable
     resample: dict
     counts: Callable
 
@@ -232,7 +236,8 @@ def _load_native() -> _Native | None:
             return None
         dll = ctypes.CDLL(lib)
         classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
-        psi_fn, march_fn = dll.drlab_psi, dll.drlab_march
+        psi_fn, march_fn, rows_fn = dll.drlab_psi, dll.drlab_march, \
+            dll.drlab_rows
         resample = {np.dtype(np.float64): dll.drlab_resample_f64,
                     np.dtype(np.int64): dll.drlab_resample_i64}
         counts = dll.drlab_counts
@@ -249,11 +254,14 @@ def _load_native() -> _Native | None:
         fn.restype = ctypes.c_int
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
-                       ptr, ptr, c_int64)  # ..., xs, out, n
+                       ctypes.c_int, ptr, ptr, c_int64)  # ..., deriv, xs, out, n
     march_fn.restype = ctypes.c_int
     march_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                          ptr, c_int64, ptr, ctypes.POINTER(c_int64),
                          ctypes.POINTER(c_double))  # ..., xs, m, g, node, bad
+    rows_fn.restype = c_int64
+    rows_fn.argtypes = (ptr, ctypes.c_int, c_int64, ctypes.POINTER(c_int64),
+                        ptr, c_int64)  # cols, n_cols, n_rows, row, buf, cap
     for fn in resample.values():  # prev, n_prev, idx, m, r, z, n, out
         fn.restype = ctypes.c_int
         fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
@@ -261,7 +269,7 @@ def _load_native() -> _Native | None:
     counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
 
     def described(native):
-        kind, params, n_atoms = native
+        kind, params, n_atoms = native[:3]
         return kind, (c_double * len(params))(*params), n_atoms
 
     def call(fn, psi, start, max_iter, *args):
@@ -283,9 +291,11 @@ def _load_native() -> _Native | None:
         return code, state[0], [None if h < 0 else h for h in hits]
 
     def psi_array(native, xs):
+        # a description of four entries ends in the derivative flag
         out = np.empty(np.shape(xs))
         xs = np.ascontiguousarray(xs, dtype=np.float64)  # at least 1-d
-        psi_fn(*described(native), xs.ctypes.data, out.ctypes.data, out.size)
+        psi_fn(*described(native), len(native) > 3 and native[3],
+               xs.ctypes.data, out.ctypes.data, out.size)
         return out
 
     def march(native, xs):
@@ -297,7 +307,22 @@ def _load_native() -> _Native | None:
         code = march_fn(*described(native), xs.ctypes.data, xs.size - 1,
                         g.ctypes.data, ctypes.byref(node), bad)
         return code, node.value, list(bad), g
-    return _Native(classify, stopping, psi_array, march, resample, counts)
+
+    def write_rows(out, cols):
+        cols = [np.ascontiguousarray(c, dtype=np.float64) for c in cols]
+        n_rows = len(cols[0])
+        if any(c.shape != (n_rows,) for c in cols):
+            raise ValueError("the rows need 1-d columns of one length")
+        ptrs = (ptr * len(cols))(*(c.ctypes.data for c in cols))
+        buf, row = ctypes.create_string_buffer(_CHUNK), c_int64(0)
+        while row.value < n_rows:
+            size = rows_fn(ptrs, len(cols), n_rows, ctypes.byref(row), buf,
+                           _CHUNK)
+            if size < 0:
+                raise OSError("no C locale to format the rows in")
+            out.write(ctypes.string_at(buf, size).decode("ascii"))
+    return _Native(classify, stopping, psi_array, march, write_rows,
+                   resample, counts)
 
 
 def _native_lib() -> _Native | None:

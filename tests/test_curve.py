@@ -1,6 +1,7 @@
 import io
 import math
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -443,3 +444,92 @@ def test_curve_csv_roundtrip(lf_model, lf_curve):
     assert np.array_equal(back.xs, lf_curve.xs)
     assert np.array_equal(back.h_values, lf_curve.h_values)
     assert abs(residual(back, lf_model.psi) - lf_curve.residual_sup) < 1e-15
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _native_rows(cols) -> str:
+    buf = io.StringIO()
+    recursion._native_lib().write_rows(buf, [np.array(c, float) for c in cols])
+    return buf.getvalue()
+
+
+def _python_rows(cols) -> str:
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in zip(*cols))
+
+
+# ±0, the subnormal and normal ends, ±inf, and NaNs of either sign bit
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, math.inf,
+                -math.inf, 0.1, 1e16, 1e17, 1e-5, 1e-4, 123456789012345678.0,
+                *map(_from_bits, (0x7FF8000000000000, 0xFFF8000000000000,
+                                  0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF))]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@settings(max_examples=300, deadline=None)
+@example(values=_EDGE_VALUES, n_cols=4)
+@given(values=st.lists(st.floats() | st.integers(0, 2 ** 64 - 1).map(_from_bits),
+                       min_size=1, max_size=200),
+       n_cols=st.integers(1, 5))
+def test_native_rows_are_python_formatting(values, n_cols):
+    values += [0.0] * (-len(values) % n_cols)
+    cols = [values[j::n_cols] for j in range(n_cols)]
+    assert _native_rows(cols) == _python_rows(cols)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_native_rows_span_chunks():
+    # 5000 rows of arbitrary bit patterns: about 450 KB, seven chunks
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, (4, 5000),
+                                             dtype=np.uint64)
+    cols = [c.view(np.float64).tolist() for c in bits]
+    assert _native_rows(cols) == _python_rows(cols)
+
+
+_COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                  "nl_NL.UTF-8", "ru_RU.UTF-8", "de_DE", "fr_FR")
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_native_rows_ignore_a_comma_decimal_locale():
+    import locale
+    cols = [[0.5, -1.25e-7, math.nan], [math.pi, 1e300, -0.0]]
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        for name in _COMMA_LOCALES:
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] == ",":
+                break
+        else:
+            pytest.skip("no comma-decimal locale installed")
+        got = _native_rows(cols)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+    assert got == _python_rows(cols)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@pytest.mark.parametrize("spec,m", [("fig1", 1000), ("fig1-clamped", 300),
+                                    ("affine", 300), ("lf:p=0.5,z=1", 1000),
+                                    ("lf:p=0.4,z=1@0.5+2@0.5", 1000),
+                                    ("clf:p=0.5,z=1", 4000)])
+def test_curve_csv_and_K_do_not_need_the_library(spec, m):
+    psi = driver_from_spec(spec)[0]
+    curve = solve_curve(psi, 0.5, m)
+
+    def outputs():
+        buf = io.StringIO()
+        write_curve_csv(curve, psi, buf)
+        return buf.getvalue(), repr(pick_K(psi, 0.5, m))
+    assert recursion._native_lib()
+    native = outputs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert outputs() == native

@@ -856,6 +856,16 @@ def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_native_source_compiles_without_warnings(tmp_path):
+    source = os.path.join(os.path.dirname(recursion.__file__), "_classify.c")
+    proc = subprocess.run(
+        ["gcc", *recursion._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "lib.so"), source, "-lm"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_import_does_not_load_and_a_cached_load_does_not_build():
     classify_detail(0.1, -0.3, KERNEL_DRIVERS["fig1"])  # fills the cache
     code = (

@@ -88,8 +88,7 @@ static double fig1_deriv(double x)
 static double dpsi(const driver *d, double x)
 {
     const double inv_slope = d->params[1], *values = d->params + 4,
-                 *probs = values + d->n_atoms, p = probs[d->n_atoms];
-    volatile double two = 2.0; /* gcc would fold pow(t, 2.0) into t * t */
+                 *probs = values + d->n_atoms;
     double y, s, t, t2, acc = 0.0;
     int i;
 
@@ -106,7 +105,11 @@ static double dpsi(const driver *d, double x)
         return 0.0;
     if (d->kind == LF) {
         /* pgf_prime(y / t) / (p * t ** 2), or / (p * t) / t where Python's
-           t ** 2 (libm's pow) overflows */
+           t ** 2, libm's pow, overflows; gcc would fold pow(t, 2.0) into
+           t * t, which rounds differently */
+        volatile double two = 2.0;
+        const double p = probs[d->n_atoms];
+
         if (y < 0.0)
             y = 0.0;
         t = y + 1.0;
@@ -353,17 +356,21 @@ int drlab_march(int kind, const double *params, int n_atoms,
    past them.  glibc writes the same digits, but "-nan" for a NaN with its
    sign bit set, where Python writes "nan"; and it formats under the "C"
    locale here, whatever the caller's LC_NUMERIC.  Returns the number of
-   bytes written, or -1 when the locale cannot be made. */
+   bytes written, or -1 when cap is too small or the locale cannot be
+   made. */
 #define ROW_MAX 32 /* "-1.2345678901234567e-308," is 25 bytes */
 
 int64_t drlab_rows(const double *const *cols, int n_cols, int64_t n_rows,
                    int64_t *row, char *buf, int64_t cap)
 {
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0), old;
+    locale_t c_locale, old;
     int64_t len = 0, i;
     double v;
     int j;
 
+    if (cap < ROW_MAX * n_cols)
+        return -1;
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
     if (c_locale == (locale_t)0)
         return -1;
     old = uselocale(c_locale);

@@ -38,9 +38,13 @@ marched g then certifies it; its change decides convergence against
 ``tol``, and the marched g is returned.  The sweeps, :func:`pick_K` and
 :func:`residual_local` call the driver on arrays, which evaluates the same
 libm function at each node, so no result depends on numpy's SIMD
-kernels.  Only a forced sweep count (``sweeps``) runs the damped sweeps
-from g_1 instead; ``K_override`` sets the damping constant of whichever
-sweeps run.
+kernels; a built-in driver's derivative in :func:`pick_K` runs in C as
+well, operation for operation with its ``deriv_fn``.  Only a forced sweep
+count (``sweeps``) runs the damped sweeps from g_1 instead; ``K_override``
+sets the damping constant of whichever sweeps run.  :func:`write_curve_csv`
+formats its rows in C too, to the bytes of Python's ``f"{v:.17g}"``
+(``nan`` for a NaN of either sign, the "C" locale), 64 KB at a time; the
+f-string loop stays its oracle and its fallback without the library.
 
 An independent oracle, :func:`bisect_h`, recovers h(v) by bisecting the
 phase classifier and is used to cross-validate the solver.

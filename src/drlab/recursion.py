@@ -254,7 +254,7 @@ def _load_native() -> _Native | None:
         fn.restype = ctypes.c_int
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
-                       ctypes.c_int, ptr, ptr, c_int64)  # ..., deriv, xs, out, n
+                       ctypes.c_int, ptr, ptr, c_int64)  # deriv, xs, out, n
     march_fn.restype = ctypes.c_int
     march_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                          ptr, c_int64, ptr, ctypes.POINTER(c_int64),
@@ -319,7 +319,7 @@ def _load_native() -> _Native | None:
             size = rows_fn(ptrs, len(cols), n_rows, ctypes.byref(row), buf,
                            _CHUNK)
             if size < 0:
-                raise OSError("no C locale to format the rows in")
+                raise OSError("drlab_rows could not format the rows")
             out.write(ctypes.string_at(buf, size).decode("ascii"))
     return _Native(classify, stopping, psi_array, march, write_rows,
                    resample, counts)

@@ -472,7 +472,8 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 @settings(max_examples=300, deadline=None)
 @example(values=_EDGE_VALUES, n_cols=4)
-@given(values=st.lists(st.floats() | st.integers(0, 2 ** 64 - 1).map(_from_bits),
+@given(values=st.lists(st.floats()
+                       | st.integers(0, 2 ** 64 - 1).map(_from_bits),
                        min_size=1, max_size=200),
        n_cols=st.integers(1, 5))
 def test_native_rows_are_python_formatting(values, n_cols):

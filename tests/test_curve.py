@@ -484,7 +484,7 @@ def test_native_rows_are_python_formatting(values, n_cols):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_native_rows_span_chunks():
-    # 5000 rows of arbitrary bit patterns: about 450 KB, seven chunks
+    # 5000 rows of arbitrary bit patterns: 479 KB, eight 64 KB chunks
     bits = np.random.default_rng(5).integers(0, 2 ** 64, (4, 5000),
                                              dtype=np.uint64)
     cols = [c.view(np.float64).tolist() for c in bits]

@@ -11,7 +11,7 @@
    bit-identical to the Python kernel's.  That needs -ffp-contract=off (a
    fused multiply-add rounds once where Python rounds twice) and no
    -ffast-math, and libm's pow, exp, log and sqrt, which Python's math
-   module calls too.  drlab_rows formats curve.write_curve_csv's rows.
+   module calls too.  drlab_rows formats recursion.write_table's rows.
    recursion.py builds and loads this file. */
 
 #include <locale.h>

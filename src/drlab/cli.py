@@ -27,6 +27,7 @@ a fixed (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -42,7 +43,8 @@ from .errors import ConfigError, DrlabError
 from .models import (CLFParams, LFParams, law_stats, make_clf_model,
                      make_lf_model, model_step, model_to_uv)
 from .montecarlo import run_validation
-from .recursion import classify_detail, free_energy, orbit, write_orbit_csv
+from .recursion import (classify_detail, free_energy, orbit, write_orbit_csv,
+                        write_table)
 
 _FMT = "{:.17g}"
 
@@ -229,13 +231,9 @@ def _cmd_model_orbit(args) -> int:
         rows.append((n, *dataclasses.astuple(params),
                      *model_to_uv(params, model), positive))
         params = model_step(params, model)
-    text = header + "\n" + "\n".join(
-        f"{r[0]}," + ",".join(_f(x) for x in r[1:]) for r in rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        write_table(fh, header, list(zip(*rows)))
     return 0
 
 

@@ -42,9 +42,10 @@ kernels; a built-in driver's derivative in :func:`pick_K` runs in C as
 well, operation for operation with its ``deriv_fn``.  Only a forced sweep
 count (``sweeps``) runs the damped sweeps from g_1 instead; ``K_override``
 sets the damping constant of whichever sweeps run.  :func:`write_curve_csv`
-formats its rows in C too, to the bytes of Python's ``f"{v:.17g}"``
-(``nan`` for a NaN of either sign, the "C" locale), 64 KB at a time; the
-f-string loop stays its oracle and its fallback without the library.
+formats its rows in C too (``recursion.write_table``), to the bytes of
+Python's ``f"{v:.17g}"`` (``nan`` for a NaN of either sign, the "C"
+locale), 64 KB at a time; the f-string loop stays its oracle and its
+fallback without the library.
 
 An independent oracle, :func:`bisect_h`, recovers h(v) by bisecting the
 phase classifier and is used to cross-validate the solver.
@@ -61,7 +62,7 @@ import numpy as np
 
 from .drivers import PsiFunction, dual_psi
 from .errors import DomainError, NumericError
-from .recursion import PhaseLabel, _native_lib, classify_detail
+from .recursion import PhaseLabel, _native_lib, classify_detail, write_table
 
 __all__ = [
     "CurveGrid",
@@ -455,19 +456,11 @@ def validate_grid(grid: CurveGrid) -> None:
 # ---------------------------------------------------------------------------
 
 def write_curve_csv(curve: CriticalCurve, psi: PsiFunction, out: TextIO) -> None:
-    """Write x, g, h and :func:`residual_local` per node, each value as
-    ``f"{v:.17g}"`` writes it.  With the library loaded ``_classify.c``
-    formats the rows, in chunks of 64 KB, to the same bytes; the f-string
-    loop below is its fallback and oracle."""
-    cols = (curve.grid.xs, curve.grid.g, curve.h_values,
-            residual_local(curve, psi))
-    out.write("x,g,h,residual_local\n")
-    native = _native_lib()
-    if native:
-        native.write_rows(out, cols)
-        return
-    out.writelines(f"{x:.17g},{gx:.17g},{hx:.17g},{r:.17g}\n" for x, gx, hx, r
-                   in zip(*(c.tolist() for c in cols)))
+    """Write x, g, h and :func:`residual_local` per node through
+    :func:`~drlab.recursion.write_table`."""
+    write_table(out, "x,g,h,residual_local",
+                (curve.grid.xs, curve.grid.g, curve.h_values,
+                 residual_local(curve, psi)))
 
 
 def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:

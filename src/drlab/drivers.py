@@ -251,13 +251,14 @@ class ModelConstants:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _bisect_root(f: Callable[[float], float], lo: float = 1e-8, hi: float = 1.0,
-                 tol: float = 1e-13, max_iter: int = 200) -> float:
+def _bisect_root(f: Callable[[float], float]) -> float:
     """Root of an increasing function with f(root) = 0.
 
-    Brackets by doubling ``hi`` (monotonicity guarantees a bracket exists),
-    then plain bisection to absolute tolerance ``tol``.
+    Brackets from [1e-8, 1] by doubling the upper end (monotonicity
+    guarantees a bracket exists), then bisects, at most 200 times, to an
+    absolute tolerance of 1e-13.
     """
+    lo, hi, tol, max_iter = 1e-8, 1.0, 1e-13, 200
     flo = f(lo)
     if flo > 0.0:
         raise NumericError("no sign change: f(lo) > 0 for increasing f")

@@ -143,27 +143,42 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
     starts at est/100 and shrinks to a tenth of the estimate's last move,
     down to a floor (10 tol, less for small h) where the law's own error
     is near tol/8; then the pair est -+ tol/2 is classified.  Every
-    verdict tightens a bracket, first [0, -v0], whose lower end is
+    decided verdict tightens a bracket, first [0, -v0], whose lower end is
     certified subcritical and upper end supercritical.  Where a guess
     lands on the wrong side of h, the search steps out from est by
     doubling steps and halves, until hi - lo <= tol.  Each classification
-    gets 3e6 steps; NumericError if an end of the final bracket rests on
-    one that ran out of them (sided by the sign of v, as in bisect_h).
+    gets 3e6 steps.  A start still undetermined there lies about as close
+    to h as that budget resolves, so the pair start -+ tol/2 is classified
+    next; NumericError if such a pair decides nothing, or if tol is below
+    the float spacing.
     """
     lo, hi = 0.0, -v0
-    lo_sure = hi_sure = True
+    undetermined = None  # the last start that ran out of steps
 
     def probe(u: float) -> int | None:
-        """Classify u and tighten [lo, hi]; u's escape step, if it escapes."""
-        nonlocal lo, hi, lo_sure, hi_sure
+        """Classify u: a decided verdict tightens [lo, hi], and an
+        undetermined u is kept.  u's escape step if it escapes, 0 if it
+        collapses, None if undetermined."""
+        nonlocal lo, hi, undetermined
         label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6)
-        sure = label is not PhaseLabel.UNDETERMINED
-        above = label is PhaseLabel.SUPERCRITICAL or not sure and last.v > 0.0
-        if above and u < hi:
-            hi, hi_sure = u, sure
-        if not above and u > lo:
-            lo, lo_sure = u, sure
-        return last.n if label is PhaseLabel.SUPERCRITICAL else None
+        if label is PhaseLabel.SUPERCRITICAL:
+            hi = min(hi, u)
+            return last.n
+        if label is PhaseLabel.SUBCRITICAL:
+            lo = max(lo, u)
+            return 0
+        undetermined = u
+        return None
+
+    def pair(u: float) -> list[int | None]:
+        """Probe the starts u -+ tol/2 (at most tol apart) that lie in
+        (lo, hi), the second against the bracket the first left; their
+        results."""
+        a = u - 0.5 * tol
+        b = a + tol
+        while b - a > tol:
+            b = math.nextafter(b, a)
+        return [probe(x) for x in (a, b) if lo < x < hi]
 
     est = h_eval(curve, v0)
     floor = min(10.0 * tol, (tol * math.sqrt(est) / 40.0) ** (2.0 / 3.0))
@@ -181,15 +196,15 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
         if delta == floor:
             break
         delta = max(floor, 0.1 * move)
-    a = est - 0.5 * tol
-    b = a + tol
-    while b - a > tol:
-        b = math.nextafter(b, a)
-    for u in (a, b):
-        if lo < u < hi:
-            probe(u)
+    pair(est)
     step = tol
-    while hi - lo > tol:  # a guess landed wrong: step out from est, halve
+    while hi - lo > tol:
+        if undetermined is not None:  # h lies within the budget's reach
+            u, undetermined = undetermined, None
+            if all(n is None for n in pair(u)):
+                break
+            continue
+        # a guess landed wrong: step out from est, halve
         mid = 0.5 * (lo + hi)
         u = min(max(mid, est - step), est + step)
         if not lo < u < hi:
@@ -198,11 +213,11 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
             break
         probe(u)
         step *= 2.0
-    if hi - lo > tol or not (lo_sure and hi_sure):
+    if hi - lo > tol:
         raise NumericError(
-            f"could not certify h({v0}) to within {tol}: an end of "
-            f"[{lo!r}, {hi!r}] rests on a classification that ran out of "
-            f"steps, or tol is below the float spacing")
+            f"could not certify h({v0}) to within {tol}: [{lo!r}, {hi!r}] "
+            f"is wider, and a classification near h ran out of steps, or "
+            f"tol is below the float spacing")
     return 0.5 * (lo + hi)
 
 

@@ -278,19 +278,17 @@ class ThresholdReport:
 
 
 def _threshold(model: Model, value: float | None, u_unit: float,
-               v_seed: float, h_seed: float,
-               check_straddle: bool) -> ThresholdReport:
+               v_seed: float, h_seed: float) -> ThresholdReport:
     """The report of a threshold ``value`` (None: the admissibility bound
-    fails) whose start is (u_unit value, v_seed).  With ``check_straddle``
-    a positive value is checked by classifying the starts 1.1 and 1/1.1
-    times as far up."""
+    fails) whose start is (u_unit value, v_seed).  A positive value is
+    checked by classifying the starts 1.1 and 1/1.1 times as far up."""
     if value is None:
         return ThresholdReport(
             value=None, hyp_ok=False, v_seed=v_seed, h_at_seed=h_seed,
             message="admissibility bound fails: free energy identically 0 "
                     "on the family")
     up = low = None
-    if check_straddle and value > 0.0:
+    if value > 0.0:
         up = classify(u_unit * 1.1 * value, v_seed, model.psi)
         low = classify(u_unit * value / 1.1, v_seed, model.psi)
     return ThresholdReport(value=value, hyp_ok=True, v_seed=v_seed,
@@ -299,16 +297,15 @@ def _threshold(model: Model, value: float | None, u_unit: float,
 
 
 def gamma_star(model: Model, alpha: float, beta: float,
-               curve: CriticalCurve, *,
-               check_straddle: bool = True) -> ThresholdReport:
+               curve: CriticalCurve) -> ThresholdReport:
     """Critical scale gamma* of the family LF(alpha/gamma, beta/gamma).
 
     gamma* = p alpha h(v_seed) / (slope (1-p)) with
     v_seed = slope (beta/alpha - xi), valid when beta/alpha <= xi and the
     admissibility bound h(v_seed) < slope (1-p)(alpha+beta)/(p alpha)
     holds; otherwise the family's free energy is identically zero.
-    Optionally verifies by classification that 1.1 gamma* and gamma*/1.1
-    straddle the phase boundary.
+    Classification checks that 1.1 gamma* and gamma*/1.1 straddle the
+    phase boundary.
     """
     c = model.constants
     p = model.p
@@ -322,11 +319,11 @@ def gamma_star(model: Model, alpha: float, beta: float,
            if h_seed < c.slope * (1.0 - p) * (alpha + beta) / (p * alpha)
            else None)
     return _threshold(model, gam, c.slope * (1.0 - p) / (p * alpha),
-                      v_seed, h_seed, check_straddle)
+                      v_seed, h_seed)
 
 
-def rho_star(model: Model, lam: float, curve: CriticalCurve, *,
-             check_straddle: bool = True) -> ThresholdReport:
+def rho_star(model: Model, lam: float,
+             curve: CriticalCurve) -> ThresholdReport:
     """Critical mass rho* of the family CLF(lambda, rho) at fixed rate
     lambda >= 1/tau:  rho* = lambda p h(v_seed) / (slope (1-p)) with
     v_seed = slope (1/lambda - tau)."""
@@ -339,7 +336,7 @@ def rho_star(model: Model, lam: float, curve: CriticalCurve, *,
     rho = (lam * p * h_seed / (c.slope * (1.0 - p))
            if lam * p * h_seed < c.slope * (1.0 - p) else None)
     u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
-    return _threshold(model, rho, u_unit, v_seed, h_seed, check_straddle)
+    return _threshold(model, rho, u_unit, v_seed, h_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -358,37 +355,24 @@ class TailReport:
     rows: list[tuple[int, float, float, float]]
     target_tail: float
     target_ratio: float
-    gamma_star_used: float
 
 
-def critical_tail_lf(model: Model, curve: CriticalCurve,
-                     alpha: float = 1.0, beta: float = 0.5,
-                     n_max: int = 10 ** 4, *,
-                     record_at: tuple[int, ...] | None = None,
-                     gamma_override: float | None = None) -> TailReport:
-    """Iterate the closed-form step from LF(alpha/gamma*, beta/gamma*).
-
-    Accuracy of the critical start is the curve's accuracy; pass
-    ``gamma_override`` (e.g. from a classifier-refined h) when the orbit
-    must track the critical curve for many thousands of steps.
+def critical_tail_lf(model: Model, gam: float, alpha: float = 1.0,
+                     beta: float = 0.5, n_max: int = 10 ** 4, *,
+                     record_at: tuple[int, ...] | None = None) -> TailReport:
+    """Iterate the closed-form step from LF(alpha/gam, beta/gam), gam being
+    gamma* (see :func:`gamma_star`).  The orbit tracks the critical curve
+    only as long as gam's accuracy allows: for many thousands of steps,
+    take gamma* from a classifier-refined h.
     """
     c = model.constants
-    if gamma_override is not None:
-        gam = gamma_override
-    else:
-        rep = gamma_star(model, alpha, beta, curve, check_straddle=False)
-        if rep.value is None:
-            raise ValueError(rep.message)
-        gam = rep.value
-    a = alpha / gam
-    b = beta / gam
     if record_at is None:
         ns = sorted({int(round(10 ** (k / 8.0))) for k in range(0, 8 * 5)}
                     | {n_max})
         record_at = tuple(n for n in ns if 1 <= n <= n_max)
     marks = set(record_at)
     rows = []
-    params = LFParams(a, b)
+    params = LFParams(alpha / gam, beta / gam)
     for n in range(1, n_max + 1):
         params = lf_step(params, model)
         if n in marks:
@@ -398,4 +382,4 @@ def critical_tail_lf(model: Model, curve: CriticalCurve,
     target_tail = 2.0 * model.p / ((1.0 - model.p) * c.slope * (1.0 + c.root))
     target_ratio = c.root / (1.0 + c.root)
     return TailReport(rows=rows, target_tail=target_tail,
-                      target_ratio=target_ratio, gamma_star_used=gam)
+                      target_ratio=target_ratio)

@@ -63,13 +63,13 @@ class SamplePool:
     level: int
     samples: np.ndarray
     seed: int
-    size: int
 
     def __post_init__(self):
-        if self.size < MIN_POOL:
-            raise ValueError(f"pool size {self.size} below minimum {MIN_POOL}")
-        if self.samples.shape != (self.size,):
-            raise ValueError("sample array does not match declared size")
+        if self.samples.ndim != 1:
+            raise ValueError("a pool's samples must be a 1-d array")
+        if len(self.samples) < MIN_POOL:
+            raise ValueError(f"pool size {len(self.samples)} below minimum "
+                             f"{MIN_POOL}")
         self.samples.setflags(write=False)
 
 
@@ -119,18 +119,14 @@ def _fill_blocks(n: int, level: int, seed: int, fill_block, threads: int,
 # elementary samplers
 # ---------------------------------------------------------------------------
 
-def sample_geometric(p: float, rng: np.random.Generator, size: int | None = None):
+def sample_geometric(p: float, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
     """Geometric on {1, 2, ...} with mean 1/p, by inverse CDF:
     1 + floor(log(U) / log(1-p))."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p={p!r} not in (0, 1]")
-    if p == 1.0:
-        return 1 if size is None else np.ones(size, dtype=np.int64)
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p={p!r} not in (0, 1)")
     u = 1.0 - rng.random(size)  # in (0, 1]
-    r = 1 + np.floor(np.log(u) / math.log1p(-p))
-    if size is None:
-        return int(r)
-    return r.astype(np.int64)
+    return (1 + np.floor(np.log(u) / math.log1p(-p))).astype(np.int64)
 
 
 def sample_lf(params: LFParams, rng: np.random.Generator,
@@ -210,7 +206,7 @@ def _level0_pool(sample, params, size: int, seed: int, threads: int,
         out[:] = sample(params, rng, len(out))
 
     samples = _fill_blocks(size, 0, seed, fill, threads, dtype)
-    return SamplePool(level=0, samples=samples, seed=seed, size=size)
+    return SamplePool(level=0, samples=samples, seed=seed)
 
 
 def pool_from_lf(params: LFParams, size: int, seed: int,
@@ -228,8 +224,6 @@ def mc_step(pool: SamplePool, model: Model, threads: int = 1) -> SamplePool:
     """One generation: per new sample draw R geometric(p) and Z, sum R
     uniform-with-replacement draws from the previous pool, subtract Z,
     clamp at zero."""
-    if pool.size == 0:
-        raise ValueError("pool is empty")
     dtype = model.dtype
     prev = pool.samples
     if prev.dtype != dtype:
@@ -245,10 +239,9 @@ def mc_step(pool: SamplePool, model: Model, threads: int = 1) -> SamplePool:
         idx = rng.integers(0, n_prev, size=int(r.sum()))
         _resample(native, prev, idx, r, z, out)
 
-    samples = _fill_blocks(pool.size, pool.level + 1, pool.seed, fill,
-                           threads, dtype)
-    return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed,
-                      size=pool.size)
+    samples = _fill_blocks(n_prev, pool.level + 1, pool.seed, fill, threads,
+                           dtype)
+    return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +290,7 @@ def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
     the pool's dtype: an integer (LF) pool counts P(X >= t), the lattice
     convention, and a real (CLF) pool counts P(X > t)."""
     x = pool.samples
-    n = pool.size
+    n = len(x)
     zero, *above = _counts(x, thresholds)
     return EmpiricalSummary(
         mass_at_zero=float(zero / n),
@@ -318,9 +311,10 @@ def compare_to_model(pool: SamplePool,
     plain 4/sqrt(N)); otherwise no seed would pass reliably.  It does not
     count the error a level inherits by resampling (module docstring).
     """
-    if pool.size < 10 ** 4:
+    n = len(pool.samples)
+    if n < 10 ** 4:
         raise ValueError("need a pool of at least 10^4 samples")
-    tol = 4.0 / math.sqrt(pool.size)
+    tol = 4.0 / math.sqrt(n)
     mean_tol = tol * max(1.0, float(np.std(pool.samples)))
     positive, tails, mean = law_stats(predicted)
     summary = summarize_pool(pool, [t for _, t, _ in tails])
@@ -331,7 +325,7 @@ def compare_to_model(pool: SamplePool,
     full = tuple((name, emp, pred, abs(emp - pred),
                   mean_tol if name == "mean" else tol)
                  for name, emp, pred in rows)
-    return ComparisonReport(rows=full, pool_size=pool.size,
+    return ComparisonReport(rows=full, pool_size=n,
                             passed=all(err <= t for *_, err, t in full))
 
 

@@ -26,10 +26,11 @@ driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
 evaluates the built-in drivers and their derivatives on arrays (see
 ``drivers``), with the mapped scalar functions as fallback and oracle,
 marches the critical curve (see ``curve._march``), with the Python loop as
-fallback and oracle, formats the curve CSV's rows (see
-``curve.write_curve_csv``), with Python's formatting as fallback and
-oracle, and holds the Monte Carlo's resampling and counting passes (see
-``montecarlo``), which fall back to numpy the same way.
+fallback and oracle, formats the rows of every float table (the curve,
+orbit and model-orbit CSVs, see :func:`write_table`), with Python's
+formatting as fallback and oracle, and holds the Monte Carlo's
+resampling and counting passes (see ``montecarlo``), which fall back to
+numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -88,7 +89,6 @@ __all__ = [
     "PhaseLabel",
     "StoppingRecord",
     "FreeEnergyEstimate",
-    "DominationReport",
     "initial_state",
     "step",
     "orbit",
@@ -98,7 +98,6 @@ __all__ = [
     "log_f_one_zero",
     "stopping_times",
     "backward_orbit",
-    "compare_orbits",
     "write_orbit_csv",
 ]
 
@@ -637,54 +636,27 @@ def backward_orbit(states: Sequence[OrbitState]) -> list[OrbitState]:
 
 
 # ---------------------------------------------------------------------------
-# monotone comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DominationReport:
-    ok: bool
-    first_violation: int | None
-    steps: int
-
-
-def compare_orbits(a0: tuple[float, float], b0: tuple[float, float],
-                   psi_lo: PsiFunction, psi_hi: PsiFunction, n: int
-                   ) -> DominationReport:
-    """Check componentwise domination of the b-orbit (driver psi_hi) over
-    the a-orbit (driver psi_lo) for n steps.
-
-    Preconditions (0 <= u_a <= u_b, v_a <= v_b, psi_lo <= psi_hi at 256
-    points of the common domain, cut at 50) raise ValueError; domination
-    failures are reported, not raised.
-    """
-    (ua, va), (ub, vb) = a0, b0
-    if not (0.0 <= ua <= ub and va <= vb):
-        raise ValueError("initial pairs are not ordered")
-    lo_dom = max(psi_lo.domain_min, psi_hi.domain_min)
-    hi_dom = min(psi_lo.domain_max, psi_hi.domain_max, 50.0)
-    xs = np.linspace(lo_dom, hi_dom, 256)
-    ylo = psi_lo(xs)
-    yhi = psi_hi(xs)
-    bad = ylo > yhi + 1e-12
-    if bad.any():
-        x_bad = float(xs[int(np.argmax(bad))])
-        raise ValueError(
-            f"psi_lo > psi_hi on the sampled domain (first at x={x_bad:.6g})")
-    # the start pair (k = 0) is ordered, checked above
-    states = zip(range(n + 1), _orbit(initial_state(ua, va), psi_lo),
-                 _orbit(initial_state(ub, vb), psi_hi))
-    for k, (u_a, v_a, _, _), (u_b, v_b, _, _) in states:
-        if u_a > u_b or v_a > v_b:
-            return DominationReport(ok=False, first_violation=k, steps=k)
-    return DominationReport(ok=True, first_violation=None, steps=n)
-
-
-# ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
+def write_table(out: TextIO, header: str, cols: Sequence) -> None:
+    """Write the header line, then one CSV row per index of the equal-length
+    columns, each value as ``f"{v:.17g}"`` writes its float (an integer
+    column's 1001 as ``1001``).  With the library loaded ``_classify.c``
+    formats the rows, in chunks of 64 KB, to the same bytes; the f-string
+    loop below is its fallback and oracle."""
+    out.write(header + "\n")
+    native = _native_lib()
+    if native:
+        native.write_rows(out, cols)
+        return
+    out.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row
+                   in zip(*(np.asarray(c, dtype=np.float64).tolist()
+                            for c in cols)))
+
+
 def write_orbit_csv(states: Iterable[OrbitState], out: TextIO) -> None:
     """Dump an orbit as CSV with 17 significant digits (round-trip safe)."""
-    out.write("n,u,v,log_u\n")
-    for s in states:
-        out.write(f"{s.n},{s.u:.17g},{s.v:.17g},{s.log_u:.17g}\n")
+    rows = [(s.n, s.u, s.v, s.log_u) for s in states]
+    write_table(out, "n,u,v,log_u", np.array(rows, dtype=np.float64)
+                .reshape(-1, 4).T)

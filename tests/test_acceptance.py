@@ -229,8 +229,8 @@ def test_criterion_10_critical_tail_constant(lf_model):
     h25 = refined_h(lf_model.psi, cur, -0.25, 4e-10)
     gam = lf_model.p * h25 / (lf_model.constants.slope * (1.0 - lf_model.p))
     marks = (1000, 2000, 5000, 10000)
-    rep = critical_tail_lf(lf_model, cur, 1.0, 0.5, n_max=10 ** 4,
-                           record_at=marks, gamma_override=gam)
+    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=10 ** 4,
+                           record_at=marks)
     tails = {n: t for n, t, _, _ in rep.rows}
     ratios = {n: r for n, _, r, _ in rep.rows}
     worst_tail = max(abs(tails[n] - 2.0) / 2.0 for n in marks)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import pytest
 
 import drlab
+from drlab import recursion
 from drlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,15 +135,28 @@ CASES = {
 }
 
 
+def _check_case(name: str, out: Path) -> None:
+    """Run case ``name`` in ``out`` and compare its exit code and files."""
+    case = CASES[name]
+    write_inputs(out)
+    assert main([a.replace("OUT", str(out)) for a in case.argv]) == case.code
+    for file in case.files:
+        got = (out / file).read_bytes()
+        assert got == (GOLDEN / file).read_bytes(), file
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lab_outputs_match_golden_bytes(name, tmp_path):
-    case = CASES[name]
-    write_inputs(tmp_path)
-    assert main([a.replace("OUT", str(tmp_path)) for a in case.argv]) \
-        == case.code
-    for file in case.files:
-        got = (tmp_path / file).read_bytes()
-        assert got == (GOLDEN / file).read_bytes(), file
+    _check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes_without_the_library(name, tmp_path, monkeypatch):
+    """The same files from the Python oracles of every C path: the orbit
+    loops, the march, the drivers on arrays, the table rows and the Monte
+    Carlo passes."""
+    monkeypatch.setattr(recursion, "_native", False)
+    _check_case(name, tmp_path)
 
 
 def _avx512_targets() -> list:

@@ -531,6 +531,8 @@ def _driver_and_curve(spec):
 @example(spec="lf:p=0.5,z=1", v0=-0.3, tol=1e-10)  # cv-refined's start
 @example(spec="lf:p=0.5,z=1", v0=-0.01, tol=1e-10)  # h ~ 5e-5
 @example(spec="fig1", v0=-0.4, tol=1e-9)
+# the fallback's last probe runs out of steps: certified from its pair
+@example(spec="lf:p=0.4,z=1@0.5+2@0.5", v0=-0.22857094447517576, tol=1e-10)
 @given(spec=st.sampled_from(SEED_SPECS), v0=st.floats(-0.4, -0.01),
        tol=st.sampled_from([1e-9, 1e-10]))
 def test_refined_h_agrees_with_the_bisection_oracle(spec, v0, tol):

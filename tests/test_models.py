@@ -274,8 +274,7 @@ def test_free_energy_lf_monotone_in_scale(lf_model):
 # ---------------------------------------------------------------------------
 
 def test_gamma_star_at_the_ray_edge(lf_model, lf_curve):
-    rep = gamma_star(lf_model, 1.0, lf_model.constants.root, lf_curve,
-                     check_straddle=False)
+    rep = gamma_star(lf_model, 1.0, lf_model.constants.root, lf_curve)
     assert rep.hyp_ok and abs(rep.value) < 1e-12
 
 
@@ -289,8 +288,7 @@ def test_gamma_star_reference_value(lf_model, lf_curve):
 
 
 def test_gamma_star_straddle_by_free_energy(lf_model, lf_curve):
-    rep = gamma_star(lf_model, 1.0, 0.5, lf_curve, check_straddle=False)
-    gam = rep.value
+    gam = gamma_star(lf_model, 1.0, 0.5, lf_curve).value
     above = model_free_energy(lf_model, LFParams(1.0 / (1.1 * gam), 0.5 / (1.1 * gam)))
     below = model_free_energy(lf_model, LFParams(1.0 / (0.9 * gam), 0.5 / (0.9 * gam)))
     assert above.value > 0.0
@@ -302,7 +300,7 @@ def test_gamma_star_admissibility_failure_regime():
     # family has zero free energy everywhere
     model = make_lf_model(0.9, ZSpecDiscrete(((1, 1.0),)))
     cur = solve_curve(model.psi, 0.0999, 1000)
-    rep = gamma_star(model, 0.5, 0.5, cur, check_straddle=False)
+    rep = gamma_star(model, 0.5, 0.5, cur)
     assert not rep.hyp_ok and rep.value is None
     assert "identically 0" in rep.message
     fe = model_free_energy(model, LFParams(0.5 / 0.9, 0.5 / 0.9))
@@ -310,8 +308,7 @@ def test_gamma_star_admissibility_failure_regime():
 
 
 def test_rho_star_edges_and_value(clf_model, clf_curve):
-    rep0 = rho_star(clf_model, 1.0 / clf_model.constants.root, clf_curve,
-                    check_straddle=False)
+    rep0 = rho_star(clf_model, 1.0 / clf_model.constants.root, clf_curve)
     assert rep0.hyp_ok and abs(rep0.value) < 1e-12
     rep = rho_star(clf_model, 2.0 * math.log(2.0), clf_curve)
     assert rep.hyp_ok and 0.0 < rep.value < 1.0
@@ -327,8 +324,7 @@ def test_critical_tail_constants(lf_model, lf_curve):
     # refine the seed so the orbit tracks the curve out to n ~ 1e3
     h25 = refined_h(lf_model.psi, lf_curve, -0.25, 2e-9)
     gam = lf_model.p * 1.0 * h25 / (lf_model.constants.slope * 0.5)
-    rep = critical_tail_lf(lf_model, lf_curve, 1.0, 0.5, n_max=2000,
-                           gamma_override=gam)
+    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=2000)
     assert abs(rep.target_tail - 2.0) < 1e-10
     assert abs(rep.target_ratio - 0.5) < 1e-12
     by_n = {n: (t, r) for n, t, r, _ in rep.rows}
@@ -338,6 +334,7 @@ def test_critical_tail_constants(lf_model, lf_curve):
 
 
 def test_critical_orbit_ratio_tends_to_xi(lf_model, lf_curve):
-    rep = critical_tail_lf(lf_model, lf_curve, 1.0, 0.5, n_max=1000)
+    gam = gamma_star(lf_model, 1.0, 0.5, lf_curve).value
+    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=1000)
     ratios = {n: q for n, _, _, q in rep.rows}
     assert abs(ratios[1000] - lf_model.constants.root) < 0.05

@@ -25,11 +25,6 @@ def rng(seed=0):
 # elementary samplers
 # ---------------------------------------------------------------------------
 
-def test_geometric_degenerate_at_p1():
-    assert sample_geometric(1.0, rng()) == 1
-    assert np.all(sample_geometric(1.0, rng(), 100) == 1)
-
-
 def test_geometric_mean_and_pgf():
     r = sample_geometric(0.5, rng(1), N_BIG)
     assert np.all(r >= 1)
@@ -146,21 +141,21 @@ def test_skipping_doubles_moves_the_stream_as_drawing_them(size, before):
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        SamplePool(level=0, samples=np.zeros(10), seed=0, size=10)
+        SamplePool(level=0, samples=np.zeros(10), seed=0)
 
 
 def test_tail_convention_follows_the_pool_dtype():
     # the same values: an integer pool counts X >= t, a real one X > t
     values = np.repeat([0, 1, 2, 3], 500)
     tails = [summarize_pool(SamplePool(level=0, samples=values.astype(dtype),
-                                       seed=0, size=2000), [1, 2]).tail_probs
+                                       seed=0), [1, 2]).tail_probs
              for dtype in (np.int64, np.float64)]
     assert tails == [((1.0, 0.75), (2.0, 0.5)), ((1.0, 0.5), (2.0, 0.25))]
 
 
 def test_zero_pool_is_absorbing(lf_model):
     pool = SamplePool(level=0, samples=np.zeros(2000, dtype=np.int64),
-                      seed=11, size=2000)
+                      seed=11)
     out = mc_step(pool, lf_model)
     assert np.all(out.samples == 0)
     assert out.level == 1
@@ -169,9 +164,8 @@ def test_zero_pool_is_absorbing(lf_model):
 def test_mc_step_refuses_a_pool_of_the_other_family(lf_model, clf_model):
     # the pool's sample type must be the model's: resampling an integer
     # pool under a CLF model, or a real pool under an LF one, mixes families
-    ints = SamplePool(level=0, samples=np.ones(2000, dtype=np.int64),
-                      seed=1, size=2000)
-    reals = SamplePool(level=0, samples=np.ones(2000), seed=1, size=2000)
+    ints = SamplePool(level=0, samples=np.ones(2000, dtype=np.int64), seed=1)
+    reals = SamplePool(level=0, samples=np.ones(2000), seed=1)
     for pool, model in ((ints, clf_model), (reals, lf_model)):
         with pytest.raises(ValueError, match="pool of"):
             mc_step(pool, model)

@@ -25,6 +25,12 @@ def rng(seed=0):
 # elementary samplers
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+def test_geometric_refuses_p_outside_0_1(p):
+    with pytest.raises(ValueError, match="not in"):
+        sample_geometric(p, rng(), 10)
+
+
 def test_geometric_mean_and_pgf():
     r = sample_geometric(0.5, rng(1), N_BIG)
     assert np.all(r >= 1)
@@ -140,8 +146,9 @@ def test_skipping_doubles_moves_the_stream_as_drawing_them(size, before):
 # ---------------------------------------------------------------------------
 
 def test_pool_validation():
-    with pytest.raises(ValueError):
-        SamplePool(level=0, samples=np.zeros(10), seed=0)
+    for samples in (np.zeros(10), np.zeros((1000, 2))):  # too few; not 1-d
+        with pytest.raises(ValueError):
+            SamplePool(level=0, samples=samples, seed=0)
 
 
 def test_tail_convention_follows_the_pool_dtype():

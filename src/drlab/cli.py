@@ -123,12 +123,6 @@ def _load_config(args) -> None:
             setattr(args, key, value)
 
 
-def _solve_curve(args, psi, K=None, sweeps=None):
-    """Solve the curve of ``--A``, ``--m`` and ``--tol``."""
-    return curve_mod.solve_curve(psi, args.A, args.m, tol=args.tol,
-                                 K_override=K, sweeps=sweeps)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_curve(args) -> int:
     psi, _ = _build_driver(args)
-    cur = _solve_curve(args, psi, K=args.K, sweeps=args.sweeps)
+    cur = curve_mod.solve_curve(psi, args.A, args.m)
     if args.out:
         with open(args.out, "w") as fh:
             curve_mod.write_curve_csv(cur, psi, fh)
@@ -185,8 +179,7 @@ def _cmd_curve(args) -> int:
         "converged": cur.converged,
     }
     _emit_json(_jsonable(summary), (args.out + ".json") if args.out else None)
-    # an explicit sweep count is a regression run, not a convergence claim
-    return 0 if (cur.converged or args.sweeps is not None) else 1
+    return 0 if cur.converged else 1
 
 
 def _cmd_free_energy(args) -> int:
@@ -256,7 +249,7 @@ def _lab_curve(args, psi):
     if args.curve:
         with open(args.curve) as fh:
             return curve_mod.read_curve_csv(fh)
-    return _solve_curve(args, psi)
+    return curve_mod.solve_curve(psi, args.A, args.m)
 
 
 def _cmd_lab(args) -> int:
@@ -317,9 +310,7 @@ _FLAGS = {
     "--u0": {"type": float}, "--v0": {"type": float},
     "--max-iter": {"type": int},
     "--orbit-out": {}, "--orbit-steps": {"type": int},
-    "--A": {"type": float}, "--m": {"type": int}, "--K": {"type": float},
-    "--tol": {"type": float},
-    "--sweeps": {"type": int, "help": "run exactly this many sweeps"},
+    "--A": {"type": float}, "--m": {"type": int},
     "--kind": {"choices": tuple(_FAMILIES)},
     "--p": {"type": float},
     "--z": {"help": "atoms value@prob joined by +, e.g. 1 or 1@0.5+2@0.5"},
@@ -339,13 +330,12 @@ _FLAGS = {
 # config set; lab's --v0 (n-star and c-v only) and --eps default in _cmd_lab,
 # per experiment
 _DEFAULTS = {"max_iter": 10 ** 6, "orbit_steps": 100, "A": 0.5, "m": 1000,
-             "tol": 1e-12, "kind": "lf", "p": 0.5, "z": "1", "steps": 100,
+             "kind": "lf", "p": 0.5, "z": "1", "steps": 100,
              "levels": 3, "pool_size": 10 ** 5, "seed": 0, "threads": 1,
              "n_max": 10 ** 5, "t": [0.3, 0.7, 1.0]}
 
 # the flags of a lab experiment that starts from a seed on the curve
-_SEEDED = ["--driver", "--A", "--m", "--tol", "--curve", "--v0",
-           "--refine-seed-tol"]
+_SEEDED = ["--driver", "--A", "--m", "--curve", "--v0", "--refine-seed-tol"]
 
 # each command (a two-word one nests under its first word): its help, its
 # handler and the flags it reads; every command also takes --config and --out
@@ -355,7 +345,7 @@ _COMMANDS = {
                  ["--driver", "--u0", "--v0", "--max-iter", "--orbit-out",
                   "--orbit-steps"]),
     "curve": ("solve the critical curve", _cmd_curve,
-              ["--driver", "--A", "--m", "--K", "--tol", "--sweeps"]),
+              ["--driver", "--A", "--m"]),
     "free-energy": ("free energy of an initial pair", _cmd_free_energy,
                     ["--driver", "--u0", "--v0", "--max-iter"]),
     "lf": ("closed-form lf parameter orbit", _cmd_model_orbit,
@@ -398,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest, group_text = _GROUPS[group]
             groups[group] = top.add_parser(group, help=group_text) \
                 .add_subparsers(dest=dest, required=True)
-        # no abbreviations: curve --t would otherwise stand for --tol
+        # no abbreviations: mc validate --t would otherwise stand for --threads
         sp = groups.get(group, top).add_parser(leaf, help=text,
                                                allow_abbrev=False)
         actions = [sp.add_argument(flag, **_FLAGS[flag])

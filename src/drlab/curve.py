@@ -34,18 +34,17 @@ scalar bisection with the libm driver.  For the built-in drivers that loop
 runs in ``_classify.c``, bit for bit; the Python loop stays its oracle and
 marches every other driver, among them :func:`dual_curve`'s, since
 :func:`dual_psi` has no native description.  One damped sweep from the
-marched g then certifies it; its change decides convergence against
-``tol``, and the marched g is returned.  The sweeps, :func:`pick_K` and
-:func:`residual_local` call the driver on arrays, which evaluates the same
-libm function at each node, so no result depends on numpy's SIMD
-kernels; a built-in driver's derivative in :func:`pick_K` runs in C as
-well, operation for operation with its ``deriv_fn``.  Only a forced sweep
-count (``sweeps``) runs the damped sweeps from g_1 instead; ``K_override``
-sets the damping constant of whichever sweeps run.  :func:`write_curve_csv`
-formats its rows in C too (``recursion.write_table``), to the bytes of
-Python's ``f"{v:.17g}"`` (``nan`` for a NaN of either sign, the "C"
-locale), 64 KB at a time; the f-string loop stays its oracle and its
-fallback without the library.
+marched g then certifies it, and the marched g is returned.  The damped
+sweeps from g_1 (:func:`solve_g1`, :func:`iterate_g`) stay as the march's
+oracle and for regressions pinned to tabulated iterates.  The sweeps,
+:func:`pick_K` and :func:`residual_local` call the driver on arrays, which
+evaluates the same libm function at each node, so no result depends on
+numpy's SIMD kernels; a built-in driver's derivative in :func:`pick_K`
+runs in C as well, operation for operation with its ``deriv_fn``.
+:func:`write_curve_csv` formats its rows in C too
+(``recursion.write_table``), to the bytes of Python's ``f"{v:.17g}"``
+(``nan`` for a NaN of either sign, the "C" locale), 64 KB at a time; the
+f-string loop stays its oracle and its fallback without the library.
 
 An independent oracle, :func:`bisect_h`, recovers h(v) by bisecting the
 phase classifier and is used to cross-validate the solver.
@@ -140,8 +139,8 @@ class CriticalCurve:
 
 
 def _check_domain(psi: PsiFunction, A: float) -> None:
-    if A <= 0.0:
-        raise ValueError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"A={A!r} must be positive and finite")
     if -A < psi.domain_min or psi.domain_max < 0.0:
         raise DomainError(
             f"[-A, 0] = [{-A}, 0] leaves the domain of {psi.name!r} "
@@ -300,43 +299,28 @@ def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     return np.array(g)
 
 
-def solve_curve(psi: PsiFunction, A: float, m: int = 1000,
-                tol: float = 1e-12, K_override: float | None = None,
-                sweeps: int | None = None) -> CriticalCurve:
+# the certifying sweep's change below which a marched curve is converged;
+# it is about 1e-16
+_CERT_TOL = 1e-12
+
+
+def solve_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
     """Solve the critical curve on a uniform grid of m cells over [-A, 0].
 
-    By default g is marched node by node (:func:`_march`) and then
-    certified by one damped sweep at :func:`pick_K`'s K, or at
-    ``K_override``: that sweep's sup-norm change is ``sup_change_last``, the
-    result is ``converged`` when it is below ``tol``, and the marched g is
-    returned, not the swept one.  The change is about 1e-16, so a ``tol``
-    below it leaves the curve unconverged.
-
-    ``sweeps`` instead runs exactly that many damped sweeps from g_1 (for
-    regressions pinned to tabulated iterate values).  Non-convergence is
-    flagged on the result, not raised; a ``tol`` that is not > 0 or a
-    negative ``sweeps`` raises ValueError.
+    g is marched node by node (:func:`_march`) and then certified by one
+    damped sweep at :func:`pick_K`'s K: that sweep's sup-norm change is
+    ``sup_change_last``, the result is ``converged`` when it is below
+    ``_CERT_TOL``, and the marched g is returned, not the swept one.
+    Non-convergence is flagged on the result, not raised.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol={tol!r} must be > 0")
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps={sweeps!r} must be >= 0")
-    if K_override is not None and not 0.0 <= K_override < math.inf:
-        raise ValueError(f"K={K_override!r} must be finite and >= 0")
-    if sweeps is None:
-        xs = _grid_xs(psi, A, m)
-        g = _march(psi, xs)
-        K = pick_K(psi, A, m) if K_override is None else K_override
-        _, change, clamp = _sweep(xs, g, K, psi)
-        grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=1,
-                         sup_change_last=change, clamp_last=clamp)
-    else:
-        grid = solve_g1(psi, A, m, K=K_override)
-        for _ in range(sweeps):
-            grid = iterate_g(grid, psi)
-    curve = CriticalCurve(grid=grid, h_values=grid.g - grid.xs,
-                          residual_sup=math.nan,
-                          converged=grid.sup_change_last < tol)
+    xs = _grid_xs(psi, A, m)
+    g = _march(psi, xs)
+    K = pick_K(psi, A, m)
+    _, change, clamp = _sweep(xs, g, K, psi)
+    grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=1,
+                     sup_change_last=change, clamp_last=clamp)
+    curve = CriticalCurve(grid=grid, h_values=g - xs, residual_sup=math.nan,
+                          converged=change < _CERT_TOL)
     return replace(curve, residual_sup=residual(curve, psi))
 
 
@@ -471,7 +455,7 @@ def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
     :func:`h_eval` and :attr:`CurveGrid.spacing` assume.
     """
     it = iter(lines)
-    header = next(it).strip()
+    header = next(it, "").strip()
     if header.split(",")[:3] != ["x", "g", "h"]:
         raise ValueError(f"unexpected curve CSV header {header!r}")
     rows = [line.split(",") for line in map(str.strip, it) if line]

@@ -522,10 +522,12 @@ def parse_driver_string(text: str) -> dict:
             if not sep:
                 raise ConfigError(f"malformed driver option {item!r}")
             key = key.strip()
-            if key == "p":
+            if key == "p" and "p" not in spec:
                 spec["p"] = float(value)
-            elif key == "z":
+            elif key == "z" and "z_atoms" not in spec:
                 spec["z_atoms"] = parse_atoms(value)
+            elif key in ("p", "z"):
+                raise ConfigError(f"driver option {key!r} given twice")
             else:
                 raise ConfigError(f"unknown driver option {key!r}")
     return spec

@@ -241,6 +241,8 @@ def make_seed(psi: PsiFunction, v0: float, *,
     if refine_tol is not None and not 0.0 < refine_tol < math.inf:
         raise ValueError(
             f"refine tol must be positive and finite, got {refine_tol!r}")
+    if math.isnan(v0):
+        raise ValueError(f"v0={v0!r} is not a number")
     if v0 >= 0.0:
         return Seed(v0, 0.0, refine_tol)
     if refine_tol is not None and not refine_tol < -v0:

@@ -1,13 +1,12 @@
 import json
 import math
 import shlex
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drlab.cli import _COMMANDS, _FLAGS, build_parser, main
+from drlab.cli import _COMMANDS, _DEFAULTS, _FLAGS, build_parser, main
 
 
 def run(args):
@@ -73,12 +72,14 @@ def test_curve_cli_writes_csv(tmp_path, capsys):
     assert summary["converged"]
 
 
-def test_curve_nonconvergence_exit_1(tmp_path):
+def test_curve_nonconvergence_exit_1(tmp_path, monkeypatch):
     # a tol below the certifying sweep's change (about 1e-16): the marched
     # curve is written but not claimed converged
+    import drlab.curve
+    monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)
     path = tmp_path / "c.csv"
     code = run(["curve", "--driver", "fig1", "--m", "200",
-                "--tol", "1e-20", "--out", str(path)])
+                "--out", str(path)])
     assert code == 1
     assert path.exists()  # flagged results still written
     summary = json.loads((tmp_path / "c.csv.json").read_text())
@@ -96,38 +97,44 @@ def test_curve_sweep_budget_is_gone_exit_2(tmp_path, capsys):
     assert "unknown config keys ['max_sweeps']" in capsys.readouterr().err
 
 
-def test_curve_exact_sweep_mode_exit_0(tmp_path):
-    # a requested sweep count is a regression run, not a convergence claim
-    path = tmp_path / "s.csv"
-    code = run(["curve", "--driver", "lf:p=0.5,z=1", "--K", "10",
-                "--sweeps", "10", "--m", "200", "--out", str(path)])
-    assert code == 0
-    assert json.loads((tmp_path / "s.csv.json").read_text())["sweeps"] == 10
+@pytest.mark.parametrize("flag,value", [("--K", 10), ("--sweeps", 5),
+                                        ("--tol", 1e-20)])
+def test_curve_solver_settings_are_gone_exit_2(tmp_path, capsys, flag, value):
+    # the march and its certificate take no damping constant, sweep count
+    # or tolerance
+    with pytest.raises(SystemExit) as exc:
+        run(["curve", "--driver", "fig1", flag, str(value)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    assert run(["curve", "--driver", "fig1", "--config", str(cfg)]) == 2
+    assert f"unknown config keys [{flag[2:]!r}]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("K", ["nan", "inf", "-1", "-2"])
-def test_curve_rejects_a_bad_damping_constant_exit_2(K, tmp_path, capsys):
-    # rejected before the first sweep, not after 10^5 sweeps on NaNs
-    start = time.perf_counter()
-    code = run(["curve", "--driver", "lf:p=0.5,z=1", "--K", K, "--m", "200",
-                "--out", str(tmp_path / "c.csv")])
-    assert code == 2
-    assert time.perf_counter() - start < 1.0
-    assert "must be finite and >= 0" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,message", [
+    (["curve", "--driver", "fig1", "--A", "nan"],
+     "A=nan must be positive and finite"),
+    (["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0=-0.3", "--A", "nan"],
+     "A=nan must be positive and finite"),
+    (["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "nan"],
+     "v0=nan is not a number"),
+], ids=["curve-A", "lab-c-v-A", "lab-c-v-v0"])
+def test_a_nan_A_or_v0_exit_2(argv, message, capsys):
+    # a NaN A used to reach the march and exit 1 with no root at x=nan; a
+    # NaN v0 was refused as "a seed below the origin needs a curve"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
-                                        ("--tol", "-1")])
-def test_curve_rejects_a_bad_tolerance_or_budget_exit_2(flag, value, tmp_path,
-                                                        capsys):
-    # rejected before any work, not after the solve and exit 1
-    start = time.perf_counter()
-    code = run(["curve", "--driver", "lf:p=0.5,z=1", flag, value,
-                "--m", "200", "--out", str(tmp_path / "c.csv")])
-    assert code == 2
-    assert time.perf_counter() - start < 1.0
-    assert "must be" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
+@pytest.mark.parametrize("spec,key", [("lf:p=0.3,p=0.5,z=1", "p"),
+                                      ("lf:p=0.5,z=1,z=2", "z")])
+def test_a_repeated_driver_option_exit_2(spec, key, capsys):
+    # the last value used to win in silence
+    assert run(["psi", "--driver", spec]) == 2
+    captured = capsys.readouterr()
+    assert f"driver option {key!r} given twice" in captured.err
+    assert captured.out == ""
 
 
 _LF_START = ["--driver", "lf:p=0.5,z=1", "--u0", "0.051806269642573365",
@@ -552,12 +559,7 @@ def test_lab_stopping_pass_without_its_hit_exit_1(monkeypatch, tmp_path,
 
 def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     import drlab.curve
-    solve = drlab.curve.solve_curve
-
-    def uncertified(psi, A, m, **kwargs):
-        return solve(psi, A, m, tol=1e-20)  # below the certificate's change
-
-    monkeypatch.setattr(drlab.curve, "solve_curve", uncertified)
+    monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)
     # the seed is refined, so the orbit starts on the curve even though
     # the coarse marched h(-0.3) lies just above it and would escape
     code = run(["lab", "critical", "--driver", "fig1", "--v0", "-0.3",
@@ -596,11 +598,13 @@ def _with_nan_h(rows):
                  id="row-missing"),
     pytest.param(lambda rows: rows[-1:], "-0.3", id="single-row"),
     pytest.param(_with_nan_h, "-0.3", id="nan-h"),
+    pytest.param(None, "-0.3", id="empty-file"),
 ])
 def test_lab_rejects_a_malformed_curve_exit_2(tmp_path, capsys, mangle, v0):
     rows = _fig1_curve_lines()
     path = tmp_path / "curve.csv"
-    path.write_text("\n".join(rows[:1] + mangle(rows[1:])) + "\n")
+    path.write_text("" if mangle is None else
+                    "\n".join(rows[:1] + mangle(rows[1:])) + "\n")
     code = run(["lab", "c-star", "--driver", "fig1", "--v0", v0,
                 "--eps", "1e-5", "--curve", str(path),
                 "--out", str(tmp_path / "c")])
@@ -696,7 +700,7 @@ def test_default_curve_grid(monkeypatch, argv):
     seen = _record(monkeypatch, drlab.curve, "solve_curve")
     _recorded_run(argv + ["--driver", "fig1"])
     args, kwargs = seen["solve_curve"]
-    assert args[1:] == (0.5, 1000) and kwargs["tol"] == 1e-12
+    assert args[1:] == (0.5, 1000) and not kwargs
 
 
 @pytest.mark.parametrize("kind", ["lf", "clf"])
@@ -779,15 +783,24 @@ def _unread_flags():
 
 def test_settable_pairs_are_the_flags_read():
     assert len(_COMMANDS) == 13
-    assert sum(len(reads) for _, _, reads in _COMMANDS.values()) == 75
-    # 28 flags besides --config and --out
-    assert len(_unread_flags()) == 13 * 28 - 75
+    assert sum(len(reads) for _, _, reads in _COMMANDS.values()) == 68
+    # 25 flags besides --config and --out
+    assert len(_unread_flags()) == 13 * 25 - 68
+
+
+def test_every_flag_and_default_is_read_by_a_command():
+    # a flag or default left behind by a removed option fails here
+    read = {flag for _, _, reads in _COMMANDS.values() for flag in reads}
+    assert set(_FLAGS) - {"--config", "--out"} == read
+    dests = {flag[2:].replace("-", "_") for flag in read}
+    assert set(_DEFAULTS) <= dests
 
 
 @pytest.mark.parametrize("name,flag", _unread_flags())
 def test_a_flag_the_command_does_not_read_exit_2(tmp_path, capsys, name,
                                                  flag):
-    # also where it abbreviates one that it reads: curve --t is not --tol
+    # also where it abbreviates one that it reads: mc validate --t is not
+    # --threads
     value = "lf" if flag == "--kind" else "1"
     with pytest.raises(SystemExit) as exc:
         main([*name.split(), flag, value])

@@ -50,16 +50,6 @@ def test_pick_k_positive_and_finite(lf_model, fig1):
         assert math.isfinite(K) and K > 0.0
 
 
-def test_pick_k_override_honored(lf_model):
-    cur = solve_curve(lf_model.psi, 0.5, 200, K_override=10.0, sweeps=5)
-    assert cur.grid.K == 10.0
-    # without a sweep count, K only damps the certifying sweep of the march
-    cur = solve_curve(lf_model.psi, 0.5, 200, K_override=10.0)
-    assert cur.grid.K == 10.0 and cur.grid.sweeps == 1 and cur.converged
-    xs = _grid_xs(lf_model.psi, 0.5, 200)
-    assert np.array_equal(cur.grid.g, _march(lf_model.psi, xs))
-
-
 def test_pick_k_monotone_in_A(affine):
     assert pick_K(affine, 0.5, 500) <= pick_K(affine, 1.0, 500)
 
@@ -142,18 +132,18 @@ def test_curve_local_convexity_near_zero(lf_curve):
     assert np.min(np.diff(h, 2)) >= -1e-9
 
 
-def test_nonconvergence_is_flagged_not_raised(lf_model):
+def test_nonconvergence_is_flagged_not_raised(lf_model, monkeypatch):
     # the certifying sweep moves the marched curve by about 1e-16
-    cur = solve_curve(lf_model.psi, 0.5, 200, tol=1e-20)
+    import drlab.curve
+    monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)
+    cur = solve_curve(lf_model.psi, 0.5, 200)
     assert not cur.converged and cur.grid.sweeps == 1
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0},
-                                    {"tol": -1.0}, {"sweeps": -1},
-                                    {"K_override": -1.0}])
-def test_solve_curve_rejects_a_bad_tolerance_or_budget(lf_model, kwargs):
-    with pytest.raises(ValueError, match="must be"):
-        solve_curve(lf_model.psi, 0.5, 200, **kwargs)
+@pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -0.5])
+def test_solve_curve_rejects_an_A_that_is_not_positive_and_finite(fig1, A):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        solve_curve(fig1, A, 200)
 
 
 # ---------------------------------------------------------------------------

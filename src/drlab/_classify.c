@@ -1,12 +1,11 @@
-/* Native orbit loops for the built-in drivers, the drivers and their
-   derivatives on arrays, the critical curve's march and CSV rows, and the
-   Monte Carlo's resampling and counting passes (at the end of the file).
+/* Native orbit loops for the built-in drivers, the drivers on arrays, the
+   critical curve's march and CSV rows, and the Monte Carlo's resampling
+   and counting passes (at the end of the file).
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
-   drlab_psi evaluates a driver or its derivative on an array, and
-   drlab_march solves the curve the way curve._march's Python loop does.
-   All four evaluate the driver the way drivers.py does, one
+   drlab_psi evaluates a driver on an array, and drlab_march solves the
+   curve the way curve._march's Python loop does.  All four evaluate the driver the way drivers.py does, one
    floating-point operation for another, so that their results are
    bit-identical to the Python kernel's.  That needs -ffp-contract=off (a
    fused multiply-add rounds once where Python rounds twice) and no
@@ -26,8 +25,7 @@ enum { AFFINE, FIG1, FIG1_CLAMPED, LF, CLF };
 enum { SUPERCRITICAL, SUBCRITICAL, UNDETERMINED, DOMAIN_ERROR };
 
 /* params: inv_p, inv_slope, root, cap, then n_atoms atom values and
-   n_atoms probabilities, then (read by dpsi only) p; v_stop is where
-   w_inf = psi(inf) takes over */
+   n_atoms probabilities; v_stop is where w_inf = psi(inf) takes over */
 typedef struct {
     int kind, n_atoms;
     const double *params;
@@ -75,68 +73,17 @@ static double psi(const driver *d, double x)
     return acc * inv_p;
 }
 
-static double fig1_deriv(double x)
-{
-    double r = sqrt(1.0 + 2.0 * x);
-
-    return r == 0.0 ? INFINITY : 0.5 * (1.0 + 1.0 / r);
-}
-
-/* psi' as each maker's deriv_fn computes it: inf at fig1's -1/2, 0 past
-   the clamp, and for lf and clf base'(y) / base'(r) with 0 at y = +inf,
-   lf's y clamped at 0 and clf's base' 0 at y <= 0 */
-static double dpsi(const driver *d, double x)
-{
-    const double inv_slope = d->params[1], *values = d->params + 4,
-                 *probs = values + d->n_atoms;
-    double y, s, t, t2, acc = 0.0;
-    int i;
-
-    switch (d->kind) {
-    case AFFINE:
-        return 1.0;
-    case FIG1:
-        return fig1_deriv(x);
-    case FIG1_CLAMPED:
-        return x < 0.5 ? fig1_deriv(x) : 0.0;
-    }
-    y = x * inv_slope + d->params[2];
-    if (y == INFINITY)
-        return 0.0;
-    if (d->kind == LF) {
-        /* pgf_prime(y / t) / (p * t ** 2), or / (p * t) / t where Python's
-           t ** 2, libm's pow, overflows; gcc would fold pow(t, 2.0) into
-           t * t, which rounds differently */
-        volatile double two = 2.0;
-        const double p = probs[d->n_atoms];
-
-        if (y < 0.0)
-            y = 0.0;
-        t = y + 1.0;
-        s = y / t;
-        for (i = 0; i < d->n_atoms; i++)
-            acc += probs[i] * values[i] * pow(s, values[i] - 1.0);
-        t2 = pow(t, two);
-        return (isinf(t2) ? acc / (p * t) / t : acc / (p * t2)) * inv_slope;
-    }
-    if (y <= 0.0)
-        return 0.0;
-    for (i = 0; i < d->n_atoms; i++)
-        acc += probs[i] * (values[i] / (y * y)) * exp(-values[i] / y);
-    return acc * d->params[0] * inv_slope;
-}
-
-/* psi, or psi' when deriv is set, at xs[0..n-1] into out: the array path
-   of drivers.PsiFunction, whose checks leave here only points in the
-   domain, and none at +inf where the limit is given */
-void drlab_psi(int kind, const double *params, int n_atoms, int deriv,
+/* psi at xs[0..n-1] into out: the array path of drivers.PsiFunction,
+   whose checks leave here only points in the domain, and none at +inf
+   where the limit is given */
+void drlab_psi(int kind, const double *params, int n_atoms,
                const double *xs, double *out, int64_t n)
 {
     const driver d = {kind, n_atoms, params, 0.0, 0.0, 0.0, 0.0};
     int64_t i;
 
     for (i = 0; i < n; i++)
-        out[i] = deriv ? dpsi(&d, xs[i]) : psi(&d, xs[i]);
+        out[i] = psi(&d, xs[i]);
 }
 
 /* One step of recursion._orbit from (*u, *v, *log_u), which must not be

@@ -171,9 +171,6 @@ def _cmd_curve(args) -> int:
             curve_mod.write_curve_csv(cur, psi, fh)
     summary = {
         "driver": psi.name, "A": cur.grid.A, "m": len(cur.xs) - 1,
-        "K": cur.grid.K, "sweeps": cur.grid.sweeps,
-        "sup_change_last": cur.grid.sup_change_last,
-        "clamp_last": cur.grid.clamp_last,
         "residual_sup": cur.residual_sup,
         "h_at_minus_A": float(cur.h_values[0]),
         "converged": cur.converged,

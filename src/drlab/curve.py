@@ -1,5 +1,5 @@
-"""Critical-curve construction: a right-to-left march, certified by a
-damped fixed-point sweep.
+"""Critical-curve construction: a right-to-left march, certified by the
+residual of the functional equation.
 
 The boundary between escaping and collapsing initial pairs is the graph of
 a function h with h(0) = 0, 0 <= h(x) <= -x on the negatives and
@@ -33,14 +33,14 @@ node i of the discretised equation reads g only at g(x_i) >= x_i, so
 scalar bisection with the libm driver.  For the built-in drivers that loop
 runs in ``_classify.c``, bit for bit; the Python loop stays its oracle and
 marches every other driver, among them :func:`dual_curve`'s, since
-:func:`dual_psi` has no native description.  One damped sweep from the
-marched g then certifies it, and the marched g is returned.  The damped
-sweeps from g_1 (:func:`solve_g1`, :func:`iterate_g`) stay as the march's
-oracle and for regressions pinned to tabulated iterates.  The sweeps,
-:func:`pick_K` and :func:`residual_local` call the driver on arrays, which
-evaluates the same libm function at each node, so no result depends on
-numpy's SIMD kernels; a built-in driver's derivative in :func:`pick_K`
-runs in C as well, operation for operation with its ``deriv_fn``.
+:func:`dual_psi` has no native description.  The marched g is certified
+by :func:`residual`, the sup of the equation's defect, which a sweep's
+change would only repeat divided by K + 1.  The damped sweeps from g_1
+(:func:`solve_g1`, :func:`pick_K`, :func:`iterate_g`) stay as the march's
+oracle and for regressions pinned to tabulated iterates.  The sweeps and
+:func:`residual_local` call the driver on arrays, which evaluates the
+same libm function at each node, so no result depends on numpy's SIMD
+kernels; :func:`pick_K` maps the driver's ``deriv_fn``.
 :func:`write_curve_csv` formats its rows in C too
 (``recursion.write_table``), to the bytes of Python's ``f"{v:.17g}"``
 (``nan`` for a NaN of either sign, the "C" locale), 64 KB at a time; the
@@ -84,7 +84,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CurveGrid:
-    """Values of g on a uniform grid of [-A, 0] plus solver metadata."""
+    """Values of g on a uniform grid of [-A, 0], plus the damped sweeps'
+    metadata: K nan, sweeps 0, sup_change_last and clamp_last 0.0 on a
+    marched or given grid."""
 
     A: float
     xs: np.ndarray
@@ -299,34 +301,30 @@ def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     return np.array(g)
 
 
-# the certifying sweep's change below which a marched curve is converged;
-# it is about 1e-16
+# the residual_sup below which a marched curve is converged; it is about
+# 5e-17
 _CERT_TOL = 1e-12
 
 
 def solve_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
     """Solve the critical curve on a uniform grid of m cells over [-A, 0].
 
-    g is marched node by node (:func:`_march`) and then certified by one
-    damped sweep at :func:`pick_K`'s K: that sweep's sup-norm change is
-    ``sup_change_last``, the result is ``converged`` when it is below
-    ``_CERT_TOL``, and the marched g is returned, not the swept one.
-    Non-convergence is flagged on the result, not raised.
+    g is marched node by node (:func:`_march`) and certified by the defect
+    of the functional equation itself: the result is ``converged`` when
+    its ``residual_sup`` is below ``_CERT_TOL``.  Non-convergence is
+    flagged on the result, not raised.
     """
     xs = _grid_xs(psi, A, m)
     g = _march(psi, xs)
-    K = pick_K(psi, A, m)
-    _, change, clamp = _sweep(xs, g, K, psi)
-    grid = CurveGrid(A=A, xs=xs, g=g, K=K, sweeps=1,
-                     sup_change_last=change, clamp_last=clamp)
-    curve = CriticalCurve(grid=grid, h_values=g - xs, residual_sup=math.nan,
-                          converged=change < _CERT_TOL)
-    return replace(curve, residual_sup=residual(curve, psi))
+    curve = _curve(xs, g, g - xs)
+    res = residual(curve, psi)
+    return replace(curve, residual_sup=res, converged=res < _CERT_TOL)
 
 
-def _given_curve(xs: np.ndarray, h: np.ndarray) -> CriticalCurve:
-    """A given, not solved, curve on the grid xs: no solver metadata."""
-    grid = CurveGrid(A=-float(xs[0]), xs=xs, g=xs + h, K=math.nan, sweeps=0,
+def _curve(xs: np.ndarray, g: np.ndarray, h: np.ndarray) -> CriticalCurve:
+    """The curve g = x + h on the grid xs, without the damped sweeps'
+    metadata, which neither a marched nor a given curve has."""
+    grid = CurveGrid(A=-float(xs[0]), xs=xs, g=g, K=math.nan, sweeps=0,
                      sup_change_last=0.0, clamp_last=0.0)
     return CriticalCurve(grid=grid, h_values=h, residual_sup=math.nan,
                          converged=True)
@@ -336,7 +334,8 @@ def curve_from_h(A: float, m: int, h_fn: Callable[[np.ndarray], np.ndarray],
                  ) -> CriticalCurve:
     """Reference curve from a known h (exact fixtures, imported data)."""
     xs = np.linspace(-A, 0.0, m + 1)
-    return _given_curve(xs, np.asarray(h_fn(xs), dtype=float))
+    h = np.asarray(h_fn(xs), dtype=float)
+    return _curve(xs, xs + h, h)
 
 
 def h_eval(curve: CriticalCurve, x):
@@ -475,4 +474,4 @@ def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
     spacing = -xs[0] / (len(xs) - 1)
     if float(np.max(np.abs(step - spacing))) > 1e-6 * spacing:
         raise ValueError("curve CSV x is not uniformly spaced")
-    return _given_curve(xs, h)
+    return _curve(xs, xs + h, h)

@@ -29,13 +29,13 @@ Built-in drivers
                   continuous analogue.
 
 Every driver is one scalar function (plain ``math``) and its derivative.
-Both functions of each built-in driver also carry a ``native``
+The function of each built-in driver also carries a ``native``
 description, from which ``_classify.c`` evaluates the same function for
-the C classifier and stopping-time loops and for arrays (``psi()``, and
-``dpsi()`` for the derivative); other drivers map the functions over an
-array.  The C ``psi()`` evaluates lf and clf through one branch as well
-and is the oracle of this construction, bit for bit: its lf atom of value
-1 contributes s where Python computes pow(s, 1.0), which libm rounds to s
+the C classifier and stopping-time loops and for arrays (``psi()``); the
+derivative, and every other driver, is mapped over an array.  The C
+``psi()`` evaluates lf and clf through one branch as well and is the
+oracle of this construction, bit for bit: its lf atom of value 1
+contributes s where Python computes pow(s, 1.0), which libm rounds to s
 exactly.
 Driver objects are immutable and safe to share across threads.
 """
@@ -287,19 +287,16 @@ _KINDS = ("affine", "fig1", "fig1-clamped", "lf", "clf")
 
 
 def _described(kind: str, fn: Callable[[float], float],
-               deriv_fn: Callable[[float], float], *, p=math.nan,
-               inv_p=math.nan, inv_slope=math.nan, root=math.nan,
-               cap=math.nan, atoms=()) -> dict:
-    """fn and deriv_fn, as PsiFunction's keywords, with the descriptions
-    ``_classify.c`` evaluates them from attached: the kind's index in
-    _KINDS, the parameters (inv_p, inv_slope, root, cap, the atom values,
-    the atom probabilities) and the number of atoms.  deriv_fn's parameters
-    end in p, which lf's derivative divides by, and its description in
-    the derivative flag."""
+               deriv_fn: Callable[[float], float], *, inv_p=math.nan,
+               inv_slope=math.nan, root=math.nan, cap=math.nan, atoms=()
+               ) -> dict:
+    """fn and deriv_fn, as PsiFunction's keywords, with fn's description
+    for ``_classify.c`` attached: the kind's index in _KINDS, the
+    parameters (inv_p, inv_slope, root, cap, the atom values, the atom
+    probabilities) and the number of atoms."""
     params = (inv_p, inv_slope, root, cap, *(v for v, _ in atoms),
               *(pr for _, pr in atoms))
     fn.native = (_KINDS.index(kind), params, len(atoms))
-    deriv_fn.native = (_KINDS.index(kind), (*params, p), len(atoms), 1)
     return {"fn": fn, "deriv_fn": deriv_fn}
 
 
@@ -397,8 +394,8 @@ def _model_psi(kind: str, p: float, atoms: tuple, label: str,
 
     psi = PsiFunction(
         name=f"{kind}(p={p:g},z={label})",
-        **_described(kind, fn, deriv_fn, p=p, inv_p=inv_p,
-                     inv_slope=inv_slope, root=root, atoms=atoms),
+        **_described(kind, fn, deriv_fn, inv_p=inv_p, inv_slope=inv_slope,
+                     root=root, atoms=atoms),
         psi_inf=inv_p,
         domain_min=-slope * root,
     )

@@ -106,8 +106,11 @@ class ScalingReport:
 
 def _check_eps_list(eps_list) -> list[float]:
     eps = [float(e) for e in eps_list]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("eps list must contain positive values")
+    if not eps:
+        raise ValueError("eps list must not be empty")
+    for e in eps:
+        if not 0.0 < e < math.inf:
+            raise ValueError(f"eps={e!r} must be positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps list must be strictly decreasing")
     return eps
@@ -461,9 +464,13 @@ def euler_tan_check(eps_list, t_list) -> ScalingReport:
     (x, y) = (a/eps, b/sqrt(eps)) and compare with the tan solution at
     step floor(t/sqrt(eps)): one row per t and eps, in increasing t."""
     eps = _check_eps_list(eps_list)
-    ts = sorted(float(t) for t in t_list)
-    if not ts or ts[0] < 0.0:
-        raise ValueError("t list must be nonnegative")
+    ts = [float(t) for t in t_list]
+    if not ts:
+        raise ValueError("t list must not be empty")
+    for t in ts:
+        if not t >= 0.0:
+            raise ValueError(f"t={t!r} must be nonnegative")
+    ts.sort()
     if ts[-1] >= PI_OVER_SQRT2 - 0.05:
         raise ValueError(f"t must stay below blow-up: t < {PI_OVER_SQRT2 - 0.05:.4f}")
     rows = []

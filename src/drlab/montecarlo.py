@@ -7,7 +7,7 @@ level also carries the sampling error of the pool before it.  The
 comparisons' 4/sqrt(N) slack on probabilities (eight standard errors or
 more) has room for that; the mean's, 4 sd/sqrt(N), does not: an LF
 validation over four levels fails its mean on about one seed in five
-(ROADMAP item 7).
+(ROADMAP item 6).
 
 Reproducibility: samples are produced in fixed blocks of 2^15 draws, each
 block from its own counter-based stream keyed (seed, level, block index).

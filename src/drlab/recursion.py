@@ -23,14 +23,13 @@ keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
 last bits.  Without a compiler or a writable cache, and for every other
 driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
-evaluates the built-in drivers and their derivatives on arrays (see
-``drivers``), with the mapped scalar functions as fallback and oracle,
-marches the critical curve (see ``curve._march``), with the Python loop as
-fallback and oracle, formats the rows of every float table (the curve,
-orbit and model-orbit CSVs, see :func:`write_table`), with Python's
-formatting as fallback and oracle, and holds the Monte Carlo's
-resampling and counting passes (see ``montecarlo``), which fall back to
-numpy the same way.
+evaluates the built-in drivers on arrays (see ``drivers``), with the
+mapped scalar function as fallback and oracle, marches the critical curve
+(see ``curve._march``), with the Python loop as fallback and oracle,
+formats the rows of every float table (the curve, orbit and model-orbit
+CSVs, see :func:`write_table`), with Python's formatting as fallback and
+oracle, and holds the Monte Carlo's resampling and counting passes (see
+``montecarlo``), which fall back to numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -253,7 +252,7 @@ def _load_native() -> _Native | None:
         fn.restype = ctypes.c_int
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
-                       ctypes.c_int, ptr, ptr, c_int64)  # deriv, xs, out, n
+                       ptr, ptr, c_int64)  # xs, out, n
     march_fn.restype = ctypes.c_int
     march_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                          ptr, c_int64, ptr, ctypes.POINTER(c_int64),
@@ -268,7 +267,7 @@ def _load_native() -> _Native | None:
     counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
 
     def described(native):
-        kind, params, n_atoms = native[:3]
+        kind, params, n_atoms = native
         return kind, (c_double * len(params))(*params), n_atoms
 
     def call(fn, psi, start, max_iter, *args):
@@ -290,11 +289,9 @@ def _load_native() -> _Native | None:
         return code, state[0], [None if h < 0 else h for h in hits]
 
     def psi_array(native, xs):
-        # a description of four entries ends in the derivative flag
         out = np.empty(np.shape(xs))
         xs = np.ascontiguousarray(xs, dtype=np.float64)  # at least 1-d
-        psi_fn(*described(native), len(native) > 3 and native[3],
-               xs.ctypes.data, out.ctypes.data, out.size)
+        psi_fn(*described(native), xs.ctypes.data, out.ctypes.data, out.size)
         return out
 
     def march(native, xs):

@@ -73,8 +73,8 @@ def test_curve_cli_writes_csv(tmp_path, capsys):
 
 
 def test_curve_nonconvergence_exit_1(tmp_path, monkeypatch):
-    # a tol below the certifying sweep's change (about 1e-16): the marched
-    # curve is written but not claimed converged
+    # a tol below the marched curve's residual_sup (about 5e-17): the curve
+    # is written but not claimed converged
     import drlab.curve
     monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)
     path = tmp_path / "c.csv"
@@ -83,8 +83,8 @@ def test_curve_nonconvergence_exit_1(tmp_path, monkeypatch):
     assert code == 1
     assert path.exists()  # flagged results still written
     summary = json.loads((tmp_path / "c.csv.json").read_text())
-    assert summary["sweeps"] == 1 and not summary["converged"]
-    assert summary["sup_change_last"] >= 1e-20
+    assert not summary["converged"] and summary["residual_sup"] >= 1e-20
+    assert not {"K", "sweeps", "sup_change_last", "clamp_last"} & set(summary)
 
 
 def test_curve_sweep_budget_is_gone_exit_2(tmp_path, capsys):
@@ -125,6 +125,28 @@ def test_a_nan_A_or_v0_exit_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lab", "euler", "--eps", "nan"], "eps=nan must be positive and finite"),
+    (["lab", "n-star", "--driver", "lf:p=0.5,z=1", "--eps", "nan", "--m",
+      "200"], "eps=nan must be positive and finite"),
+    (["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--eps", "inf"],
+     "eps=inf must be positive and finite"),
+], ids=["euler", "n-star", "c-v"])
+def test_a_nan_or_infinite_eps_exit_2(argv, message, capsys):
+    # a NaN eps used to be refused as a bad u0, and an infinite one ran
+    # c-v to exit 0 with c_hat -inf
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_lab_euler_nan_t_exit_2(capsys):
+    # it used to fail converting the NaN step count to an integer
+    assert run(["lab", "euler", "--t", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "t=nan must be nonnegative" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("spec,key", [("lf:p=0.3,p=0.5,z=1", "p"),

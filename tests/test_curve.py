@@ -69,8 +69,9 @@ def test_pick_k_dominates_supremand(lf_model):
 # ---------------------------------------------------------------------------
 
 def test_sweep_fixed_point_is_stationary(fig1, fig1_curve):
-    again = iterate_g(fig1_curve.grid, fig1)
-    assert again.sup_change_last < 1e-10
+    grid = fig1_curve.grid
+    _, change, _ = _sweep(grid.xs, grid.g, pick_K(fig1, 0.5, 1000), fig1)
+    assert change <= 1e-15 and grid.sweeps == 0
 
 
 def test_sweeps_monotone_and_invariant_preserving(lf_model):
@@ -133,11 +134,11 @@ def test_curve_local_convexity_near_zero(lf_curve):
 
 
 def test_nonconvergence_is_flagged_not_raised(lf_model, monkeypatch):
-    # the certifying sweep moves the marched curve by about 1e-16
+    # the marched curve's residual_sup is about 5e-17
     import drlab.curve
     monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)
     cur = solve_curve(lf_model.psi, 0.5, 200)
-    assert not cur.converged and cur.grid.sweeps == 1
+    assert not cur.converged and cur.residual_sup >= drlab.curve._CERT_TOL
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -0.5])
@@ -184,14 +185,12 @@ def test_march_is_the_sweeps_fixed_point(name, lf_model):
     cur = solve_curve(psi, A, m)
     xs = _grid_xs(psi, A, m)
     g = _march(psi, xs)
-    assert np.array_equal(cur.grid.g, g)  # the marched g, not the swept one
-    assert cur.converged and cur.grid.sweeps == 1
+    assert np.array_equal(cur.grid.g, g)
+    assert cur.converged and cur.grid.sweeps == 0
     validate_grid(cur.grid)
-    K = pick_K(psi, A, m)
-    assert cur.grid.K == K
     # one damped sweep from the marched g barely moves it ...
-    _, change, _ = _sweep(xs, g, K, psi)
-    assert change <= 1e-15 and cur.grid.sup_change_last == change
+    _, change, _ = _sweep(xs, g, pick_K(psi, A, m), psi)
+    assert change <= 1e-15
     # ... and the sweep run to tol 1e-12 stops just short of it
     swept = _swept(psi, A, m)
     assert swept.sweeps > 1000
@@ -216,7 +215,9 @@ def test_dual_curve_is_marched(lf_model):
     dpsi = dual_psi(lf_model.psi)
     xs = _grid_xs(dpsi, 3.0, 300)
     g = _march(dpsi, xs)
-    assert dc.converged and dc.grid.sweeps == 1
+    assert dc.converged and dc.grid.sweeps == 0
+    _, change, _ = _sweep(xs, g, pick_K(dpsi, 3.0, 300), dpsi)
+    assert change <= 1e-15
     assert np.array_equal(dc.h_values, (g - xs)[::-1] * lf_model.psi(-xs[::-1]))
 
 
@@ -518,7 +519,7 @@ def test_curve_csv_and_K_do_not_need_the_library(spec, m):
     def outputs():
         buf = io.StringIO()
         write_curve_csv(curve, psi, buf)
-        return buf.getvalue(), repr(pick_K(psi, 0.5, m))
+        return buf.getvalue()
     assert recursion._native_lib()
     native = outputs()
     with pytest.MonkeyPatch.context() as mp:

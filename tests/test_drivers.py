@@ -1,8 +1,6 @@
 import hashlib
 import math
-import shutil
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -246,23 +244,6 @@ def test_model_driver_bits_are_pinned(spec):
         for x in points:
             h.update(_outcome_bytes(f, x))
     assert h.hexdigest() == _DRIVER_DIGESTS[spec]
-
-
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
-@pytest.mark.parametrize("spec", [
-    "affine", "fig1", "fig1-clamped", *sorted(_DRIVER_DIGESTS),
-    # y = x/base'(r) + r rounds below 0 at these domain_min
-    "lf:p=0.45,z=1", "lf:p=0.55,z=3"])
-def test_native_derivative_is_the_mapped_deriv_fn(spec):
-    # the digest grid inside the domain (fig1's -1/2, where psi' is inf,
-    # among it), the points where lf's (y + 1)^2 overflows, and the largest
-    # float, where y overflows
-    psi = driver_from_spec(spec)[0]
-    points = [x for x in _digest_grid(psi) + [7e153, 1e300, sys.float_info.max]
-              if psi.domain_min <= x <= psi.domain_max]
-    assert hasattr(psi.deriv_fn, "native") and recursion._native_lib()
-    got = psi.deriv(np.array(points)).tolist()
-    assert repr(got) == repr([psi.deriv_fn(x) for x in points])
 
 
 def test_analytic_derivative_matches_central_difference(

@@ -7,13 +7,16 @@ per-layer metrics, and the benchmark run still passes.  So this test reads
 perfbench's sources as syntax trees, without running them, and checks each
 such name against the program: every import, every attribute reached from
 an imported module, the argument shape of every call into drlab, the
-traced layers and the span names compared against.
+traced layers and the span names compared against.  The quick probes are
+also run, for their metric names and finite values.
 """
 
 import ast
 import importlib
 import inspect
+import math
 import re
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -168,3 +171,42 @@ def test_every_span_name_perfbench_reads_is_traced():
         module = _resolve(f"drlab.{layer}")
         assert function in module.__all__, name
         assert inspect.isfunction(getattr(module, function)), name
+
+
+# the metrics each probe returns, by probe; probe_montecarlo, which builds
+# pools of 10^6 samples, is left out
+PROBES = {
+    "probe_drivers": {"drivers.psi_call_ns", "drivers.psi_fn_ns",
+                      "drivers.psi_array_ns_per_elem_1001",
+                      "drivers.psi_array_ns_per_elem_4001",
+                      "drivers.build_us"},
+    "probe_recursion": {"recursion.classify_ns_per_step",
+                        "recursion.classify_steps",
+                        "recursion.stopping_times_ns_per_step"},
+    "probe_curve": {"curve.sweep_us_m1000", "curve.sweep_us_m4000",
+                    "curve.g1_ms"},
+    "probe_models": {"models.lf_step_ns"},
+    "count_refined_h": {"lab.refined_h_orbit_steps",
+                        "lab.refined_h_classify_calls"},
+}
+
+
+def test_the_probes_run_and_return_their_metrics():
+    # a probe that raises drops its metrics from a traced run in silence,
+    # so each one is run here
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import tracing
+    for probe, names in PROBES.items():
+        assert names <= set(tracing.UNITS), probe
+        out = getattr(tracing, probe)()
+        assert set(out) == names, probe
+        assert all(math.isfinite(v) for v in out.values()), (probe, out)
+
+
+def test_a_solved_grid_counts_its_sweeps_in_an_int():
+    # the tracer books grid.sweeps of each solve_curve result as a count
+    from drlab.curve import solve_curve
+    from drlab.drivers import driver_from_spec
+    grid = solve_curve(driver_from_spec("lf:p=0.5,z=1")[0], 0.5, 200).grid
+    assert type(grid.sweeps) is int

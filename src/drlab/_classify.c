@@ -5,13 +5,14 @@
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
    drlab_psi evaluates a driver on an array, and drlab_march solves the
-   curve the way curve._march's Python loop does.  All four evaluate the driver the way drivers.py does, one
-   floating-point operation for another, so that their results are
-   bit-identical to the Python kernel's.  That needs -ffp-contract=off (a
-   fused multiply-add rounds once where Python rounds twice) and no
-   -ffast-math, and libm's pow, exp, log and sqrt, which Python's math
-   module calls too.  drlab_rows formats recursion.write_table's rows.
-   recursion.py builds and loads this file. */
+   curve the way curve._march's Python loop does.  All four evaluate the
+   driver the way drivers.py does, one floating-point operation for
+   another, so that their results are bit-identical to the Python
+   kernel's.  That needs -ffp-contract=off (a fused multiply-add rounds
+   once where Python rounds twice) and no -ffast-math, and libm's pow,
+   exp, log and sqrt, which Python's math module calls too.  drlab_rows
+   formats recursion.write_table's rows.  recursion.py builds and loads
+   this file. */
 
 #include <locale.h>
 #include <math.h>

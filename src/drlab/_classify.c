@@ -90,9 +90,10 @@ void drlab_psi(int kind, const double *params, int n_atoms,
 /* One step of recursion._orbit from (*u, *v, *log_u), which must not be
    absorbed yet; the first step also checks the domain's lower end (v never
    decreases).  Returns DOMAIN_ERROR with the point outside the domain in
-   *v, else 0.  A zero of psi leaves u at an absorbing 0. */
+   *v, else 0.  A zero of psi leaves u at an absorbing 0 and log u at -inf.
+   log(w) is added to log u only when sum_log is set (see drlab_classify). */
 static int step(const driver *d, double *u, double *v, double *log_u,
-                int first)
+                int first, int sum_log)
 {
     double w;
 
@@ -105,7 +106,8 @@ static int step(const driver *d, double *u, double *v, double *log_u,
         *log_u = -INFINITY;
         return 0;
     }
-    *log_u = *log_u + log(w);
+    if (sum_log)
+        *log_u = *log_u + log(w);
     *u = *u * w;
     return 0;
 }
@@ -127,11 +129,22 @@ static int certified(const driver *d, int64_t n, double u, double v,
 }
 
 /* state holds (u, v, log u) on entry and the final state on return, *n the
-   final index.  On DOMAIN_ERROR state[1] is the point outside the domain. */
+   final index.  On DOMAIN_ERROR state[1] is the point outside the domain.
+
+   With sum_log 0 the loop calls no log(w): state[2] then stays log u0, or
+   becomes -inf where psi vanishes, and is not the final log u.  The
+   verdict, n, u and v are the same bits either way.  The loop reads log u
+   only in its tests log_u > -inf and log_u == -inf.  The summed log u is
+   -inf exactly where the unsummed one is: at a start u0 = 0 and after a
+   zero of psi.  Each log(w) of a w > 0 is finite, at least log of the
+   least subnormal, about -745, so the sum could reach -inf in some other
+   way only after about 1e305 steps.  (A u that underflows to 0 while
+   every w > 0 leaves both logs finite.)  So only the classify command,
+   which prints the final log u, asks for the sum. */
 int drlab_classify(int kind, const double *params, int n_atoms,
                    double domain_min, double domain_max, double w_inf,
                    double v_stop, int64_t max_iter, double *state,
-                   int64_t *n)
+                   int64_t *n, int sum_log)
 {
     const driver d = {kind, n_atoms, params, domain_min, domain_max, w_inf,
                       v_stop};
@@ -156,7 +169,7 @@ int drlab_classify(int kind, const double *params, int n_atoms,
             label = UNDETERMINED;
             break;
         }
-        if (step(&d, &u, &v, &log_u, k == 0)) {
+        if (step(&d, &u, &v, &log_u, k == 0, sum_log)) {
             state[1] = v;
             return DOMAIN_ERROR;
         }
@@ -190,7 +203,7 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
     for (i = 0; i < 6; i++)
         hits[i] = -1;
     for (k = 0; k <= max_iter && open; k++) {
-        if (k > 0 && step(&d, &u, &v, &log_u, k == 1))
+        if (k > 0 && step(&d, &u, &v, &log_u, k == 1, 1))
             return DOMAIN_ERROR;
         if (log_u == -INFINITY) /* psi vanished: the orbit is dead */
             break;
@@ -492,4 +505,53 @@ void drlab_counts(const double *x, int64_t n, const double *t, int64_t nt,
         for (j = 0; j < nt; j++)
             counts[1 + j] += count(x + b, size, t[j], 1);
     }
+}
+
+/* np.mean and np.std of a float64 pool, bit for bit, without the pool-sized
+   temporaries of np.std: mean = (0 + pw(x)) / n and
+   sd = sqrt((0 + pw(d * d)) / n) with d = x - mean, as numpy's _var forms
+   them, pw being numpy's pairwise_sum (the split of pairwise() above) and
+   0 the reduction's initial value, which turns a sum of -0.0 into 0.0.
+   Into out[0] and out[1]; an empty pool gives NaN for both, as numpy. */
+static inline double term(const double *x, int64_t i, double mean, int dev)
+{
+    double d = x[i] - mean;
+
+    return dev ? d * d : x[i];
+}
+
+static double pairwise_moment(const double *x, int64_t n, double mean,
+                              int dev)
+{
+    double acc[8], res = -0.0;
+    int64_t i, n2;
+    int j;
+
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            res += term(x, i, mean, dev);
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            acc[j] = term(x, j, mean, dev);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                acc[j] += term(x, i + j, mean, dev);
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+              + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        for (; i < n; i++)
+            res += term(x, i, mean, dev);
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    res = pairwise_moment(x, n2, mean, dev);
+    return res + pairwise_moment(x + n2, n - n2, mean, dev);
+}
+
+void drlab_moments(const double *x, int64_t n, double *out)
+{
+    out[0] = (0.0 + pairwise_moment(x, n, 0.0, 0)) / (double)n;
+    out[1] = sqrt((0.0 + pairwise_moment(x, n, out[0], 1)) / (double)n);
 }

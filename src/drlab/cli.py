@@ -291,6 +291,8 @@ def _emit_lab(report, out_base: str | None) -> int:
                     for x in row.values()) + "\n")
     _emit_json(_jsonable(report.summary()),
                (out_base + ".json") if out_base else None)
+    if report.failed:
+        print(f"failed: {report.why}", file=sys.stderr)
     return 1 if report.failed else 0
 
 

@@ -83,8 +83,9 @@ _DELTA = 0.1  # the scans' delta level; no statistic they report reads it
 @dataclass
 class ScalingReport:
     """Observed statistics over a parameter grid plus limit diagnostics;
-    ``failed`` (not in the summary): the run's answer cannot be trusted,
-    for a reason its flags name, and the command exits 1."""
+    ``why`` (not in the summary): why the run's answer cannot be trusted,
+    empty when it can.  A run with a reason has ``failed``, and its command
+    prints the reason on stderr and exits 1."""
 
     experiment: str
     driver: str
@@ -96,11 +97,15 @@ class ScalingReport:
     relative_gap: float | None = None
     spread_last3: float | None = None
     flags: dict = field(default_factory=dict)
-    failed: bool = False
+    why: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.why)
 
     def summary(self) -> dict:
         out = asdict(self)
-        del out["failed"]
+        del out["why"]
         return out
 
 
@@ -163,7 +168,8 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
         undetermined u is kept.  u's escape step if it escapes, 0 if it
         collapses, None if undetermined."""
         nonlocal lo, hi, undetermined
-        label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6)
+        label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6,
+                                      _log_u=False)
         if label is PhaseLabel.SUPERCRITICAL:
             hi = min(hi, u)
             return last.n
@@ -274,8 +280,9 @@ def _seed_unresolved(psi: PsiFunction, seed: Seed, eps_min: float) -> bool:
         return seed.refine_tol / 2.0 > d
     budget = max(10 ** 6, math.ceil(8.0 / math.sqrt(d)))
     below = classify_detail(max(seed.h - d, 0.0), seed.v0, psi,
-                            max_iter=budget)[0]
-    above = classify_detail(seed.h + d, seed.v0, psi, max_iter=budget)[0]
+                            max_iter=budget, _log_u=False)[0]
+    above = classify_detail(seed.h + d, seed.v0, psi, max_iter=budget,
+                            _log_u=False)[0]
     return not (below is PhaseLabel.SUBCRITICAL
                 and above is PhaseLabel.SUPERCRITICAL)
 
@@ -306,7 +313,8 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     u, v = seed.h, v0
     for at, n in zip([0, *marks], marks):
         # undetermined at mark n, unless the walk stopped before it
-        label, last = classify_detail(u, v, psi, max_iter=n - at - 1)
+        label, last = classify_detail(u, v, psi, max_iter=n - at - 1,
+                                      _log_u=False)
         u, v = last.u, last.v
         if label is not PhaseLabel.UNDETERMINED or v > 0.0:
             break
@@ -317,7 +325,8 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
              "seed_unresolved": _seed_unresolved(psi, seed, 2.5 / n_max ** 2)}
     report = ScalingReport("critical_asymptotics", psi.name,
                            {"v0": v0, "n_max": n_max}, rows, flags=flags,
-                           failed=any(flags.values()))
+                           why=", ".join(f"flags.{k}" for k, v
+                                         in flags.items() if v))
     if flags["diverged"] or flags["collapsed"]:
         return report
     n2_u, n_v, u, v = (rows[-1][k] for k in ("n2_u", "n_v", "u", "v"))
@@ -360,21 +369,27 @@ def _report(experiment: str, psi: PsiFunction, seed: Seed, scan, rows,
             vals: list[float], target: float | None = None,
             **params) -> ScalingReport:
     """The report of a scan whose statistic is vals, one per eps.  It
-    failed on an unresolved seed, or when the pass ran out of steps before
-    a hitting index the scan reads: a nan value, or below the origin an
-    N0 (c* reads it)."""
+    failed on an unresolved seed; when the pass ran out of steps before a
+    hitting index the scan reads: a nan value, or below the origin an N0
+    (c* reads it); or when an eps puts the start at the stopping level
+    already (n* = 0), where no small-eps law holds."""
     eps, records, flags = scan
     extrap = _extrapolate_sqrt(eps, vals)
     gap = (abs(extrap - target) / abs(target)
            if target is not None and extrap is not None else None)
-    failed = (flags["seed_unresolved"] or any(map(math.isnan, vals))
-              or seed.v0 < 0.0 and any(rec.N0 is None for rec in records))
+    why = [f"eps={e!r} starts at the stopping level (n_star 0)"
+           for e, rec in zip(eps, records) if rec.n_star == 0]
+    if flags["seed_unresolved"]:
+        why.insert(0, "flags.seed_unresolved")
+    if any(map(math.isnan, vals)) or seed.v0 < 0.0 and any(
+            rec.N0 is None for rec in records):
+        why.append("a stopping pass ran out of steps")
     return ScalingReport(experiment, psi.name,
                          {"v0": seed.v0, "eps": eps, **params}, rows,
                          raw_last=vals[-1], extrapolated=extrap,
                          target=target, relative_gap=gap,
                          spread_last3=_spread(vals), flags=flags,
-                         failed=failed)
+                         why="; ".join(why))
 
 
 def n_star_scaling(psi: PsiFunction, seed: Seed, eps_list, *,

@@ -20,7 +20,8 @@ runs in one pass of ``_classify.c`` (built and loaded by ``recursion``);
 its float sums keep ``np.add.reduceat``'s association, so its pools are
 bit-identical to the numpy expression in :func:`_resample`, which is its
 oracle and runs without a compiler.  :func:`summarize_pool` counts the
-mass at zero and the tails of a real pool in one C pass the same way.
+mass at zero and the tails of a real pool in one C pass the same way, and
+takes its mean and sd in two more, equal to ``np.mean`` and ``np.std``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class EmpiricalSummary:
     mass_at_zero: float
     tail_probs: tuple  # ((threshold, probability), ...)
     mean: float
+    sd: float
     pool_size: int
 
 
@@ -285,19 +287,31 @@ def _counts(x: np.ndarray, thresholds) -> list[int]:
             *(np.count_nonzero(above(x, t)) for t in thresholds)]
 
 
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """(np.mean(x), np.std(x)), bit for bit.  One native call for a float64
+    pool, in numpy's pairwise order and without np.std's pool-sized
+    temporaries; numpy, their oracle, for any other pool."""
+    native = recursion._native_lib()
+    if native and x.dtype == np.float64 and x.flags.c_contiguous:
+        out = np.empty(2)
+        native.moments(x.ctypes.data, len(x), out.ctypes.data)
+        return float(out[0]), float(out[1])
+    return float(np.mean(x)), float(np.std(x))
+
+
 def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
-    """Empirical mass at zero, tails and mean.  The tail convention follows
-    the pool's dtype: an integer (LF) pool counts P(X >= t), the lattice
-    convention, and a real (CLF) pool counts P(X > t)."""
+    """Empirical mass at zero, tails, mean and sd.  The tail convention
+    follows the pool's dtype: an integer (LF) pool counts P(X >= t), the
+    lattice convention, and a real (CLF) pool counts P(X > t)."""
     x = pool.samples
     n = len(x)
     zero, *above = _counts(x, thresholds)
+    mean, sd = _moments(x)
     return EmpiricalSummary(
         mass_at_zero=float(zero / n),
         tail_probs=tuple((float(t), float(c / n))
                          for t, c in zip(thresholds, above)),
-        mean=float(np.mean(x)),
-        pool_size=n)
+        mean=mean, sd=sd, pool_size=n)
 
 
 def compare_to_model(pool: SamplePool,
@@ -315,9 +329,9 @@ def compare_to_model(pool: SamplePool,
     if n < 10 ** 4:
         raise ValueError("need a pool of at least 10^4 samples")
     tol = 4.0 / math.sqrt(n)
-    mean_tol = tol * max(1.0, float(np.std(pool.samples)))
     positive, tails, mean = law_stats(predicted)
     summary = summarize_pool(pool, [t for _, t, _ in tails])
+    mean_tol = tol * max(1.0, summary.sd)
     rows = [("mass_at_zero", summary.mass_at_zero, 1.0 - positive),
             *((name, emp, pred) for (name, _, pred), (_, emp)
               in zip(tails, summary.tail_probs)),

@@ -21,7 +21,9 @@ C instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC
 ``__pycache__`` and loaded with ctypes).  Both loops share one C step that
 keeps the kernel's order of operations, so their results are
 bit-identical; fast-math is barred because fused multiply-adds change the
-last bits.  Without a compiler or a writable cache, and for every other
+last bits.  The step adds log(w) to log u only where log u is read: in the
+stopping pass, and in the classifier for a caller of
+:func:`classify_detail` that keeps its final log u (no verdict reads it).  Without a compiler or a writable cache, and for every other
 driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
 evaluates the built-in drivers on arrays (see ``drivers``), with the
 mapped scalar function as fallback and oracle, marches the critical curve
@@ -191,7 +193,8 @@ class _Native(NamedTuple):
     """The entry points of ``_classify.c``: the two orbit loops, the
     driver on arrays, the curve march and the CSV rows, wrapped, and the
     Monte Carlo kernels as ctypes functions, resampling keyed by the pool's
-    dtype (float64, int64) and counting for float64 pools."""
+    dtype (float64, int64), and counting and the mean and sd for float64
+    pools."""
 
     classify: Callable
     stopping: Callable
@@ -200,6 +203,7 @@ class _Native(NamedTuple):
     write_rows: Callable
     resample: dict
     counts: Callable
+    moments: Callable
 
 
 def _build(source: str, lib: str) -> bool:
@@ -238,14 +242,14 @@ def _load_native() -> _Native | None:
             dll.drlab_rows
         resample = {np.dtype(np.float64): dll.drlab_resample_f64,
                     np.dtype(np.int64): dll.drlab_resample_i64}
-        counts = dll.drlab_counts
+        counts, moments = dll.drlab_counts, dll.drlab_moments
     except (OSError, AttributeError):  # no library, or a symbol missing
         return None
     c_double, c_int64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     # the driver, max_iter and the state, then each loop's own arguments
     head = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int, c_double,
             c_double, c_double, c_double, c_int64, ctypes.POINTER(c_double))
-    classify_fn.argtypes = (*head, ctypes.POINTER(c_int64))
+    classify_fn.argtypes = (*head, ctypes.POINTER(c_int64), ctypes.c_int)
     stopping_fn.argtypes = (*head, c_double, c_double,
                             ctypes.POINTER(c_int64))
     for fn in (classify_fn, stopping_fn):
@@ -265,6 +269,8 @@ def _load_native() -> _Native | None:
         fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
     counts.restype = None
     counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
+    moments.restype = None
+    moments.argtypes = (ptr, c_int64, ptr)  # x, n, out
 
     def described(native):
         kind, params, n_atoms = native
@@ -277,9 +283,10 @@ def _load_native() -> _Native | None:
                   V_STOP if psi.bounded else _INF, max_iter, state, *args)
         return code, state
 
-    def classify(psi, start, max_iter):
+    def classify(psi, start, max_iter, sum_log):
         n = c_int64()
-        code, state = call(classify_fn, psi, start, max_iter, ctypes.byref(n))
+        code, state = call(classify_fn, psi, start, max_iter, ctypes.byref(n),
+                           sum_log)
         return code, OrbitState(n.value, *state)
 
     def stopping(psi, start, max_iter, a_eps, delta):
@@ -318,7 +325,7 @@ def _load_native() -> _Native | None:
                 raise OSError("drlab_rows could not format the rows")
             out.write(ctypes.string_at(buf, size).decode("ascii"))
     return _Native(classify, stopping, psi_array, march, write_rows,
-                   resample, counts)
+                   resample, counts, moments)
 
 
 def _native_lib() -> _Native | None:
@@ -355,7 +362,8 @@ def _certified(fn: Callable[[float], float], n: int, u: float, v: float,
 
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
-                    max_iter: int = 10 ** 6) -> tuple[PhaseLabel, OrbitState]:
+                    max_iter: int = 10 ** 6, _log_u: bool = True
+                    ) -> tuple[PhaseLabel, OrbitState]:
     """Classification plus the state where the decision (or give-up) fired.
 
     Supercritical the moment v > 0 with u > 0; subcritical once the
@@ -365,30 +373,37 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     steps runs out.  The final state's v sign is the only usable direction
     hint when the label is Undetermined.  Built-in drivers run the loop of
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
+    A caller that reads only the label, n, u and v passes ``_log_u=False``:
+    the C loop then takes no log per step (``_classify.c`` shows that no
+    verdict moves), and the state's log_u is nan.
     """
     _check_steps("max_iter", max_iter)
     start = initial_state(u0, v0)
     native = _native_loops(psi, max_iter)
     if native is not None:
-        code, last = native.classify(psi, start, max_iter)
+        code, last = native.classify(psi, start, max_iter, _log_u)
         if code != _DOMAIN_ERROR:  # else the Python kernel raises it
-            return _LABELS[code], last
+            return _LABELS[code], (last if _log_u else OrbitState(
+                last.n, last.u, last.v, math.nan))
     fn = psi.fn
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
         if n > max_iter:
-            return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
-        if v > 0.0 and log_u > -_INF:
-            return PhaseLabel.SUPERCRITICAL, OrbitState(n, u, v, log_u)
-        if _certified(fn, n, u, v, 0.5 * v):
-            return PhaseLabel.SUBCRITICAL, OrbitState(n, u, v, log_u)
-        if log_u == -_INF:
+            label = PhaseLabel.UNDETERMINED
+        elif v > 0.0 and log_u > -_INF:
+            label = PhaseLabel.SUPERCRITICAL
+        elif _certified(fn, n, u, v, 0.5 * v):
+            label = PhaseLabel.SUBCRITICAL
+        elif log_u == -_INF:
             # u == 0 exactly and v >= 0: frozen at the origin's edge
-            return PhaseLabel.UNDETERMINED, OrbitState(n, u, v, log_u)
+            label = PhaseLabel.UNDETERMINED
+        else:
+            continue
+        return label, OrbitState(n, u, v, log_u if _log_u else math.nan)
 
 
 def classify(u0: float, v0: float, psi: PsiFunction, *,
              max_iter: int = 10 ** 6) -> PhaseLabel:
-    return classify_detail(u0, v0, psi, max_iter=max_iter)[0]
+    return classify_detail(u0, v0, psi, max_iter=max_iter, _log_u=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +488,13 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
                 max_iter: int = 10 ** 6) -> FreeEnergyEstimate:
     """Estimate F(u0, v0) = lim psi(inf)^(-n) u_n for a bounded driver.
 
-    The phase is :func:`classify_detail`'s.  Subcritical points report 0
+    The phase is :func:`classify`'s.  Subcritical points report 0
     exactly.  Otherwise the nonincreasing log-scale sequence is iterated
     to stability and bracketed through the entry time n* of
     [1, inf) x [0, inf).
     """
     _require_bounded(psi)
-    label = classify_detail(u0, v0, psi, max_iter=max_iter)[0]
+    label = classify(u0, v0, psi, max_iter=max_iter)
     if label is PhaseLabel.SUBCRITICAL:
         return FreeEnergyEstimate(0.0, -_INF, 0.0, 0.0, -_INF, -_INF,
                                   n_star=None, converged=True)

@@ -579,6 +579,26 @@ def test_lab_stopping_pass_without_its_hit_exit_1(monkeypatch, tmp_path,
     assert (tmp_path / "lab.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["c-v", "n-star"])
+def test_lab_scan_from_the_stopping_level_exit_1(capsys, experiment):
+    # at v0 = 0 a start eps >= 1 is already at n*'s level: n* = 0, no law
+    code = run(["lab", experiment, "--driver", "lf:p=0.5,z=1",
+                "--eps", "1e300", "--eps", "1", "--eps", "1e-4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [row["n_star"] for row in json.loads(captured.out)["rows"]][:2] \
+        == [0, 0]
+    assert captured.err == (
+        "failed: eps=1e+300 starts at the stopping level (n_star 0); "
+        "eps=1.0 starts at the stopping level (n_star 0)\n")
+
+
+def test_lab_scan_that_holds_prints_nothing_on_stderr(capsys):
+    assert run(["lab", "c-v", "--driver", "lf:p=0.5,z=1",
+                "--eps", "1e-4", "--eps", "1e-5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_lab_unconverged_curve_exit_1(monkeypatch, tmp_path):
     import drlab.curve
     monkeypatch.setattr(drlab.curve, "_CERT_TOL", 1e-20)

@@ -81,7 +81,7 @@ def test_seed_check_budget_follows_the_escape_law(fig1, monkeypatch, eps_min,
     # still undetermined there leaves the seed unresolved
     budgets = []
 
-    def undetermined(u, v, psi, *, max_iter):
+    def undetermined(u, v, psi, *, max_iter, _log_u=True):
         budgets.append(max_iter)
         return PhaseLabel.UNDETERMINED, None
     monkeypatch.setattr(lab, "classify_detail", undetermined)

@@ -1,8 +1,11 @@
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drlab import montecarlo, recursion
 from drlab.cli import main as cli_main
@@ -367,6 +370,43 @@ def test_counts_match_numpy(monkeypatch, thresholds):
     got = [montecarlo._counts(x[:n], thresholds) for n in sizes]
     monkeypatch.setattr(recursion, "_native", False)
     assert got == [montecarlo._counts(x[:n], thresholds) for n in sizes]
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+            2.2250738585072014e-308]
+
+
+@st.composite
+def _float_pools(draw):
+    """Float64 arrays of 0-7, 8-128 or more values (numpy's pairwise sum
+    runs a plain loop, eight accumulators or halves), of ordinary, tiny
+    (subnormal) or huge (squares overflow) scale, with up to three NaN,
+    infinite, signed-zero or subnormal values put in."""
+    n = draw(st.one_of(st.integers(0, 7), st.integers(8, 128),
+                       st.integers(129, 5000)))
+    scale = draw(st.sampled_from([1.0, 1e-310, 1e300]))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32))) \
+        .standard_normal(n) * scale
+    for _ in range(draw(st.integers(0, 3 if n else 0))):
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_SPECIAL))
+    return x
+
+
+@needs_gcc
+@settings(max_examples=300, deadline=None)
+@example(x=np.array([]))
+@example(x=np.array([-0.0]))
+@example(x=np.full(9, -0.0))
+@example(x=np.full(200, 5e-324))
+@given(x=_float_pools())
+def test_moments_match_numpy(x):
+    with warnings.catch_warnings():  # an empty or non-finite pool
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = repr((float(np.mean(x)), float(np.std(x))))
+        assert repr(montecarlo._moments(x)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "_native", False)
+            assert repr(montecarlo._moments(x)) == want
 
 
 def _mc_json(tmp_path, name, args):

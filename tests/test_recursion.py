@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -687,6 +688,54 @@ def test_certified_orbits_never_pass_w(name, v0, ratio):
     w = 0.5 * last.v
     for _, v, _, _ in itertools.islice(recursion._orbit(last, psi), 10 ** 5):
         assert v <= w
+
+
+# ---------------------------------------------------------------------------
+# the verdict without the log of each step
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _h_near(name):
+    """h(-0.3) of a kernel driver to about 1e-6."""
+    return bisect_h(KERNEL_DRIVERS[name], -0.3, tol=1e-6,
+                    classify_max_iter=20000)
+
+
+@settings(max_examples=300, deadline=None)
+@example(name="lf:p=0.5,z=1", u0=0.01, v0=-0.4, near=None,
+         max_iter=3000)  # classify_sub: u underflows to 0, log u stays finite
+@example(name="affine", u0=0.5, v0=-1.5, near=None, max_iter=5)  # psi(v) = 0
+@example(name="lf:p=0.5,z=1", u0=0.0, v0=-0.3, near=None, max_iter=0)
+@example(name="fig1", u0=0.0, v0=0.0, near=None, max_iter=3000)  # frozen
+@example(name="fig1", u0=0.0, v0=-0.3, near=1e-9, max_iter=3000)
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       near=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
+       max_iter=st.integers(0, 3000), **starts)
+def test_log_free_verdict_matches_the_summed_one_and_the_oracle(
+        name, u0, v0, near, max_iter):
+    # near: a start (1 + near) h(-0.3) in place of (u0, v0)
+    psi = KERNEL_DRIVERS[name]
+    if near is not None:
+        u0, v0 = (1.0 + near) * _h_near(name), -0.3
+
+    def verdict(**kwargs):
+        """repr of (label, n, u, v) or the error, and repr of the log u."""
+        try:
+            label, last = classify_detail(u0, v0, psi, max_iter=max_iter,
+                                          **kwargs)
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}", None
+        return repr((label, last.n, last.u, last.v)), repr(last.log_u)
+
+    free, free_log = verdict(_log_u=False)
+    summed, summed_log = verdict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        oracle, oracle_log = verdict()
+        assert verdict(_log_u=False) == (free, free_log)
+    assert free == summed == oracle
+    assert summed_log == oracle_log
+    assert free_log == (None if summed_log is None else "nan")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /* Native orbit loops for the built-in drivers, the drivers on arrays, the
-   critical curve's march and CSV rows, and the Monte Carlo's resampling
-   and counting passes (at the end of the file).
+   critical curve's march and CSV rows, and the Monte Carlo's resampling,
+   counting and moment passes (at the end of the file).
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
@@ -10,9 +10,15 @@
    another, so that their results are bit-identical to the Python
    kernel's.  That needs -ffp-contract=off (a fused multiply-add rounds
    once where Python rounds twice) and no -ffast-math, and libm's pow,
-   exp, log and sqrt, which Python's math module calls too.  drlab_rows
-   formats recursion.write_table's rows.  recursion.py builds and loads
-   this file. */
+   exp, log and sqrt, which Python's math module calls too.  Both orbit
+   loops step through step(), but only drlab_stopping always adds log(w)
+   to log u, because its n* test reads log u >= 0.  drlab_classify adds it
+   only for a caller that keeps the final log u (the classify command):
+   its verdicts read log u only against -inf, which the sum cannot reach
+   by itself (the proof is above drlab_classify), and a libm log is a
+   large share of a step's cost.  drlab_rows formats
+   recursion.write_table's rows.  recursion.py builds and loads this
+   file. */
 
 #include <locale.h>
 #include <math.h>

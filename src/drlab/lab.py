@@ -325,7 +325,7 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
              "seed_unresolved": _seed_unresolved(psi, seed, 2.5 / n_max ** 2)}
     report = ScalingReport("critical_asymptotics", psi.name,
                            {"v0": v0, "n_max": n_max}, rows, flags=flags,
-                           why=", ".join(f"flags.{k}" for k, v
+                           why="; ".join(f"flags.{k}" for k, v
                                          in flags.items() if v))
     if flags["diverged"] or flags["collapsed"]:
         return report

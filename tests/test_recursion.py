@@ -705,9 +705,10 @@ def _h_near(name):
 @example(name="lf:p=0.5,z=1", u0=0.01, v0=-0.4, near=None,
          max_iter=3000)  # classify_sub: u underflows to 0, log u stays finite
 @example(name="affine", u0=0.5, v0=-1.5, near=None, max_iter=5)  # psi(v) = 0
-@example(name="lf:p=0.5,z=1", u0=0.0, v0=-0.3, near=None, max_iter=0)
+@example(name="lf:p=0.5,z=1", u0=0.0, v0=-0.3, near=None,
+         max_iter=0)  # u0 = 0
 @example(name="fig1", u0=0.0, v0=0.0, near=None, max_iter=3000)  # frozen
-@example(name="fig1", u0=0.0, v0=-0.3, near=1e-9, max_iter=3000)
+@example(name="fig1", u0=0.0, v0=-0.3, near=1e-9, max_iter=3000)  # above h
 @given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
        near=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
        max_iter=st.integers(0, 3000), **starts)

@@ -153,7 +153,7 @@ def _cmd_classify(args) -> int:
         raise ConfigError(
             f"--orbit-steps must be >= 0, got {args.orbit_steps}")
     label, last = classify_detail(args.u0, args.v0, psi,
-                                  max_iter=args.max_iter)
+                                  max_iter=args.max_iter, _log_u=True)
     out = {"final_" + key: x for key, x in dataclasses.asdict(last).items()}
     _emit_json(_jsonable({"label": label.value, **out}), args.out)
     if args.orbit_out:

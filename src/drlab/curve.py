@@ -389,8 +389,7 @@ def bisect_h(psi: PsiFunction, v: float, tol: float = 1e-4, *,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
             break
-        label, last = classify_detail(mid, v, psi, max_iter=classify_max_iter,
-                                      _log_u=False)
+        label, last = classify_detail(mid, v, psi, max_iter=classify_max_iter)
         if label is PhaseLabel.SUPERCRITICAL:
             hi = mid
         elif label is PhaseLabel.SUBCRITICAL:

@@ -36,9 +36,9 @@ Seeding: experiments start at u0 = h(v0) + eps, with h(v0) from a
 else read off a solved curve.  A solved grid carries an O(spacing^1.5)
 bias that a small epsilon cannot dominate, so ``refine_tol`` re-derives
 h(v0) from the dynamics: escape times near the curve value, then a
-bracket certified by the phase classifier.  Decade grids of eps stop at
-1e-8; below that even refined seeds are contaminated and results carry
-a flag.
+bracket certified by the phase classifier.  A scan flags
+``seed_unresolved`` when the seed's error could exceed a tenth of its
+least eps.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 PI_OVER_SQRT2 = math.pi / math.sqrt(2.0)
-EPS_FLOOR = 1e-8  # below this, seed error contaminates eps even when refined
 _DELTA = 0.1  # the scans' delta level; no statistic they report reads it
 
 
@@ -140,6 +139,12 @@ def _spread(vals: list[float]) -> float | None:
     return (max(tail) - min(tail)) / abs(mean)
 
 
+def _budget(d: float) -> int:
+    """Steps to classify a start d from h: 4 times the escape law's
+    2/sqrt(d), and at least 3*10^6."""
+    return max(3_000_000, math.ceil(8.0 / math.sqrt(d)))
+
+
 def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
               tol: float) -> float:
     """h(v0) to within tol, found by the escape-time law and certified by
@@ -155,10 +160,10 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
     certified subcritical and upper end supercritical.  Where a guess
     lands on the wrong side of h, the search steps out from est by
     doubling steps and halves, until hi - lo <= tol.  Each classification
-    gets 3e6 steps.  A start still undetermined there lies about as close
-    to h as that budget resolves, so the pair start -+ tol/2 is classified
-    next; NumericError if such a pair decides nothing, or if tol is below
-    the float spacing.
+    gets _budget(tol/2) steps.  A start still undetermined there lies
+    about as close to h as that budget resolves, so the pair start -+ tol/2
+    is classified next; NumericError if such a pair decides nothing, or if
+    tol is below the float spacing.
     """
     lo, hi = 0.0, -v0
     undetermined = None  # the last start that ran out of steps
@@ -168,8 +173,7 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
         undetermined u is kept.  u's escape step if it escapes, 0 if it
         collapses, None if undetermined."""
         nonlocal lo, hi, undetermined
-        label, last = classify_detail(u, v0, psi, max_iter=3 * 10 ** 6,
-                                      _log_u=False)
+        label, last = classify_detail(u, v0, psi, max_iter=_budget(0.5 * tol))
         if label is PhaseLabel.SUPERCRITICAL:
             hi = min(hi, u)
             return last.n
@@ -246,7 +250,8 @@ def make_seed(psi: PsiFunction, v0: float, *,
               refine_tol: float | None = None) -> Seed:
     """h(v0): 0 at v0 >= 0 (no curve needed), else the curve value, refined
     by :func:`refined_h` when ``refine_tol`` is given; below the origin
-    the tol must be below -v0, the width of the bracket h starts in."""
+    the tol must lie in [ulp(-v0), -v0), from the float spacing to the
+    width of the bracket h starts in, [0, -v0]."""
     if refine_tol is not None and not 0.0 < refine_tol < math.inf:
         raise ValueError(
             f"refine tol must be positive and finite, got {refine_tol!r}")
@@ -254,9 +259,10 @@ def make_seed(psi: PsiFunction, v0: float, *,
         raise ValueError(f"v0={v0!r} is not a number")
     if v0 >= 0.0:
         return Seed(v0, 0.0, refine_tol)
-    if refine_tol is not None and not refine_tol < -v0:
+    if refine_tol is not None and not math.ulp(-v0) <= refine_tol < -v0:
         raise ValueError(f"refine tol must be below -v0 = {-v0!r}, the "
-                         f"width of h's bracket [0, -v0], got {refine_tol!r}")
+                         f"width of h's bracket [0, -v0], and at least its "
+                         f"float spacing {math.ulp(-v0)!r}, got {refine_tol!r}")
     if curve is None:
         raise ValueError("a seed below the origin needs a curve")
     h = (h_eval(curve, v0) if refine_tol is None
@@ -269,20 +275,15 @@ def _seed_unresolved(psi: PsiFunction, seed: Seed, eps_min: float) -> bool:
     would move sqrt(eps)-scaled statistics by about 5%.  A refined seed is
     within refine_tol / 2 of h.  An unrefined one below the origin is
     resolved only when the start d below it collapses and the one d above
-    it escapes.  By the escape law a start d from h is decided in about
-    2/sqrt(d) steps, so each start gets 4 times that, and at least
-    classify_detail's default 10^6; a verdict still undetermined there
-    counts as unresolved."""
+    it escapes.  Each start gets _budget(d) steps, and a verdict still
+    undetermined there counts as unresolved."""
     d = eps_min / 10.0
     if seed.v0 >= 0.0:
         return False
     if seed.refine_tol is not None:
         return seed.refine_tol / 2.0 > d
-    budget = max(10 ** 6, math.ceil(8.0 / math.sqrt(d)))
-    below = classify_detail(max(seed.h - d, 0.0), seed.v0, psi,
-                            max_iter=budget, _log_u=False)[0]
-    above = classify_detail(seed.h + d, seed.v0, psi, max_iter=budget,
-                            _log_u=False)[0]
+    below, above = (classify_detail(u, seed.v0, psi, max_iter=_budget(d))[0]
+                    for u in (max(seed.h - d, 0.0), seed.h + d))
     return not (below is PhaseLabel.SUBCRITICAL
                 and above is PhaseLabel.SUPERCRITICAL)
 
@@ -313,8 +314,7 @@ def critical_asymptotics(psi: PsiFunction, seed: Seed,
     u, v = seed.h, v0
     for at, n in zip([0, *marks], marks):
         # undetermined at mark n, unless the walk stopped before it
-        label, last = classify_detail(u, v, psi, max_iter=n - at - 1,
-                                      _log_u=False)
+        label, last = classify_detail(u, v, psi, max_iter=n - at - 1)
         u, v = last.u, last.v
         if label is not PhaseLabel.UNDETERMINED or v > 0.0:
             break
@@ -347,8 +347,7 @@ def _scan(psi: PsiFunction, seed: Seed, eps_list, A: float = 10.0):
     eps = _check_eps_list(eps_list)
     records = [stopping_times(seed.h + e, seed.v0, psi, A=A, delta=_DELTA,
                               epsilon=e) for e in eps]
-    return eps, records, {"eps_below_floor": eps[-1] < EPS_FLOOR,
-                          "seed_unresolved": _seed_unresolved(psi, seed,
+    return eps, records, {"seed_unresolved": _seed_unresolved(psi, seed,
                                                               eps[-1])}
 
 

@@ -15,23 +15,23 @@ domain's lower end once (v never decreases) and per step only the upper
 end, then calls the raw driver; bounded drivers take psi(inf) from
 ``V_STOP`` on, and a zero of psi leaves u at an absorbing 0.
 
-The classifier and the stopping-time pass of the built-in drivers run in
-C instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC
--shared -ffp-contract=off`` and ``-lm``, cached in this package's
-``__pycache__`` and loaded with ctypes).  Both loops share one C step that
-keeps the kernel's order of operations, so their results are
-bit-identical; fast-math is barred because fused multiply-adds change the
-last bits.  The step adds log(w) to log u only where log u is read: in the
-stopping pass, and in the classifier for a caller of
-:func:`classify_detail` that keeps its final log u (no verdict reads it).  Without a compiler or a writable cache, and for every other
-driver, :func:`_orbit` runs, as the C loops' oracle.  The same library
-evaluates the built-in drivers on arrays (see ``drivers``), with the
-mapped scalar function as fallback and oracle, marches the critical curve
-(see ``curve._march``), with the Python loop as fallback and oracle,
-formats the rows of every float table (the curve, orbit and model-orbit
-CSVs, see :func:`write_table`), with Python's formatting as fallback and
-oracle, and holds the Monte Carlo's resampling and counting passes (see
-``montecarlo``), which fall back to numpy the same way.
+The classifier and the stopping-time pass of the built-in drivers run in C
+instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC -shared
+-ffp-contract=off`` and ``-lm``, cached in this package's ``__pycache__``
+and loaded with ctypes).  Both loops share one C step that keeps the
+kernel's order of operations, so their results are bit-identical; fast-math
+is barred because fused multiply-adds change the last bits.  The step adds
+log(w) to log u only where log u is read: in the stopping pass, and in the
+classifier only when a caller of :func:`classify_detail` asks for its final
+log u, as ``drlab classify`` does (no verdict reads it).  Without a compiler
+or a writable cache, and for every other driver, :func:`_orbit` runs, as the
+C loops' oracle.  The same library evaluates the built-in drivers on arrays
+(see ``drivers``), with the mapped scalar function as fallback and oracle,
+marches the critical curve (see ``curve._march``), with the Python loop as
+fallback and oracle, formats the rows of every float table (the curve, orbit
+and model-orbit CSVs, see :func:`write_table`), with Python's formatting as
+fallback and oracle, and holds the Monte Carlo's resampling and counting
+passes (see ``montecarlo``), which fall back to numpy the same way.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -362,7 +362,7 @@ def _certified(fn: Callable[[float], float], n: int, u: float, v: float,
 
 
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
-                    max_iter: int = 10 ** 6, _log_u: bool = True
+                    max_iter: int = 10 ** 6, _log_u: bool = False
                     ) -> tuple[PhaseLabel, OrbitState]:
     """Classification plus the state where the decision (or give-up) fired.
 
@@ -373,9 +373,9 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     steps runs out.  The final state's v sign is the only usable direction
     hint when the label is Undetermined.  Built-in drivers run the loop of
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
-    A caller that reads only the label, n, u and v passes ``_log_u=False``:
-    the C loop then takes no log per step (``_classify.c`` shows that no
-    verdict moves), and the state's log_u is nan.
+    The state's log_u is nan unless the caller passes ``_log_u=True``:
+    only then does the C loop sum log u, one log per step
+    (``_classify.c`` shows that no verdict moves).
     """
     _check_steps("max_iter", max_iter)
     start = initial_state(u0, v0)
@@ -403,7 +403,7 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
 
 def classify(u0: float, v0: float, psi: PsiFunction, *,
              max_iter: int = 10 ** 6) -> PhaseLabel:
-    return classify_detail(u0, v0, psi, max_iter=max_iter, _log_u=False)[0]
+    return classify_detail(u0, v0, psi, max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------

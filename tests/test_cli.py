@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -467,14 +468,44 @@ def test_lab_unresolved_seed_exit_1(tmp_path):
     assert summary["flags"]["seed_unresolved"] is True
 
 
-def test_lab_uncertified_refined_seed_exit_1(tmp_path, capsys):
-    # at tol 1e-14 the bracket's ends sit 5e-15 from h, where an orbit
-    # needs far more than the 3e6 steps a classification gets
+def test_lab_uncertified_refined_seed_exit_1(monkeypatch, tmp_path, capsys):
+    # a classifier that decides nothing within its budget, as a start far
+    # closer to h than the budget resolves would: the search certifies no
+    # bracket, and the command says so
+    import drlab.lab
+    from drlab.recursion import PhaseLabel
+    monkeypatch.setattr(drlab.lab, "classify_detail",
+                        lambda *args, **kwargs: (PhaseLabel.UNDETERMINED, None))
     code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
-                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-14",
+                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-9",
                 "--out", str(tmp_path / "cv")])
     assert code == 1
     assert "could not certify h(-0.3)" in capsys.readouterr().err
+
+
+def test_lab_refine_tol_below_the_float_spacing_exit_2(tmp_path, capsys):
+    # ulp(0.3) = 5.6e-17: no narrower bracket of floats around h(-0.3)
+    # exists, so the tol is refused before any classification
+    start = time.perf_counter()
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
+                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-18",
+                "--out", str(tmp_path / "cv")])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "refine tol must be below -v0 = 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "cv.json").exists()
+
+
+@pytest.mark.parametrize("driver", ["lf:p=0.5,z=1", "clf:p=0.5,z=1"])
+def test_lab_c_v_at_the_origin_reaches_eps_1e_12(driver, tmp_path):
+    # h(0) = 0 exactly, so no seed error limits eps: the two-point limit
+    # over eps = 1e-5 ... 1e-12 meets (pi/sqrt 2) log psi(inf) within 1e-5
+    eps = [arg for k in range(5, 13) for arg in ("--eps", f"1e-{k}")]
+    code = run(["lab", "c-v", "--driver", driver, "--v0", "0", *eps,
+                "--out", str(tmp_path / "cv")])
+    assert code == 0
+    summary = json.loads((tmp_path / "cv.json").read_text())
+    assert "eps_below_floor" not in summary["flags"]
+    assert summary["relative_gap"] < 1e-5
 
 
 def test_lab_at_origin_never_solves_a_curve(monkeypatch, tmp_path):

@@ -73,15 +73,16 @@ def test_seed_unresolved_classifies_a_tenth_of_eps_either_side(
     assert lab._seed_unresolved(fig1, seed, eps_min) is unresolved
 
 
-@pytest.mark.parametrize("eps_min,budget", [(1e-5, 10 ** 6),
+@pytest.mark.parametrize("eps_min,budget", [(1e-5, 3 * 10 ** 6),
                                             (2.5e-12, 16 * 10 ** 6)])
 def test_seed_check_budget_follows_the_escape_law(fig1, monkeypatch, eps_min,
                                                   budget):
-    # 4 * 2/sqrt(d) steps for d = eps_min / 10, at least 10^6; a verdict
-    # still undetermined there leaves the seed unresolved
+    # 4 * 2/sqrt(d) steps for d = eps_min / 10, at least 3*10^6, the
+    # refined seed's floor; a verdict still undetermined there leaves the
+    # seed unresolved
     budgets = []
 
-    def undetermined(u, v, psi, *, max_iter, _log_u=True):
+    def undetermined(u, v, psi, *, max_iter):
         budgets.append(max_iter)
         return PhaseLabel.UNDETERMINED, None
     monkeypatch.setattr(lab, "classify_detail", undetermined)
@@ -577,6 +578,22 @@ def _bisection_seed(psi, curve, v0, tol):
             return bisect_h(psi, v0, tol=tol, lo=lo, hi=hi,
                             classify_max_iter=budget)
         bracket *= 4.0
+
+
+def test_refined_h_certifies_tol_1e_13(lf_model, lf_curve, monkeypatch):
+    # each classification gets 4 * 2/sqrt(tol/2) steps, enough to decide a
+    # start tol/2 from h; a fixed 3*10^6 decided too few to certify
+    from drlab.recursion import classify_detail
+    coarse = refined_h(lf_model.psi, lf_curve, -0.3, 1e-11)
+    budgets = []
+
+    def spy(u, v, psi, *, max_iter, **kwargs):
+        budgets.append(max_iter)
+        return classify_detail(u, v, psi, max_iter=max_iter, **kwargs)
+    monkeypatch.setattr(lab, "classify_detail", spy)
+    fine = refined_h(lf_model.psi, lf_curve, -0.3, 1e-13)
+    assert abs(fine - coarse) <= (1e-13 + 1e-11) / 2
+    assert budgets and set(budgets) == {lab._budget(0.5e-13)} == {35_777_088}
 
 
 def test_cv_refined_seed_costs_under_2_5m_steps(lf_model, lf_curve,

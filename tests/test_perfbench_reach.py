@@ -8,12 +8,14 @@ perfbench's sources as syntax trees, without running them, and checks each
 such name against the program: every import, every attribute reached from
 an imported module, the argument shape of every call into drlab, the
 traced layers and the span names compared against.  The quick probes are
-also run, for their metric names and finite values.
+also run, for their metric names and finite values, and so are two
+workloads' commands under the tracer, for span metrics that dump as JSON.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import math
 import re
 import sys
@@ -210,3 +212,30 @@ def test_a_solved_grid_counts_its_sweeps_in_an_int():
     from drlab.drivers import driver_from_spec
     grid = solve_curve(driver_from_spec("lf:p=0.5,z=1")[0], 0.5, 200).grid
     assert type(grid.sweeps) is int
+
+
+def test_traced_workloads_give_finite_json_metrics(tmp_path):
+    # a traced run prints its metrics with json.dumps, which writes NaN for
+    # a non-finite one, and a line with NaN is not a result; so the
+    # cv-refined and curve-sweep commands are traced here, in process, and
+    # each workload's span metrics must dump with NaN refused
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import tracing
+    import workloads
+    from drlab.cli import main
+    tracer = tracing.Tracer()
+    spans = {}
+    tracer.install()
+    try:
+        for w in ("cv-refined", "curve-sweep"):
+            (tmp_path / w).mkdir()
+            for i, argv in enumerate(workloads.commands(w, 1, tmp_path / w)):
+                spans[(w, i)], code = tracer.call("cli.main", main, argv)
+                assert code == 0, argv
+    finally:
+        tracer.uninstall()
+    for w in ("cv-refined", "curve-sweep"):
+        metrics = tracing.span_metrics(tracer, spans, w)
+        assert "trace.wall_s" in metrics
+        json.dumps(metrics, allow_nan=False)

@@ -567,7 +567,8 @@ def test_classify_detail_matches_reference_loop(name, u0, v0, max_iter):
     psi = KERNEL_DRIVERS[name]
 
     def run():
-        label, last = classify_detail(u0, v0, psi, max_iter=max_iter)
+        label, last = classify_detail(u0, v0, psi, max_iter=max_iter,
+                                      _log_u=True)
         return label.value, (last.n, last.u, last.v, last.log_u)
     assert _outcome(run) == _outcome(_reference_classify, u0, v0, psi, max_iter)
 
@@ -637,7 +638,7 @@ def test_native_classify_matches_python_kernel(name, u0, v0, max_iter):
     psi = KERNEL_DRIVERS[name]
 
     def run():
-        return classify_detail(u0, v0, psi, max_iter=max_iter)
+        return classify_detail(u0, v0, psi, max_iter=max_iter, _log_u=True)
     got = _outcome_exact(run)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "_native", False)
@@ -650,10 +651,12 @@ def test_native_classify_matches_python_kernel_near_the_curve(name):
     psi = KERNEL_DRIVERS[name]
     h = bisect_h(psi, -0.3, tol=1e-7, classify_max_iter=20000)
     starts = [(h * (1.0 + d), -0.3) for d in (-1e-6, 0.0, 1e-6)]
-    native = [classify_detail(u, v, psi, max_iter=20000) for u, v in starts]
+    native = [classify_detail(u, v, psi, max_iter=20000, _log_u=True)
+              for u, v in starts]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "_native", False)
-        python = [classify_detail(u, v, psi, max_iter=20000) for u, v in starts]
+        python = [classify_detail(u, v, psi, max_iter=20000, _log_u=True)
+                  for u, v in starts]
     assert repr(native) == repr(python)
     assert max(last.n for _, last in native) > 1000
 
@@ -665,10 +668,11 @@ def test_native_certificate_matches_python_kernel_below_the_curve(name):
     psi = KERNEL_DRIVERS[name]
     h = bisect_h(psi, -0.3, tol=1e-11, classify_max_iter=3 * 10 ** 5)
     starts = [(h - d, -0.3) for d in (1e-5, 1e-7, 1e-9)]
-    native = [classify_detail(u, v, psi, max_iter=10 ** 5) for u, v in starts]
+    native = [classify_detail(u, v, psi, max_iter=10 ** 5, _log_u=True)
+              for u, v in starts]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "_native", False)
-        python = [classify_detail(u, v, psi, max_iter=10 ** 5)
+        python = [classify_detail(u, v, psi, max_iter=10 ** 5, _log_u=True)
                   for u, v in starts]
     assert repr(native) == repr(python)
     assert [label for label, _ in native] == [PhaseLabel.SUBCRITICAL] * 3
@@ -728,12 +732,12 @@ def test_log_free_verdict_matches_the_summed_one_and_the_oracle(
             return f"{type(exc).__name__}: {exc}", None
         return repr((label, last.n, last.u, last.v)), repr(last.log_u)
 
-    free, free_log = verdict(_log_u=False)
-    summed, summed_log = verdict()
+    free, free_log = verdict()
+    summed, summed_log = verdict(_log_u=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recursion, "_native", False)
-        oracle, oracle_log = verdict()
-        assert verdict(_log_u=False) == (free, free_log)
+        oracle, oracle_log = verdict(_log_u=True)
+        assert verdict() == (free, free_log)
     assert free == summed == oracle
     assert summed_log == oracle_log
     assert free_log == (None if summed_log is None else "nan")
@@ -881,7 +885,8 @@ def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
     def run():
         curve = solve_curve(psi, 0.5, 200)
         fig1 = solve_curve(KERNEL_DRIVERS["fig1"], 0.5, 1000)  # curve-sweep's
-        return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000)),
+        return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000,
+                                     _log_u=True)),
                 repr(stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
                                     epsilon=1e-6, max_iter=5000)),
                 _mc_pools(lf_model, clf_model),

@@ -449,12 +449,15 @@ def test_lab_nonpositive_refine_tol_exit_2(v0, tol, capsys):
 @pytest.mark.parametrize("v0,tol,message", [
     ("-0.3", "inf", "positive and finite"), ("0", "inf", "positive and finite"),
     ("-0.3", "nan", "positive and finite"), ("-0.3", "0.3", "below -v0"),
-    ("-0.3", "1", "below -v0")])
+    ("-0.3", "1", "below -v0"), ("-0.3", "1e-18", "float spacing")])
 def test_lab_unbounded_refine_tol_exit_2(v0, tol, message, capsys):
-    # a tol as wide as the bracket [0, -v0] certifies its midpoint unprobed
+    # a tol as wide as the bracket [0, -v0] certifies its midpoint unprobed;
+    # one below ulp(-v0) = 5.6e-17 at -0.3 is finer than the floats near
+    # the bracket's end, and is refused before any classification
+    start = time.perf_counter()
     code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", v0,
                 "--eps", "1e-5", "--m", "200", "--refine-seed-tol", tol])
-    assert code == 2
+    assert code == 2 and time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
 
 
@@ -481,18 +484,6 @@ def test_lab_uncertified_refined_seed_exit_1(monkeypatch, tmp_path, capsys):
                 "--out", str(tmp_path / "cv")])
     assert code == 1
     assert "could not certify h(-0.3)" in capsys.readouterr().err
-
-
-def test_lab_refine_tol_below_the_float_spacing_exit_2(tmp_path, capsys):
-    # ulp(0.3) = 5.6e-17: no narrower bracket of floats around h(-0.3)
-    # exists, so the tol is refused before any classification
-    start = time.perf_counter()
-    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
-                "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-18",
-                "--out", str(tmp_path / "cv")])
-    assert code == 2 and time.perf_counter() - start < 1.0
-    assert "refine tol must be below -v0 = 0.3" in capsys.readouterr().err
-    assert not (tmp_path / "cv.json").exists()
 
 
 @pytest.mark.parametrize("driver", ["lf:p=0.5,z=1", "clf:p=0.5,z=1"])

@@ -60,9 +60,7 @@ __all__ = [
     "make_fig1_clamped_psi",
     "make_lf_psi",
     "make_clf_psi",
-    "make_custom_psi",
     "dual_psi",
-    "central_difference",
     "driver_from_spec",
     "parse_driver_string",
     "parse_atoms",
@@ -150,12 +148,6 @@ class PsiFunction:
         if given:
             out[at_inf] = inf_value
         return out
-
-
-def central_difference(fn: Callable[[float], float], x: float) -> float:
-    """Symmetric difference quotient with step 1e-6, the fallback
-    derivative for user-supplied drivers without an analytic one."""
-    return (fn(x + 1e-6) - fn(x - 1e-6)) / 2e-6
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +439,6 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
 
     label = ",".join(f"{v:g}@{pr:g}" for v, pr in atoms)
     return _model_psi("clf", p, atoms, label, base, base_prime)
-
-
-def make_custom_psi(name: str, fn: Callable[[float], float],
-                    deriv_fn: Callable[[float], float] | None = None,
-                    *, psi_inf: float = math.inf,
-                    domain_min: float = -math.inf,
-                    domain_max: float = math.inf) -> PsiFunction:
-    """Wrap a user-supplied scalar function as a driver.
-
-    Without an analytic derivative a central difference with step 1e-6 is
-    used.  Arrays are evaluated point by point.
-    """
-    if deriv_fn is None:
-        deriv_fn = lambda x: central_difference(fn, x)  # noqa: E731
-    return PsiFunction(name=name, fn=fn, deriv_fn=deriv_fn,
-                       psi_inf=psi_inf, domain_min=domain_min,
-                       domain_max=domain_max)
 
 
 def dual_psi(psi: PsiFunction) -> PsiFunction:

@@ -26,10 +26,7 @@ limit:
                               x = 1 + y^2/2, exploding at T = pi/sqrt(2);
   * ``sandwich_check``        the two-sided bound
                               F(1,0) psi(inf)^(-n*) <= F <= max(u0,1)
-                              psi(inf)^(-n*+1);
-  * ``simplified_comparison`` strict two-sided trapping of an orbit
-                              between simplified systems started at
-                              (1 +- eta) times the initial point.
+                              psi(inf)^(-n*+1).
 
 Seeding: experiments start at u0 = h(v0) + eps, with h(v0) from a
 :class:`Seed` that :func:`make_seed` builds once per start: 0 at v0 >= 0,
@@ -46,8 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
 
 from .curve import CriticalCurve, h_eval
 from .drivers import PsiFunction, make_affine_psi
@@ -69,9 +64,6 @@ __all__ = [
     "euler_tan_targets",
     "sandwich_check",
     "SandwichReport",
-    "simplified_comparison",
-    "SimplifiedComparisonReport",
-    "dual_time_bound",
     "refined_h",
 ]
 
@@ -248,17 +240,18 @@ class Seed:
 def make_seed(psi: PsiFunction, v0: float, *,
               curve: CriticalCurve | None = None,
               refine_tol: float | None = None) -> Seed:
-    """h(v0): 0 at v0 >= 0 (no curve needed), else the curve value, refined
-    by :func:`refined_h` when ``refine_tol`` is given; below the origin
-    the tol must lie in [ulp(-v0), -v0), from the float spacing to the
-    width of the bracket h starts in, [0, -v0]."""
+    """h(v0): 0 at v0 >= 0 (no curve needed, and never refined), else the
+    curve value, refined by :func:`refined_h` when ``refine_tol`` is given;
+    a given tol must be positive and finite, and below the origin lie in
+    [ulp(-v0), -v0), from the float spacing to the width of the bracket h
+    starts in, [0, -v0]."""
     if refine_tol is not None and not 0.0 < refine_tol < math.inf:
         raise ValueError(
             f"refine tol must be positive and finite, got {refine_tol!r}")
     if math.isnan(v0):
         raise ValueError(f"v0={v0!r} is not a number")
-    if v0 >= 0.0:
-        return Seed(v0, 0.0, refine_tol)
+    if v0 >= 0.0:  # h = 0 exactly: nothing to refine
+        return Seed(v0, 0.0)
     if refine_tol is not None and not math.ulp(-v0) <= refine_tol < -v0:
         raise ValueError(f"refine tol must be below -v0 = {-v0!r}, the "
                          f"width of h's bracket [0, -v0], and at least its "
@@ -542,97 +535,3 @@ def sandwich_check(psi: PsiFunction, u0: float, v0: float) -> SandwichReport:
     return SandwichReport(fe.log_value, fe.log_lower, fe.log_upper,
                           fe.n_star, ok=ok, slack_lower=slack_lo,
                           slack_upper=slack_hi)
-
-
-# ---------------------------------------------------------------------------
-# simplified-system trapping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplifiedComparisonReport:
-    band_ok: bool
-    band_violation_x: float | None
-    n4: int | None
-    first_violation: int | None
-    steps_checked: int
-    ok: bool
-
-
-def simplified_comparison(psi: PsiFunction, u0: float, v0: float,
-                          eta: float, delta: float) -> SimplifiedComparisonReport:
-    """Trap the orbit strictly between affine simplified systems started at
-    (1 +- eta)(u0, v0), valid while v stays below delta, for at most 1e7
-    steps.
-
-    Requires (psi(x) - 1)/x within [1-eta, 1+eta] on (0, delta], verified
-    at 256 grid points; a violation is reported with the offending x.  With
-    eta = 0 the three systems coincide (the driver must then be affine)
-    and coincidence is checked instead of strictness.  All three walk
-    :func:`_orbit`; past eta = 1 the lower one would start at u < 0.
-    """
-    if not (u0 > 0.0 and -u0 < v0 <= 0.0):
-        raise ValueError("need u0 > 0 and v0 in (-u0, 0]")
-    if not (0.0 <= eta <= 1.0 and delta > 0.0):
-        raise ValueError("need eta in [0, 1] and delta > 0")
-    xs = np.linspace(delta / 256, delta, 256)
-    ratios = (psi(xs) - 1.0) / xs
-    bad = (ratios < 1.0 - eta - 1e-12) | (ratios > 1.0 + eta + 1e-12)
-    if bad.any():
-        x_bad = float(xs[int(np.argmax(bad))])
-        return SimplifiedComparisonReport(band_ok=False,
-                                          band_violation_x=x_bad,
-                                          n4=None, first_violation=None,
-                                          steps_checked=0, ok=False)
-    first_violation = n4 = None
-    affine = make_affine_psi()
-    states = zip(*(_orbit(initial_state(c * u0, c * v0), p) for c, p in
-                   ((1.0, psi), (1.0 - eta, affine), (1.0 + eta, affine))))
-    next(states)  # the starts themselves
-    for k, ((u, v, _, _), (am, bm, _, _), (ap, bp, _, _)) in zip(
-            range(1, 10 ** 7 + 1), states):
-        if v > delta:
-            n4 = k
-            break
-        if eta == 0.0:
-            tol = 1e-12 * max(1.0, abs(u), abs(v))
-            good = abs(am - u) <= tol and abs(ap - u) <= tol \
-                and abs(bm - v) <= tol and abs(bp - v) <= tol
-        else:
-            good = am < u < ap and bm < v < bp
-        if not good and first_violation is None:
-            first_violation = k
-    return SimplifiedComparisonReport(band_ok=True, band_violation_x=None,
-                                      n4=n4, first_violation=first_violation,
-                                      steps_checked=k,
-                                      ok=first_violation is None)
-
-
-# ---------------------------------------------------------------------------
-# uniform escape-time bound along near-critical orbits
-# ---------------------------------------------------------------------------
-
-def dual_time_bound(psi: PsiFunction, seed: Seed, eps: float) -> float:
-    """max over k past the sign change of (n* - k)_+ * v_k; bounded
-    uniformly in eps for a fixed driver (the time left to reach u >= 1
-    scales like 1/v).  The orbit gets at most 1e7 steps."""
-    if not seed.v0 < 0.0:
-        raise ValueError("need v0 < 0")
-    vs = []
-    n_star = None
-    first_nonneg = None
-    states = _orbit(initial_state(seed.h + eps, seed.v0), psi)
-    for n, (u, v, _, _) in zip(range(10 ** 7 + 1), states):
-        vs.append(v)
-        if first_nonneg is None and v >= 0.0:
-            first_nonneg = n
-        if v >= 0.0 and u >= 1.0:
-            n_star = n
-            break
-    if n_star is None or first_nonneg is None:
-        raise NumericError(
-            "orbit did not reach u >= 1 in 1e7 steps; eps too small or "
-            "subcritical")
-    best = 0.0
-    for k in range(first_nonneg + 1, n_star + 1):
-        best = max(best, (n_star - k) * vs[k])  # vs[0] is v0
-    return best

@@ -62,8 +62,6 @@ __all__ = [
     "ThresholdReport",
     "gamma_star",
     "rho_star",
-    "TailReport",
-    "critical_tail_lf",
 ]
 
 
@@ -337,49 +335,3 @@ def rho_star(model: Model, lam: float,
            if lam * p * h_seed < c.slope * (1.0 - p) else None)
     u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
     return _threshold(model, rho, u_unit, v_seed, h_seed)
-
-
-# ---------------------------------------------------------------------------
-# critical tail iteration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailReport:
-    """Deterministic parameter iteration started on the critical point.
-
-    rows hold (n, n^2 P(X_n >= 1), conditioned geometric parameter
-    beta_n/(alpha_n+beta_n), ratio beta_n/alpha_n); the first statistic
-    tends to 2p / ((1-p) slope (1+xi)) and the second to xi/(1+xi).
-    """
-
-    rows: list[tuple[int, float, float, float]]
-    target_tail: float
-    target_ratio: float
-
-
-def critical_tail_lf(model: Model, gam: float, alpha: float = 1.0,
-                     beta: float = 0.5, n_max: int = 10 ** 4, *,
-                     record_at: tuple[int, ...] | None = None) -> TailReport:
-    """Iterate the closed-form step from LF(alpha/gam, beta/gam), gam being
-    gamma* (see :func:`gamma_star`).  The orbit tracks the critical curve
-    only as long as gam's accuracy allows: for many thousands of steps,
-    take gamma* from a classifier-refined h.
-    """
-    c = model.constants
-    if record_at is None:
-        ns = sorted({int(round(10 ** (k / 8.0))) for k in range(0, 8 * 5)}
-                    | {n_max})
-        record_at = tuple(n for n in ns if 1 <= n <= n_max)
-    marks = set(record_at)
-    rows = []
-    params = LFParams(alpha / gam, beta / gam)
-    for n in range(1, n_max + 1):
-        params = lf_step(params, model)
-        if n in marks:
-            s = params.alpha + params.beta
-            rows.append((n, n * n / s, params.beta / s,
-                         params.beta / params.alpha))
-    target_tail = 2.0 * model.p / ((1.0 - model.p) * c.slope * (1.0 + c.root))
-    target_ratio = c.root / (1.0 + c.root)
-    return TailReport(rows=rows, target_tail=target_tail,
-                      target_ratio=target_ratio)

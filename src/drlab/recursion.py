@@ -1,4 +1,4 @@
-"""The two-parameter recursion: orbits, phases, free energy, duality.
+"""The two-parameter recursion: orbits, phases and free energy.
 
 The state advances by
 
@@ -98,7 +98,6 @@ __all__ = [
     "free_energy",
     "log_f_one_zero",
     "stopping_times",
-    "backward_orbit",
     "write_orbit_csv",
 ]
 
@@ -621,30 +620,6 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
                           n_star=n_star, n1_A=n1, n2_A=n2,
                           n3_delta=n3, n4_delta=n4, A=A, delta=delta,
                           epsilon_used=epsilon)
-
-
-# ---------------------------------------------------------------------------
-# time reversal
-# ---------------------------------------------------------------------------
-
-def backward_orbit(states: Sequence[OrbitState]) -> list[OrbitState]:
-    """Time-reversed orbit segment.
-
-    Given forward states s_0..s_{N+1} (length N+2; the reversal of index n
-    needs v_{N-n+1}, hence one extra forward state), returns the N+1 states
-
-        (u'_n, v'_n) = (u_{N-n}, -v_{N-n+1}),  0 <= n <= N,
-
-    which satisfy the recursion driven by x -> 1/psi(-x) exactly.
-    """
-    if len(states) < 2:
-        raise ValueError("need a forward segment of at least 2 states")
-    N = len(states) - 2
-    out = []
-    for k in range(N + 1):
-        src = states[N - k]
-        out.append(OrbitState(k, src.u, -states[N - k + 1].v, src.log_u))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from drlab.curve import (bisect_h, curve_from_h, h_eval, iterate_g,
 from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
                        critical_asymptotics, euler_tan_check, make_seed,
                        n_star_scaling, refined_h)
-from drlab.models import (CLFParams, LFParams, clf_step, clf_to_uv,
-                          critical_tail_lf, lf_step, lf_to_uv)
+from drlab.models import (CLFParams, LFParams, clf_step, clf_to_uv, lf_step,
+                          lf_to_uv)
 from drlab.montecarlo import compare_to_model, mc_step, pool_from_clf, pool_from_lf
-from drlab.recursion import backward_orbit, initial_state, orbit, step
+from drlab.recursion import initial_state, orbit, step
+from test_models import critical_lf_stats
 
 LOG2 = math.log(2.0)
 
@@ -229,12 +230,14 @@ def test_criterion_10_critical_tail_constant(lf_model):
     h25 = refined_h(lf_model.psi, cur, -0.25, 4e-10)
     gam = lf_model.p * h25 / (lf_model.constants.slope * (1.0 - lf_model.p))
     marks = (1000, 2000, 5000, 10000)
-    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=10 ** 4,
-                           record_at=marks)
-    tails = {n: t for n, t, _, _ in rep.rows}
-    ratios = {n: r for n, _, r, _ in rep.rows}
-    worst_tail = max(abs(tails[n] - 2.0) / 2.0 for n in marks)
-    worst_ratio = max(abs(ratios[n] - 0.5) / 0.5 for n in marks)
+    stats = critical_lf_stats(lf_model, gam, marks)
+    c, p = lf_model.constants, lf_model.p
+    target_tail = 2.0 * p / ((1.0 - p) * c.slope * (1.0 + c.root))
+    target_ratio = c.root / (1.0 + c.root)
+    worst_tail = max(abs(stats[n][0] - target_tail) / target_tail
+                     for n in marks)
+    worst_ratio = max(abs(stats[n][1] - target_ratio) / target_ratio
+                      for n in marks)
     elapsed = time.perf_counter() - t0
     ok = worst_tail < 0.10 and worst_ratio < 0.05 and elapsed < 5.0
     _report(10, ok, elapsed,
@@ -290,10 +293,12 @@ def test_criterion_11_property_suites(lf_model, clf_model):
     for _ in range(50):
         u0 = float(rng.uniform(0.05, 0.5))
         v0 = float(rng.uniform(-0.4, 0.2))
-        back = backward_orbit(orbit(u0, v0, psi, 12))
-        for a, b in zip(back, back[1:]):
-            ok_dual &= abs(b.v - (a.u + a.v)) <= 1e-12 * max(1.0, abs(a.u), abs(a.v))
-            ok_dual &= abs(b.u - a.u / psi(-b.v)) <= 1e-12 * max(1.0, abs(b.u))
+        fwd = orbit(u0, v0, psi, 12)
+        # (u'_n, v'_n) = (u_{N-n}, -v_{N-n+1}) solves the dual recursion
+        back = [(a.u, -b.v) for a, b in zip(fwd[-2::-1], fwd[::-1])]
+        for (au, av), (bu, bv) in zip(back, back[1:]):
+            ok_dual &= abs(bv - (au + av)) <= 1e-12 * max(1.0, abs(au), abs(av))
+            ok_dual &= abs(bu - au / psi(-bv)) <= 1e-12 * max(1.0, abs(bu))
     notes.append(f"duality:{'ok' if ok_dual else 'FAIL'}")
 
     # sweep monotonicity, Lipschitz bound and envelope preservation

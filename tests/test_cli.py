@@ -461,6 +461,16 @@ def test_lab_unbounded_refine_tol_exit_2(v0, tol, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_lab_seed_at_the_origin_is_not_refined(tmp_path):
+    # h(0) = 0 is exact, so a given tol refines nothing
+    code = run(["lab", "n-star", "--driver", "lf:p=0.5,z=1", "--v0", "0",
+                "--eps", "1e-6", "--refine-seed-tol", "1e-9",
+                "--out", str(tmp_path / "ns")])
+    assert code == 0
+    summary = json.loads((tmp_path / "ns.json").read_text())
+    assert summary["flags"]["seed_refined"] is False
+
+
 def test_lab_unresolved_seed_exit_1(tmp_path):
     # the m = 1000 curve sits 5.2e-6 above h(-0.3), far more than eps
     code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",

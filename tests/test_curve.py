@@ -14,7 +14,7 @@ from drlab.curve import (_grid_xs, _march, _sweep, bisect_h, curve_from_h,
                          dual_curve, h_eval, iterate_g, pick_K,
                          read_curve_csv, residual, solve_curve, solve_g1,
                          validate_grid, write_curve_csv)
-from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
+from drlab.drivers import PsiFunction, driver_from_spec, dual_psi
 from drlab.errors import DomainError, NumericError
 
 
@@ -223,15 +223,17 @@ def test_dual_curve_is_marched(lf_model):
 
 def test_solve_curve_rejects_a_driver_undefined_at_0():
     # fn fails above its domain_max; the march must not call it there
-    psi = make_custom_psi("neg", lambda x: 0.5 + math.sqrt(-0.1 - x),
-                          lambda x: 0.0, domain_min=-1.0, domain_max=-0.1)
+    psi = PsiFunction("neg", lambda x: 0.5 + math.sqrt(-0.1 - x),
+                      lambda x: 0.0, psi_inf=math.inf, domain_min=-1.0,
+                      domain_max=-0.1)
     with pytest.raises(DomainError, match="leaves the domain"):
         solve_curve(psi, 0.5, 100)
 
 
 @pytest.mark.parametrize("fn", [lambda x: 2.0, lambda x: math.nan])
 def test_march_bracket_without_sign_change_raises(fn):
-    psi = make_custom_psi("bad", fn, lambda x: 0.0, domain_min=-1.0)
+    psi = PsiFunction("bad", fn, lambda x: 0.0, psi_inf=math.inf,
+                      domain_min=-1.0)
     with pytest.raises(NumericError, match="x="):
         _march(psi, _grid_xs(psi, 0.5, 100))
 
@@ -295,7 +297,8 @@ def _described_driver(kind, params, n_atoms):
     def fn(x):
         return float(lib.psi(native, np.array([x]))[0])
     fn.native = native
-    return make_custom_psi("described", fn, lambda x: 0.0, domain_min=-1.0)
+    return PsiFunction("described", fn, lambda x: 0.0, psi_inf=math.inf,
+                       domain_min=-1.0)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")

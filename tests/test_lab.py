@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
-                       critical_asymptotics, dual_time_bound,
-                       euler_tan_check, euler_tan_targets, make_seed,
-                       n_star_scaling, refined_h, sandwich_check,
-                       simplified_comparison)
+                       critical_asymptotics, euler_tan_check,
+                       euler_tan_targets, make_seed, n_star_scaling,
+                       refined_h, sandwich_check)
 from drlab import lab
-from drlab.drivers import make_custom_psi
+from drlab.drivers import PsiFunction
 from drlab.recursion import PhaseLabel, _orbit, classify, initial_state
 
 
@@ -33,8 +32,9 @@ def seed_001(lf_model, lf_curve):
 # ---------------------------------------------------------------------------
 
 def test_seed_at_origin_needs_no_curve(lf_model):
+    # h(0) = 0 exactly: a given tol is checked, but nothing is refined
     seed = make_seed(lf_model.psi, 0.0, refine_tol=1e-9)
-    assert (seed.v0, seed.h, seed.refine_tol) == (0.0, 0.0, 1e-9)
+    assert (seed.v0, seed.h, seed.refine_tol) == (0.0, 0.0, None)
 
 
 def test_seed_below_origin_reads_or_refines_the_curve(lf_model, lf_curve,
@@ -171,9 +171,9 @@ def _escape_step(psi, seed):
 
 def _fig1_in_python(fig1):
     """fig1 without its native description: the Python classifier runs."""
-    return make_custom_psi("fig1-python", fig1.fn, fig1.deriv_fn,
-                           psi_inf=fig1.psi_inf, domain_min=fig1.domain_min,
-                           domain_max=fig1.domain_max)
+    return PsiFunction("fig1-python", lambda x: fig1.fn(x), fig1.deriv_fn,
+                       psi_inf=fig1.psi_inf, domain_min=fig1.domain_min,
+                       domain_max=fig1.domain_max)
 
 
 @pytest.mark.parametrize("python", [False, True])
@@ -450,64 +450,103 @@ def test_sandwich_holds_for_random_supercritical_starts(lf_model):
 # simplified-system trapping
 # ---------------------------------------------------------------------------
 
+def _band_violation(psi, eta, delta):
+    """The first of 256 grid points of (0, delta] where (psi(x) - 1)/x
+    leaves [1 - eta, 1 + eta], or None: the band that lets affine systems
+    started at (1 +- eta) times a start trap its orbit."""
+    xs = np.linspace(delta / 256, delta, 256)
+    ratios = (psi(xs) - 1.0) / xs
+    bad = (ratios < 1.0 - eta - 1e-12) | (ratios > 1.0 + eta + 1e-12)
+    return float(xs[int(np.argmax(bad))]) if bad.any() else None
+
+
+def _simplified_orbit(psi, u0, v0, eta, delta, max_iter=10 ** 7):
+    """(n4, first_violation): walk the orbit from (u0, v0) and the
+    affine systems from (1 -+ eta)(u0, v0) until v passes delta (step n4);
+    first_violation is the first step where the orbit leaves the strict
+    band between them (at eta = 0: where the three differ by more than
+    rounding)."""
+    u, v = u0, v0
+    am, bm = (1.0 - eta) * u0, (1.0 - eta) * v0
+    ap, bp = (1.0 + eta) * u0, (1.0 + eta) * v0
+    first_violation = None
+    n4 = None
+    for k in range(1, max_iter + 1):
+        v = v + u
+        if v > delta:
+            n4 = k
+            break
+        u = u * psi(v)
+        bm = bm + am
+        am = am * (1.0 + bm)
+        bp = bp + ap
+        ap = ap * (1.0 + bp)
+        if eta == 0.0:
+            tol = 1e-12 * max(1.0, abs(u), abs(v))
+            good = abs(am - u) <= tol and abs(ap - u) <= tol \
+                and abs(bm - v) <= tol and abs(bp - v) <= tol
+        else:
+            good = am < u < ap and bm < v < bp
+        if not good and first_violation is None:
+            first_violation = k
+    return n4, first_violation
+
+
 def test_eta_band_of_lf_driver(lf_model):
     # (psi(x)-1)/x = 1/(1+x) on (0, 0.1]: eta = 0.1 is a valid band
-    rep = simplified_comparison(lf_model.psi, 1e-4, 0.0, 0.1, 0.1)
-    assert rep.band_ok
-    assert rep.ok
-    assert rep.n4 is not None
+    assert _band_violation(lf_model.psi, 0.1, 0.1) is None
+    n4, first_violation = _simplified_orbit(lf_model.psi, 1e-4, 0.0, 0.1,
+                                            0.1)
+    assert first_violation is None
+    assert n4 is not None
 
 
 def test_eta_band_violation_reported(lf_model):
-    rep = simplified_comparison(lf_model.psi, 1e-4, 0.0, 0.01, 0.5)
-    assert not rep.band_ok
-    assert rep.band_violation_x is not None
-    assert not rep.ok
+    assert _band_violation(lf_model.psi, 0.01, 0.5) is not None
 
 
 def test_eta_zero_degenerate_affine(affine):
-    rep = simplified_comparison(affine, 1e-4, 0.0, 0.0, 0.1)
-    assert rep.band_ok and rep.ok
-
-
-@pytest.mark.parametrize("eta,delta", [(-0.1, 0.1), (1.5, 0.1),
-                                       (math.nan, 0.1), (0.1, 0.0)])
-def test_simplified_comparison_rejects_a_bad_eta_or_delta(affine, eta, delta):
-    # past eta = 1 the lower system would start at a negative u
-    with pytest.raises(ValueError, match="eta in"):
-        simplified_comparison(affine, 1e-4, 0.0, eta, delta)
+    assert _band_violation(affine, 0.0, 0.1) is None
+    _, first_violation = _simplified_orbit(affine, 1e-4, 0.0, 0.0, 0.1)
+    assert first_violation is None
 
 
 # ---------------------------------------------------------------------------
 # escape-time bound
 # ---------------------------------------------------------------------------
 
+def _dual_time_bound(psi, h, v0, eps, max_iter=10 ** 7):
+    """max over k past the sign change of (n* - k)_+ * v_k along the orbit
+    from (h + eps, v0), n* being its first step with v >= 0 and u >= 1."""
+    u = h + eps
+    v = v0
+    vs = []
+    n_star = None
+    first_nonneg = None
+    for n in range(1, max_iter + 1):
+        v = v + u
+        u = u * psi(v)
+        vs.append(v)
+        if first_nonneg is None and v >= 0.0:
+            first_nonneg = n
+        if v >= 0.0 and u >= 1.0:
+            n_star = n
+            break
+    best = 0.0
+    for k in range(first_nonneg + 1, n_star + 1):
+        best = max(best, (n_star - k) * vs[k - 1])
+    return best
+
+
 def test_dual_time_bound_uniform_in_eps(lf_model, seed_03):
     # the per-orbit supremum of (n* - k) v_k creeps toward its uniform
     # limit from below, so the fitted driver constant carries a 20% margin
-    raw = dual_time_bound(lf_model.psi, seed_03, 1e-4)
+    raw = _dual_time_bound(lf_model.psi, seed_03.h, seed_03.v0, 1e-4)
     assert raw > 0.0
     fit = 1.2 * raw
     for eps in (1e-5, 1e-6, 1e-7):
-        later = dual_time_bound(lf_model.psi, seed_03, eps)
+        later = _dual_time_bound(lf_model.psi, seed_03.h, seed_03.v0, eps)
         assert later <= fit
-
-
-def test_dual_time_bound_without_n_star_is_a_numeric_error(monkeypatch,
-                                                           lf_model):
-    import itertools
-
-    import drlab.lab
-    from drlab.errors import DomainError, NumericError
-    # a start far below the curve never reaches u >= 1: a failed
-    # computation (exit 1 in the CLI), not a malformed input; the orbit is
-    # cut to 10^3 states here instead of the 10^7 it gets
-    real = drlab.lab._orbit
-    monkeypatch.setattr(drlab.lab, "_orbit", lambda start, psi:
-                        itertools.islice(real(start, psi), 1000))
-    with pytest.raises(NumericError, match="did not reach u >= 1") as err:
-        dual_time_bound(lf_model.psi, Seed(-0.3, 0.0), 0.01)
-    assert not isinstance(err.value, DomainError)
 
 
 def test_refined_h_agrees_with_curve(lf_model, lf_curve):
@@ -628,55 +667,6 @@ def test_escape_law_search_never_costs_more_than_bisection(spec, v0,
 # the orbit loops against the hand-written loops they replaced
 # ---------------------------------------------------------------------------
 
-def _parent_dual_time_bound(psi, h, v0, eps, max_iter=10 ** 7):
-    u = h + eps
-    v = v0
-    vs = []
-    n_star = None
-    first_nonneg = None
-    for n in range(1, max_iter + 1):
-        v = v + u
-        u = u * psi(v)
-        vs.append(v)
-        if first_nonneg is None and v >= 0.0:
-            first_nonneg = n
-        if v >= 0.0 and u >= 1.0:
-            n_star = n
-            break
-    best = 0.0
-    for k in range(first_nonneg + 1, n_star + 1):
-        best = max(best, (n_star - k) * vs[k - 1])
-    return best
-
-
-def _parent_simplified_orbit(psi, u0, v0, eta, delta, max_iter=10 ** 7):
-    u, v = u0, v0
-    am, bm = (1.0 - eta) * u0, (1.0 - eta) * v0
-    ap, bp = (1.0 + eta) * u0, (1.0 + eta) * v0
-    first_violation = None
-    n4 = None
-    k = 0
-    for k in range(1, max_iter + 1):
-        v = v + u
-        if v > delta:
-            n4 = k
-            break
-        u = u * psi(v)
-        bm = bm + am
-        am = am * (1.0 + bm)
-        bp = bp + ap
-        ap = ap * (1.0 + bp)
-        if eta == 0.0:
-            tol = 1e-12 * max(1.0, abs(u), abs(v))
-            good = abs(am - u) <= tol and abs(ap - u) <= tol \
-                and abs(bm - v) <= tol and abs(bp - v) <= tol
-        else:
-            good = am < u < ap and bm < v < bp
-        if not good and first_violation is None:
-            first_violation = k
-    return n4, first_violation, k
-
-
 def _plain_euler_rows(e, ts):
     """euler_tan_check's rows for one eps from a plain loop over the affine
     simplified system."""
@@ -702,25 +692,3 @@ def test_euler_rows_match_plain_loop(eps, ts):
     rep = euler_tan_check(eps, ts)
     want = [row for e in eps for row in _plain_euler_rows(e, ts)]
     assert repr(rep.rows) == repr(want)
-
-
-@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
-def test_dual_time_bound_matches_parent_loop(lf_model, fig1, seed_03,
-                                             seed_001, eps):
-    for psi, seed in ((lf_model.psi, seed_03), (lf_model.psi, seed_001),
-                      (fig1, Seed(-0.3, 0.045)), (fig1, Seed(-0.01, 5e-5))):
-        got = dual_time_bound(psi, seed, eps)
-        want = _parent_dual_time_bound(psi, seed.h, seed.v0, eps)
-        assert repr(got) == repr(want)
-
-
-@pytest.mark.parametrize("u0,v0,eta,delta", [
-    (1e-4, 0.0, 0.1, 0.1), (1e-4, 0.0, 0.06, 0.05), (3e-3, -1e-3, 0.2, 0.1),
-    (1e-4, 0.0, 0.0, 0.1), (2e-3, -1e-3, 0.0, 0.05), (1e-4, 0.0, 1.0, 0.1)])
-def test_simplified_comparison_matches_parent_loop(lf_model, affine, u0, v0,
-                                                    eta, delta):
-    psi = affine if eta == 0.0 else lf_model.psi
-    rep = simplified_comparison(psi, u0, v0, eta, delta)
-    assert rep.band_ok
-    want = _parent_simplified_orbit(psi, u0, v0, eta, delta)
-    assert (rep.n4, rep.first_violation, rep.steps_checked) == want

@@ -9,8 +9,7 @@ from drlab.curve import solve_curve
 from drlab.drivers import ZSpecDiscrete
 from drlab.lab import refined_h
 from drlab.models import (CLFParams, LFParams, clf_geometric_sum, clf_step,
-                          clf_subtract, clf_tail, clf_to_uv, critical_tail_lf,
-                          gamma_star, law_stats, lf_geometric_sum, lf_pmf,
+                          clf_subtract, clf_tail, clf_to_uv, gamma_star, law_stats, lf_geometric_sum, lf_pmf,
                           lf_step, lf_subtract, lf_tail, lf_to_uv,
                           make_lf_model, model_free_energy, model_step,
                           model_to_uv, rho_star)
@@ -320,21 +319,36 @@ def test_rho_star_edges_and_value(clf_model, clf_curve):
 # critical orbits
 # ---------------------------------------------------------------------------
 
+def critical_lf_stats(model, gam, marks, alpha=1.0, beta=0.5):
+    """{n: (n^2/(alpha_n+beta_n), beta_n/(alpha_n+beta_n), beta_n/alpha_n)}
+    at each of the marks along the closed-form orbit from
+    LF(alpha/gam, beta/gam); at gam = gamma* the first two tend to
+    2p/((1-p) slope (1+xi)) and xi/(1+xi), and the third to xi."""
+    params = LFParams(alpha / gam, beta / gam)
+    stats = {}
+    for n in range(1, max(marks) + 1):
+        params = lf_step(params, model)
+        if n in marks:
+            s = params.alpha + params.beta
+            stats[n] = (n * n / s, params.beta / s, params.beta / params.alpha)
+    return stats
+
+
 def test_critical_tail_constants(lf_model, lf_curve):
     # refine the seed so the orbit tracks the curve out to n ~ 1e3
     h25 = refined_h(lf_model.psi, lf_curve, -0.25, 2e-9)
     gam = lf_model.p * 1.0 * h25 / (lf_model.constants.slope * 0.5)
-    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=2000)
-    assert abs(rep.target_tail - 2.0) < 1e-10
-    assert abs(rep.target_ratio - 0.5) < 1e-12
-    by_n = {n: (t, r) for n, t, r, _ in rep.rows}
-    t, r = by_n[2000]
+    c, p = lf_model.constants, lf_model.p
+    target_tail = 2.0 * p / ((1.0 - p) * c.slope * (1.0 + c.root))
+    target_ratio = c.root / (1.0 + c.root)
+    assert abs(target_tail - 2.0) < 1e-10
+    assert abs(target_ratio - 0.5) < 1e-12
+    t, r, _ = critical_lf_stats(lf_model, gam, {2000})[2000]
     assert abs(t - 2.0) < 0.2
     assert abs(r - 0.5) < 0.025
 
 
 def test_critical_orbit_ratio_tends_to_xi(lf_model, lf_curve):
     gam = gamma_star(lf_model, 1.0, 0.5, lf_curve).value
-    rep = critical_tail_lf(lf_model, gam, 1.0, 0.5, n_max=1000)
-    ratios = {n: q for n, _, _, q in rep.rows}
-    assert abs(ratios[1000] - lf_model.constants.root) < 0.05
+    _, _, q = critical_lf_stats(lf_model, gam, {1000})[1000]
+    assert abs(q - lf_model.constants.root) < 0.05

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from drlab import recursion
 from drlab.curve import bisect_h, h_eval, residual_local, solve_curve
-from drlab.drivers import driver_from_spec, dual_psi, make_custom_psi
+from drlab.drivers import PsiFunction, driver_from_spec, dual_psi
 from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
                               summarize_pool)
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
-                             backward_orbit, classify, classify_detail,
-                             free_energy, initial_state, log_f_one_zero,
-                             orbit, step, stopping_times, write_orbit_csv)
+                             classify, classify_detail, free_energy,
+                             initial_state, log_f_one_zero, orbit, step,
+                             stopping_times, write_orbit_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +312,15 @@ def test_a_negative_step_budget_or_count_is_a_value_error(lf_model):
 # duality
 # ---------------------------------------------------------------------------
 
+# the time reversal of forward states s_0..s_{N+1} is the N+1 states
+# (u'_n, v'_n) = (u_{N-n}, -v_{N-n+1}), 0 <= n <= N, which solve the
+# recursion driven by x -> 1/psi(-x)
+
 def test_backward_orbit_affine_example(affine):
     states = orbit(1.0, 0.0, affine, 3)  # (1,0), (2,1), (8,3), (96,11)
-    back = backward_orbit(states)
-    assert [round(s.u, 12) for s in back] == [8.0, 2.0, 1.0]
-    assert [round(s.v, 12) for s in back] == [-11.0, -3.0, -1.0]
+    back = [(a.u, -b.v) for a, b in zip(states[-2::-1], states[::-1])]
+    assert [round(u, 12) for u, _ in back] == [8.0, 2.0, 1.0]
+    assert [round(v, 12) for _, v in back] == [-11.0, -3.0, -1.0]
 
 
 def test_backward_orbit_solves_dual_recursion(affine, lf_model, fig1):
@@ -326,28 +330,14 @@ def test_backward_orbit_solves_dual_recursion(affine, lf_model, fig1):
             u0 = float(rng.uniform(0.05, 0.5))
             v0 = float(rng.uniform(-0.4, 0.2))
             fwd = orbit(u0, v0, psi, 12)
-            back = backward_orbit(fwd)
+            back = [(a.u, -b.v) for a, b in zip(fwd[-2::-1], fwd[::-1])]
             # dual recursion: u'_{n+1} = u'_n / psi(-v'_{n+1}), v'_{n+1} = u'_n + v'_n
             # (residuals are relative: escaping orbits reach large magnitudes)
-            for a, b in zip(back, back[1:]):
-                scale_v = max(1.0, abs(a.u), abs(a.v))
-                assert abs(b.v - (a.u + a.v)) <= 1e-12 * scale_v
-                expected = a.u / psi(-b.v)
-                assert abs(b.u - expected) < 1e-12 * max(1.0, abs(b.u))
-
-
-def test_backward_orbit_roundtrip(lf_model):
-    fwd = orbit(0.2, -0.1, lf_model.psi, 9)
-    twice = backward_orbit(backward_orbit(fwd))
-    inner = fwd[1:-1]
-    assert len(twice) == len(inner)
-    for a, b in zip(twice, inner):
-        assert (a.u, a.v) == (b.u, b.v)
-
-
-def test_backward_orbit_needs_two_states(affine):
-    with pytest.raises(ValueError):
-        backward_orbit(orbit(1.0, 0.0, affine, 0))
+            for (au, av), (bu, bv) in zip(back, back[1:]):
+                scale_v = max(1.0, abs(au), abs(av))
+                assert abs(bv - (au + av)) <= 1e-12 * scale_v
+                expected = au / psi(-bv)
+                assert abs(bu - expected) < 1e-12 * max(1.0, abs(bu))
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +794,8 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
     lf = KERNEL_DRIVERS["lf:p=0.5,z=1"]
     fn, calls = _counting(lf)
     copies = [dataclasses.replace(lf, fn=fn),
-              make_custom_psi("counted", fn, psi_inf=lf.psi_inf,
-                              domain_min=lf.domain_min)]
+              PsiFunction("counted", fn, lf.deriv_fn, psi_inf=lf.psi_inf,
+                          domain_min=lf.domain_min)]
     # per step, plus one per test of the certificate (at n = 1024, 2048)
     for psi in copies:
         calls["fn"] = 0

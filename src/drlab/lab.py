@@ -229,8 +229,8 @@ def refined_h(psi: PsiFunction, curve: CriticalCurve, v0: float,
 @dataclass(frozen=True)
 class Seed:
     """The critical start h(v0) of the near-critical experiments, with the
-    tol of the escape-law search that refined it (None: read off the
-    curve)."""
+    tol of the escape-law search that refined it (None: 0 at v0 >= 0, or
+    read off the curve)."""
 
     v0: float
     h: float

@@ -32,10 +32,9 @@ node i of the discretised equation reads g only at g(x_i) >= x_i, so
 :func:`_march` solves the nodes one by one from 0 leftwards, each by a
 scalar bisection with the libm driver.  For the built-in drivers that loop
 runs in ``_classify.c``, bit for bit; the Python loop stays its oracle and
-marches every other driver, among them :func:`dual_curve`'s, since
-:func:`dual_psi` has no native description.  The marched g is certified
-by :func:`residual`, the sup of the equation's defect, which a sweep's
-change would only repeat divided by K + 1.  The damped sweeps from g_1
+marches every other driver.  The marched g is certified by
+:func:`residual`, the sup of the equation's defect, which a sweep's change
+would only repeat divided by K + 1.  The damped sweeps from g_1
 (:func:`solve_g1`, :func:`pick_K`, :func:`iterate_g`) stay as the march's
 oracle and for regressions pinned to tabulated iterates.  The sweeps and
 :func:`residual_local` call the driver on arrays, which evaluates the
@@ -59,7 +58,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .drivers import PsiFunction, dual_psi
+from .drivers import PsiFunction
 from .errors import DomainError, NumericError
 from .recursion import PhaseLabel, _native_lib, classify_detail, write_table
 
@@ -75,8 +74,6 @@ __all__ = [
     "residual",
     "residual_local",
     "bisect_h",
-    "dual_curve",
-    "validate_grid",
     "write_curve_csv",
     "read_curve_csv",
 ]
@@ -127,17 +124,6 @@ class CriticalCurve:
         function solves the functional equation but is not the critical
         curve."""
         return float(self.h_values[0]) > 0.0
-
-    def interp(self, x):
-        """Piecewise-linear evaluation strictly on this curve's own grid
-        (works for dual curves too, unlike :func:`h_eval`)."""
-        xs = self.grid.xs
-        arr = np.asarray(x, dtype=float)
-        if arr.size and (float(np.min(arr)) < xs[0] - 1e-12
-                         or float(np.max(arr)) > xs[-1] + 1e-12):
-            raise DomainError(f"x outside curve grid [{xs[0]}, {xs[-1]}]")
-        out = np.interp(arr, xs, self.h_values)
-        return float(out) if arr.ndim == 0 else out
 
 
 def _check_domain(psi: PsiFunction, A: float) -> None:
@@ -257,8 +243,8 @@ def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     A built-in driver marches in ``_classify.c`` (``drlab_march``) when the
     library loaded: the same loop over the same floating-point operations,
     so g is bit-identical, and a failure raises the same message.  Other
-    drivers, such as :func:`dual_psi`'s, and every driver without the
-    library run the loop below, the C loop's oracle.
+    drivers, and every driver without the library, run the loop below, the
+    C loop's oracle.
     """
     native = hasattr(psi.fn, "native") and _native_lib()
     if native:
@@ -341,12 +327,13 @@ def curve_from_h(A: float, m: int, h_fn: Callable[[np.ndarray], np.ndarray],
 def h_eval(curve: CriticalCurve, x):
     """Evaluate h: 0 on the positives, linear interpolation on [-A, 0].
 
-    Below -A the curve is unknown and evaluation raises DomainError.
+    Below -A the curve is unknown, and at a NaN x nothing is known, so
+    evaluation there raises DomainError.
     """
     xs = curve.grid.xs
     lo = xs[0]
     arr = np.asarray(x, dtype=float)
-    if arr.size and float(np.min(arr)) < lo - 1e-12:
+    if arr.size and not float(np.min(arr)) >= lo - 1e-12:
         raise DomainError(f"h is only known on [{lo}, inf)")
     out = np.where(arr >= 0.0, 0.0,
                    np.interp(np.clip(arr, lo, 0.0), xs, curve.h_values))
@@ -399,39 +386,6 @@ def bisect_h(psi: PsiFunction, v: float, tol: float = 1e-4, *,
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def dual_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
-    """Critical curve of the time-reversed dynamics, on [0, A].
-
-    Solves the curve h~ for the dual driver 1/psi(-x) on [-A, 0] and maps
-    it back: h_dual(x) = h~(-x) psi(x).  h_dual is nondecreasing, vanishes
-    at 0 like x^2/2 and grows without bound.
-    """
-    dpsi = dual_psi(psi)
-    dc = solve_curve(dpsi, A, m)
-    xs = -dc.grid.xs[::-1]
-    h_tilde = dc.h_values[::-1]
-    h_dual = h_tilde * psi(xs)
-    return replace(dc, grid=replace(dc.grid, xs=xs, g=xs + h_dual),
-                   h_values=h_dual, residual_sup=math.nan)
-
-
-def validate_grid(grid: CurveGrid) -> None:
-    """Raise NumericError if any grid invariant is broken: g nondecreasing
-    (to 1e-12), 1-Lipschitz (to a relative 1e-9), g(0) = 0 and
-    x <= g(x) <= 0."""
-    xs = grid.xs
-    g = grid.g
-    d = np.diff(g)
-    if float(np.min(d)) < -1e-12:
-        raise NumericError("g is not nondecreasing on the grid")
-    if float(np.max(d)) > grid.spacing * (1.0 + 1e-9):
-        raise NumericError("g violates the 1-Lipschitz bound")
-    if abs(float(g[-1])) > 1e-14:
-        raise NumericError("g(0) != 0")
-    if float(np.max(g)) > 1e-14 or float(np.min(g - xs)) < -1e-12:
-        raise NumericError("g leaves the envelope [x, 0]")
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ __all__ = [
     "make_fig1_clamped_psi",
     "make_lf_psi",
     "make_clf_psi",
-    "dual_psi",
     "driver_from_spec",
     "parse_driver_string",
     "parse_atoms",
@@ -439,39 +438,6 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
 
     label = ",".join(f"{v:g}@{pr:g}" for v, pr in atoms)
     return _model_psi("clf", p, atoms, label, base, base_prime)
-
-
-def dual_psi(psi: PsiFunction) -> PsiFunction:
-    """Time-reversal dual x -> 1/psi(-x).
-
-    The derivative is psi'(-x) / psi(-x)^2, so the dual again satisfies the
-    normalization at 0, and the construction is an involution pointwise.
-    The dual's domain is the reflection of the original's; since the value
-    at the reflected lower boundary may vanish (giving an infinite dual),
-    the dual is published as unbounded.
-    """
-    base = psi
-
-    def fn(x: float) -> float:
-        val = base(-x)
-        if val == 0.0:
-            return math.inf
-        return 1.0 / val
-
-    def deriv_fn(x: float) -> float:
-        val = base(-x)
-        if val == 0.0:
-            return math.inf
-        return base.deriv(-x) / (val * val)
-
-    return PsiFunction(
-        name=f"dual({base.name})",
-        fn=fn,
-        deriv_fn=deriv_fn,
-        psi_inf=math.inf,
-        domain_min=-base.domain_max,
-        domain_max=-base.domain_min,
-    )
 
 
 # ---------------------------------------------------------------------------

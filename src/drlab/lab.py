@@ -241,10 +241,10 @@ def make_seed(psi: PsiFunction, v0: float, *,
               curve: CriticalCurve | None = None,
               refine_tol: float | None = None) -> Seed:
     """h(v0): 0 at v0 >= 0 (no curve needed, and never refined), else the
-    curve value, refined by :func:`refined_h` when ``refine_tol`` is given;
-    a given tol must be positive and finite, and below the origin lie in
-    [ulp(-v0), -v0), from the float spacing to the width of the bracket h
-    starts in, [0, -v0]."""
+    curve value, which must not be negative, refined by :func:`refined_h`
+    when ``refine_tol`` is given; a given tol must be positive and finite,
+    and below the origin lie in [ulp(-v0), -v0), from the float spacing to
+    the width of the bracket h starts in, [0, -v0]."""
     if refine_tol is not None and not 0.0 < refine_tol < math.inf:
         raise ValueError(
             f"refine tol must be positive and finite, got {refine_tol!r}")
@@ -258,8 +258,11 @@ def make_seed(psi: PsiFunction, v0: float, *,
                          f"float spacing {math.ulp(-v0)!r}, got {refine_tol!r}")
     if curve is None:
         raise ValueError("a seed below the origin needs a curve")
-    h = (h_eval(curve, v0) if refine_tol is None
-         else refined_h(psi, curve, v0, refine_tol))
+    h = h_eval(curve, v0)
+    if not h >= 0.0:
+        raise ValueError(f"the curve gives h({v0!r}) = {h!r}, but h >= 0")
+    if refine_tol is not None:
+        h = refined_h(psi, curve, v0, refine_tol)
     return Seed(v0, h, refine_tol)
 
 

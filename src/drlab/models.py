@@ -54,7 +54,6 @@ __all__ = [
     "clf_to_uv",
     "model_step",
     "model_to_uv",
-    "lf_pmf",
     "lf_tail",
     "clf_tail",
     "law_stats",
@@ -194,15 +193,6 @@ def model_to_uv(params: LFParams | CLFParams, model: Model):
 # distribution helpers (shared with the Monte Carlo validation)
 # ---------------------------------------------------------------------------
 
-def lf_pmf(params: LFParams, k: int) -> float:
-    """P(Y = k) for an LF law."""
-    a, b = params.alpha, params.beta
-    s = a + b
-    if k == 0:
-        return 1.0 - 1.0 / s
-    return a / s ** 2 * (b / s) ** (k - 1)
-
-
 def lf_tail(params: LFParams, k: int) -> float:
     """P(Y >= k) for k >= 1: geometric with ratio beta/(alpha+beta)."""
     s = params.alpha + params.beta
@@ -307,8 +297,7 @@ def gamma_star(model: Model, alpha: float, beta: float,
     """
     c = model.constants
     p = model.p
-    if alpha + beta < 1.0 - 1e-12:
-        raise ValueError("need alpha + beta >= 1")
+    LFParams(alpha, beta)  # positive, and alpha + beta >= 1
     if beta / alpha > c.root * (1.0 + 1e-12):
         raise ValueError("need beta/alpha <= xi (v_seed <= 0)")
     v_seed = c.slope * (beta / alpha - c.root)
@@ -327,6 +316,8 @@ def rho_star(model: Model, lam: float,
     v_seed = slope (1/lambda - tau)."""
     c = model.constants
     p = model.p
+    if not lam > 0.0:
+        raise ValueError(f"lambda={lam!r} must be a positive number")
     if lam < 1.0 / c.root * (1.0 - 1e-12):
         raise ValueError("need lambda >= 1/tau (v_seed <= 0)")
     v_seed = c.slope * (1.0 / lam - c.root)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from drlab.curve import (bisect_h, curve_from_h, h_eval, iterate_g,
-                         solve_curve, solve_g1, validate_grid)
+                         solve_curve, solve_g1)
 from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
                        critical_asymptotics, euler_tan_check, make_seed,
                        n_star_scaling, refined_h)
@@ -19,6 +19,7 @@ from drlab.models import (CLFParams, LFParams, clf_step, clf_to_uv, lf_step,
                           lf_to_uv)
 from drlab.montecarlo import compare_to_model, mc_step, pool_from_clf, pool_from_lf
 from drlab.recursion import initial_state, orbit, step
+from test_curve import validate_grid
 from test_models import critical_lf_stats
 
 LOG2 = math.log(2.0)

@@ -687,6 +687,26 @@ def test_lab_rejects_a_malformed_curve_exit_2(tmp_path, capsys, mangle, v0):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("refine", [[], ["--refine-seed-tol", "1e-9"]],
+                         ids=["curve-seed", "refined-seed"])
+def test_lab_names_a_negative_curve_seed_exit_2(tmp_path, capsys, refine):
+    from drlab.curve import curve_from_h, write_curve_csv
+    from drlab.drivers import make_affine_psi
+    # h = -0.01 below the origin: the file is well formed, its seed is not
+    # (the residual column, written on the affine driver, is not read)
+    neg = curve_from_h(0.5, 200, lambda xs: np.where(xs < 0.0, -0.01, 0.0))
+    path = tmp_path / "neg.csv"
+    with open(path, "w") as fh:
+        write_curve_csv(neg, make_affine_psi(), fh)
+    code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
+                "--curve", str(path), "--eps", "1e-6", "--eps", "1e-7",
+                "--out", str(tmp_path / "c")] + refine)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the curve gives h(-0.3) = -0.01, but h >= 0\n")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_lab_reads_a_well_formed_curve(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("\n".join(_fig1_curve_lines()) + "\n")

@@ -3,19 +3,38 @@ import math
 import shutil
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_recursion import dual_psi
 
 from drlab import recursion
-from drlab.curve import (_grid_xs, _march, _sweep, bisect_h, curve_from_h,
-                         dual_curve, h_eval, iterate_g, pick_K,
+from drlab.curve import (CriticalCurve, CurveGrid, _grid_xs, _march, _sweep,
+                         bisect_h, curve_from_h, h_eval, iterate_g, pick_K,
                          read_curve_csv, residual, solve_curve, solve_g1,
-                         validate_grid, write_curve_csv)
-from drlab.drivers import PsiFunction, driver_from_spec, dual_psi
+                         write_curve_csv)
+from drlab.drivers import PsiFunction, driver_from_spec
 from drlab.errors import DomainError, NumericError
+
+
+def validate_grid(grid: CurveGrid) -> None:
+    """Raise NumericError if any grid invariant is broken: g nondecreasing
+    (to 1e-12), 1-Lipschitz (to a relative 1e-9), g(0) = 0 and
+    x <= g(x) <= 0."""
+    xs = grid.xs
+    g = grid.g
+    d = np.diff(g)
+    if float(np.min(d)) < -1e-12:
+        raise NumericError("g is not nondecreasing on the grid")
+    if float(np.max(d)) > grid.spacing * (1.0 + 1e-9):
+        raise NumericError("g violates the 1-Lipschitz bound")
+    if abs(float(g[-1])) > 1e-14:
+        raise NumericError("g(0) != 0")
+    if float(np.max(g)) > 1e-14 or float(np.min(g - xs)) < -1e-12:
+        raise NumericError("g leaves the envelope [x, 0]")
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +344,9 @@ def test_h_eval_contract(fig1_curve):
     assert h_eval(fig1_curve, 0.7) == 0.0
     assert h_eval(fig1_curve, 0.0) == 0.0
     assert abs(h_eval(fig1_curve, -0.4) - 0.08) < 1e-3
-    with pytest.raises(DomainError):
-        h_eval(fig1_curve, -0.6)
+    for x in (-0.6, math.nan, [-0.1, math.nan], [0.5, math.nan]):
+        with pytest.raises(DomainError, match="only known"):
+            h_eval(fig1_curve, x)
 
 
 def test_h_eval_reference_interior_point(lf_curve):
@@ -398,6 +418,32 @@ def test_bisect_stops_at_float_resolution(fig1):
 # dual curve
 # ---------------------------------------------------------------------------
 
+def dual_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
+    """Critical curve of the time-reversed dynamics, on [0, A].
+
+    Solves the curve h~ for the dual driver 1/psi(-x) on [-A, 0] and maps
+    it back: h_dual(x) = h~(-x) psi(x).  h_dual is nondecreasing, vanishes
+    at 0 like x^2/2 and grows without bound.
+    """
+    dc = solve_curve(dual_psi(psi), A, m)
+    xs = -dc.grid.xs[::-1]
+    h_dual = dc.h_values[::-1] * psi(xs)
+    return replace(dc, grid=replace(dc.grid, xs=xs, g=xs + h_dual),
+                   h_values=h_dual, residual_sup=math.nan)
+
+
+def interp(curve: CriticalCurve, x):
+    """Piecewise-linear evaluation strictly on the curve's own grid (works
+    for dual curves too, unlike :func:`h_eval`); DomainError off it."""
+    xs = curve.grid.xs
+    arr = np.asarray(x, dtype=float)
+    if arr.size and (float(np.min(arr)) < xs[0] - 1e-12
+                     or float(np.max(arr)) > xs[-1] + 1e-12):
+        raise DomainError(f"x outside curve grid [{xs[0]}, {xs[-1]}]")
+    out = np.interp(arr, xs, curve.h_values)
+    return float(out) if arr.ndim == 0 else out
+
+
 @pytest.fixture(scope="module")
 def lf_dual(lf_model):
     return dual_curve(lf_model.psi, 3.0, 3000)
@@ -409,7 +455,7 @@ def test_dual_curve_lf(lf_model, lf_dual):
     assert dc.h_values[0] == 0.0            # vanishes at 0
     assert np.all(np.diff(dc.h_values) >= -1e-12)  # nondecreasing
     # quadratic near zero
-    val = dc.interp(0.01)
+    val = interp(dc, 0.01)
     assert 0.45 <= val / 1e-4 <= 0.55
     # h_dual(x) <= psi(x) * x on the positives
     xs = dc.xs[1:]
@@ -419,9 +465,9 @@ def test_dual_curve_lf(lf_model, lf_dual):
 def test_dual_curve_functional_equation(lf_model, lf_dual):
     dc = lf_dual
     xs = np.linspace(0.0, 1.0, 101)
-    h = dc.interp(xs)
+    h = interp(dc, xs)
     gx = xs + h
-    lhs = dc.interp(gx)
+    lhs = interp(dc, gx)
     rhs = lf_model.psi(gx) * h
     assert np.max(np.abs(lhs - rhs)) < 1e-4
 

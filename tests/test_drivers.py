@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_recursion import KERNEL_DRIVERS
+from test_recursion import KERNEL_DRIVERS, dual_psi
 
 from drlab import recursion
 from drlab.drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
-                           dual_psi, make_lf_psi, parse_driver_string)
+                           make_lf_psi, parse_driver_string)
 from drlab.errors import ConfigError, DomainError
 from drlab.recursion import V_STOP
 

@@ -9,11 +9,20 @@ from drlab.curve import solve_curve
 from drlab.drivers import ZSpecDiscrete
 from drlab.lab import refined_h
 from drlab.models import (CLFParams, LFParams, clf_geometric_sum, clf_step,
-                          clf_subtract, clf_tail, clf_to_uv, gamma_star, law_stats, lf_geometric_sum, lf_pmf,
+                          clf_subtract, clf_tail, clf_to_uv, gamma_star, law_stats, lf_geometric_sum,
                           lf_step, lf_subtract, lf_tail, lf_to_uv,
                           make_lf_model, model_free_energy, model_step,
                           model_to_uv, rho_star)
 from drlab.recursion import PhaseLabel, initial_state, step
+
+
+def lf_pmf(params: LFParams, k: int) -> float:
+    """P(Y = k) for an LF law."""
+    a, b = params.alpha, params.beta
+    s = a + b
+    if k == 0:
+        return 1.0 - 1.0 / s
+    return a / s ** 2 * (b / s) ** (k - 1)
 
 
 def pqab_closed_form(params: LFParams, p: float, z: ZSpecDiscrete) -> LFParams:
@@ -313,6 +322,22 @@ def test_rho_star_edges_and_value(clf_model, clf_curve):
     assert rep.hyp_ok and 0.0 < rep.value < 1.0
     assert abs(rep.v_seed + math.log(2.0) / 2.0) < 1e-12
     assert rep.straddle_ok
+
+
+@pytest.mark.parametrize("alpha,beta,match", [
+    (math.nan, 0.5, "must be positive"), (1.0, math.nan, "must be positive"),
+    (0.3, 0.3, "alpha \\+ beta >= 1")], ids=["nan-alpha", "nan-beta", "sum-below-1"])
+def test_gamma_star_refuses_inadmissible_parameters(lf_model, lf_curve, alpha,
+                                                    beta, match):
+    with pytest.raises(ValueError, match=match):
+        gamma_star(lf_model, alpha, beta, lf_curve)
+
+
+@pytest.mark.parametrize("lam", [math.nan, 0.0, -1.0])
+def test_rho_star_refuses_a_lambda_that_is_not_positive(clf_model, clf_curve,
+                                                        lam):
+    with pytest.raises(ValueError, match="lambda=.* must be a positive number"):
+        rho_star(clf_model, lam, clf_curve)
 
 
 # ---------------------------------------------------------------------------

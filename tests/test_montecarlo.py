@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_models import lf_pmf
 
 from drlab import montecarlo, recursion
 from drlab.cli import main as cli_main
-from drlab.models import (CLFParams, LFParams, clf_step, clf_tail, lf_pmf,
-                          lf_step)
+from drlab.models import CLFParams, LFParams, clf_step, clf_tail, lf_step
 from drlab.montecarlo import (SamplePool, block_rng, compare_to_model,
                               mc_step, pool_from_clf, pool_from_lf,
                               run_validation, sample_clf, sample_geometric,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from drlab import recursion
 from drlab.curve import bisect_h, h_eval, residual_local, solve_curve
-from drlab.drivers import PsiFunction, driver_from_spec, dual_psi
+from drlab.drivers import PsiFunction, driver_from_spec
 from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
                               summarize_pool)
@@ -375,6 +375,32 @@ def test_orbit_csv_roundtrip(tmp_path, lf_model):
         n, u, v, log_u = line.split(",")
         assert int(n) == s.n
         assert float(u) == s.u and float(v) == s.v and float(log_u) == s.log_u
+
+
+# ---------------------------------------------------------------------------
+# the time-reversal dual, a driver without a native description
+# ---------------------------------------------------------------------------
+
+def dual_psi(psi: PsiFunction) -> PsiFunction:
+    """Time-reversal dual x -> 1/psi(-x).
+
+    The derivative is psi'(-x) / psi(-x)^2, so the dual again satisfies the
+    normalization at 0, and the construction is an involution pointwise.
+    The dual's domain is the reflection of the original's; since the value
+    at the reflected lower boundary may vanish (giving an infinite dual),
+    the dual is published as unbounded.
+    """
+    def fn(x: float) -> float:
+        val = psi(-x)
+        return math.inf if val == 0.0 else 1.0 / val
+
+    def deriv_fn(x: float) -> float:
+        val = psi(-x)
+        return math.inf if val == 0.0 else psi.deriv(-x) / (val * val)
+
+    return PsiFunction(name=f"dual({psi.name})", fn=fn, deriv_fn=deriv_fn,
+                       psi_inf=math.inf, domain_min=-psi.domain_max,
+                       domain_max=-psi.domain_min)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,29 @@ def test_array_path_is_the_scalar_function(name, xs):
     assert got == want
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_DRIVERS))
+def test_scalar_checks_of_psi_and_its_derivative(name):
+    # a number outside the domain (NaN too) raises the same message from psi
+    # and psi', +inf gives the stated limits, and an int is its float
+    psi = KERNEL_DRIVERS[name]
+    ints = ([math.floor(psi.domain_min) - 1]
+            if math.isfinite(psi.domain_min) else [])
+    for x in _bad_points(psi) + ints:
+        for f in (psi, psi.deriv):
+            with pytest.raises(DomainError) as err:
+                f(x)
+            assert str(err.value) == (
+                f"{psi.name}: x={float(x)!r} outside domain "
+                f"[{psi.domain_min}, {psi.domain_max}]")
+    if psi.domain_max == math.inf:
+        assert repr(psi(math.inf)) == repr(psi.psi_inf)
+        assert repr(psi.deriv(math.inf)) == repr(
+            0.0 if psi.bounded else psi.deriv_fn(math.inf))
+    for f in (psi, psi.deriv):
+        assert repr(f(0)) == repr(f(0.0))
+        assert type(f(0)) is float
+
+
 def _digest_grid(psi) -> list:
     """Points for the model-driver digest: the floats around the domain's
     lower end, points below it, both zeros, ±1e300 and ±inf, and a dense

@@ -1,6 +1,7 @@
 /* Native orbit loops for the built-in drivers, the drivers on arrays, the
    critical curve's march and CSV rows, and the Monte Carlo's resampling,
-   counting and moment passes (at the end of the file).
+   counting and moment passes (at the end of the file), the resampling
+   and the moments summing through one pairwise() in numpy's order.
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
@@ -366,31 +367,42 @@ int64_t drlab_rows(const double *const *cols, int n_cols, int64_t n_rows,
    pairwise sum of the rest.  Returns 0, or -1 when the r do not cover the
    m entries of idx or an index falls outside prev. */
 
-#define AHEAD 32 /* prefetch prev[idx[q + AHEAD]]: the gathers miss cache */
+#define AHEAD 32 /* prefetch x[idx[q + AHEAD]]: the gathers miss cache */
 
+/* The terms of a pairwise sum: x[idx[q]] for a gather (idx[0..m-1] set),
+   each index checked against x[0..n-1] and a bad one flagged; else x[q],
+   or (x[q] - mean)^2 when dev is set */
 typedef struct {
-    const double *prev;
+    const double *x;
     const int64_t *idx;
-    int64_t n_prev, m;
-    int bad;
-} gather;
+    int64_t n, m;
+    double mean;
+    int dev, bad;
+} terms;
 
-static inline double at(gather *g, int64_t q)
+static inline double term(terms *t, int64_t q)
 {
-    int64_t k = g->idx[q];
+    int64_t k;
+    double d;
 
-    if (q + AHEAD < g->m)
-        __builtin_prefetch(g->prev + g->idx[q + AHEAD]);
-    if ((uint64_t)k >= (uint64_t)g->n_prev) {
-        g->bad = 1;
-        return 0.0;
+    if (t->idx) {
+        k = t->idx[q];
+        if (q + AHEAD < t->m)
+            __builtin_prefetch(t->x + t->idx[q + AHEAD]);
+        if ((uint64_t)k >= (uint64_t)t->n) {
+            t->bad = 1;
+            return 0.0;
+        }
+        return t->x[k];
     }
-    return g->prev[k];
+    d = t->x[q] - t->mean;
+    return t->dev ? d * d : t->x[q];
 }
 
-/* numpy's pairwise_sum of the n gathered values from q on: a plain loop
-   from -0.0 below 8 values, 8 accumulators up to 128, halves above */
-static double pairwise(gather *g, int64_t q, int64_t n)
+/* numpy's pairwise_sum of the n terms from q on: a plain loop from -0.0
+   below 8 terms, 8 accumulators up to 128, halves above.  The resampling
+   and the moments below both sum through it. */
+static double pairwise(terms *t, int64_t q, int64_t n)
 {
     double acc[8], res = -0.0;
     int64_t i, n2;
@@ -398,46 +410,46 @@ static double pairwise(gather *g, int64_t q, int64_t n)
 
     if (n < 8) {
         for (i = 0; i < n; i++)
-            res += at(g, q + i);
+            res += term(t, q + i);
         return res;
     }
     if (n <= 128) {
         for (j = 0; j < 8; j++)
-            acc[j] = at(g, q + j);
+            acc[j] = term(t, q + j);
         for (i = 8; i < n - n % 8; i += 8)
             for (j = 0; j < 8; j++)
-                acc[j] += at(g, q + i + j);
+                acc[j] += term(t, q + i + j);
         res = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
               + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
         for (; i < n; i++)
-            res += at(g, q + i);
+            res += term(t, q + i);
         return res;
     }
     n2 = n / 2;
     n2 -= n2 % 8;
-    res = pairwise(g, q, n2);
-    return res + pairwise(g, q + n2, n - n2);
+    res = pairwise(t, q, n2);
+    return res + pairwise(t, q + n2, n - n2);
 }
 
 int drlab_resample_f64(const double *prev, int64_t n_prev,
                        const int64_t *idx, int64_t m, const int64_t *r,
                        const double *z, int64_t n, double *out)
 {
-    gather g = {prev, idx, n_prev, m, 0};
+    terms t = {prev, idx, n_prev, m, 0.0, 0, 0};
     int64_t i, q = 0;
     double d;
 
     for (i = 0; i < n; i++) {
         if (r[i] < 1 || r[i] > m - q)
             return -1;
-        d = at(&g, q);
+        d = term(&t, q);
         if (r[i] > 1)
-            d += pairwise(&g, q + 1, r[i] - 1);
+            d += pairwise(&t, q + 1, r[i] - 1);
         d -= z[i];
         out[i] = d > 0.0 || d != d ? d : 0.0; /* as np.maximum: NaN, not -0.0 */
         q += r[i];
     }
-    return q == m && !g.bad ? 0 : -1;
+    return q == m && !t.bad ? 0 : -1;
 }
 
 /* integer sums are exact in any order; unsigned arithmetic wraps as
@@ -516,48 +528,15 @@ void drlab_counts(const double *x, int64_t n, const double *t, int64_t nt,
 /* np.mean and np.std of a float64 pool, bit for bit, without the pool-sized
    temporaries of np.std: mean = (0 + pw(x)) / n and
    sd = sqrt((0 + pw(d * d)) / n) with d = x - mean, as numpy's _var forms
-   them, pw being numpy's pairwise_sum (the split of pairwise() above) and
-   0 the reduction's initial value, which turns a sum of -0.0 into 0.0.
-   Into out[0] and out[1]; an empty pool gives NaN for both, as numpy. */
-static inline double term(const double *x, int64_t i, double mean, int dev)
-{
-    double d = x[i] - mean;
-
-    return dev ? d * d : x[i];
-}
-
-static double pairwise_moment(const double *x, int64_t n, double mean,
-                              int dev)
-{
-    double acc[8], res = -0.0;
-    int64_t i, n2;
-    int j;
-
-    if (n < 8) {
-        for (i = 0; i < n; i++)
-            res += term(x, i, mean, dev);
-        return res;
-    }
-    if (n <= 128) {
-        for (j = 0; j < 8; j++)
-            acc[j] = term(x, j, mean, dev);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (j = 0; j < 8; j++)
-                acc[j] += term(x, i + j, mean, dev);
-        res = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-              + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-        for (; i < n; i++)
-            res += term(x, i, mean, dev);
-        return res;
-    }
-    n2 = n / 2;
-    n2 -= n2 % 8;
-    res = pairwise_moment(x, n2, mean, dev);
-    return res + pairwise_moment(x + n2, n - n2, mean, dev);
-}
-
+   them, pw being numpy's pairwise_sum (pairwise() above) and 0 the
+   reduction's initial value, which turns a sum of -0.0 into 0.0.  Into
+   out[0] and out[1]; an empty pool gives NaN for both, as numpy. */
 void drlab_moments(const double *x, int64_t n, double *out)
 {
-    out[0] = (0.0 + pairwise_moment(x, n, 0.0, 0)) / (double)n;
-    out[1] = sqrt((0.0 + pairwise_moment(x, n, out[0], 1)) / (double)n);
+    terms t = {x, NULL, n, n, 0.0, 0, 0};
+
+    out[0] = (0.0 + pairwise(&t, 0, n)) / (double)n;
+    t.mean = out[0];
+    t.dev = 1;
+    out[1] = sqrt((0.0 + pairwise(&t, 0, n)) / (double)n);
 }

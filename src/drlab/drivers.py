@@ -96,33 +96,23 @@ class PsiFunction:
         return math.isfinite(self.psi_inf)
 
     def __call__(self, x):
+        return self._eval(x, self.fn, self.psi_inf)
+
+    def deriv(self, x):
+        return self._eval(x, self.deriv_fn, 0.0 if self.bounded else None)
+
+    def _eval(self, x, f, inf_value):
+        """f at x, a number or an array, after the domain checks; +inf
+        gives inf_value, or f's own value when inf_value is None."""
         if type(x) is float or isinstance(x, (float, int)):
             x = float(x)
             if x != x or x < self.domain_min or x > self.domain_max:
                 raise DomainError(
                     f"{self.name}: x={x!r} outside domain "
                     f"[{self.domain_min}, {self.domain_max}]")
-            if x == math.inf:
-                return self.psi_inf
-            return self.fn(x)
-        return self._array_eval(x, self.fn, self.psi_inf)
-
-    def deriv(self, x):
-        if isinstance(x, float) or isinstance(x, int):
-            x = float(x)
-            if x != x or x < self.domain_min or x > self.domain_max:
-                raise DomainError(
-                    f"{self.name}: x={x!r} outside domain "
-                    f"[{self.domain_min}, {self.domain_max}]")
-            if x == math.inf:
-                return 0.0 if self.bounded else self.deriv_fn(x)
-            return self.deriv_fn(x)
-        return self._array_eval(x, self.deriv_fn,
-                                0.0 if self.bounded else None)
-
-    def _array_eval(self, x, f, inf_value):
-        """f at each point of x after the domain checks; +inf gives
-        inf_value, or f's own value when inf_value is None."""
+            if x == math.inf and inf_value is not None:
+                return inf_value
+            return f(x)
         arr = np.asarray(x, dtype=float)
         if arr.size:
             if np.isnan(arr).any():

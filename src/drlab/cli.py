@@ -207,6 +207,9 @@ def _model_and_start(args, kind: str, command: str):
     values = [getattr(args, name) for name in names]
     if None in values:
         raise ConfigError(f"{command} requires --{names[0]} and --{names[1]}")
+    for name, value in zip(names, map(float, values)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}={value!r} must be finite")
     return model, law(*map(float, values)), header
 
 

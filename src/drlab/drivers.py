@@ -159,7 +159,7 @@ class _AtomLaw:
             v = float(value)
             p = float(prob)
             if self.integer:
-                if v != int(v) or v < 1:
+                if not math.isfinite(v) or v != int(v) or v < 1:
                     raise ConfigError(f"atom value {value!r} is not a positive integer")
                 v = float(int(v))
             elif not (v > 0.0 and math.isfinite(v)):

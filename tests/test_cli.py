@@ -143,6 +143,39 @@ def test_a_nan_or_infinite_eps_exit_2(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["psi", "--driver", "lf:p=0.5,z=inf"], "inf"),
+    (["psi", "--driver", "lf:p=0.5,z=1e400"], "inf"),
+    (["psi", "--driver", "lf:p=0.5,z=-inf"], "-inf"),
+    (["psi", "--driver", "lf:p=0.5,z=nan"], "nan"),
+    (["mc", "validate", "--kind", "lf", "--z", "inf", "--alpha", "0.6",
+      "--beta", "0.9"], "inf"),
+], ids=["inf", "overflow", "-inf", "nan", "mc"])
+def test_a_non_finite_lf_atom_exit_2(argv, value, capsys):
+    # an infinite atom used to exit 1 converting it to an integer, and a NaN
+    # one exit 2 with Python's own conversion message
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"atom value {value} is not a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["clf", "--lam", "inf", "--rho", "0.5", "--steps", "2"], "lam=inf"),
+    (["mc", "validate", "--kind", "clf", "--lam", "inf", "--rho", "0.5",
+      "--levels", "1", "--pool-size", "20000"], "lam=inf"),
+    (["lf", "--alpha", "inf", "--beta", "1"], "alpha=inf"),
+    (["lf", "--alpha", "0.6", "--beta", "inf"], "beta=inf"),
+], ids=["clf", "mc-clf", "lf-alpha", "lf-beta"])
+def test_a_non_finite_start_law_exit_2(argv, message, capsys):
+    # an infinite clf rate used to run on a point mass at 0 (exit 0, or NaN
+    # predictions in mc validate); an infinite lf alpha exited 1 dividing by
+    # zero, and an infinite beta was refused as alpha=nan
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{message} must be finite" in captured.err and captured.out == ""
+
+
 def test_lab_euler_nan_t_exit_2(capsys):
     # it used to fail converting the NaN step count to an integer
     assert run(["lab", "euler", "--t", "nan"]) == 2

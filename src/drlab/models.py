@@ -16,10 +16,11 @@ these parameter orbits are exactly orbits of the two-parameter recursion
 under the model's driver; that commuting square is the main cross-module
 consistency oracle of the test suite.
 
-One ``Model`` type serves both families, and this module is the only one
-that tells them apart: a model's family is its Z law's, and a law's is its
-parameter type, on which ``model_step``, ``model_to_uv``, ``law_stats``
-and ``model_free_energy`` dispatch.
+One ``Model`` type serves both families: a model's family is its Z law's,
+and a law's is its parameter type, on which ``model_step``,
+``model_to_uv``, ``law_stats`` and ``model_free_energy`` dispatch here.
+``cli._FAMILIES`` (each family's flags) and ``montecarlo._LEVEL0`` (each
+family's level-0 pool) key on the family too.
 
 ``lf_step`` is deliberately the composition of the two elementary facts;
 the equivalent single-formula update is kept in the tests as an

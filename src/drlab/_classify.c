@@ -382,21 +382,25 @@ typedef struct {
 
 static inline double term(terms *t, int64_t q)
 {
+    /* read before any branch, so that pairwise()'s loops keep them in
+       registers */
+    const double *x = t->x, mean = t->mean;
+    const int64_t *idx = t->idx;
     int64_t k;
     double d;
 
-    if (t->idx) {
-        k = t->idx[q];
+    if (idx) {
+        k = idx[q];
         if (q + AHEAD < t->m)
-            __builtin_prefetch(t->x + t->idx[q + AHEAD]);
+            __builtin_prefetch(x + idx[q + AHEAD]);
         if ((uint64_t)k >= (uint64_t)t->n) {
             t->bad = 1;
             return 0.0;
         }
-        return t->x[k];
+        return x[k];
     }
-    d = t->x[q] - t->mean;
-    return t->dev ? d * d : t->x[q];
+    d = x[q] - mean; /* x[q] itself at mean 0 */
+    return t->dev ? d * d : d;
 }
 
 /* numpy's pairwise_sum of the n terms from q on: a plain loop from -0.0

@@ -207,10 +207,11 @@ def _model_and_start(args, kind: str, command: str):
     values = [getattr(args, name) for name in names]
     if None in values:
         raise ConfigError(f"{command} requires --{names[0]} and --{names[1]}")
-    for name, value in zip(names, map(float, values)):
+    values = [float(value) for value in values]
+    for name, value in zip(names, values):
         if not math.isfinite(value):
             raise ConfigError(f"{name}={value!r} must be finite")
-    return model, law(*map(float, values)), header
+    return model, law(*values), header
 
 
 def _cmd_model_orbit(args) -> int:

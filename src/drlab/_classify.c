@@ -370,8 +370,8 @@ int64_t drlab_rows(const double *const *cols, int n_cols, int64_t n_rows,
 #define AHEAD 32 /* prefetch x[idx[q + AHEAD]]: the gathers miss cache */
 
 /* The terms of a pairwise sum: x[idx[q]] for a gather (idx[0..m-1] set),
-   each index checked against x[0..n-1] and a bad one flagged; else x[q],
-   or (x[q] - mean)^2 when dev is set */
+   each index checked against x[0..n-1] and a bad one flagged; else
+   x[q] - mean, squared when dev is set */
 typedef struct {
     const double *x;
     const int64_t *idx;
@@ -399,7 +399,7 @@ static inline double term(terms *t, int64_t q)
         }
         return x[k];
     }
-    d = x[q] - mean; /* x[q] itself at mean 0 */
+    d = x[q] - mean; /* x[q] itself at mean 0: -0.0 - 0.0 is -0.0 */
     return t->dev ? d * d : d;
 }
 

@@ -408,3 +408,26 @@ def test_driver_from_spec_rejects_garbage():
                  "affine:z=0.5@0.5"):
         with pytest.raises(ConfigError):
             driver_from_spec(spec)
+
+
+# the error type and message of each malformed spec
+_SPEC_ERRORS = {
+    "lf:p": (ConfigError, "malformed driver option 'p'"),
+    "lf:q=1,z=1": (ConfigError, "unknown driver option 'q'"),
+    "lf:p=0.5,p=0.4,z=1": (ConfigError, "driver option 'p' given twice"),
+    "lf:p=0.5,z=1,z=2": (ConfigError, "driver option 'z' given twice"),
+    "bogus": (ConfigError, "unknown driver kind 'bogus'; expected one of "
+                           "('affine', 'fig1', 'fig1-clamped', 'lf', 'clf')"),
+    "fig1:p=0.5": (ConfigError, "driver kind 'fig1' takes no options"),
+    "lf:p=0.5": (ConfigError, "driver kind 'lf' requires p and z atoms"),
+    "lf:p=abc,z=1": (ValueError, "could not convert string to float: 'abc'"),
+    # the options are read before the kind is checked
+    "bogus:q=1": (ConfigError, "unknown driver option 'q'"),
+}
+
+
+@pytest.mark.parametrize("spec", list(_SPEC_ERRORS))
+def test_driver_spec_errors_are_pinned(spec):
+    with pytest.raises(Exception) as err:
+        driver_from_spec(spec)
+    assert (type(err.value), str(err.value)) == _SPEC_ERRORS[spec]

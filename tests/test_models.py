@@ -324,6 +324,52 @@ def test_rho_star_edges_and_value(clf_model, clf_curve):
     assert rep.straddle_ok
 
 
+# every field of each report, by repr: the threshold, its start, the curve
+# value there, the admissibility verdict, the message and both straddles
+_THRESHOLD_REPORTS = {
+    "gamma-1-0.5": (
+        "ThresholdReport(value=0.07048701758819383, hyp_ok=True, "
+        "v_seed=-0.2500000000000071, h_at_seed=0.035243508794095914, "
+        "message='ok', straddle_upper=<PhaseLabel.SUPERCRITICAL: "
+        "'supercritical'>, straddle_lower=<PhaseLabel.SUBCRITICAL: "
+        "'subcritical'>)"),
+    "gamma-ray-edge": (
+        "ThresholdReport(value=0.0, hyp_ok=True, v_seed=0.0, h_at_seed=0.0, "
+        "message='ok', straddle_upper=None, straddle_lower=None)"),
+    "gamma-admissibility-failure": (
+        "ThresholdReport(value=None, hyp_ok=False, "
+        "v_seed=-0.0888888888888887, h_at_seed=0.008902054675143099, "
+        "message='admissibility bound fails: free energy identically 0 on "
+        "the family', straddle_upper=None, straddle_lower=None)"),
+    "rho-inv-tau": (
+        "ThresholdReport(value=0.0, hyp_ok=True, v_seed=0.0, h_at_seed=0.0, "
+        "message='ok', straddle_upper=None, straddle_lower=None)"),
+    "rho-2log2": (
+        "ThresholdReport(value=0.1986164522180897, hyp_ok=True, "
+        "v_seed=-0.34657359027996804, h_at_seed=0.06883521693389574, "
+        "message='ok', straddle_upper=<PhaseLabel.SUPERCRITICAL: "
+        "'supercritical'>, straddle_lower=<PhaseLabel.SUBCRITICAL: "
+        "'subcritical'>)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_THRESHOLD_REPORTS))
+def test_threshold_reports_are_pinned(case, lf_model, lf_curve, clf_model,
+                                      clf_curve):
+    if case == "gamma-1-0.5":
+        rep = gamma_star(lf_model, 1.0, 0.5, lf_curve)
+    elif case == "gamma-ray-edge":
+        rep = gamma_star(lf_model, 1.0, lf_model.constants.root, lf_curve)
+    elif case == "gamma-admissibility-failure":
+        model = make_lf_model(0.9, ZSpecDiscrete(((1, 1.0),)))
+        rep = gamma_star(model, 0.5, 0.5, solve_curve(model.psi, 0.0999, 1000))
+    elif case == "rho-inv-tau":
+        rep = rho_star(clf_model, 1.0 / clf_model.constants.root, clf_curve)
+    else:
+        rep = rho_star(clf_model, 2.0 * math.log(2.0), clf_curve)
+    assert repr(rep) == _THRESHOLD_REPORTS[case]
+
+
 @pytest.mark.parametrize("alpha,beta,match", [
     (math.nan, 0.5, "must be positive"), (1.0, math.nan, "must be positive"),
     (0.3, 0.3, "alpha \\+ beta >= 1")], ids=["nan-alpha", "nan-beta", "sum-below-1"])

@@ -37,7 +37,8 @@ import numpy as np
 from .curve import CriticalCurve, h_eval
 from .drivers import (ModelConstants, PsiFunction, ZSpecContinuous,
                       ZSpecDiscrete, make_clf_psi, make_lf_psi)
-from .recursion import FreeEnergyEstimate, PhaseLabel, classify, free_energy
+from .recursion import (FreeEnergyEstimate, PhaseLabel, classify_detail,
+                        free_energy)
 
 __all__ = [
     "LFParams",
@@ -266,20 +267,28 @@ class ThresholdReport:
                 and self.straddle_lower is PhaseLabel.SUBCRITICAL)
 
 
-def _threshold(model: Model, value: float | None, u_unit: float,
-               v_seed: float, h_seed: float) -> ThresholdReport:
-    """The report of a threshold ``value`` (None: the admissibility bound
-    fails) whose start is (u_unit value, v_seed).  A positive value is
-    checked by classifying the starts 1.1 and 1/1.1 times as far up."""
-    if value is None:
+def _threshold(model: Model, a: float, cap: float, v_seed: float,
+               curve: CriticalCurve) -> ThresholdReport:
+    """The threshold p a h(v_seed) / (slope (1-p)) of a family whose start
+    at scale s is (s u_unit, v_seed), u_unit = slope (1-p) / (p a), and
+    whose scales run up to ``cap``.  It exists when h(v_seed) < u_unit cap,
+    the admissibility bound; otherwise the family's free energy is
+    identically zero.  A positive value is checked by classifying the
+    starts 1.1 and 1/1.1 times as far up."""
+    c = model.constants
+    p = model.p
+    h_seed = h_eval(curve, v_seed)
+    u_unit = c.slope * (1.0 - p) / (p * a)
+    if not h_seed < u_unit * cap:
         return ThresholdReport(
             value=None, hyp_ok=False, v_seed=v_seed, h_at_seed=h_seed,
             message="admissibility bound fails: free energy identically 0 "
                     "on the family")
+    value = p * a * h_seed / (c.slope * (1.0 - p))
     up = low = None
     if value > 0.0:
-        up = classify(u_unit * 1.1 * value, v_seed, model.psi)
-        low = classify(u_unit * value / 1.1, v_seed, model.psi)
+        up = classify_detail(u_unit * 1.1 * value, v_seed, model.psi)[0]
+        low = classify_detail(u_unit * value / 1.1, v_seed, model.psi)[0]
     return ThresholdReport(value=value, hyp_ok=True, v_seed=v_seed,
                            h_at_seed=h_seed, message="ok",
                            straddle_upper=up, straddle_lower=low)
@@ -297,33 +306,21 @@ def gamma_star(model: Model, alpha: float, beta: float,
     phase boundary.
     """
     c = model.constants
-    p = model.p
     LFParams(alpha, beta)  # positive, and alpha + beta >= 1
     if beta / alpha > c.root * (1.0 + 1e-12):
         raise ValueError("need beta/alpha <= xi (v_seed <= 0)")
-    v_seed = c.slope * (beta / alpha - c.root)
-    h_seed = h_eval(curve, v_seed)
-    gam = (p * alpha * h_seed / (c.slope * (1.0 - p))
-           if h_seed < c.slope * (1.0 - p) * (alpha + beta) / (p * alpha)
-           else None)
-    return _threshold(model, gam, c.slope * (1.0 - p) / (p * alpha),
-                      v_seed, h_seed)
+    return _threshold(model, alpha, alpha + beta,
+                      c.slope * (beta / alpha - c.root), curve)
 
 
 def rho_star(model: Model, lam: float,
              curve: CriticalCurve) -> ThresholdReport:
     """Critical mass rho* of the family CLF(lambda, rho) at fixed rate
     lambda >= 1/tau:  rho* = lambda p h(v_seed) / (slope (1-p)) with
-    v_seed = slope (1/lambda - tau)."""
+    v_seed = slope (1/lambda - tau), valid when rho* < 1."""
     c = model.constants
-    p = model.p
     if not lam > 0.0:
         raise ValueError(f"lambda={lam!r} must be a positive number")
     if lam < 1.0 / c.root * (1.0 - 1e-12):
         raise ValueError("need lambda >= 1/tau (v_seed <= 0)")
-    v_seed = c.slope * (1.0 / lam - c.root)
-    h_seed = h_eval(curve, v_seed)
-    rho = (lam * p * h_seed / (c.slope * (1.0 - p))
-           if lam * p * h_seed < c.slope * (1.0 - p) else None)
-    u_unit = c.slope * (1.0 - p) / p / lam  # u at rho = 1
-    return _threshold(model, rho, u_unit, v_seed, h_seed)
+    return _threshold(model, lam, 1.0, c.slope * (1.0 / lam - c.root), curve)

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import ctypes
 import enum
-import functools
 import itertools
 import math
 import os
@@ -93,7 +92,6 @@ __all__ = [
     "initial_state",
     "step",
     "orbit",
-    "classify",
     "classify_detail",
     "free_energy",
     "log_f_one_zero",
@@ -400,11 +398,6 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
         return label, OrbitState(n, u, v, log_u if _log_u else math.nan)
 
 
-def classify(u0: float, v0: float, psi: PsiFunction, *,
-             max_iter: int = 10 ** 6) -> PhaseLabel:
-    return classify_detail(u0, v0, psi, max_iter=max_iter)[0]
-
-
 # ---------------------------------------------------------------------------
 # free energy
 # ---------------------------------------------------------------------------
@@ -468,18 +461,13 @@ def _log_bracket(log_f10: float, log_pinf: float, n_star: int,
             math.log(max(u0, 1.0)) - (n_star - 1) * log_pinf)
 
 
-@functools.lru_cache(maxsize=64)
-def _log_f_one_zero(psi: PsiFunction, tol: float, max_iter: int) -> float:
-    return _free_energy_pass(1.0, 0.0, psi, tol=tol, window=100,
-                             max_iter=max_iter)[0]
-
-
 def log_f_one_zero(psi: PsiFunction, *, tol: float = 1e-12,
                    max_iter: int = 10 ** 6) -> float:
-    """log F(1, 0), the reference free energy, cached per argument set."""
+    """log F(1, 0), the reference free energy."""
     _require_bounded(psi)
     _check_steps("max_iter", max_iter)
-    return _log_f_one_zero(psi, tol, max_iter)
+    return _free_energy_pass(1.0, 0.0, psi, tol=tol, window=100,
+                             max_iter=max_iter)[0]
 
 
 def free_energy(u0: float, v0: float, psi: PsiFunction, *,
@@ -487,13 +475,13 @@ def free_energy(u0: float, v0: float, psi: PsiFunction, *,
                 max_iter: int = 10 ** 6) -> FreeEnergyEstimate:
     """Estimate F(u0, v0) = lim psi(inf)^(-n) u_n for a bounded driver.
 
-    The phase is :func:`classify`'s.  Subcritical points report 0
+    The phase is :func:`classify_detail`'s.  Subcritical points report 0
     exactly.  Otherwise the nonincreasing log-scale sequence is iterated
     to stability and bracketed through the entry time n* of
     [1, inf) x [0, inf).
     """
     _require_bounded(psi)
-    label = classify(u0, v0, psi, max_iter=max_iter)
+    label = classify_detail(u0, v0, psi, max_iter=max_iter)[0]
     if label is PhaseLabel.SUBCRITICAL:
         return FreeEnergyEstimate(0.0, -_INF, 0.0, 0.0, -_INF, -_INF,
                                   n_star=None, converged=True)

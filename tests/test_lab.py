@@ -12,7 +12,7 @@ from drlab.lab import (PI_OVER_SQRT2, Seed, c_star_estimate, c_v_estimate,
                        refined_h, sandwich_check)
 from drlab import lab
 from drlab.drivers import PsiFunction
-from drlab.recursion import PhaseLabel, _orbit, classify, initial_state
+from drlab.recursion import PhaseLabel, _orbit, classify_detail, initial_state
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +434,8 @@ def test_sandwich_holds_for_random_supercritical_starts(lf_model):
     while checked < 100:
         u0 = float(rng.uniform(0.02, 3.0))
         v0 = float(rng.uniform(-0.45, 1.0))
-        if classify(u0, v0, lf_model.psi, max_iter=20000) is not PhaseLabel.SUPERCRITICAL:
+        label = classify_detail(u0, v0, lf_model.psi, max_iter=20000)[0]
+        if label is not PhaseLabel.SUPERCRITICAL:
             continue
         rep = sandwich_check(lf_model.psi, u0, v0)
         assert rep.ok, (u0, v0)
@@ -606,14 +607,18 @@ def verdicts(monkeypatch):
 def _bisection_seed(psi, curve, v0, tol):
     """The seed search the escape-law search replaced: a +-2e-5 bracket
     around the curve value, widened fourfold until it straddles h, then
-    bisected."""
+    bisected.  Its verdicts go through recursion's classify_detail, as
+    bisect_h's do, so that the verdicts fixture counts them."""
     from drlab.curve import bisect_h, h_eval
+    from drlab.recursion import classify_detail
     coarse, bracket, budget = h_eval(curve, v0), 2e-5, 3 * 10 ** 6
+
+    def above(u):
+        label = classify_detail(u, v0, psi, max_iter=budget)[0]
+        return label is PhaseLabel.SUPERCRITICAL
     while True:
         lo, hi = max(0.0, coarse - bracket), min(-v0, coarse + bracket)
-        if (classify(hi, v0, psi, max_iter=budget) is PhaseLabel.SUPERCRITICAL
-                and not (lo > 0.0 and classify(lo, v0, psi, max_iter=budget)
-                         is PhaseLabel.SUPERCRITICAL)):
+        if above(hi) and not (lo > 0.0 and above(lo)):
             return bisect_h(psi, v0, tol=tol, lo=lo, hi=hi,
                             classify_max_iter=budget)
         bracket *= 4.0

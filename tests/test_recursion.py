@@ -19,7 +19,7 @@ from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
                               summarize_pool)
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
-                             classify, classify_detail, free_energy,
+                             classify_detail, free_energy,
                              initial_state, log_f_one_zero, orbit, step,
                              stopping_times, write_orbit_csv)
 
@@ -112,19 +112,19 @@ def test_v_nondecreasing_and_log_consistency(lf_model):
 # ---------------------------------------------------------------------------
 
 def test_classify_fig1_super_and_sub(fig1):
-    assert classify(0.1, -0.4, fig1) is PhaseLabel.SUPERCRITICAL
-    assert classify(0.05, -0.4, fig1) is PhaseLabel.SUBCRITICAL
+    assert classify_detail(0.1, -0.4, fig1)[0] is PhaseLabel.SUPERCRITICAL
+    assert classify_detail(0.05, -0.4, fig1)[0] is PhaseLabel.SUBCRITICAL
 
 
 def test_classify_zero_u(affine, fig1):
-    assert classify(0.0, -1.0, affine) is PhaseLabel.SUBCRITICAL
+    assert classify_detail(0.0, -1.0, affine)[0] is PhaseLabel.SUBCRITICAL
     # fig1 cannot even evaluate at -1, but the absorbing state never calls it
-    assert classify(0.0, -1.0, fig1) is PhaseLabel.SUBCRITICAL
+    assert classify_detail(0.0, -1.0, fig1)[0] is PhaseLabel.SUBCRITICAL
 
 
 def test_classify_undetermined_near_curve(fig1):
     # within float resolution of the exact critical value: not decidable
-    label = classify(0.045, -0.3, fig1, max_iter=2000)
+    label = classify_detail(0.045, -0.3, fig1, max_iter=2000)[0]
     assert label is PhaseLabel.UNDETERMINED
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "make_lf_psi",
     "make_clf_psi",
     "driver_from_spec",
-    "parse_driver_string",
     "parse_atoms",
 ]
 
@@ -434,33 +433,6 @@ def make_clf_psi(p: float, z: ZSpecContinuous) -> tuple[PsiFunction, ModelConsta
 # driver specifications (config files / CLI)
 # ---------------------------------------------------------------------------
 
-def parse_driver_string(text: str) -> dict:
-    """Parse an inline driver spec.
-
-    Grammar: ``kind[:key=value,...]`` with keys ``p`` and ``z``; atoms are
-    ``value@prob`` joined by ``+``, and a bare ``z=V`` means Z == V.
-    Examples: ``fig1``, ``lf:p=0.5,z=1``, ``clf:p=0.4,z=0.5@0.3+2@0.7``.
-    """
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    spec: dict = {"kind": kind}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ConfigError(f"malformed driver option {item!r}")
-            key = key.strip()
-            if key == "p" and "p" not in spec:
-                spec["p"] = float(value)
-            elif key == "z" and "z_atoms" not in spec:
-                spec["z_atoms"] = parse_atoms(value)
-            elif key in ("p", "z"):
-                raise ConfigError(f"driver option {key!r} given twice")
-            else:
-                raise ConfigError(f"unknown driver option {key!r}")
-    return spec
-
-
 def parse_atoms(text: str) -> list[tuple[float, float]]:
     """Atoms ``value@prob`` joined by ``+``; a bare value has probability 1."""
     pieces = [piece.partition("@") for piece in text.split("+")]
@@ -468,25 +440,39 @@ def parse_atoms(text: str) -> list[tuple[float, float]]:
 
 
 def driver_from_spec(spec: str):
-    """Build a driver from an inline spec (see :func:`parse_driver_string`).
+    """Build a driver from an inline spec.
 
-    Returns ``(psi, constants)`` where ``constants`` is None for drivers
-    that are not model-derived.  The fixed drivers (affine, fig1,
-    fig1-clamped) take no options: one given to them is an error, not
-    ignored.
+    Grammar: ``kind[:key=value,...]`` with keys ``p`` and ``z``; atoms are
+    ``value@prob`` joined by ``+``, and a bare ``z=V`` means Z == V.
+    Examples: ``fig1``, ``lf:p=0.5,z=1``, ``clf:p=0.4,z=0.5@0.3+2@0.7``.
+    The options are read before the kind is checked.  Returns
+    ``(psi, constants)`` where ``constants`` is None for drivers that are
+    not model-derived.  The fixed drivers (affine, fig1, fig1-clamped)
+    take no options: one given to them is an error, not ignored.
     """
-    spec = parse_driver_string(spec)
-    kind = spec["kind"]
+    kind, _, rest = spec.partition(":")
+    kind = kind.strip()
+    options: dict = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"malformed driver option {item!r}")
+        key = key.strip()
+        if key not in ("p", "z"):
+            raise ConfigError(f"unknown driver option {key!r}")
+        if key in options:
+            raise ConfigError(f"driver option {key!r} given twice")
+        options[key] = float(value) if key == "p" else parse_atoms(value)
     if kind not in _KINDS:
         raise ConfigError(f"unknown driver kind {kind!r}; expected one of {_KINDS}")
     fixed = {"affine": make_affine_psi, "fig1": make_fig1_psi,
              "fig1-clamped": make_fig1_clamped_psi}.get(kind)
     if fixed is not None:
-        if len(spec) > 1:
+        if options:
             raise ConfigError(f"driver kind {kind!r} takes no options")
         return fixed(), None
-    if "p" not in spec or "z_atoms" not in spec:
+    if len(options) < 2:
         raise ConfigError(f"driver kind {kind!r} requires p and z atoms")
     if kind == "lf":
-        return make_lf_psi(spec["p"], ZSpecDiscrete(tuple(spec["z_atoms"])))
-    return make_clf_psi(spec["p"], ZSpecContinuous(tuple(spec["z_atoms"])))
+        return make_lf_psi(options["p"], ZSpecDiscrete(tuple(options["z"])))
+    return make_clf_psi(options["p"], ZSpecContinuous(tuple(options["z"])))

@@ -10,7 +10,7 @@ from test_recursion import KERNEL_DRIVERS, dual_psi
 
 from drlab import recursion
 from drlab.drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
-                           make_lf_psi, parse_driver_string)
+                           make_clf_psi, make_lf_psi)
 from drlab.errors import ConfigError, DomainError
 from drlab.recursion import V_STOP
 
@@ -382,11 +382,15 @@ def test_general_z_lf_driver():
 # ---------------------------------------------------------------------------
 
 def test_parse_driver_strings():
-    assert parse_driver_string("fig1") == {"kind": "fig1"}
-    spec = parse_driver_string("lf:p=0.5,z=1")
-    assert spec == {"kind": "lf", "p": 0.5, "z_atoms": [(1.0, 1.0)]}
-    spec = parse_driver_string("clf:p=0.4,z=0.5@0.3+2@0.7")
-    assert spec["z_atoms"] == [(0.5, 0.3), (2.0, 0.7)]
+    psi, consts = driver_from_spec("fig1")
+    assert psi.name == "fig1" and consts is None
+    # a model driver's name carries its p and its atoms
+    for spec, built in (
+            ("lf:p=0.5,z=1", make_lf_psi(0.5, ZSpecDiscrete(((1.0, 1.0),)))),
+            ("clf:p=0.4,z=0.5@0.3+2@0.7",
+             make_clf_psi(0.4, ZSpecContinuous(((0.5, 0.3), (2.0, 0.7)))))):
+        psi, consts = driver_from_spec(spec)
+        assert (psi.name, consts) == (built[0].name, built[1])
 
 
 def test_driver_from_spec_roundtrip(lf_model):

@@ -73,7 +73,8 @@ __all__ = [
 class PsiFunction:
     """An evaluable driver with derivative, limit at +inf and domain bounds.
 
-    ``fn``/``deriv_fn`` take and return python floats.  Called on an array,
+    ``fn``/``deriv_fn`` take and return python floats.  A number, python
+    or numpy, gives a python float.  Called on an array,
     the driver evaluates ``fn`` (``deriv`` evaluates ``deriv_fn``) at each
     point: in ``_classify.c`` when the function carries a ``native``
     description and the library loaded, else by mapping it.  The domain
@@ -103,7 +104,8 @@ class PsiFunction:
     def _eval(self, x, f, inf_value):
         """f at x, a number or an array, after the domain checks; +inf
         gives inf_value, or f's own value when inf_value is None."""
-        if type(x) is float or isinstance(x, (float, int)):
+        if type(x) is float or isinstance(
+                x, (float, int, np.integer, np.floating)):
             x = float(x)
             if x != x or x < self.domain_min or x > self.domain_max:
                 raise DomainError(

@@ -177,11 +177,12 @@ def test_array_path_is_the_scalar_function(name, xs):
 @pytest.mark.parametrize("name", sorted(KERNEL_DRIVERS))
 def test_scalar_checks_of_psi_and_its_derivative(name):
     # a number outside the domain (NaN too) raises the same message from psi
-    # and psi', +inf gives the stated limits, and an int is its float
+    # and psi', +inf gives the stated limits, and an int or a numpy scalar
+    # is its float
     psi = KERNEL_DRIVERS[name]
     ints = ([math.floor(psi.domain_min) - 1]
             if math.isfinite(psi.domain_min) else [])
-    for x in _bad_points(psi) + ints:
+    for x in _bad_points(psi) + ints + [np.int64(i) for i in ints]:
         for f in (psi, psi.deriv):
             with pytest.raises(DomainError) as err:
                 f(x)
@@ -193,8 +194,9 @@ def test_scalar_checks_of_psi_and_its_derivative(name):
         assert repr(psi.deriv(math.inf)) == repr(
             0.0 if psi.bounded else psi.deriv_fn(math.inf))
     for f in (psi, psi.deriv):
-        assert repr(f(0)) == repr(f(0.0))
-        assert type(f(0)) is float
+        for x in (0, np.int64(0), np.float32(0.5)):
+            assert repr(f(x)) == repr(f(float(x)))
+            assert type(f(x)) is float
 
 
 def _digest_grid(psi) -> list:

@@ -39,7 +39,7 @@ from . import curve as curve_mod
 from . import lab as lab_mod
 from .drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
                       parse_atoms)
-from .errors import ConfigError, DrlabError
+from .errors import ConfigError, DrlabError, NumericError
 from .models import (CLFParams, LFParams, law_stats, make_clf_model,
                      make_lf_model, model_step, model_to_uv)
 from .montecarlo import run_validation
@@ -228,6 +228,9 @@ def _cmd_model_orbit(args) -> int:
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         write_table(fh, header, list(zip(*rows)))
+    for n, _, _, u, v, _ in rows:  # the rows are written, then refused
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NumericError(f"{kind} orbit: u={u!r}, v={v!r} at step {n}")
     return 0
 
 

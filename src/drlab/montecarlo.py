@@ -55,6 +55,7 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 15
 MIN_POOL = 10 ** 3
+MIN_COMPARE_POOL = 10 ** 4  # the least pool compare_to_model reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +327,9 @@ def compare_to_model(pool: SamplePool,
     count the error a level inherits by resampling (module docstring).
     """
     n = len(pool.samples)
-    if n < 10 ** 4:
-        raise ValueError("need a pool of at least 10^4 samples")
+    if n < MIN_COMPARE_POOL:
+        raise ValueError(f"need a pool of at least {MIN_COMPARE_POOL} "
+                         f"samples, got {n}")
     tol = 4.0 / math.sqrt(n)
     positive, tails, mean = law_stats(predicted)
     summary = summarize_pool(pool, [t for _, t, _ in tails])
@@ -358,6 +360,9 @@ def run_validation(model: Model, params0: LFParams | CLFParams,
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     if not 0 <= seed < 2 ** 64:  # Philox's key is a uint64
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    if pool_size < MIN_COMPARE_POOL:  # refused before any draw
+        raise ValueError(f"need a pool of at least {MIN_COMPARE_POOL} "
+                         f"samples, got {pool_size}")
     pool = _LEVEL0[type(params0)](params0, pool_size, seed, threads)
     params = params0
     reports = [compare_to_model(pool, params)]

@@ -285,6 +285,35 @@ def test_clf_orbit_csv(tmp_path):
     assert lines[0] == "n,lambda,rho,u,v,P_gt_0"
 
 
+def test_a_non_finite_model_orbit_exits_1(tmp_path, capsys):
+    # a rate of 1e-320 passes the law's checks, but the mean rho/lam
+    # overflows: the rows are still written, and the run fails on them
+    path = tmp_path / "clf.csv"
+    assert run(["clf", "--lam", "1e-320", "--rho", "0.5", "--steps", "2",
+                "--out", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "numeric error: clf orbit: u=inf, v=inf at step 0\n")
+    assert len(path.read_text().splitlines()) == 4
+    # u about 5e299 is large but finite
+    assert run(["lf", "--alpha", "1e-300", "--beta", "1", "--steps", "2",
+                "--out", str(tmp_path / "lf.csv")]) == 0
+
+
+@pytest.mark.parametrize("size", [0, 1000, 9999])
+def test_mc_validate_refuses_a_small_pool_before_drawing(size, monkeypatch,
+                                                         capsys):
+    import drlab.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a pool was drawn")
+
+    monkeypatch.setattr(drlab.montecarlo, "_fill_blocks", no_draw)
+    assert run(["mc", "validate", "--kind", "clf", "--lam", "2", "--rho",
+                "0.5", "--levels", "0", "--pool-size", str(size)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: need a pool of at least 10000 samples, got {size}\n")
+
+
 def test_mc_validate_deterministic_reruns(tmp_path):
     args = ["mc", "validate", "--kind", "lf", "--p", "0.5", "--z", "1",
             "--alpha", "0.6", "--beta", "0.9", "--levels", "2",

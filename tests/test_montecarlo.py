@@ -1,3 +1,4 @@
+import hashlib
 import math
 import shutil
 import warnings
@@ -430,3 +431,29 @@ def test_native_and_numpy_resampling_agree_byte_for_byte(monkeypatch,
     numpy = [_mc_json(tmp_path, f"p{t}.json", [*args, "--threads", str(t)])
              for t in (1, 2)]
     assert native[0] == native[1] == numpy[0] == numpy[1]
+
+
+# mc validate --kind lf reports, each pinned by the SHA-256 of its JSON bytes
+_LF_REPORTS = {
+    ("0.5", "1", "0.6", "0.9"):
+        "0aceeeb2cc844955be74dac38e292ba9eff8dbbf228d77bc57bb5fac201a3a9f",
+    ("0.4", "1@0.5+2@0.5", "0.5", "1.2"):
+        "13e29b58577d7a86650bcd37f42fe40172e968ed1d9d22602aa4657d0208dccf",
+    ("0.7", "2", "0.3", "0.9"):
+        "272ce9d507bbe14831559815871f9ab504a59ed4110aa658f3bfe2f26c5f29ed",
+}
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model", sorted(_LF_REPORTS), ids="-".join)
+def test_lf_validation_reports_are_pinned(monkeypatch, tmp_path, model,
+                                          threads, native):
+    if not native:
+        monkeypatch.setattr(recursion, "_native", False)
+    p, z, alpha, beta = model
+    report = _mc_json(tmp_path, "lf.json", [
+        "--kind", "lf", "--p", p, "--z", z, "--alpha", alpha, "--beta", beta,
+        "--levels", "4", "--pool-size", "50000", "--seed", "7",
+        "--threads", str(threads)])
+    assert hashlib.sha256(report).hexdigest() == _LF_REPORTS[model]

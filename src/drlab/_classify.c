@@ -1,7 +1,8 @@
 /* Native orbit loops for the built-in drivers, the drivers on arrays, the
    critical curve's march and CSV rows, and the Monte Carlo's resampling,
-   counting and moment passes (at the end of the file), the resampling
-   and the moments summing through one pairwise() in numpy's order.
+   counting and moment passes over float64 pools (at the end of the file;
+   an LF pool holds whole numbers), the resampling and the moments summing
+   through one pairwise() in numpy's order.
 
    drlab_classify walks one orbit the way recursion.classify_detail walks
    recursion._orbit, drlab_stopping the way recursion.stopping_times does,
@@ -435,9 +436,9 @@ static double pairwise(terms *t, int64_t q, int64_t n)
     return res + pairwise(t, q + n2, n - n2);
 }
 
-int drlab_resample_f64(const double *prev, int64_t n_prev,
-                       const int64_t *idx, int64_t m, const int64_t *r,
-                       const double *z, int64_t n, double *out)
+int drlab_resample(const double *prev, int64_t n_prev, const int64_t *idx,
+                   int64_t m, const int64_t *r, const double *z, int64_t n,
+                   double *out)
 {
     terms t = {prev, idx, n_prev, m, 0.0, 0, 0};
     int64_t i, q = 0;
@@ -456,40 +457,10 @@ int drlab_resample_f64(const double *prev, int64_t n_prev,
     return q == m && !t.bad ? 0 : -1;
 }
 
-/* integer sums are exact in any order; unsigned arithmetic wraps as
-   numpy's int64 does */
-int drlab_resample_i64(const int64_t *prev, int64_t n_prev,
-                       const int64_t *idx, int64_t m, const int64_t *r,
-                       const int64_t *z, int64_t n, int64_t *out)
-{
-    int64_t i, j, k, q = 0, d;
-    uint64_t acc;
-
-    for (i = 0; i < n; i++) {
-        if (r[i] < 1 || r[i] > m - q)
-            return -1;
-        acc = 0;
-        for (j = q; j < q + r[i]; j++) {
-            k = idx[j];
-            if (j + AHEAD < m)
-                __builtin_prefetch(prev + idx[j + AHEAD]);
-            if ((uint64_t)k >= (uint64_t)n_prev)
-                return -1;
-            acc += (uint64_t)prev[k];
-        }
-        d = (int64_t)(acc - (uint64_t)z[i]);
-        out[i] = d > 0 ? d : 0;
-        q += r[i];
-    }
-    return q == m ? 0 : -1;
-}
-
-/* The counts of montecarlo.summarize_pool for a real pool, in one pass
-   over x: counts[0] is #{x == 0} and counts[1 + j] is #{x > t[j]}.  x is
-   read in blocks that stay in L1, and each block is compared with each
-   level in two-lane vectors (a comparison that holds is -1 in its lane).
-   An integer pool keeps numpy's passes: without SSE4.2 a 64-bit integer
-   comparison is not vectorised, and a scalar pass is no faster. */
+/* The counts of montecarlo.summarize_pool, in one pass over x: counts[0]
+   is #{x == 0} and counts[1 + j] is #{x > t[j]}.  x is read in blocks
+   that stay in L1, and each block is compared with each level in
+   two-lane vectors (a comparison that holds is -1 in its lane). */
 typedef double f64x2 __attribute__((vector_size(16)));
 typedef int64_t i64x2 __attribute__((vector_size(16)));
 
@@ -529,7 +500,7 @@ void drlab_counts(const double *x, int64_t n, const double *t, int64_t nt,
     }
 }
 
-/* np.mean and np.std of a float64 pool, bit for bit, without the pool-sized
+/* np.mean and np.std of a pool, bit for bit, without the pool-sized
    temporaries of np.std: mean = (0 + pw(x)) / n and
    sd = sqrt((0 + pw(d * d)) / n) with d = x - mean, as numpy's _var forms
    them, pw being numpy's pairwise_sum (pairwise() above) and 0 the

@@ -20,7 +20,7 @@ One ``Model`` type serves both families: a model's family is its Z law's,
 and a law's is its parameter type, on which ``model_step``,
 ``model_to_uv``, ``law_stats`` and ``model_free_energy`` dispatch here.
 ``cli._FAMILIES`` (each family's flags) and ``montecarlo._LEVEL0`` (each
-family's level-0 pool) key on the family too.
+family's level-0 pool, float64 in both) key on the family too.
 
 ``lf_step`` is deliberately the composition of the two elementary facts;
 the equivalent single-formula update is kept in the tests as an
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .curve import CriticalCurve, h_eval
 from .drivers import (ModelConstants, PsiFunction, ZSpecContinuous,
@@ -107,11 +105,6 @@ class Model:
     zspec: ZSpecDiscrete | ZSpecContinuous
     constants: ModelConstants
     psi: PsiFunction
-
-    @property
-    def dtype(self) -> type:
-        """The type of the family's samples."""
-        return np.int64 if self.zspec.integer else np.float64
 
 
 def make_lf_model(p: float, zspec: ZSpecDiscrete) -> Model:
@@ -208,11 +201,12 @@ def clf_tail(params: CLFParams, x: float) -> float:
 
 def law_stats(params: LFParams | CLFParams):
     """What a pool of the law ``params`` is checked on: (P(X > 0), the five
-    tails as (name, t, P), and the mean).  A tail is P(X >= t) on LF's
-    integers and P(X > t) on CLF's reals."""
+    tails as (name, t, P(X > t)), and the mean).  On LF's integers
+    P(X >= k) = P(X > k - 1), so its tail_ge_k row has t = k - 1."""
     if isinstance(params, LFParams):
         return (1.0 / (params.alpha + params.beta),
-                [(f"tail_ge_{k}", k, lf_tail(params, k)) for k in range(1, 6)],
+                [(f"tail_ge_{k}", k - 1, lf_tail(params, k))
+                 for k in range(1, 6)],
                 1.0 / params.alpha)
     ts = [k / params.lam for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
     return (params.rho, [(f"tail_gt_{t:g}", t, clf_tail(params, t))

@@ -14,13 +14,17 @@ block from its own counter-based stream keyed (seed, level, block index).
 A thread pool may process blocks concurrently; each block writes its own
 slice of the pool, so results are bit-identical for any worker count.
 
+Both families' pools hold float64 samples.  An LF pool's are whole
+numbers: below 2^53 their sums, the subtraction of an integer Z and the
+clamp are exact in any order, so it equals an integer pool value for value.
+
 numpy draws every random number of a block.  The resampling itself, the
 gather prev[idx], the segment sums, the subtraction of Z and the clamp,
 runs in one pass of ``_classify.c`` (built and loaded by ``recursion``);
 its float sums keep ``np.add.reduceat``'s association, so its pools are
 bit-identical to the numpy expression in :func:`_resample`, which is its
 oracle and runs without a compiler.  :func:`summarize_pool` counts the
-mass at zero and the tails of a real pool in one C pass the same way, and
+mass at zero and the tails of a pool in one C pass the same way, and
 takes its mean and sd in two more, equal to ``np.mean`` and ``np.std``.
 """
 
@@ -60,13 +64,16 @@ MIN_COMPARE_POOL = 10 ** 4  # the least pool compare_to_model reads
 
 @dataclass(frozen=True, eq=False)
 class SamplePool:
-    """One generation of samples; integer-valued in LF mode."""
+    """One generation of samples, stored as contiguous float64 (no copy of
+    a pool that already is); whole numbers in LF mode."""
 
     level: int
     samples: np.ndarray
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", np.ascontiguousarray(
+            self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError("a pool's samples must be a 1-d array")
         if len(self.samples) < MIN_POOL:
@@ -99,11 +106,11 @@ def _blocks(n: int):
         yield b, start, min(BLOCK_SIZE, n - start)
 
 
-def _fill_blocks(n: int, level: int, seed: int, fill_block, threads: int,
-                 dtype) -> np.ndarray:
+def _fill_blocks(n: int, level: int, seed: int, fill_block,
+                 threads: int) -> np.ndarray:
     """A pool of n samples, each block filled in place by
     fill_block(rng, out) with its own stream and its slice of the pool."""
-    out = np.empty(n, dtype=dtype)
+    out = np.empty(n)
 
     def job(task):
         b, start, size = task
@@ -143,7 +150,7 @@ def sample_lf(params: LFParams, rng: np.random.Generator,
     with np.errstate(divide="ignore"):
         k = np.where(w <= 1.0, 1 + np.floor(np.log(np.maximum(w, 1e-320))
                                             / math.log(lam)), 0.0)
-    return k.astype(np.int64)
+    return k
 
 
 def sample_clf(params: CLFParams, rng: np.random.Generator,
@@ -171,13 +178,13 @@ def _skip_doubles(rng: np.random.Generator, size: int) -> None:
 
 
 def _sample_z(z: ZSpecDiscrete | ZSpecContinuous, rng: np.random.Generator,
-              size: int, dtype) -> np.ndarray:
+              size: int) -> np.ndarray:
     vals, probs = z.values_probs()
     if len(vals) == 1:  # every draw is the atom, but the stream moves on
         _skip_doubles(rng, size)
-        return np.full(size, vals.astype(dtype)[0])
+        return np.full(size, vals[0])
     idx = np.searchsorted(np.cumsum(probs), rng.random(size), side="right")
-    return vals[np.minimum(idx, len(vals) - 1)].astype(dtype, copy=False)
+    return vals[np.minimum(idx, len(vals) - 1)]
 
 
 def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
@@ -186,12 +193,12 @@ def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
     holding the next r[i] >= 1 entries of idx.  One pass of the native
     kernel when the library loaded (``native``) and the arrays suit it,
     else numpy's gather and reduceat, the kernel's oracle."""
-    fn = native and native.resample.get(prev.dtype)
-    if (fn and z.dtype == out.dtype == prev.dtype
+    if (native and z.dtype == out.dtype == prev.dtype == np.float64
             and idx.dtype == r.dtype == np.int64
             and all(a.flags.c_contiguous for a in (prev, idx, r, z, out))):
-        if fn(prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
-              r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data):
+        if native.resample(prev.ctypes.data, len(prev), idx.ctypes.data,
+                           len(idx), r.ctypes.data, z.ctypes.data, len(r),
+                           out.ctypes.data):
             raise RuntimeError("the segments do not partition the index draw")
         return
     offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
@@ -203,47 +210,42 @@ def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
 # pools
 # ---------------------------------------------------------------------------
 
-def _level0_pool(sample, params, size: int, seed: int, threads: int,
-                 dtype) -> SamplePool:
+def _level0_pool(sample, params, size: int, seed: int,
+                 threads: int) -> SamplePool:
     def fill(rng, out):
         out[:] = sample(params, rng, len(out))
 
-    samples = _fill_blocks(size, 0, seed, fill, threads, dtype)
+    samples = _fill_blocks(size, 0, seed, fill, threads)
     return SamplePool(level=0, samples=samples, seed=seed)
 
 
 def pool_from_lf(params: LFParams, size: int, seed: int,
                  threads: int = 1) -> SamplePool:
     """Exact level-0 pool of LF samples."""
-    return _level0_pool(sample_lf, params, size, seed, threads, np.int64)
+    return _level0_pool(sample_lf, params, size, seed, threads)
 
 
 def pool_from_clf(params: CLFParams, size: int, seed: int,
                   threads: int = 1) -> SamplePool:
-    return _level0_pool(sample_clf, params, size, seed, threads, np.float64)
+    return _level0_pool(sample_clf, params, size, seed, threads)
 
 
 def mc_step(pool: SamplePool, model: Model, threads: int = 1) -> SamplePool:
     """One generation: per new sample draw R geometric(p) and Z, sum R
     uniform-with-replacement draws from the previous pool, subtract Z,
     clamp at zero."""
-    dtype = model.dtype
     prev = pool.samples
-    if prev.dtype != dtype:
-        raise ValueError(f"a pool of {prev.dtype} samples cannot step a "
-                         f"model of {np.dtype(dtype)} samples")
     n_prev = len(prev)
 
     native = recursion._native_lib()  # before the threads: it may build
 
     def fill(rng: np.random.Generator, out: np.ndarray) -> None:
         r = sample_geometric(model.p, rng, len(out))
-        z = _sample_z(model.zspec, rng, len(out), dtype)
+        z = _sample_z(model.zspec, rng, len(out))
         idx = rng.integers(0, n_prev, size=int(r.sum()))
         _resample(native, prev, idx, r, z, out)
 
-    samples = _fill_blocks(n_prev, pool.level + 1, pool.seed, fill, threads,
-                           dtype)
+    samples = _fill_blocks(n_prev, pool.level + 1, pool.seed, fill, threads)
     return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed)
 
 
@@ -272,28 +274,25 @@ class ComparisonReport:
 
 
 def _counts(x: np.ndarray, thresholds) -> list[int]:
-    """[#{x == 0}] + [#{x above t} for t in thresholds], above being >= on
-    an integer pool and > on a real one.  One pass of the native kernel for
-    a float64 pool, else one numpy pass per count."""
+    """[#{x == 0}] + [#{x > t} for t in thresholds].  One pass of the
+    native kernel, else one numpy pass per count, its oracle."""
     native = recursion._native_lib()
-    if native and x.dtype == np.float64 and x.flags.c_contiguous:
+    if native and x.flags.c_contiguous:
         ts = np.asarray(thresholds, dtype=np.float64)
         out = np.empty(len(ts) + 1, np.int64)
         native.counts(x.ctypes.data, len(x), ts.ctypes.data, len(ts),
                       out.ctypes.data)
         return out.tolist()
-    above = (np.greater_equal if np.issubdtype(x.dtype, np.integer)
-             else np.greater)
     return [np.count_nonzero(x == 0),
-            *(np.count_nonzero(above(x, t)) for t in thresholds)]
+            *(np.count_nonzero(x > t) for t in thresholds)]
 
 
 def _moments(x: np.ndarray) -> tuple[float, float]:
-    """(np.mean(x), np.std(x)), bit for bit.  One native call for a float64
-    pool, in numpy's pairwise order and without np.std's pool-sized
-    temporaries; numpy, their oracle, for any other pool."""
+    """(np.mean(x), np.std(x)), bit for bit.  One native call, in numpy's
+    pairwise order and without np.std's pool-sized temporaries; else
+    numpy, their oracle."""
     native = recursion._native_lib()
-    if native and x.dtype == np.float64 and x.flags.c_contiguous:
+    if native and x.flags.c_contiguous:
         out = np.empty(2)
         native.moments(x.ctypes.data, len(x), out.ctypes.data)
         return float(out[0]), float(out[1])
@@ -301,9 +300,7 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
 
 
 def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
-    """Empirical mass at zero, tails, mean and sd.  The tail convention
-    follows the pool's dtype: an integer (LF) pool counts P(X >= t), the
-    lattice convention, and a real (CLF) pool counts P(X > t)."""
+    """Empirical mass at zero, tails P(X > t), mean and sd."""
     x = pool.samples
     n = len(x)
     zero, *above = _counts(x, thresholds)

@@ -189,16 +189,15 @@ _CHUNK = 1 << 16  # bytes of CSV rows formatted per call
 class _Native(NamedTuple):
     """The entry points of ``_classify.c``: the two orbit loops, the
     driver on arrays, the curve march and the CSV rows, wrapped, and the
-    Monte Carlo kernels as ctypes functions, resampling keyed by the pool's
-    dtype (float64, int64), and counting and the mean and sd for float64
-    pools."""
+    Monte Carlo's resampling, counting and moments passes over float64
+    pools as ctypes functions."""
 
     classify: Callable
     stopping: Callable
     psi: Callable
     march: Callable
     write_rows: Callable
-    resample: dict
+    resample: Callable
     counts: Callable
     moments: Callable
 
@@ -237,9 +236,8 @@ def _load_native() -> _Native | None:
         classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
         psi_fn, march_fn, rows_fn = dll.drlab_psi, dll.drlab_march, \
             dll.drlab_rows
-        resample = {np.dtype(np.float64): dll.drlab_resample_f64,
-                    np.dtype(np.int64): dll.drlab_resample_i64}
-        counts, moments = dll.drlab_counts, dll.drlab_moments
+        resample, counts, moments = (dll.drlab_resample, dll.drlab_counts,
+                                     dll.drlab_moments)
     except (OSError, AttributeError):  # no library, or a symbol missing
         return None
     c_double, c_int64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
@@ -261,9 +259,9 @@ def _load_native() -> _Native | None:
     rows_fn.restype = c_int64
     rows_fn.argtypes = (ptr, ctypes.c_int, c_int64, ctypes.POINTER(c_int64),
                         ptr, c_int64)  # cols, n_cols, n_rows, row, buf, cap
-    for fn in resample.values():  # prev, n_prev, idx, m, r, z, n, out
-        fn.restype = ctypes.c_int
-        fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64, ptr)
+    resample.restype = ctypes.c_int
+    resample.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64,
+                         ptr)  # prev, n_prev, idx, m, r, z, n, out
     counts.restype = None
     counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
     moments.restype = None

@@ -208,7 +208,7 @@ def test_clf_commuting_square(clf_model):
 # ---------------------------------------------------------------------------
 
 def test_model_family_follows_the_z_law(lf_model, clf_model):
-    assert lf_model.dtype is np.int64 and clf_model.dtype is np.float64
+    assert lf_model.zspec.integer and not clf_model.zspec.integer
     assert type(lf_model) is type(clf_model)
 
 
@@ -224,7 +224,8 @@ def test_law_stats_of_each_family():
     lf = LFParams(0.8, 1.7)
     positive, tails, mean = law_stats(lf)
     assert abs(positive - (1.0 - lf_pmf(lf, 0))) < 1e-15
-    assert tails == [(f"tail_ge_{k}", k, lf_tail(lf, k)) for k in range(1, 6)]
+    assert tails == [(f"tail_ge_{k}", k - 1, lf_tail(lf, k))
+                     for k in range(1, 6)]
     assert mean == 1.0 / 0.8
     clf = CLFParams(2.0, 0.5)
     positive, tails, mean = law_stats(clf)

@@ -11,7 +11,8 @@ from test_models import lf_pmf
 
 from drlab import montecarlo, recursion
 from drlab.cli import main as cli_main
-from drlab.models import CLFParams, LFParams, clf_step, clf_tail, lf_step
+from drlab.models import (CLFParams, LFParams, clf_step, clf_tail, law_stats,
+                          lf_step)
 from drlab.montecarlo import (SamplePool, block_rng, compare_to_model,
                               mc_step, pool_from_clf, pool_from_lf,
                               run_validation, sample_clf, sample_geometric,
@@ -155,13 +156,28 @@ def test_pool_validation():
             SamplePool(level=0, samples=samples, seed=0)
 
 
-def test_tail_convention_follows_the_pool_dtype():
-    # the same values: an integer pool counts X >= t, a real one X > t
-    values = np.repeat([0, 1, 2, 3], 500)
-    tails = [summarize_pool(SamplePool(level=0, samples=values.astype(dtype),
-                                       seed=0), [1, 2]).tail_probs
-             for dtype in (np.int64, np.float64)]
-    assert tails == [((1.0, 0.75), (2.0, 0.5)), ((1.0, 0.5), (2.0, 0.25))]
+def test_pool_keeps_a_float64_array_without_copying():
+    # the 32 MB pools of a validation must not be copied on the way in
+    x = np.zeros(2000)
+    assert SamplePool(level=0, samples=x, seed=0).samples is x
+    ints = SamplePool(level=0, samples=np.arange(2000), seed=0).samples
+    assert ints.dtype == np.float64 and ints.flags.c_contiguous
+    assert np.array_equal(ints, np.arange(2000))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+def test_lf_tail_ge_k_counts_x_above_k_minus_1(monkeypatch, native):
+    # on the integers P(X >= k) = P(X > k - 1): law_stats gives LF's
+    # tail_ge_k row the threshold k - 1, and a pool counts X > t
+    if not native:
+        monkeypatch.setattr(recursion, "_native", False)
+    _, tails, _ = law_stats(LFParams(0.6, 0.9))
+    ts = [t for _, t, _ in tails]
+    assert ts == [0, 1, 2, 3, 4]
+    pool = SamplePool(level=0, samples=np.repeat([0.0, 1.0, 2.0, 3.0], 500),
+                      seed=0)
+    assert summarize_pool(pool, ts).tail_probs == (
+        (0.0, 0.75), (1.0, 0.5), (2.0, 0.25), (3.0, 0.0), (4.0, 0.0))
 
 
 def test_zero_pool_is_absorbing(lf_model):
@@ -172,16 +188,16 @@ def test_zero_pool_is_absorbing(lf_model):
     assert out.level == 1
 
 
-def test_mc_step_refuses_a_pool_of_the_other_family(lf_model, clf_model):
-    # the pool's sample type must be the model's: resampling an integer
-    # pool under a CLF model, or a real pool under an LF one, mixes families
-    ints = SamplePool(level=0, samples=np.ones(2000, dtype=np.int64), seed=1)
-    reals = SamplePool(level=0, samples=np.ones(2000), seed=1)
-    for pool, model in ((ints, clf_model), (reals, lf_model)):
-        with pytest.raises(ValueError, match="pool of"):
-            mc_step(pool, model)
-    assert mc_step(ints, lf_model).samples.dtype == np.int64
-    assert mc_step(reals, clf_model).samples.dtype == np.float64
+def test_lf_pools_are_whole_numbered_float64(lf_model):
+    # one sample type for both families: an LF pool holds whole numbers,
+    # which its sums, its Z and its clamp keep exact
+    pool = pool_from_lf(LFParams(0.6, 0.9), N_MED, seed=16)
+    for level in range(3):
+        x = pool.samples
+        assert pool.level == level and x.dtype == np.float64
+        assert np.array_equal(x, np.floor(x)) and np.all(x >= 0)
+        assert 0 < np.count_nonzero(x) < len(x)
+        pool = mc_step(pool, lf_model)
 
 
 def test_mc_step_one_level_matches_closed_form(lf_model):
@@ -192,7 +208,7 @@ def test_mc_step_one_level_matches_closed_form(lf_model):
     tol = 4.0 / math.sqrt(N_BIG)
     mass = float(np.mean(stepped.samples == 0))
     assert abs(mass - (1.0 - 1.0 / (predicted.alpha + predicted.beta))) <= tol
-    assert stepped.samples.dtype == np.int64
+    assert stepped.samples.dtype == np.float64
     assert np.all(stepped.samples >= 0)
 
 
@@ -276,8 +292,8 @@ needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
 
 def _kernel(prev, idx, r, z):
     """The native resampling pass, called directly."""
-    out = np.empty(len(r), prev.dtype)
-    code = recursion._native_lib().resample[prev.dtype](
+    out = np.empty(len(r))
+    code = recursion._native_lib().resample(
         prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
         r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data)
     return code, out
@@ -295,23 +311,19 @@ def _segments(g):
 
 
 @needs_gcc
-@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("dtype", [np.float64])
 def test_resampling_kernel_matches_reduceat(dtype):
     g = np.random.default_rng(11)
     r = _segments(g)
     n_prev = 5000
-    if dtype is np.float64:
-        # magnitudes 1e-8..1e8 of both signs: any other association of the
-        # sums shows in the last bits
-        prev = g.standard_normal(n_prev) * 10.0 ** g.integers(-8, 9, n_prev)
-        z = g.standard_normal(len(r)) * 10.0
-    else:  # sums that wrap around int64
-        prev = g.integers(-2 ** 63, 2 ** 63 - 1, n_prev)
-        z = g.integers(-2 ** 63, 2 ** 63 - 1, len(r))
+    # magnitudes 1e-8..1e8 of both signs: any other association of the
+    # sums shows in the last bits
+    prev = g.standard_normal(n_prev) * 10.0 ** g.integers(-8, 9, n_prev)
+    z = g.standard_normal(len(r)) * 10.0
     idx = g.integers(0, n_prev, int(r.sum()))
     code, got = _kernel(prev, idx, r, z)
     want = _reduceat_oracle(prev, idx, r, z)
-    assert code == 0 and got.dtype == want.dtype
+    assert code == 0 and got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
     assert 0 < np.count_nonzero(want == 0) < len(r)  # the clamp is exercised
 

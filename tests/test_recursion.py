@@ -855,7 +855,7 @@ def test_stopping_pass_ends_once_below_the_curve():
 
 
 def _mc_pools(lf_model, clf_model):
-    """One Monte Carlo step and summary of each pool dtype."""
+    """One Monte Carlo step and summary of each family's pool."""
     out = []
     for pool, model in ((pool_from_lf(LFParams(0.6, 0.9), 20000, 3), lf_model),
                         (pool_from_clf(CLFParams(2.0, 0.5), 20000, 3),
@@ -882,13 +882,17 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
     lib = recursion._native
     monkeypatch.setattr(recursion, "_native", lib._replace(
         psi=spy("psi", lib.psi), march=spy("march", lib.march),
-        resample={dt: spy(dt, fn) for dt, fn in lib.resample.items()},
-        counts=spy("counts", lib.counts)))
+        resample=spy("resample", lib.resample),
+        counts=spy("counts", lib.counts), moments=spy("moments", lib.moments)))
     solve_curve(KERNEL_DRIVERS["clf:p=0.5,z=1"], 0.5, 100)
     assert calls == {"psi", "march"}
-    _mc_pools(lf_model, clf_model)
-    assert calls == {"psi", "march", np.dtype(np.int64), np.dtype(np.float64),
-                     "counts"}
+    # one sample type: each family's pool runs all three Monte Carlo kernels
+    for pool, model in ((pool_from_lf(LFParams(0.6, 0.9), 20000, 3), lf_model),
+                        (pool_from_clf(CLFParams(2.0, 0.5), 20000, 3),
+                         clf_model)):
+        calls.clear()
+        summarize_pool(mc_step(pool, model), [1, 2])
+        assert calls == {"resample", "counts", "moments"}
 
 
 @pytest.mark.parametrize("name,value", [("_CC", "no-such-c-compiler"),

@@ -220,11 +220,16 @@ def _cmd_model_orbit(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     rows = []
-    for n in range(args.steps + 1):
-        positive, _, _ = law_stats(params)
-        rows.append((n, *dataclasses.astuple(params),
-                     *model_to_uv(params, model), positive))
-        params = model_step(params, model)
+    try:
+        for n in range(args.steps + 1):
+            if n:
+                params = model_step(params, model)
+            positive, _, _ = law_stats(params)
+            rows.append((n, *dataclasses.astuple(params),
+                         *model_to_uv(params, model), positive))
+    except (ValueError, ArithmeticError):  # a parameter under- or overflowed
+        if all(math.isfinite(u) and math.isfinite(v) for *_, u, v, _ in rows):
+            raise  # else the orbit ends at the failure
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         write_table(fh, header, list(zip(*rows)))

@@ -299,6 +299,38 @@ def test_a_non_finite_model_orbit_exits_1(tmp_path, capsys):
                 "--out", str(tmp_path / "lf.csv")]) == 0
 
 
+@pytest.mark.parametrize("args,step,rows", [
+    (["lf", "--alpha", "1e-300", "--beta", "1"], 28, 78),
+    (["clf", "--lam", "1e-300", "--rho", "0.5"], 29, 80),
+    (["clf", "--lam", "5e-324", "--rho", "0.5"], 0, 1)],
+    ids=["lf-alpha-1e-300", "clf-lam-1e-300", "clf-lam-5e-324"])
+def test_an_overflowing_model_orbit_keeps_its_rows(tmp_path, capsys, args,
+                                                   step, rows):
+    # alpha (lf) or lambda (clf) shrinks along the orbit until a map of the
+    # parameters fails (p alpha rounds to 0; lambda to 0): the orbit ends
+    # there, its rows are written, and the first non-finite one is named
+    path = tmp_path / "orbit.csv"
+    assert run([*args, "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {args[0]} orbit: u=")
+    assert err.endswith(f", v=inf at step {step}\n")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + rows
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(rows))
+
+
+def test_a_failed_model_step_before_any_non_finite_row_is_an_error(
+        monkeypatch, capsys):
+    import drlab.cli
+
+    def fail(params, model):
+        raise ValueError("a broken step")
+
+    monkeypatch.setattr(drlab.cli, "model_step", fail)
+    assert run(["lf", "--alpha", "0.6", "--beta", "0.9"]) == 2
+    assert capsys.readouterr() == ("", "error: a broken step\n")
+
+
 @pytest.mark.parametrize("size", [0, 1000, 9999])
 def test_mc_validate_refuses_a_small_pool_before_drawing(size, monkeypatch,
                                                          capsys):

@@ -97,10 +97,6 @@ class CurveGrid:
         self.xs.setflags(write=False)
         self.g.setflags(write=False)
 
-    @property
-    def spacing(self) -> float:
-        return self.A / (len(self.xs) - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class CriticalCurve:
@@ -117,13 +113,6 @@ class CriticalCurve:
     @property
     def xs(self) -> np.ndarray:
         return self.grid.xs
-
-    @property
-    def nontrivial(self) -> bool:
-        """True when h is strictly positive at the left end; the zero
-        function solves the functional equation but is not the critical
-        curve."""
-        return float(self.h_values[0]) > 0.0
 
 
 def _check_domain(psi: PsiFunction, A: float) -> None:
@@ -405,7 +394,7 @@ def read_curve_csv(lines: Iterable[str]) -> CriticalCurve:
 
     Raises ValueError unless the file holds at least 2 rows of finite x and
     h, with x rising uniformly (to 1e-6 of the spacing) to 0: the grid that
-    :func:`h_eval` and :attr:`CurveGrid.spacing` assume.
+    :func:`h_eval` assumes.
     """
     it = iter(lines)
     header = next(it, "").strip()

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import ctypes
 import enum
-import itertools
 import math
 import os
 import zlib
@@ -90,7 +89,6 @@ __all__ = [
     "StoppingRecord",
     "FreeEnergyEstimate",
     "initial_state",
-    "step",
     "orbit",
     "classify_detail",
     "free_energy",
@@ -153,12 +151,6 @@ def _orbit(start: OrbitState, psi: PsiFunction
     # u == 0 exactly: absorbing, psi is no longer consulted
     while True:
         yield 0.0, v, -_INF, -_INF
-
-
-def step(state: OrbitState, psi: PsiFunction) -> OrbitState:
-    """Advance one step; a true zero of u is absorbing."""
-    _, (u, v, log_u, _) = itertools.islice(_orbit(state, psi), 2)
-    return OrbitState(state.n + 1, u, v, log_u)
 
 
 def _check_steps(name: str, n: int) -> None:

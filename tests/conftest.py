@@ -1,9 +1,18 @@
+import itertools
+
 import pytest
 
 from drlab.curve import curve_from_h, solve_curve
 from drlab.drivers import (ZSpecContinuous, ZSpecDiscrete, make_affine_psi,
                            make_fig1_clamped_psi, make_fig1_psi)
 from drlab.models import make_clf_model, make_lf_model
+from drlab.recursion import OrbitState, _orbit
+
+
+def step(state: OrbitState, psi) -> OrbitState:
+    """Advance one step of the recursion; a true zero of u is absorbing."""
+    _, (u, v, log_u, _) = itertools.islice(_orbit(state, psi), 2)
+    return OrbitState(state.n + 1, u, v, log_u)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from drlab.lab import (PI_OVER_SQRT2, c_star_estimate, c_v_estimate,
 from drlab.models import (CLFParams, LFParams, clf_step, clf_to_uv, lf_step,
                           lf_to_uv)
 from drlab.montecarlo import compare_to_model, mc_step, pool_from_clf, pool_from_lf
-from drlab.recursion import initial_state, orbit, step
+from drlab.recursion import initial_state, orbit
+from conftest import step
 from test_curve import validate_grid
 from test_models import critical_lf_stats
 

@@ -13,7 +13,8 @@ from drlab.models import (CLFParams, LFParams, clf_geometric_sum, clf_step,
                           lf_step, lf_subtract, lf_tail, lf_to_uv,
                           make_lf_model, model_free_energy, model_step,
                           model_to_uv, rho_star)
-from drlab.recursion import PhaseLabel, initial_state, step
+from drlab.recursion import PhaseLabel, initial_state
+from conftest import step
 
 
 def lf_pmf(params: LFParams, k: int) -> float:

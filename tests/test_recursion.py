@@ -20,8 +20,9 @@ from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
                               summarize_pool)
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
                              classify_detail, free_energy,
-                             initial_state, log_f_one_zero, orbit, step,
+                             initial_state, log_f_one_zero, orbit,
                              stopping_times, write_orbit_csv)
+from conftest import step
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -864,6 +865,23 @@ def _mc_pools(lf_model, clf_model):
         pool = mc_step(pool, model)
         out.append((pool.samples.tobytes(), summarize_pool(pool, [1, 2])))
     return out
+
+
+def test_every_c_entry_point_is_bound_by_the_loader():
+    # read as text, so that no compiler is needed: each exported drlab_*
+    # function of _classify.c is bound by name in _load_native, and each
+    # name bound there is defined, so no dead C entry point can stay
+    here = os.path.dirname(recursion.__file__)
+    with open(os.path.join(here, "_classify.c")) as fh:
+        c_source = fh.read()
+    with open(os.path.join(here, "recursion.py")) as fh:
+        py_source = fh.read()
+    defined = set(re.findall(r"^(?!static\b)\w[\w \t*]*\b(drlab_\w+)\s*\(",
+                             c_source, re.M))
+    loader = py_source.split("\ndef _load_native(")[1].split("\ndef ")[0]
+    bound = set(re.findall(r"\bdll\.(drlab_\w+)", loader))
+    assert defined == bound
+    assert {"drlab_classify", "drlab_resample", "drlab_moments"} <= bound
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")

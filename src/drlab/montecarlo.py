@@ -274,8 +274,9 @@ class ComparisonReport:
 
 
 def _counts(x: np.ndarray, thresholds) -> list[int]:
-    """[#{x == 0}] + [#{x > t} for t in thresholds].  One pass of the
-    native kernel, else one numpy pass per count, its oracle."""
+    """[#{x == 0}] + [#{x > t} for t in thresholds] over a pool's float64
+    samples.  One pass of the native kernel, else one numpy pass per
+    count, its oracle."""
     native = recursion._native_lib()
     if native and x.flags.c_contiguous:
         ts = np.asarray(thresholds, dtype=np.float64)

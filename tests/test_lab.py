@@ -1,5 +1,6 @@
 import functools
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -666,6 +667,46 @@ def test_escape_law_search_never_costs_more_than_bisection(spec, v0,
     verdicts.clear()
     refined_h(psi, cur, v0, 1e-10)
     assert sum(n for _, _, n in verdicts) <= 1.1 * old
+
+
+# refined_h over ROADMAP item 4's 32 starts, each solved at m = 1000:
+# (spec, v0, h at tol 1e-9, h at tol 1e-11), captured from the sequential
+# probes that decided one start per classifier call
+REFINED_H_PINS = (
+    ('fig1', -0.4, 0.08000000001447494, 0.08000000000001742),
+    ('fig1', -0.3, 0.04500000001513565, 0.04500000000001714),
+    ('fig1', -0.1, 0.005000000030887175, 0.005000000000035977),
+    ('fig1', -0.01, 5.00000490369805e-05, 5.000000026298039e-05),
+    ('lf:p=0.5,z=1', -0.4, 0.09530354609893643, 0.09530354607400346),
+    ('lf:p=0.5,z=1', -0.3, 0.05180626966864939, 0.05180626964526014),
+    ('lf:p=0.5,z=1', -0.1, 0.005255070178081091, 0.0052550701415974635),
+    ('lf:p=0.5,z=1', -0.01, 5.025066506938292e-05, 5.025061567904594e-05),
+    ('lf:p=0.4,z=1@0.5+2@0.5', -0.4, 0.08598847959504895, 0.0859884795741315),
+    ('lf:p=0.4,z=1@0.5+2@0.5', -0.3, 0.047863100108641136,
+     0.047863100088403485),
+    ('lf:p=0.4,z=1@0.5+2@0.5', -0.1, 0.0051224018846726905,
+     0.005122401850108243),
+    ('lf:p=0.4,z=1@0.5+2@0.5', -0.01, 5.012662032792306e-05,
+     5.012657135522286e-05),
+    ('clf:p=0.5,z=1', -0.4, 0.09282446353073846, 0.0928244635059765),
+    ('clf:p=0.5,z=1', -0.3, 0.050885326672188175, 0.05088532664776314),
+    ('clf:p=0.5,z=1', -0.1, 0.005231614194157834, 0.0052316141546538495),
+    ('clf:p=0.5,z=1', -0.01, 5.0231167867476674e-05, 5.023111851541287e-05),
+)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@pytest.mark.parametrize("spec", SEED_SPECS)
+def test_refined_h_is_pinned_over_the_seed_starts(spec):
+    # native only: the 32 searches take about 4.2e7 steps
+    from drlab.curve import solve_curve
+    from drlab.drivers import driver_from_spec
+    psi = driver_from_spec(spec)[0]
+    cur = solve_curve(psi, 0.5, 1000)
+    pins = [pin for pin in REFINED_H_PINS if pin[0] == spec]
+    got = [(spec, v0, refined_h(psi, cur, v0, 1e-9),
+            refined_h(psi, cur, v0, 1e-11)) for _, v0, _, _ in pins]
+    assert repr(got) == repr(pins)
 
 
 # ---------------------------------------------------------------------------

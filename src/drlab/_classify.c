@@ -4,8 +4,10 @@
    an LF pool holds whole numbers), the resampling and the moments summing
    through one pairwise() in numpy's order.
 
-   drlab_classify walks one orbit the way recursion.classify_detail walks
-   recursion._orbit, drlab_stopping the way recursion.stopping_times does,
+   drlab_classify, the lockstep entry point of recursion.classify_many,
+   walks several orbits of one driver side by side, each the way
+   recursion.classify_detail walks recursion._orbit (classify_detail is
+   its one-orbit call), drlab_stopping the way recursion.stopping_times does,
    drlab_psi evaluates a driver on an array, and drlab_march solves the
    curve the way curve._march's Python loop does.  All four evaluate the
    driver the way drivers.py does, one floating-point operation for
@@ -136,10 +138,16 @@ static int certified(const driver *d, int64_t n, double u, double v,
                    && u <= 0.25 * (w - v) * (1.0 - psi(d, w))));
 }
 
-/* state holds (u, v, log u) on entry and the final state on return, *n the
-   final index.  On DOMAIN_ERROR state[1] is the point outside the domain.
+/* The classifier of recursion.classify_many: count orbits of one driver
+   stepped in lockstep, each dropped as soon as it is decided, so that a
+   longer orbit runs on alone.  Start i's (u, v, log u) is state[3i..3i+2]
+   on entry and its final state on return, n[i] its final index and
+   labels[i] its result; on DOMAIN_ERROR state[3i+1] is the point outside
+   the domain.  Each orbit steps through step() and certified() as a lone
+   one would, so its result is the same bits at any count; two orbits in
+   one loop overlap their latency-bound steps.
 
-   With sum_log 0 the loop calls no log(w): state[2] then stays log u0, or
+   With sum_log 0 the loop calls no log(w): log u then stays log u0, or
    becomes -inf where psi vanishes, and is not the final log u.  The
    verdict, n, u and v are the same bits either way.  The loop reads log u
    only in its tests log_u > -inf and log_u == -inf.  The summed log u is
@@ -149,44 +157,38 @@ static int certified(const driver *d, int64_t n, double u, double v,
    way only after about 1e305 steps.  (A u that underflows to 0 while
    every w > 0 leaves both logs finite.)  So only the classify command,
    which prints the final log u, asks for the sum. */
-int drlab_classify(int kind, const double *params, int n_atoms,
-                   double domain_min, double domain_max, double w_inf,
-                   double v_stop, int64_t max_iter, double *state,
-                   int64_t *n, int sum_log)
+void drlab_classify(int kind, const double *params, int n_atoms,
+                    double domain_min, double domain_max, double w_inf,
+                    double v_stop, int64_t max_iter, double *state,
+                    int64_t *n, int sum_log, int64_t count, int *labels)
 {
     const driver d = {kind, n_atoms, params, domain_min, domain_max, w_inf,
                       v_stop};
-    double u = state[0], v = state[1], log_u = state[2];
-    int64_t k;
-    int label;
+    int64_t i, k, live = count;
+    double *s;
 
-    for (k = 0;; k++) {
-        if (k > max_iter) {
-            label = UNDETERMINED;
-            break;
+    for (i = 0; i < count; i++)
+        labels[i] = -1;
+    for (k = 0; live > 0; k++)
+        for (i = 0; i < count; i++) {
+            if (labels[i] >= 0) /* decided */
+                continue;
+            s = state + 3 * i; /* u, v, log u */
+            if (k > max_iter)
+                labels[i] = UNDETERMINED;
+            else if (s[1] > 0.0 && s[2] > -INFINITY)
+                labels[i] = SUPERCRITICAL;
+            else if (certified(&d, k, s[0], s[1], 0.5 * s[1]))
+                labels[i] = SUBCRITICAL;
+            else if (s[2] == -INFINITY)
+                labels[i] = UNDETERMINED;
+            else if (step(&d, s, s + 1, s + 2, k == 0, sum_log))
+                labels[i] = DOMAIN_ERROR;
+            else
+                continue;
+            n[i] = k;
+            live--;
         }
-        if (v > 0.0 && log_u > -INFINITY) {
-            label = SUPERCRITICAL;
-            break;
-        }
-        if (certified(&d, k, u, v, 0.5 * v)) {
-            label = SUBCRITICAL;
-            break;
-        }
-        if (log_u == -INFINITY) {
-            label = UNDETERMINED;
-            break;
-        }
-        if (step(&d, &u, &v, &log_u, k == 0, sum_log)) {
-            state[1] = v;
-            return DOMAIN_ERROR;
-        }
-    }
-    state[0] = u;
-    state[1] = v;
-    state[2] = log_u;
-    *n = k;
-    return label;
 }
 
 /* The hitting indices of recursion.stopping_times over states 0..max_iter,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from .curve import CriticalCurve, h_eval
 from .drivers import (ModelConstants, PsiFunction, ZSpecContinuous,
                       ZSpecDiscrete, make_clf_psi, make_lf_psi)
-from .recursion import (FreeEnergyEstimate, PhaseLabel, classify_detail,
+from .recursion import (FreeEnergyEstimate, PhaseLabel, classify_many,
                         free_energy)
 
 __all__ = [
@@ -268,7 +268,8 @@ def _threshold(model: Model, a: float, cap: float, v_seed: float,
     whose scales run up to ``cap``.  It exists when h(v_seed) < u_unit cap,
     the admissibility bound; otherwise the family's free energy is
     identically zero.  A positive value is checked by classifying the
-    starts 1.1 and 1/1.1 times as far up."""
+    starts 1.1 and 1/1.1 times as far up, both in one call, each with a
+    budget of 10^6 steps."""
     c = model.constants
     p = model.p
     h_seed = h_eval(curve, v_seed)
@@ -281,8 +282,9 @@ def _threshold(model: Model, a: float, cap: float, v_seed: float,
     value = p * a * h_seed / (c.slope * (1.0 - p))
     up = low = None
     if value > 0.0:
-        up = classify_detail(u_unit * 1.1 * value, v_seed, model.psi)[0]
-        low = classify_detail(u_unit * value / 1.1, v_seed, model.psi)[0]
+        (up, _), (low, _) = classify_many(
+            [u_unit * 1.1 * value, u_unit * value / 1.1], v_seed, model.psi,
+            max_iter=10 ** 6)
     return ThresholdReport(value=value, hyp_ok=True, v_seed=v_seed,
                            h_at_seed=h_seed, message="ok",
                            straddle_upper=up, straddle_lower=low)

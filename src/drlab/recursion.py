@@ -23,9 +23,14 @@ kernel's order of operations, so their results are bit-identical; fast-math
 is barred because fused multiply-adds change the last bits.  The step adds
 log(w) to log u only where log u is read: in the stopping pass, and in the
 classifier only when a caller of :func:`classify_detail` asks for its final
-log u, as ``drlab classify`` does (no verdict reads it).  Without a compiler
-or a writable cache, and for every other driver, :func:`_orbit` runs, as the
-C loops' oracle.  The same library evaluates the built-in drivers on arrays
+log u, as ``drlab classify`` does (no verdict reads it).  The classifier's
+one C loop, ``drlab_classify``, is a lockstep entry point: it steps several
+starts of one driver side by side and drops each once it is decided, so
+that the latency-bound steps of two orbits overlap.  :func:`classify_many`
+hands it a list of starts; :func:`classify_detail` is its one-start call,
+and no start's verdict depends on the others.  Without a compiler or a
+writable cache, and for every other driver, :func:`_orbit` runs, as the C
+loops' oracle.  The same library evaluates the built-in drivers on arrays
 (see ``drivers``), with the mapped scalar function as fallback and oracle,
 marches the critical curve (see ``curve._march``), with the Python loop as
 fallback and oracle, formats the rows of every float table (the curve, orbit
@@ -91,6 +96,7 @@ __all__ = [
     "initial_state",
     "orbit",
     "classify_detail",
+    "classify_many",
     "free_energy",
     "log_f_one_zero",
     "stopping_times",
@@ -236,11 +242,12 @@ def _load_native() -> _Native | None:
     # the driver, max_iter and the state, then each loop's own arguments
     head = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int, c_double,
             c_double, c_double, c_double, c_int64, ctypes.POINTER(c_double))
-    classify_fn.argtypes = (*head, ctypes.POINTER(c_int64), ctypes.c_int)
+    classify_fn.restype = None
+    classify_fn.argtypes = (*head, ctypes.POINTER(c_int64), ctypes.c_int,
+                            c_int64, ctypes.POINTER(ctypes.c_int))
+    stopping_fn.restype = ctypes.c_int
     stopping_fn.argtypes = (*head, c_double, c_double,
                             ctypes.POINTER(c_int64))
-    for fn in (classify_fn, stopping_fn):
-        fn.restype = ctypes.c_int
     psi_fn.restype = None
     psi_fn.argtypes = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int,
                        ptr, ptr, c_int64)  # xs, out, n
@@ -263,22 +270,27 @@ def _load_native() -> _Native | None:
         kind, params, n_atoms = native
         return kind, (c_double * len(params))(*params), n_atoms
 
-    def call(fn, psi, start, max_iter, *args):
-        state = (c_double * 3)(start.u, start.v, start.log_u)
+    def call(fn, psi, starts, max_iter, *args):
+        state = (c_double * (3 * len(starts)))(
+            *(x for s in starts for x in (s.u, s.v, s.log_u)))
         code = fn(*described(psi.fn.native),
                   psi.domain_min, psi.domain_max, psi.psi_inf,
                   V_STOP if psi.bounded else _INF, max_iter, state, *args)
         return code, state
 
-    def classify(psi, start, max_iter, sum_log):
-        n = c_int64()
-        code, state = call(classify_fn, psi, start, max_iter, ctypes.byref(n),
-                           sum_log)
-        return code, OrbitState(n.value, *state)
+    def classify(psi, starts, max_iter, sum_log):
+        """(code, final state) per start; log u is nan unless summed."""
+        count = len(starts)
+        ns, codes = (c_int64 * count)(), (ctypes.c_int * count)()
+        _, state = call(classify_fn, psi, starts, max_iter, ns, sum_log,
+                        count, codes)
+        return [(code, OrbitState(n, state[3 * i], state[3 * i + 1],
+                                  state[3 * i + 2] if sum_log else math.nan))
+                for i, (code, n) in enumerate(zip(codes, ns))]
 
     def stopping(psi, start, max_iter, a_eps, delta):
         hits = (c_int64 * 6)()
-        code, state = call(stopping_fn, psi, start, max_iter, a_eps, delta,
+        code, state = call(stopping_fn, psi, [start], max_iter, a_eps, delta,
                            hits)
         return code, state[0], [None if h < 0 else h for h in hits]
 
@@ -362,16 +374,16 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
     The state's log_u is nan unless the caller passes ``_log_u=True``:
     only then does the C loop sum log u, one log per step
-    (``_classify.c`` shows that no verdict moves).
+    (``_classify.c`` shows that no verdict moves).  The C call is
+    :func:`classify_many`'s lockstep loop at one start.
     """
     _check_steps("max_iter", max_iter)
     start = initial_state(u0, v0)
     native = _native_loops(psi, max_iter)
     if native is not None:
-        code, last = native.classify(psi, start, max_iter, _log_u)
+        [(code, last)] = native.classify(psi, [start], max_iter, _log_u)
         if code != _DOMAIN_ERROR:  # else the Python kernel raises it
-            return _LABELS[code], (last if _log_u else OrbitState(
-                last.n, last.u, last.v, math.nan))
+            return _LABELS[code], last
     fn = psi.fn
     for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
         if n > max_iter:
@@ -386,6 +398,26 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
         else:
             continue
         return label, OrbitState(n, u, v, log_u if _log_u else math.nan)
+
+
+def classify_many(starts: Sequence[float], v0: float, psi: PsiFunction, *,
+                  max_iter: int) -> list[tuple[PhaseLabel, OrbitState]]:
+    """One :func:`classify_detail` verdict per start u0 at the common v0,
+    each equal by repr to ``classify_detail(u0, v0, psi,
+    max_iter=max_iter)``.  Built-in drivers step all the starts in one
+    call of ``_classify.c``'s lockstep loop, which drops each orbit once it
+    is decided; there two latency-bound orbits cost little more than the
+    longer one alone.  Without the library every start goes through
+    :func:`classify_detail`, and so does a start that leaves the domain,
+    which then raises the same error."""
+    _check_steps("max_iter", max_iter)
+    states = [initial_state(u0, v0) for u0 in starts]
+    native = _native_loops(psi, max_iter)
+    results = (native.classify(psi, states, max_iter, False) if native
+               else [(_DOMAIN_ERROR, None)] * len(states))
+    return [classify_detail(u0, v0, psi, max_iter=max_iter)
+            if code == _DOMAIN_ERROR else (_LABELS[code], last)
+            for u0, (code, last) in zip(starts, results)]
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,9 @@ def test_lab_uncertified_refined_seed_exit_1(monkeypatch, tmp_path, capsys):
     from drlab.recursion import PhaseLabel
     monkeypatch.setattr(drlab.lab, "classify_detail",
                         lambda *args, **kwargs: (PhaseLabel.UNDETERMINED, None))
+    monkeypatch.setattr(drlab.lab, "classify_many",
+                        lambda us, *args, **kwargs:
+                        [(PhaseLabel.UNDETERMINED, None)] * len(us))
     code = run(["lab", "c-v", "--driver", "lf:p=0.5,z=1", "--v0", "-0.3",
                 "--eps", "1e-5", "--m", "200", "--refine-seed-tol", "1e-9",
                 "--out", str(tmp_path / "cv")])

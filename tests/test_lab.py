@@ -83,10 +83,10 @@ def test_seed_check_budget_follows_the_escape_law(fig1, monkeypatch, eps_min,
     # seed unresolved
     budgets = []
 
-    def undetermined(u, v, psi, *, max_iter):
-        budgets.append(max_iter)
-        return PhaseLabel.UNDETERMINED, None
-    monkeypatch.setattr(lab, "classify_detail", undetermined)
+    def undetermined(us, v, psi, *, max_iter):
+        budgets.extend(max_iter for _ in us)
+        return [(PhaseLabel.UNDETERMINED, None) for _ in us]
+    monkeypatch.setattr(lab, "classify_many", undetermined)
     assert lab._seed_unresolved(fig1, Seed(-0.3, 0.045), eps_min)
     assert budgets == [budget, budget]
 
@@ -97,6 +97,7 @@ def test_refined_seed_is_unresolved_by_its_tol_alone(fig1, monkeypatch, tol,
                                                      unresolved):
     # the bracket is within tol / 2 of h: compared with eps / 10, no orbit
     monkeypatch.setattr(lab, "classify_detail", None)
+    monkeypatch.setattr(lab, "classify_many", None)
     seed = Seed(-0.3, 0.045, refine_tol=tol)
     assert lab._seed_unresolved(fig1, seed, 1e-5) is unresolved
 
@@ -592,7 +593,7 @@ def verdicts(monkeypatch):
     import drlab.curve
     import drlab.lab
     import drlab.recursion
-    from drlab.recursion import classify_detail
+    from drlab.recursion import classify_detail, classify_many
     seen = []
 
     def counted(u0, v0, psi, **kwargs):
@@ -600,8 +601,16 @@ def verdicts(monkeypatch):
         seen.append((u0, label, last.n))
         return label, last
 
+    def counted_many(us, v0, psi, **kwargs):
+        # one lockstep call decides several starts: each is counted
+        verdicts = classify_many(us, v0, psi, **kwargs)
+        seen.extend((u0, label, last.n)
+                    for u0, (label, last) in zip(us, verdicts))
+        return verdicts
+
     for module in (drlab.recursion, drlab.curve, drlab.lab):
         monkeypatch.setattr(module, "classify_detail", counted)
+    monkeypatch.setattr(drlab.lab, "classify_many", counted_many)
     return seen
 
 
@@ -628,14 +637,19 @@ def _bisection_seed(psi, curve, v0, tol):
 def test_refined_h_certifies_tol_1e_13(lf_model, lf_curve, monkeypatch):
     # each classification gets 4 * 2/sqrt(tol/2) steps, enough to decide a
     # start tol/2 from h; a fixed 3*10^6 decided too few to certify
-    from drlab.recursion import classify_detail
+    from drlab.recursion import classify_detail, classify_many
     coarse = refined_h(lf_model.psi, lf_curve, -0.3, 1e-11)
     budgets = []
 
     def spy(u, v, psi, *, max_iter, **kwargs):
         budgets.append(max_iter)
         return classify_detail(u, v, psi, max_iter=max_iter, **kwargs)
+
+    def spy_many(us, v, psi, *, max_iter):
+        budgets.extend(max_iter for _ in us)
+        return classify_many(us, v, psi, max_iter=max_iter)
     monkeypatch.setattr(lab, "classify_detail", spy)
+    monkeypatch.setattr(lab, "classify_many", spy_many)
     fine = refined_h(lf_model.psi, lf_curve, -0.3, 1e-13)
     assert abs(fine - coarse) <= (1e-13 + 1e-11) / 2
     assert budgets and set(budgets) == {lab._budget(0.5e-13)} == {35_777_088}

@@ -20,7 +20,7 @@ from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
                               summarize_pool)
 from drlab.recursion import (V_STOP, PhaseLabel, _free_energy_pass,
-                             classify_detail, free_energy,
+                             classify_detail, classify_many, free_energy,
                              initial_state, log_f_one_zero, orbit,
                              stopping_times, write_orbit_csv)
 from conftest import step
@@ -759,6 +759,62 @@ def test_log_free_verdict_matches_the_summed_one_and_the_oracle(
     assert free == summed == oracle
     assert summed_log == oracle_log
     assert free_log == (None if summed_log is None else "nan")
+
+
+# ---------------------------------------------------------------------------
+# several starts in one lockstep call
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@example(name="affine", us=[0.5, 0.0, 0.6], near=[], v0=-1.5,
+         max_iter=5)  # psi(v) = 0 absorbs two orbits, one starts at u0 = 0
+@example(name="fig1", us=[0.5, 0.01], near=[], v0=-0.9,
+         max_iter=5)  # the second start leaves the domain
+@example(name="lf:p=0.5,z=1", us=[0.02, 0.02], near=[], v0=-0.3,
+         max_iter=3000)  # two orbits that end together
+@example(name="lf:p=0.5,z=1", us=[], near=[-1e-4, 1e-4, 1e-6], v0=-0.3,
+         max_iter=3000)  # near h: a collapse at 1024, an escape, a give-up
+@given(name=st.sampled_from(sorted(KERNEL_DRIVERS)),
+       us=st.lists(starts["u0"], max_size=3),
+       near=st.lists(st.floats(-1e-3, 1e-3), max_size=2),
+       v0=starts["v0"], max_iter=st.integers(0, 3000))
+def test_classify_many_matches_classify_detail(name, us, near, v0, max_iter):
+    # near: starts (1 + near) h(-0.3) after us, which then start at -0.3
+    psi = KERNEL_DRIVERS[name]
+    if near:
+        us, v0 = us + [(1.0 + x) * _h_near(name) for x in near], -0.3
+
+    def each():
+        return [classify_detail(u, v0, psi, max_iter=max_iter) for u in us]
+
+    def many():
+        return classify_many(us, v0, psi, max_iter=max_iter)
+    want = _outcome_exact(each)
+    assert _outcome_exact(many) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", False)
+        assert _outcome_exact(many) == _outcome_exact(each) == want
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_the_cv_refined_seed_decides_its_final_pair_in_one_native_call(
+        monkeypatch, lf_model, lf_curve):
+    # the benchmark's seed: lf:p=0.5,z=1 at v0 -0.3, m 1000, tol 1e-11.
+    # Its last pair, 84% of its steps, must be one lockstep call: a silent
+    # fall back to one start per call fails here
+    from drlab.lab import refined_h
+    classify_detail(0.1, -0.3, lf_model.psi)  # loads the library
+    lib, calls = recursion._native, []
+
+    def spy(psi, starts, max_iter, sum_log):
+        results = lib.classify(psi, starts, max_iter, sum_log)
+        calls.append([(code, last.n) for code, last in results])
+        return results
+    monkeypatch.setattr(recursion, "_native", lib._replace(classify=spy))
+    assert refined_h(lf_model.psi, lf_curve, -0.3, 1e-11) \
+        == 0.05180626964526014
+    assert calls[-1] == [(1, 961_536), (0, 882_537)]  # sub, then super
+    assert sum(len(call) for call in calls) == 16
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@
 
    drlab_classify, the lockstep entry point of recursion.classify_many,
    walks several orbits of one driver side by side, each the way
-   recursion.classify_detail walks recursion._orbit (classify_detail is
-   its one-orbit call), drlab_stopping the way recursion.stopping_times does,
-   drlab_psi evaluates a driver on an array, and drlab_march solves the
-   curve the way curve._march's Python loop does.  All four evaluate the
-   driver the way drivers.py does, one floating-point operation for
-   another, so that their results are bit-identical to the Python
-   kernel's.  That needs -ffp-contract=off (a fused multiply-add rounds
-   once where Python rounds twice) and no -ffast-math, and libm's pow,
-   exp, log and sqrt, which Python's math module calls too.  Both orbit
+   recursion._classify_orbit walks recursion._orbit, drlab_stopping walks
+   one for recursion.stopping_times, drlab_psi evaluates a driver on an
+   array, and drlab_march solves the critical curve for curve._march.
+   All four evaluate the driver the way drivers.py does, one
+   floating-point operation for another, so that their results are
+   bit-identical to their Python oracles' (the classifier's in
+   recursion.py, the others' in tests/oracles.py).  That needs
+   -ffp-contract=off (a fused multiply-add rounds once where Python
+   rounds twice) and no -ffast-math, and libm's pow, exp, log and sqrt,
+   which Python's math module calls too.  Both orbit
    loops step through step(), but only drlab_stopping always adds log(w)
    to log u, because its n* test reads log u >= 0.  drlab_classify adds it
    only for a caller that keeps the final log u (the classify command):
@@ -22,7 +23,7 @@
    by itself (the proof is above drlab_classify), and a libm log is a
    large share of a step's cost.  drlab_rows formats
    recursion.write_table's rows.  recursion.py builds and loads this
-   file. */
+   file, and a run that cannot build it stops. */
 
 #include <locale.h>
 #include <math.h>
@@ -197,7 +198,8 @@ void drlab_classify(int kind, const double *params, int n_atoms,
    (u, v, log u) on entry, u > 0; state[0] is u at the last v <= 0 on
    return (still u0 if v0 > 0).  The pass ends early once the certificate
    holds at w, the least of v/2 and the open negative levels, with w > v:
-   then no open hit can fire.  Returns DOMAIN_ERROR, else 0. */
+   then no open hit can fire.  Returns DOMAIN_ERROR with the point outside
+   the domain in state[1], else 0. */
 int drlab_stopping(int kind, const double *params, int n_atoms,
                    double domain_min, double domain_max, double w_inf,
                    double v_stop, int64_t max_iter, double *state,
@@ -213,8 +215,10 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
     for (i = 0; i < 6; i++)
         hits[i] = -1;
     for (k = 0; k <= max_iter && open; k++) {
-        if (k > 0 && step(&d, &u, &v, &log_u, k == 1, 1))
+        if (k > 0 && step(&d, &u, &v, &log_u, k == 1, 1)) {
+            state[1] = v;
             return DOMAIN_ERROR;
+        }
         if (log_u == -INFINITY) /* psi vanished: the orbit is dead */
             break;
         if (hits[0] < 0) {
@@ -244,7 +248,7 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
     return 0;
 }
 
-/* curve._march's H at y for node i: the in-cell quotient while y lies left
+/* The march's H at y for node i (see curve._march): the in-cell quotient while y lies left
    of x[i+1], else g interpolated at y over the solved nodes right of x[i].
    The binary search finds bisect_right(x, y) - 1, the last node <= y, and
    x[i+1] <= y bounds it below. */
@@ -364,7 +368,7 @@ int64_t drlab_rows(const double *const *cols, int n_cols, int64_t n_rows,
 
 /* The Monte Carlo resampling step of montecarlo.mc_step: segment i of idx,
    of length r[i] >= 1, gives out[i] = max(sum of prev[idx[q]] - z[i], 0).
-   The numpy code it replaces is its oracle,
+   Its oracle is the numpy expression
    np.maximum(np.add.reduceat(prev[idx], offsets) - z, 0).  A float sum
    keeps reduceat's association: the segment's first element plus numpy's
    pairwise sum of the rest.  Returns 0, or -1 when the r do not cover the

@@ -30,9 +30,10 @@ The sweep approaches its fixed point linearly, in about 25,000 sweeps at
 m = 1000.  :func:`solve_curve` instead solves the fixed point directly:
 node i of the discretised equation reads g only at g(x_i) >= x_i, so
 :func:`_march` solves the nodes one by one from 0 leftwards, each by a
-scalar bisection with the libm driver.  For the built-in drivers that loop
-runs in ``_classify.c``, bit for bit; the Python loop stays its oracle and
-marches every other driver.  The marched g is certified by
+scalar bisection with the libm driver, in ``_classify.c`` (the C library
+that ``recursion`` builds on first use and requires); a driver without a
+native description is refused.  The march's Python oracle, bit for bit, is
+in ``tests/oracles.py``.  The marched g is certified by
 :func:`residual`, the sup of the equation's defect, which a sweep's change
 would only repeat divided by K + 1.  The damped sweeps from g_1
 (:func:`solve_g1`, :func:`pick_K`, :func:`iterate_g`) stay as the march's
@@ -43,7 +44,7 @@ kernels; :func:`pick_K` maps the driver's ``deriv_fn``.
 :func:`write_curve_csv` formats its rows in C too
 (``recursion.write_table``), to the bytes of Python's ``f"{v:.17g}"``
 (``nan`` for a NaN of either sign, the "C" locale), 64 KB at a time; the
-f-string loop stays its oracle and its fallback without the library.
+f-string loop is its oracle in ``tests/oracles.py``.
 
 An independent oracle, :func:`bisect_h`, recovers h(v) by bisecting the
 phase classifier and is used to cross-validate the solver.
@@ -52,7 +53,6 @@ phase classifier and is used to cross-validate the solver.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, TextIO
 
@@ -229,51 +229,18 @@ def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     that for the uniform grid), so psi is evaluated by its scalar ``fn``,
     unchecked: each node's bracket lies in [x_i, 0].
 
-    A built-in driver marches in ``_classify.c`` (``drlab_march``) when the
-    library loaded: the same loop over the same floating-point operations,
-    so g is bit-identical, and a failure raises the same message.  Other
-    drivers, and every driver without the library, run the loop below, the
-    C loop's oracle.
+    The loop runs in ``_classify.c`` (``drlab_march``), which reports a
+    failure by its node and values so that the message is raised here; a
+    driver without a native description is refused.  Its Python oracle,
+    the same loop over the same floating-point operations, is in
+    ``tests/oracles.py``.
     """
-    native = hasattr(psi.fn, "native") and _native_lib()
-    if native:
-        code, i, bad, g = native.march(psi.fn.native, xs)
-        if code == _NO_ROOT:
-            raise _no_root(float(xs[i]), *bad)
-        if code == _NAN_H:
-            raise _nan_h(bad[0])
-        return g
-    m = len(xs) - 1
-    x = xs.tolist()
-    g = [0.0] * (m + 1)
-    fn = psi.fn
-
-    def H(y: float, i: int) -> float:
-        if y < x[i + 1]:
-            return (g[i + 1] - y) / (x[i + 1] - x[i]) - fn(y)
-        j = bisect_right(x, y) - 1
-        gy = g[j] if j == m else (
-            g[j] + (y - x[j]) * ((g[j + 1] - g[j]) / (x[j + 1] - x[j])))
-        return (gy - y) / (y - x[i]) - fn(y)
-
-    for i in range(m - 1, -1, -1):
-        hi = g[i + 1]
-        lo = max(hi - (x[i + 1] - x[i]), x[i])
-        f_lo, f_hi = H(lo, i), H(hi, i)
-        if not (f_lo >= 0.0 >= f_hi):
-            raise _no_root(x[i], lo, hi, f_lo, f_hi)
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            f = H(mid, i)
-            if f > 0.0:
-                lo, f_lo = mid, f
-            elif f <= 0.0:
-                hi, f_hi = mid, f
-            else:
-                raise _nan_h(mid)
-            mid = 0.5 * (lo + hi)
-        g[i] = lo if f_lo < -f_hi else hi
-    return np.array(g)
+    code, i, bad, g = _native_lib().march(psi, xs)
+    if code == _NO_ROOT:
+        raise _no_root(float(xs[i]), *bad)
+    if code == _NAN_H:
+        raise _nan_h(bad[0])
+    return g
 
 
 # the residual_sup below which a marched curve is converged; it is about

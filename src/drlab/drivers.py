@@ -77,7 +77,9 @@ class PsiFunction:
     or numpy, gives a python float.  Called on an array,
     the driver evaluates ``fn`` (``deriv`` evaluates ``deriv_fn``) at each
     point: in ``_classify.c`` when the function carries a ``native``
-    description and the library loaded, else by mapping it.  The domain
+    description, which needs the C library that ``recursion`` builds on
+    first use, else by mapping it; the mapped function is the C path's
+    oracle (``tests/oracles.py``).  The domain
     is the closed interval [domain_min, domain_max]; evaluation outside
     raises :class:`DomainError`.  ``psi_inf`` is the limit at +inf
     (``math.inf`` for unbounded drivers) and is returned for ``x = +inf``;
@@ -128,10 +130,9 @@ class PsiFunction:
         given = inf_value is not None and at_inf.any()
         if given:  # f need not be defined at +inf: its limit is given
             arr = np.where(at_inf, 0.0, arr)
-        from .recursion import _native_lib  # recursion imports this module
-        native = hasattr(f, "native") and _native_lib()
-        if native:
-            out = native.psi(f.native, arr)
+        if hasattr(f, "native"):
+            from .recursion import _native_lib  # recursion imports drivers
+            out = _native_lib().psi(f, arr)
         else:
             out = np.fromiter(map(f, arr.ravel().tolist()), float,
                               arr.size).reshape(arr.shape)

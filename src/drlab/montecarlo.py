@@ -20,12 +20,13 @@ clamp are exact in any order, so it equals an integer pool value for value.
 
 numpy draws every random number of a block.  The resampling itself, the
 gather prev[idx], the segment sums, the subtraction of Z and the clamp,
-runs in one pass of ``_classify.c`` (built and loaded by ``recursion``);
-its float sums keep ``np.add.reduceat``'s association, so its pools are
-bit-identical to the numpy expression in :func:`_resample`, which is its
-oracle and runs without a compiler.  :func:`summarize_pool` counts the
+runs in one pass of ``_classify.c`` (the C library that ``recursion``
+builds on first use and requires); its float sums keep
+``np.add.reduceat``'s association, so its pools are bit-identical to the
+numpy expression that is its oracle.  :func:`summarize_pool` counts the
 mass at zero and the tails of a pool in one C pass the same way, and
 takes its mean and sd in two more, equal to ``np.mean`` and ``np.std``.
+The numpy oracles of the three passes are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -187,25 +188,6 @@ def _sample_z(z: ZSpecDiscrete | ZSpecContinuous, rng: np.random.Generator,
     return vals[np.minimum(idx, len(vals) - 1)]
 
 
-def _resample(native, prev: np.ndarray, idx: np.ndarray, r: np.ndarray,
-              z: np.ndarray, out: np.ndarray) -> None:
-    """out = max(sum of prev[idx] over each segment - z, 0), segment i
-    holding the next r[i] >= 1 entries of idx.  One pass of the native
-    kernel when the library loaded (``native``) and the arrays suit it,
-    else numpy's gather and reduceat, the kernel's oracle."""
-    if (native and z.dtype == out.dtype == prev.dtype == np.float64
-            and idx.dtype == r.dtype == np.int64
-            and all(a.flags.c_contiguous for a in (prev, idx, r, z, out))):
-        if native.resample(prev.ctypes.data, len(prev), idx.ctypes.data,
-                           len(idx), r.ctypes.data, z.ctypes.data, len(r),
-                           out.ctypes.data):
-            raise RuntimeError("the segments do not partition the index draw")
-        return
-    offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
-    sums = np.add.reduceat(prev[idx], offsets)
-    np.maximum(sums - z, 0, out=out)
-
-
 # ---------------------------------------------------------------------------
 # pools
 # ---------------------------------------------------------------------------
@@ -237,13 +219,14 @@ def mc_step(pool: SamplePool, model: Model, threads: int = 1) -> SamplePool:
     prev = pool.samples
     n_prev = len(prev)
 
-    native = recursion._native_lib()  # before the threads: it may build
+    # loaded before the threads start: the first load may build it
+    resample = recursion._native_lib().resample
 
     def fill(rng: np.random.Generator, out: np.ndarray) -> None:
         r = sample_geometric(model.p, rng, len(out))
         z = _sample_z(model.zspec, rng, len(out))
         idx = rng.integers(0, n_prev, size=int(r.sum()))
-        _resample(native, prev, idx, r, z, out)
+        resample(prev, idx, r, z, out)
 
     samples = _fill_blocks(n_prev, pool.level + 1, pool.seed, fill, threads)
     return SamplePool(level=pool.level + 1, samples=samples, seed=pool.seed)
@@ -273,39 +256,15 @@ class ComparisonReport:
         }
 
 
-def _counts(x: np.ndarray, thresholds) -> list[int]:
-    """[#{x == 0}] + [#{x > t} for t in thresholds] over a pool's float64
-    samples.  One pass of the native kernel, else one numpy pass per
-    count, its oracle."""
-    native = recursion._native_lib()
-    if native and x.flags.c_contiguous:
-        ts = np.asarray(thresholds, dtype=np.float64)
-        out = np.empty(len(ts) + 1, np.int64)
-        native.counts(x.ctypes.data, len(x), ts.ctypes.data, len(ts),
-                      out.ctypes.data)
-        return out.tolist()
-    return [np.count_nonzero(x == 0),
-            *(np.count_nonzero(x > t) for t in thresholds)]
-
-
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    """(np.mean(x), np.std(x)), bit for bit.  One native call, in numpy's
-    pairwise order and without np.std's pool-sized temporaries; else
-    numpy, their oracle."""
-    native = recursion._native_lib()
-    if native and x.flags.c_contiguous:
-        out = np.empty(2)
-        native.moments(x.ctypes.data, len(x), out.ctypes.data)
-        return float(out[0]), float(out[1])
-    return float(np.mean(x)), float(np.std(x))
-
-
 def summarize_pool(pool: SamplePool, thresholds) -> EmpiricalSummary:
-    """Empirical mass at zero, tails P(X > t), mean and sd."""
+    """Empirical mass at zero, tails P(X > t), mean and sd: the counts in
+    one pass of ``_classify.c``, the moments in two, in numpy's pairwise
+    order and without np.std's pool-sized temporaries."""
     x = pool.samples
     n = len(x)
-    zero, *above = _counts(x, thresholds)
-    mean, sd = _moments(x)
+    native = recursion._native_lib()
+    zero, *above = native.counts(x, thresholds)
+    mean, sd = native.moments(x)
     return EmpiricalSummary(
         mass_at_zero=float(zero / n),
         tail_probs=tuple((float(t), float(c / n))

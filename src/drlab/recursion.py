@@ -18,7 +18,10 @@ end, then calls the raw driver; bounded drivers take psi(inf) from
 The classifier and the stopping-time pass of the built-in drivers run in C
 instead (``_classify.c``, compiled on first use with ``gcc -O2 -fPIC -shared
 -ffp-contract=off`` and ``-lm``, cached in this package's ``__pycache__``
-and loaded with ctypes).  Both loops share one C step that keeps the
+and loaded with ctypes).  The library is required: when it cannot be built,
+the first call that needs it raises OSError with the compiler command and
+the first line of the compiler's error, and a ``drlab`` command exits 2
+with that message.  Both loops share one C step that keeps the
 kernel's order of operations, so their results are bit-identical; fast-math
 is barred because fused multiply-adds change the last bits.  The step adds
 log(w) to log u only where log u is read: in the stopping pass, and in the
@@ -28,15 +31,16 @@ one C loop, ``drlab_classify``, is a lockstep entry point: it steps several
 starts of one driver side by side and drops each once it is decided, so
 that the latency-bound steps of two orbits overlap.  :func:`classify_many`
 hands it a list of starts; :func:`classify_detail` is its one-start call,
-and no start's verdict depends on the others.  Without a compiler or a
-writable cache, and for every other driver, :func:`_orbit` runs, as the C
-loops' oracle.  The same library evaluates the built-in drivers on arrays
-(see ``drivers``), with the mapped scalar function as fallback and oracle,
-marches the critical curve (see ``curve._march``), with the Python loop as
-fallback and oracle, formats the rows of every float table (the curve, orbit
-and model-orbit CSVs, see :func:`write_table`), with Python's formatting as
-fallback and oracle, and holds the Monte Carlo's resampling and counting
-passes (see ``montecarlo``), which fall back to numpy the same way.
+and no start's verdict depends on the others.  A driver without a native
+description, such as one whose fn counts its calls, is classified by
+:func:`_classify_orbit`, the C classifier's oracle; the stopping pass
+refuses it.  The same library evaluates the built-in drivers on arrays
+(see ``drivers``), marches the critical curve (see ``curve._march``),
+formats the rows of every float table (the curve, orbit and model-orbit
+CSVs, see :func:`write_table`) and holds the Monte Carlo's resampling,
+counting and moments passes (see ``montecarlo``).  The Python oracles of
+these and of the stopping pass are in ``tests/oracles.py``, which bundles
+them as one :class:`_Native` that a test installs at ``recursion._native``.
 
 Every orbit obeys a dichotomy: either v -> +inf and (1/n) log u_n tends to
 log psi(inf), or v converges to a nonpositive limit and u -> 0.  Phase
@@ -160,7 +164,10 @@ def _orbit(start: OrbitState, psi: PsiFunction
 
 
 def _check_steps(name: str, n: int) -> None:
-    """A step budget or count below 0 is malformed."""
+    """A step budget or count is an int in [0, 2^63), the C loops' int64;
+    anything else is malformed."""
+    if not isinstance(n, int) or n >= 2 ** 63:
+        raise ValueError(f"{name} must be an int below 2**63, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n!r}")
 
@@ -180,15 +187,16 @@ _CC = "gcc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
-_native = None  # the loaded _Native; False once loading has failed
+_native = None  # the loaded _Native, once loaded
 _CHUNK = 1 << 16  # bytes of CSV rows formatted per call
 
 
 class _Native(NamedTuple):
-    """The entry points of ``_classify.c``: the two orbit loops, the
-    driver on arrays, the curve march and the CSV rows, wrapped, and the
-    Monte Carlo's resampling, counting and moments passes over float64
-    pools as ctypes functions."""
+    """The entry points of ``_classify.c``, wrapped to take drivers and
+    arrays: the two orbit loops, the driver on arrays, the curve march, the
+    CSV rows and the Monte Carlo's resampling, counting and moments
+    passes.  Tests install their Python oracles as one of these at
+    ``recursion._native``."""
 
     classify: Callable
     stopping: Callable
@@ -200,44 +208,50 @@ class _Native(NamedTuple):
     moments: Callable
 
 
-def _build(source: str, lib: str) -> bool:
+def _build(source: str, lib: str) -> None:
+    """Compile source into lib; OSError with the compiler command and the
+    first line it wrote on stderr, or "no such compiler"."""
     # os.posix_spawnp, not subprocess, whose import costs 0.4 MB of RSS
     tmp = f"{lib}.{os.getpid()}.tmp"
+    err = f"{tmp}.err"
+    argv = [_CC, *_CFLAGS, "-o", tmp, source, "-lm"]
+    failed = f"cannot build the C library: {' '.join(argv)}"
+    os.makedirs(_CACHE_DIR, exist_ok=True)
     try:
-        quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0)
-                 for fd in (1, 2)]
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        pid = os.posix_spawnp(_CC, [_CC, *_CFLAGS, "-o", tmp, source, "-lm"],
-                              os.environ, file_actions=quiet)
-        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
-            os.replace(tmp, lib)
-            return True
-    except (AttributeError, OSError):  # no posix_spawn, compiler or cache
-        pass
-    if os.path.exists(tmp):
-        os.remove(tmp)
-    return False
+        try:
+            pid = os.posix_spawnp(_CC, argv, os.environ, file_actions=[
+                (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                (os.POSIX_SPAWN_OPEN, 2, err,
+                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)])
+        except FileNotFoundError:
+            raise OSError(f"{failed}: no such compiler") from None
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            with open(err, errors="replace") as fh:
+                first = fh.readline().strip()
+            raise OSError(f"{failed}: {first or f'exit status {status}'}")
+        os.replace(tmp, lib)
+    finally:
+        for path in (tmp, err):
+            if os.path.exists(path):
+                os.remove(path)
 
 
-def _load_native() -> _Native | None:
+def _load_native() -> _Native:
     """The entry points of ``_classify.c``, built on first use into the
-    cache directory under a name keyed by the source and the flags; None
-    when the build fails or the library does not load."""
+    cache directory under a name keyed by the source and the flags;
+    OSError when the build fails or the library does not load."""
     source = os.path.join(_HERE, "_classify.c")
-    try:
-        with open(source, "rb") as fh:
-            key = zlib.crc32(fh.read() + " ".join((_CC, *_CFLAGS)).encode())
-        lib = os.path.join(_CACHE_DIR, f"_classify-{key:08x}.so")
-        if not os.path.exists(lib) and not _build(source, lib):
-            return None
-        dll = ctypes.CDLL(lib)
-        classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
-        psi_fn, march_fn, rows_fn = dll.drlab_psi, dll.drlab_march, \
-            dll.drlab_rows
-        resample, counts, moments = (dll.drlab_resample, dll.drlab_counts,
-                                     dll.drlab_moments)
-    except (OSError, AttributeError):  # no library, or a symbol missing
-        return None
+    with open(source, "rb") as fh:
+        key = zlib.crc32(fh.read() + " ".join((_CC, *_CFLAGS)).encode())
+    lib = os.path.join(_CACHE_DIR, f"_classify-{key:08x}.so")
+    if not os.path.exists(lib):
+        _build(source, lib)
+    dll = ctypes.CDLL(lib)
+    classify_fn, stopping_fn = dll.drlab_classify, dll.drlab_stopping
+    psi_fn, march_fn, rows_fn = dll.drlab_psi, dll.drlab_march, dll.drlab_rows
+    resample_fn, counts_fn, moments_fn = (dll.drlab_resample, dll.drlab_counts,
+                                          dll.drlab_moments)
     c_double, c_int64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     # the driver, max_iter and the state, then each loop's own arguments
     head = (ctypes.c_int, ctypes.POINTER(c_double), ctypes.c_int, c_double,
@@ -258,55 +272,73 @@ def _load_native() -> _Native | None:
     rows_fn.restype = c_int64
     rows_fn.argtypes = (ptr, ctypes.c_int, c_int64, ctypes.POINTER(c_int64),
                         ptr, c_int64)  # cols, n_cols, n_rows, row, buf, cap
-    resample.restype = ctypes.c_int
-    resample.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64,
-                         ptr)  # prev, n_prev, idx, m, r, z, n, out
-    counts.restype = None
-    counts.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
-    moments.restype = None
-    moments.argtypes = (ptr, c_int64, ptr)  # x, n, out
+    resample_fn.restype = ctypes.c_int
+    resample_fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr, ptr, c_int64,
+                            ptr)  # prev, n_prev, idx, m, r, z, n, out
+    counts_fn.restype = None
+    counts_fn.argtypes = (ptr, c_int64, ptr, c_int64, ptr)  # x, n, t, nt, out
+    moments_fn.restype = None
+    moments_fn.argtypes = (ptr, c_int64, ptr)  # x, n, out
 
     def described(native):
         kind, params, n_atoms = native
         return kind, (c_double * len(params))(*params), n_atoms
 
+    def driver(psi):
+        """psi's description for the C loops; TypeError naming a driver
+        whose fn has none."""
+        description = getattr(psi.fn, "native", None)
+        if description is None:
+            raise TypeError(f"driver {psi.name!r} has no native description")
+        return described(description)
+
     def call(fn, psi, starts, max_iter, *args):
         state = (c_double * (3 * len(starts)))(
             *(x for s in starts for x in (s.u, s.v, s.log_u)))
-        code = fn(*described(psi.fn.native),
-                  psi.domain_min, psi.domain_max, psi.psi_inf,
+        code = fn(*driver(psi), psi.domain_min, psi.domain_max, psi.psi_inf,
                   V_STOP if psi.bounded else _INF, max_iter, state, *args)
         return code, state
 
     def classify(psi, starts, max_iter, sum_log):
-        """(code, final state) per start; log u is nan unless summed."""
+        """(label, final state) per start; log u is nan unless summed.  A
+        start that left the domain raises the checked call's DomainError
+        at the point the loop reports."""
         count = len(starts)
         ns, codes = (c_int64 * count)(), (ctypes.c_int * count)()
         _, state = call(classify_fn, psi, starts, max_iter, ns, sum_log,
                         count, codes)
-        return [(code, OrbitState(n, state[3 * i], state[3 * i + 1],
-                                  state[3 * i + 2] if sum_log else math.nan))
-                for i, (code, n) in enumerate(zip(codes, ns))]
+        for i, code in enumerate(codes):
+            if code == _DOMAIN_ERROR:
+                psi(state[3 * i + 1])  # the checked call raises DomainError
+        return [(_LABELS[code], OrbitState(
+            n, state[3 * i], state[3 * i + 1],
+            state[3 * i + 2] if sum_log else math.nan))
+            for i, (code, n) in enumerate(zip(codes, ns))]
 
     def stopping(psi, start, max_iter, a_eps, delta):
+        """(u at the last v <= 0, hits), None for a hit that never fired;
+        a step outside the domain raises the checked call's DomainError."""
         hits = (c_int64 * 6)()
         code, state = call(stopping_fn, psi, [start], max_iter, a_eps, delta,
                            hits)
-        return code, state[0], [None if h < 0 else h for h in hits]
+        if code == _DOMAIN_ERROR:
+            psi(state[1])  # the checked call raises DomainError
+        return state[0], [None if h < 0 else h for h in hits]
 
-    def psi_array(native, xs):
+    def psi_array(fn, xs):
         out = np.empty(np.shape(xs))
         xs = np.ascontiguousarray(xs, dtype=np.float64)  # at least 1-d
-        psi_fn(*described(native), xs.ctypes.data, out.ctypes.data, out.size)
+        psi_fn(*described(fn.native), xs.ctypes.data, out.ctypes.data,
+               out.size)
         return out
 
-    def march(native, xs):
+    def march(psi, xs):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         if xs.ndim != 1 or not xs.size:
             raise ValueError("the march needs a nonempty 1-d grid")
-        g = np.zeros(xs.size)  # as the Python loop's list starts
+        g = np.zeros(xs.size)
         node, bad = c_int64(), (c_double * 4)()
-        code = march_fn(*described(native), xs.ctypes.data, xs.size - 1,
+        code = march_fn(*driver(psi), xs.ctypes.data, xs.size - 1,
                         g.ctypes.data, ctypes.byref(node), bad)
         return code, node.value, list(bad), g
 
@@ -323,29 +355,51 @@ def _load_native() -> _Native | None:
             if size < 0:
                 raise OSError("drlab_rows could not format the rows")
             out.write(ctypes.string_at(buf, size).decode("ascii"))
+
+    def resample(prev, idx, r, z, out):
+        """out = max(sum of prev[idx] over each segment - z, 0), segment i
+        holding the next r[i] >= 1 entries of idx."""
+        prev, z = (np.ascontiguousarray(a, dtype=np.float64) for a in (prev, z))
+        idx, r = (np.ascontiguousarray(a, dtype=np.int64) for a in (idx, r))
+        if not (out.dtype == np.float64 and out.flags.c_contiguous
+                and out.shape == r.shape == z.shape == (len(r),)):
+            raise ValueError("resampling needs 1-d r, z and a contiguous "
+                             "float64 out of one length")
+        if resample_fn(prev.ctypes.data, prev.size, idx.ctypes.data, idx.size,
+                       r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data):
+            raise RuntimeError("the segments do not partition the index draw")
+
+    def counts(x, thresholds):
+        """[#{x == 0}] + [#{x > t} for t in thresholds]."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        ts = np.ascontiguousarray(thresholds, dtype=np.float64)
+        out = np.empty(ts.size + 1, np.int64)
+        counts_fn(x.ctypes.data, x.size, ts.ctypes.data, ts.size,
+                  out.ctypes.data)
+        return out.tolist()
+
+    def moments(x):
+        """(np.mean(x), np.std(x)), bit for bit, in numpy's pairwise order
+        and without np.std's pool-sized temporaries."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.empty(2)
+        moments_fn(x.ctypes.data, x.size, out.ctypes.data)
+        return float(out[0]), float(out[1])
     return _Native(classify, stopping, psi_array, march, write_rows,
                    resample, counts, moments)
 
 
-def _native_lib() -> _Native | None:
-    """The loaded library, loading it on first use; None without one."""
+def _native_lib() -> _Native:
+    """The library, loaded on first use; OSError naming the cause when it
+    cannot be built or loaded."""
     global _native
     if _native is None:
-        _native = _load_native() or False
-    return _native or None
+        _native = _load_native()
+    return _native
 
 
 _LABELS = tuple(PhaseLabel)  # indexed by _classify.c's result codes
 _DOMAIN_ERROR = len(_LABELS)
-
-
-def _native_loops(psi: PsiFunction, max_iter) -> _Native | None:
-    """The library for an orbit loop, or None: no native description on
-    psi.fn, a max_iter outside int64, or no library."""
-    if not (hasattr(psi.fn, "native") and isinstance(max_iter, int)
-            and -2 ** 63 <= max_iter < 2 ** 63):
-        return None
-    return _native_lib()
 
 
 def _certified(fn: Callable[[float], float], n: int, u: float, v: float,
@@ -360,6 +414,37 @@ def _certified(fn: Callable[[float], float], n: int, u: float, v: float,
         and u <= 0.25 * (w - v) * (1.0 - fn(w))))
 
 
+def _classify_orbit(start: OrbitState, psi: PsiFunction, max_iter: int,
+                    log_u: bool) -> tuple[PhaseLabel, OrbitState]:
+    """The classifier's Python loop over :func:`_orbit`: ``drlab_classify``
+    at one start, step for step, and its oracle.  It classifies the drivers
+    without a native description, such as a driver whose fn counts its
+    calls."""
+    fn = psi.fn
+    for n, (u, v, lu, _) in enumerate(_orbit(start, psi)):
+        if n > max_iter:
+            label = PhaseLabel.UNDETERMINED
+        elif v > 0.0 and lu > -_INF:
+            label = PhaseLabel.SUPERCRITICAL
+        elif _certified(fn, n, u, v, 0.5 * v):
+            label = PhaseLabel.SUBCRITICAL
+        elif lu == -_INF:
+            # u == 0 exactly and v >= 0: frozen at the origin's edge
+            label = PhaseLabel.UNDETERMINED
+        else:
+            continue
+        return label, OrbitState(n, u, v, lu if log_u else math.nan)
+
+
+def _classify(starts: list[OrbitState], psi: PsiFunction, max_iter: int,
+              log_u: bool) -> list[tuple[PhaseLabel, OrbitState]]:
+    """One verdict per start: all in one lockstep call of the library for a
+    built-in driver, else one :func:`_classify_orbit` each."""
+    if hasattr(psi.fn, "native"):
+        return _native_lib().classify(psi, starts, max_iter, log_u)
+    return [_classify_orbit(s, psi, max_iter, log_u) for s in starts]
+
+
 def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
                     max_iter: int = 10 ** 6, _log_u: bool = False
                     ) -> tuple[PhaseLabel, OrbitState]:
@@ -371,33 +456,15 @@ def classify_detail(u0: float, v0: float, psi: PsiFunction, *,
     undetermined at u == 0 with v >= 0, or when the budget of max_iter
     steps runs out.  The final state's v sign is the only usable direction
     hint when the label is Undetermined.  Built-in drivers run the loop of
-    ``_classify.c``; :func:`_orbit` is its oracle and runs everything else.
-    The state's log_u is nan unless the caller passes ``_log_u=True``:
-    only then does the C loop sum log u, one log per step
-    (``_classify.c`` shows that no verdict moves).  The C call is
-    :func:`classify_many`'s lockstep loop at one start.
+    ``_classify.c``, at one start of :func:`classify_many`'s lockstep call;
+    other drivers run :func:`_classify_orbit`, its oracle.  The state's
+    log_u is nan unless the caller passes ``_log_u=True``: only then does
+    the C loop sum log u, one log per step (``_classify.c`` shows that no
+    verdict moves).
     """
     _check_steps("max_iter", max_iter)
-    start = initial_state(u0, v0)
-    native = _native_loops(psi, max_iter)
-    if native is not None:
-        [(code, last)] = native.classify(psi, [start], max_iter, _log_u)
-        if code != _DOMAIN_ERROR:  # else the Python kernel raises it
-            return _LABELS[code], last
-    fn = psi.fn
-    for n, (u, v, log_u, _) in enumerate(_orbit(start, psi)):
-        if n > max_iter:
-            label = PhaseLabel.UNDETERMINED
-        elif v > 0.0 and log_u > -_INF:
-            label = PhaseLabel.SUPERCRITICAL
-        elif _certified(fn, n, u, v, 0.5 * v):
-            label = PhaseLabel.SUBCRITICAL
-        elif log_u == -_INF:
-            # u == 0 exactly and v >= 0: frozen at the origin's edge
-            label = PhaseLabel.UNDETERMINED
-        else:
-            continue
-        return label, OrbitState(n, u, v, log_u if _log_u else math.nan)
+    [result] = _classify([initial_state(u0, v0)], psi, max_iter, _log_u)
+    return result
 
 
 def classify_many(starts: Sequence[float], v0: float, psi: PsiFunction, *,
@@ -407,17 +474,11 @@ def classify_many(starts: Sequence[float], v0: float, psi: PsiFunction, *,
     max_iter=max_iter)``.  Built-in drivers step all the starts in one
     call of ``_classify.c``'s lockstep loop, which drops each orbit once it
     is decided; there two latency-bound orbits cost little more than the
-    longer one alone.  Without the library every start goes through
-    :func:`classify_detail`, and so does a start that leaves the domain,
-    which then raises the same error."""
+    longer one alone.  A start that leaves the domain raises the error
+    :func:`classify_detail` raises for it."""
     _check_steps("max_iter", max_iter)
-    states = [initial_state(u0, v0) for u0 in starts]
-    native = _native_loops(psi, max_iter)
-    results = (native.classify(psi, states, max_iter, False) if native
-               else [(_DOMAIN_ERROR, None)] * len(states))
-    return [classify_detail(u0, v0, psi, max_iter=max_iter)
-            if code == _DOMAIN_ERROR else (_LABELS[code], last)
-            for u0, (code, last) in zip(starts, results)]
+    return _classify([initial_state(u0, v0) for u0 in starts], psi,
+                     max_iter, False)
 
 
 # ---------------------------------------------------------------------------
@@ -565,65 +626,21 @@ class StoppingRecord:
         return math.nan if self.u_N0 is None else self.u_N0 / self.epsilon_used
 
 
-def _stopping_pass(start: OrbitState, psi: PsiFunction, max_iter,
-                   a_eps: float, delta: float):
-    """(u at the last v_n <= 0, hits) over states 0..max_iter, hits being
-    the first n with v_n > 0, n*, n1_A, n2_A, n3_delta and n4_delta, None
-    where none: the loop of ``_classify.c``'s drlab_stopping, and its
-    oracle.  The pass ends early once the subcritical certificate holds at
-    w, the least of v/2 and the open negative levels, with w > v: then v
-    stays at or below w, so no open hit can fire."""
-    fn = psi.fn
-    first_pos = n_star = n1 = n2 = n3 = n4 = None
-    u_last = None  # u at the last n with v_n <= 0 so far (v is nondecreasing)
-    for n, (u, v, log_u, _) in zip(range(max_iter + 1), _orbit(start, psi)):
-        if log_u == -_INF:  # psi vanished: the orbit is dead
-            break
-        if first_pos is None:
-            if v > 0.0:
-                first_pos = n
-            else:
-                u_last = u
-        if n1 is None and v > -a_eps:
-            n1 = n
-        if n2 is None and v > a_eps:
-            n2 = n
-        if n3 is None and v > -delta:
-            n3 = n
-        if n4 is None and v > delta:
-            n4 = n
-        if n_star is None and v >= 0.0 and log_u >= 0.0:
-            n_star = n
-        if None not in (first_pos, n_star, n1, n2, n3, n4):
-            break
-        w = 0.5 * v
-        for hit, level in ((n1, -a_eps), (n3, -delta)):
-            if hit is None and level < w:
-                w = level
-        if w > v and _certified(fn, n, u, v, w):
-            break
-    return u_last, (first_pos, n_star, n1, n2, n3, n4)
-
-
 def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
                    delta: float, epsilon: float, *,
                    max_iter: int = 10 ** 7) -> StoppingRecord:
-    """The hitting indices of one forward pass.  Built-in drivers run the
-    loop of ``_classify.c``; :func:`_stopping_pass` is its oracle and runs
-    everything else, and raises a domain error."""
+    """The hitting indices of one forward pass, in the loop of
+    ``_classify.c``; a driver without a native description is refused.
+    The pass ends early once the subcritical certificate holds at w, the
+    least of v/2 and the open negative levels, with w > v: then v stays at
+    or below w, so no open hit can fire."""
     if not u0 > 0.0:
         raise ValueError("u0 must be positive")
     if not (A > 0.0 and delta > 0.0):
         raise ValueError("A and delta must be positive")
     _check_steps("max_iter", max_iter)
-    a_eps = A * math.sqrt(epsilon)
-    start = initial_state(u0, v0)
-    code, native = _DOMAIN_ERROR, _native_loops(psi, max_iter)
-    if native is not None:
-        code, u_last, hits = native.stopping(psi, start, max_iter, a_eps,
-                                             delta)
-    if code == _DOMAIN_ERROR:
-        u_last, hits = _stopping_pass(start, psi, max_iter, a_eps, delta)
+    u_last, hits = _native_lib().stopping(
+        psi, initial_state(u0, v0), max_iter, A * math.sqrt(epsilon), delta)
     first_pos, n_star, n1, n2, n3, n4 = hits
     N0 = first_pos - 1 if first_pos else None
     return StoppingRecord(N0=N0, u_N0=u_last if N0 is not None else None,
@@ -639,17 +656,10 @@ def stopping_times(u0: float, v0: float, psi: PsiFunction, A: float,
 def write_table(out: TextIO, header: str, cols: Sequence) -> None:
     """Write the header line, then one CSV row per index of the equal-length
     columns, each value as ``f"{v:.17g}"`` writes its float (an integer
-    column's 1001 as ``1001``).  With the library loaded ``_classify.c``
-    formats the rows, in chunks of 64 KB, to the same bytes; the f-string
-    loop below is its fallback and oracle."""
+    column's 1001 as ``1001``), formatted by ``_classify.c`` in chunks of
+    64 KB."""
     out.write(header + "\n")
-    native = _native_lib()
-    if native:
-        native.write_rows(out, cols)
-        return
-    out.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row
-                   in zip(*(np.asarray(c, dtype=np.float64).tolist()
-                            for c in cols)))
+    _native_lib().write_rows(out, cols)
 
 
 def write_orbit_csv(states: Iterable[OrbitState], out: TextIO) -> None:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_recursion import dual_psi
 
+import oracles
 from drlab import recursion
 from drlab.curve import (CriticalCurve, CurveGrid, _grid_xs, _march, _sweep,
                          bisect_h, curve_from_h, h_eval, iterate_g, pick_K,
@@ -199,11 +200,13 @@ def _swept(psi, A, m, tol=1e-12):
 
 
 @pytest.mark.parametrize("name", list(MARCH_CASES))
-def test_march_is_the_sweeps_fixed_point(name, lf_model):
+def test_march_is_the_sweeps_fixed_point(name, lf_model, monkeypatch):
     psi, A, m = _march_case(name, lf_model)
+    if not hasattr(psi.fn, "native"):  # the library refuses the dual
+        monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     cur = solve_curve(psi, A, m)
     xs = _grid_xs(psi, A, m)
-    g = _march(psi, xs)
+    g = oracles.march(psi, xs)[3]
     assert np.array_equal(cur.grid.g, g)
     assert cur.converged and cur.grid.sweeps == 0
     validate_grid(cur.grid)
@@ -233,7 +236,7 @@ def test_dual_curve_is_marched(lf_model):
     dc = dual_curve(lf_model.psi, 3.0, 300)
     dpsi = dual_psi(lf_model.psi)
     xs = _grid_xs(dpsi, 3.0, 300)
-    g = _march(dpsi, xs)
+    g = oracles.march(dpsi, xs)[3]
     assert dc.converged and dc.grid.sweeps == 0
     _, change, _ = _sweep(xs, g, pick_K(dpsi, 3.0, 300), dpsi)
     assert change <= 1e-15
@@ -250,15 +253,18 @@ def test_solve_curve_rejects_a_driver_undefined_at_0():
 
 
 @pytest.mark.parametrize("fn", [lambda x: 2.0, lambda x: math.nan])
-def test_march_bracket_without_sign_change_raises(fn):
+def test_march_bracket_without_sign_change_raises(fn, monkeypatch):
     psi = PsiFunction("bad", fn, lambda x: 0.0, psi_inf=math.inf,
                       domain_min=-1.0)
+    with pytest.raises(TypeError, match="'bad' has no native description"):
+        _march(psi, _grid_xs(psi, 0.5, 100))
+    monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     with pytest.raises(NumericError, match="x="):
         _march(psi, _grid_xs(psi, 0.5, 100))
 
 
 # ---------------------------------------------------------------------------
-# the native march against the Python loop
+# the native march against its Python oracle
 # ---------------------------------------------------------------------------
 
 NATIVE_MARCH_SPECS = ("affine", "fig1", "fig1-clamped", "lf:p=0.5,z=1",
@@ -277,7 +283,7 @@ def _march_outcome(psi, xs):
 def _both_marches(psi, xs):
     native = _march_outcome(psi, xs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         return native, _march_outcome(psi, xs)
 
 
@@ -311,11 +317,10 @@ def _described_driver(kind, params, n_atoms):
     """A driver whose scalar fn is _classify.c's psi for the description,
     so that both marches see the same values."""
     lib = recursion._native_lib()
-    native = (kind, params, n_atoms)
 
     def fn(x):
-        return float(lib.psi(native, np.array([x]))[0])
-    fn.native = native
+        return float(lib.psi(fn, np.array([x]))[0])
+    fn.native = (kind, params, n_atoms)
     return PsiFunction("described", fn, lambda x: 0.0, psi_inf=math.inf,
                        domain_min=-1.0)
 
@@ -425,7 +430,9 @@ def dual_curve(psi: PsiFunction, A: float, m: int = 1000) -> CriticalCurve:
     it back: h_dual(x) = h~(-x) psi(x).  h_dual is nondecreasing, vanishes
     at 0 like x^2/2 and grows without bound.
     """
-    dc = solve_curve(dual_psi(psi), A, m)
+    with pytest.MonkeyPatch.context() as mp:  # the library refuses the dual
+        mp.setattr(recursion, "_native", oracles.NATIVE)
+        dc = solve_curve(dual_psi(psi), A, m)
     xs = -dc.grid.xs[::-1]
     h_dual = dc.h_values[::-1] * psi(xs)
     return replace(dc, grid=replace(dc.grid, xs=xs, g=xs + h_dual),
@@ -496,11 +503,6 @@ def _native_rows(cols) -> str:
     return buf.getvalue()
 
 
-def _python_rows(cols) -> str:
-    return "".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                   for row in zip(*cols))
-
-
 # ±0, the subnormal and normal ends, ±inf, and NaNs of either sign bit
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                 2.2250738585072014e-308, 1.7976931348623157e308, math.inf,
@@ -519,7 +521,7 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
 def test_native_rows_are_python_formatting(values, n_cols):
     values += [0.0] * (-len(values) % n_cols)
     cols = [values[j::n_cols] for j in range(n_cols)]
-    assert _native_rows(cols) == _python_rows(cols)
+    assert _native_rows(cols) == oracles.rows(cols)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
@@ -528,7 +530,7 @@ def test_native_rows_span_chunks():
     bits = np.random.default_rng(5).integers(0, 2 ** 64, (4, 5000),
                                              dtype=np.uint64)
     cols = [c.view(np.float64).tolist() for c in bits]
-    assert _native_rows(cols) == _python_rows(cols)
+    assert _native_rows(cols) == oracles.rows(cols)
 
 
 _COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
@@ -553,7 +555,7 @@ def test_native_rows_ignore_a_comma_decimal_locale():
         got = _native_rows(cols)
     finally:
         locale.setlocale(locale.LC_NUMERIC, saved)
-    assert got == _python_rows(cols)
+    assert got == oracles.rows(cols)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
@@ -572,5 +574,5 @@ def test_curve_csv_and_K_do_not_need_the_library(spec, m):
     assert recursion._native_lib()
     native = outputs()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert outputs() == native

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_recursion import KERNEL_DRIVERS, dual_psi
 
+import oracles
 from drlab import recursion
 from drlab.drivers import (ZSpecContinuous, ZSpecDiscrete, driver_from_spec,
                            make_clf_psi, make_lf_psi)
@@ -153,13 +154,13 @@ def _array_outcomes(psi, xs):
                                               math.inf])), max_size=50))
 def test_array_path_is_the_scalar_function(name, xs):
     # the array path evaluates fn itself, bit for bit, in C for the built-in
-    # drivers and by mapping fn without the library; points are clipped to
+    # drivers and, through the oracle, by mapping fn; points are clipped to
     # the domain, so -inf stands for domain_min
     psi = KERNEL_DRIVERS[name]
     xs = np.clip(np.array(xs, dtype=float), psi.domain_min, psi.domain_max)
     got = _array_outcomes(psi, xs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert _array_outcomes(psi, xs) == got
     points = xs.tolist()
     want = [np.array([psi.fn(x) for x in points], float).tobytes(),

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import pytest
 
 import drlab
+import oracles
 from drlab import recursion
 from drlab.cli import main
 
@@ -152,10 +153,10 @@ def test_lab_outputs_match_golden_bytes(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes_without_the_library(name, tmp_path, monkeypatch):
-    """The same files from the Python oracles of every C path: the orbit
-    loops, the march, the drivers on arrays, the table rows and the Monte
-    Carlo passes."""
-    monkeypatch.setattr(recursion, "_native", False)
+    """The same files from the Python oracles of every C path, installed
+    as one ``_Native``: the orbit loops, the march, the drivers on arrays,
+    the table rows and the Monte Carlo passes."""
+    monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     _check_case(name, tmp_path)
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_models import lf_pmf
 
+import oracles
 from drlab import montecarlo, recursion
 from drlab.cli import main as cli_main
 from drlab.models import (CLFParams, LFParams, clf_step, clf_tail, law_stats,
@@ -170,7 +171,7 @@ def test_lf_tail_ge_k_counts_x_above_k_minus_1(monkeypatch, native):
     # on the integers P(X >= k) = P(X > k - 1): law_stats gives LF's
     # tail_ge_k row the threshold k - 1, and a pool counts X > t
     if not native:
-        monkeypatch.setattr(recursion, "_native", False)
+        monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     _, tails, _ = law_stats(LFParams(0.6, 0.9))
     ts = [t for _, t, _ in tails]
     assert ts == [0, 1, 2, 3, 4]
@@ -283,7 +284,8 @@ def test_pools_change_with_seed():
 
 
 # ---------------------------------------------------------------------------
-# the native resampling and counting kernels against numpy
+# the native resampling, counting and moments kernels against numpy, their
+# oracles
 # ---------------------------------------------------------------------------
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
@@ -291,17 +293,20 @@ needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
 
 
 def _kernel(prev, idx, r, z):
-    """The native resampling pass, called directly."""
+    """The native resampling pass: 0 and the pool, or -1 when the kernel
+    refuses the partition."""
     out = np.empty(len(r))
-    code = recursion._native_lib().resample(
-        prev.ctypes.data, len(prev), idx.ctypes.data, len(idx),
-        r.ctypes.data, z.ctypes.data, len(r), out.ctypes.data)
-    return code, out
+    try:
+        recursion._native_lib().resample(prev, idx, r, z, out)
+    except RuntimeError:
+        return -1, out
+    return 0, out
 
 
 def _reduceat_oracle(prev, idx, r, z):
-    offsets = np.concatenate(([0], np.cumsum(r)[:-1]))
-    return np.maximum(np.add.reduceat(prev[idx], offsets) - z, 0)
+    out = np.empty(len(r))
+    oracles.resample(prev, idx, r, z, out)
+    return out
 
 
 def _segments(g):
@@ -368,21 +373,21 @@ def test_resampling_kernel_refuses_a_bad_partition():
                 np.array([0, 1, 2, 3, 4, 5], dtype=np.int64),  # idx left over
                 np.array([0, 1, 2, 10, 4], dtype=np.int64)):  # outside prev
         assert _kernel(prev, idx, r, np.zeros(2))[0] == -1
-    with pytest.raises(RuntimeError):
-        montecarlo._resample(recursion._native_lib(), prev, idx, r,
-                             np.zeros(2), np.empty(2))
+    with pytest.raises(RuntimeError, match="do not partition"):
+        recursion._native_lib().resample(prev, idx, r, np.zeros(2),
+                                         np.empty(2))
 
 
 @needs_gcc
 @pytest.mark.parametrize("thresholds", [[0.5, 1, 1.5, 2.0, 3.0], [1, 2], []])
-def test_counts_match_numpy(monkeypatch, thresholds):
+def test_counts_match_numpy(thresholds):
     g = np.random.default_rng(13)
     x = g.choice(np.array([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0,
                            np.nan, np.inf, -np.inf]), 10007)
     sizes = [*range(1, 12), 4099, 10007]  # whole and partial blocks, lanes
-    got = [montecarlo._counts(x[:n], thresholds) for n in sizes]
-    monkeypatch.setattr(recursion, "_native", False)
-    assert got == [montecarlo._counts(x[:n], thresholds) for n in sizes]
+    counts = recursion._native_lib().counts
+    assert [counts(x[:n], thresholds) for n in sizes] \
+        == [oracles.counts(x[:n], thresholds) for n in sizes]
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
@@ -415,11 +420,8 @@ def _float_pools(draw):
 def test_moments_match_numpy(x):
     with warnings.catch_warnings():  # an empty or non-finite pool
         warnings.simplefilter("ignore", RuntimeWarning)
-        want = repr((float(np.mean(x)), float(np.std(x))))
-        assert repr(montecarlo._moments(x)) == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recursion, "_native", False)
-            assert repr(montecarlo._moments(x)) == want
+        want = repr(oracles.moments(x))
+        assert repr(recursion._native_lib().moments(x)) == want
 
 
 def _mc_json(tmp_path, name, args):
@@ -439,7 +441,7 @@ def test_native_and_numpy_resampling_agree_byte_for_byte(monkeypatch,
     args = [*args, "--levels", "3", "--pool-size", "30000", "--seed", "5"]
     native = [_mc_json(tmp_path, f"n{t}.json", [*args, "--threads", str(t)])
               for t in (1, 2)]
-    monkeypatch.setattr(recursion, "_native", False)
+    monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     numpy = [_mc_json(tmp_path, f"p{t}.json", [*args, "--threads", str(t)])
              for t in (1, 2)]
     assert native[0] == native[1] == numpy[0] == numpy[1]
@@ -462,7 +464,7 @@ _LF_REPORTS = {
 def test_lf_validation_reports_are_pinned(monkeypatch, tmp_path, model,
                                           threads, native):
     if not native:
-        monkeypatch.setattr(recursion, "_native", False)
+        monkeypatch.setattr(recursion, "_native", oracles.NATIVE)
     p, z, alpha, beta = model
     report = _mc_json(tmp_path, "lf.json", [
         "--kind", "lf", "--p", p, "--z", z, "--alpha", alpha, "--beta", beta,

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from drlab import recursion
-from drlab.curve import bisect_h, h_eval, residual_local, solve_curve
+from drlab.curve import bisect_h, h_eval, solve_curve
 from drlab.drivers import PsiFunction, driver_from_spec
 from drlab.models import CLFParams, LFParams
 from drlab.montecarlo import (mc_step, pool_from_clf, pool_from_lf,
@@ -310,6 +311,21 @@ def test_a_negative_step_budget_or_count_is_a_value_error(lf_model):
     assert [s.n for s in orbit(0.05, -0.3, psi, 0)] == [0]
 
 
+@pytest.mark.parametrize("max_iter", [1e6, 2 ** 63])
+def test_a_step_budget_that_is_no_int64_is_a_value_error(lf_model, max_iter):
+    # such a budget once sent the orbit to a Python loop without a word
+    psi = lf_model.psi
+    calls = [lambda: classify_detail(0.05, -0.3, psi, max_iter=max_iter),
+             lambda: classify_many([0.05, 0.06], -0.3, psi,
+                                   max_iter=max_iter),
+             lambda: stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
+                                    epsilon=1e-6, max_iter=max_iter)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iter must be an int below 2**63, got {max_iter!r}")):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
@@ -602,8 +618,11 @@ def test_stopping_times_matches_reference_loop(name, u0, v0, eps, max_iter):
         r = stopping_times(u0, v0, psi, A=10.0, delta=0.1, epsilon=eps,
                            max_iter=max_iter)
         return (r.N0, r.u_N0, r.n_star, r.n1_A, r.n2_A, r.n3_delta, r.n4_delta)
-    assert _outcome(run) == _outcome(_reference_stopping, u0, v0, psi, 10.0,
-                                     0.1, eps, max_iter)
+    with pytest.MonkeyPatch.context() as mp:
+        if not hasattr(psi.fn, "native"):  # the library refuses dual(fig1)
+            mp.setattr(recursion, "_native", oracles.NATIVE)
+        assert _outcome(run) == _outcome(_reference_stopping, u0, v0, psi,
+                                         10.0, 0.1, eps, max_iter)
 
 
 @settings(max_examples=300, deadline=None)
@@ -659,7 +678,7 @@ def test_native_classify_matches_python_kernel(name, u0, v0, max_iter):
         return classify_detail(u0, v0, psi, max_iter=max_iter, _log_u=True)
     got = _outcome_exact(run)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert got == _outcome_exact(run)
 
 
@@ -672,7 +691,7 @@ def test_native_classify_matches_python_kernel_near_the_curve(name):
     native = [classify_detail(u, v, psi, max_iter=20000, _log_u=True)
               for u, v in starts]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         python = [classify_detail(u, v, psi, max_iter=20000, _log_u=True)
                   for u, v in starts]
     assert repr(native) == repr(python)
@@ -689,7 +708,7 @@ def test_native_certificate_matches_python_kernel_below_the_curve(name):
     native = [classify_detail(u, v, psi, max_iter=10 ** 5, _log_u=True)
               for u, v in starts]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         python = [classify_detail(u, v, psi, max_iter=10 ** 5, _log_u=True)
                   for u, v in starts]
     assert repr(native) == repr(python)
@@ -753,7 +772,7 @@ def test_log_free_verdict_matches_the_summed_one_and_the_oracle(
     free, free_log = verdict()
     summed, summed_log = verdict(_log_u=True)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         oracle, oracle_log = verdict(_log_u=True)
         assert verdict() == (free, free_log)
     assert free == summed == oracle
@@ -792,7 +811,7 @@ def test_classify_many_matches_classify_detail(name, us, near, v0, max_iter):
     want = _outcome_exact(each)
     assert _outcome_exact(many) == want
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert _outcome_exact(many) == _outcome_exact(each) == want
 
 
@@ -808,12 +827,13 @@ def test_the_cv_refined_seed_decides_its_final_pair_in_one_native_call(
 
     def spy(psi, starts, max_iter, sum_log):
         results = lib.classify(psi, starts, max_iter, sum_log)
-        calls.append([(code, last.n) for code, last in results])
+        calls.append([(label, last.n) for label, last in results])
         return results
     monkeypatch.setattr(recursion, "_native", lib._replace(classify=spy))
     assert refined_h(lf_model.psi, lf_curve, -0.3, 1e-11) \
         == 0.05180626964526014
-    assert calls[-1] == [(1, 961_536), (0, 882_537)]  # sub, then super
+    assert calls[-1] == [(PhaseLabel.SUBCRITICAL, 961_536),
+                         (PhaseLabel.SUPERCRITICAL, 882_537)]
     assert sum(len(call) for call in calls) == 16
 
 
@@ -841,7 +861,7 @@ def test_native_stopping_times_matches_python_kernel(name, u0, v0, eps,
                               max_iter=max_iter)
     got = _outcome_exact(run)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert got == _outcome_exact(run)
 
 
@@ -857,7 +877,7 @@ def test_native_stopping_times_matches_python_kernel_near_the_curve(name):
                 for u0, eps in args]
     native = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_native", False)
+        mp.setattr(recursion, "_native", oracles.NATIVE)
         assert repr(native) == repr(run())
     assert min(r.N0 for r in native) > 1000
 
@@ -874,7 +894,8 @@ def _counting(psi):
 
 def test_rebuilt_drivers_step_through_the_python_kernel():
     # a PsiFunction whose fn is not a built-in one makes one fn call per
-    # step: the native loop would make none
+    # step of the classifier: the native loop would make none.  The
+    # stopping pass, which has no Python loop in the package, refuses it
     lf = KERNEL_DRIVERS["lf:p=0.5,z=1"]
     fn, calls = _counting(lf)
     copies = [dataclasses.replace(lf, fn=fn),
@@ -888,9 +909,11 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
         assert label is PhaseLabel.UNDETERMINED and last.n == 3001
         assert calls["fn"] == last.n + last.n // 1024
         calls["fn"] = 0
-        rec = stopping_times(0.051806269642573365, -0.3, psi, A=1.0,
-                             delta=0.1, epsilon=1e-6, max_iter=3000)
-        assert rec.N0 is None and calls["fn"] == 3000 + 2
+        with pytest.raises(TypeError, match=re.escape(
+                f"driver {psi.name!r} has no native description")):
+            stopping_times(0.051806269642573365, -0.3, psi, A=1.0,
+                           delta=0.1, epsilon=1e-6, max_iter=3000)
+        assert calls["fn"] == 0
     calls["fn"] = 0
     dual = dual_psi(dataclasses.replace(lf, fn=fn))
     _, last = classify_detail(0.001, -0.4, dual, max_iter=3000)
@@ -900,27 +923,20 @@ def test_rebuilt_drivers_step_through_the_python_kernel():
 def test_stopping_pass_ends_once_below_the_curve():
     # from (1e-6, -0.3), below h: no hit can fire, and the pass stops at
     # the first test of the certificate instead of stepping 10^7 times
+    # (the counting driver runs through the oracle; the C loop's record is
+    # the same)
     lf = KERNEL_DRIVERS["lf:p=0.5,z=1"]
     fn, calls = _counting(lf)
     psi = dataclasses.replace(lf, fn=fn)
-    rec = stopping_times(1e-6, -0.3, psi, A=1.0, delta=0.1, epsilon=1e-6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_native", oracles.NATIVE)
+        rec = stopping_times(1e-6, -0.3, psi, A=1.0, delta=0.1, epsilon=1e-6)
     assert calls["fn"] == 1024 + 1
     assert (rec.N0, rec.u_N0, rec.n_star, rec.n1_A, rec.n2_A, rec.n3_delta,
             rec.n4_delta) == _reference_stopping(1e-6, -0.3, lf, 1.0, 0.1,
                                                  1e-6, 20000)
     assert rec == stopping_times(1e-6, -0.3, lf, A=1.0, delta=0.1,
                                  epsilon=1e-6)
-
-
-def _mc_pools(lf_model, clf_model):
-    """One Monte Carlo step and summary of each family's pool."""
-    out = []
-    for pool, model in ((pool_from_lf(LFParams(0.6, 0.9), 20000, 3), lf_model),
-                        (pool_from_clf(CLFParams(2.0, 0.5), 20000, 3),
-                         clf_model)):
-        pool = mc_step(pool, model)
-        out.append((pool.samples.tobytes(), summarize_pool(pool, [1, 2])))
-    return out
 
 
 def test_every_c_entry_point_is_bound_by_the_loader():
@@ -938,6 +954,31 @@ def test_every_c_entry_point_is_bound_by_the_loader():
     bound = set(re.findall(r"\bdll\.(drlab_\w+)", loader))
     assert defined == bound
     assert {"drlab_classify", "drlab_resample", "drlab_moments"} <= bound
+
+
+def test_no_module_tests_the_library_for_truth():
+    # read as text: the library is required, so no module may test the
+    # loaded _Native (or a failed load) for truth and take a second path
+    here = os.path.dirname(recursion.__file__)
+    truth = re.compile("|".join([
+        r"\bif\s+(not\s+)?native\b",
+        r"\bnative\s+(and|or)\b", r"\b(and|or|not)\s+native\b",
+        r"_native_lib\(\)\s+(and|or)\b",
+        r"\b(and|or|not)\s+(recursion\.)?_native_lib\(\)",
+        r"\b_native\s+(is|==|!=)\s+False\b",
+        r"\bif\s+(not\s+)?(recursion\.)?_native(_lib\(\))?\s*:"]))
+    found = []
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name)) as fh:
+                found += [f"{name}:{i}: {line.strip()}"
+                          for i, line in enumerate(fh, 1)
+                          if truth.search(line)]
+    assert found == []
+    for line in ("if native:", "native = x and _native_lib()",
+                 "return _native_lib() or None", "if recursion._native:",
+                 "_native is False", "if not native:"):
+        assert truth.search(line), line
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
@@ -972,29 +1013,31 @@ def test_native_classifier_is_built_and_loaded(monkeypatch, lf_model,
 
 @pytest.mark.parametrize("name,value", [("_CC", "no-such-c-compiler"),
                                         ("_CFLAGS", ("--no-such-flag",))])
-def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path,
-                                                      name, value, lf_model,
-                                                      clf_model):
-    psi = KERNEL_DRIVERS["clf:p=0.4,z=0.5@0.3+2@0.7"]
-
-    def run():
-        curve = solve_curve(psi, 0.5, 200)
-        fig1 = solve_curve(KERNEL_DRIVERS["fig1"], 0.5, 1000)  # curve-sweep's
-        return (repr(classify_detail(0.05, -0.3, psi, max_iter=5000,
-                                     _log_u=True)),
-                repr(stopping_times(0.05, -0.3, psi, A=1.0, delta=0.1,
-                                    epsilon=1e-6, max_iter=5000)),
-                _mc_pools(lf_model, clf_model),
-                curve.grid.g.tobytes(), repr(curve.grid),
-                residual_local(curve, psi).tobytes(), curve.residual_sup,
-                fig1.grid.g.tobytes(), repr(fig1.grid), fig1.residual_sup)
-    want = run()
+def test_failed_build_names_its_cause(monkeypatch, tmp_path, capsys, name,
+                                      value):
+    # no second path takes over: the library raises OSError with the
+    # compiler command and its first line on stderr, a command exits 2 with
+    # that message, and the build leaves no file behind
+    from drlab.cli import main
+    cache = tmp_path / "cache"
     monkeypatch.setattr(recursion, name, value)
-    monkeypatch.setattr(recursion, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(recursion, "_CACHE_DIR", str(cache))
     monkeypatch.setattr(recursion, "_native", None)
-    assert run() == want
-    assert recursion._native is False
-    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+    command = " ".join([recursion._CC, *recursion._CFLAGS])
+    with pytest.raises(OSError) as info:
+        recursion._native_lib()
+    message = str(info.value)
+    assert message.startswith(f"cannot build the C library: {command} -o ")
+    cause = message.split(" -lm: ", 1)[1]
+    if name == "_CC":
+        assert cause == "no such compiler"
+    else:
+        assert cause.startswith("gcc: ") and "--no-such-flag" in cause
+    assert recursion._native is None
+    capsys.readouterr()
+    assert main(["curve", "--driver", "fig1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(cache.iterdir()) == []  # no temporary file left behind
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")

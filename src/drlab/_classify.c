@@ -21,9 +21,12 @@
    only for a caller that keeps the final log u (the classify command):
    its verdicts read log u only against -inf, which the sum cannot reach
    by itself (the proof is above drlab_classify), and a libm log is a
-   large share of a step's cost.  drlab_rows formats
-   recursion.write_table's rows.  recursion.py builds and loads this
-   file, and a run that cannot build it stops. */
+   large share of a step's cost.  drlab_march's H searches for its cell
+   only between the nodes found for its bracket's ends.  drlab_rows
+   formats recursion.write_table's rows, the digits of a finite value with
+   1e-16 < |x| < 1e17 by exact integer scaling (fast17()), any other value
+   by snprintf.  recursion.py builds and loads this file, and a run that
+   cannot build it stops. */
 
 #include <locale.h>
 #include <math.h>
@@ -250,16 +253,21 @@ int drlab_stopping(int kind, const double *params, int n_atoms,
 
 /* The march's H at y for node i (see curve._march): the in-cell quotient while y lies left
    of x[i+1], else g interpolated at y over the solved nodes right of x[i].
-   The binary search finds bisect_right(x, y) - 1, the last node <= y, and
-   x[i+1] <= y bounds it below. */
+   *first is set to bisect_right(x, y), the first node > y (i + 1 in the
+   cell), which the caller knows to lie in [lo, hi]: as bisect_right is
+   monotone in y, the nodes found for the ends of a bracket around y bound
+   it, and the binary search runs between them only. */
 static double march_h(const driver *d, const double *x, const double *g,
-                      int64_t m, int64_t i, double y)
+                      int64_t m, int64_t i, double y, int64_t lo, int64_t hi,
+                      int64_t *first)
 {
-    int64_t lo = i + 1, hi = m + 1, mid, j;
+    int64_t mid, j;
     double gy;
 
-    if (y < x[i + 1])
+    if (y < x[i + 1]) {
+        *first = i + 1;
         return (g[i + 1] - y) / (x[i + 1] - x[i]) - psi(d, y);
+    }
     while (lo < hi) { /* the first node > y lies in [lo, hi] */
         mid = lo + (hi - lo) / 2;
         if (y < x[mid])
@@ -267,6 +275,7 @@ static double march_h(const driver *d, const double *x, const double *g,
         else
             lo = mid + 1;
     }
+    *first = lo;
     j = lo - 1;
     gy = j == m ? g[j]
                 : g[j] + (y - x[j]) * ((g[j + 1] - g[j]) / (x[j + 1] - x[j]));
@@ -276,9 +285,11 @@ static double march_h(const driver *d, const double *x, const double *g,
 /* curve._march over the grid x[0..m], rising strictly to x[m] = 0, into
    g[0..m], one floating-point operation for another: each node's root of
    H is bisected to adjacent floats from [max(g[i+1] - dx, x[i]), g[i+1]],
-   dx the node's own cell.  Returns 0, or on failure NO_ROOT with
-   bad = (lo, hi, f_lo, f_hi) or NAN_H with bad[0] the y where H is NaN,
-   and the node in *node, for Python to raise curve._march's own message. */
+   dx the node's own cell.  j_lo and j_hi are bisect_right(x, .) at the
+   bracket's ends, and each H inside it searches between them.  Returns 0,
+   or on failure NO_ROOT with bad = (lo, hi, f_lo, f_hi) or NAN_H with
+   bad[0] the y where H is NaN, and the node in *node, for Python to raise
+   curve._march's own message. */
 enum { NO_ROOT = 1, NAN_H };
 
 int drlab_march(int kind, const double *params, int n_atoms,
@@ -287,7 +298,7 @@ int drlab_march(int kind, const double *params, int n_atoms,
 {
     const driver d = {kind, n_atoms, params, 0.0, 0.0, 0.0, 0.0};
     double lo, hi, mid, f, f_lo, f_hi;
-    int64_t i;
+    int64_t i, j_lo, j_hi, j;
 
     g[m] = 0.0;
     for (i = m - 1; i >= 0; i--) {
@@ -295,8 +306,8 @@ int drlab_march(int kind, const double *params, int n_atoms,
         lo = hi - (x[i + 1] - x[i]);
         if (x[i] > lo) /* Python's max(lo, x[i]): the first unless exceeded */
             lo = x[i];
-        f_lo = march_h(&d, x, g, m, i, lo);
-        f_hi = march_h(&d, x, g, m, i, hi);
+        f_lo = march_h(&d, x, g, m, i, lo, i + 1, m + 1, &j_lo);
+        f_hi = march_h(&d, x, g, m, i, hi, i + 1, m + 1, &j_hi);
         *node = i;
         if (!(f_lo >= 0.0 && 0.0 >= f_hi)) {
             bad[0] = lo;
@@ -307,13 +318,15 @@ int drlab_march(int kind, const double *params, int n_atoms,
         }
         mid = 0.5 * (lo + hi);
         while (lo < mid && mid < hi) {
-            f = march_h(&d, x, g, m, i, mid);
+            f = march_h(&d, x, g, m, i, mid, j_lo, j_hi, &j);
             if (f > 0.0) {
                 lo = mid;
                 f_lo = f;
+                j_lo = j;
             } else if (f <= 0.0) {
                 hi = mid;
                 f_hi = f;
+                j_hi = j;
             } else {
                 bad[0] = mid;
                 return NAN_H;
@@ -325,12 +338,106 @@ int drlab_march(int kind, const double *params, int n_atoms,
     return 0;
 }
 
+/* 5^k for k <= 27, the largest below 2^64 */
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u,
+    9765625u, 48828125u, 244140625u, 1220703125u, 6103515625u,
+    30517578125u, 152587890625u, 762939453125u, 3814697265625u,
+    19073486328125u, 95367431640625u, 476837158203125u,
+    2384185791015625u, 11920928955078125u, 59604644775390625u,
+    298023223876953125u, 1490116119384765625u, 7450580596923828125u};
+
+#define E16 10000000000000000u
+
+/* %.17g of x into out without printf, for a finite x with
+   1e-16 < |x| < 1e17 (a double above the double 1e-16 is above 10^-16);
+   returns the length, or -1 for any other x.  |x| = m 2^e exactly, so
+   with k = 16 - X, X the decimal exponent, the 17 digits are
+   |x| 10^k = m 5^k 2^(e+k), rounded half to even on the exact remainder
+   of the shift: m 5^k < 2^53 5^32 < 2^128.  X starts at
+   floor((e + 52) log10 2), never above the true exponent, and rises while
+   the digits reach 10^17, which also moves a carry to 10^17 onto the next
+   exponent.  The layout is %g's: fixed for -4 <= X < 17, else
+   d.ddde-XX, trailing zeros stripped. */
+static int fast17(double x, char *out)
+{
+    double ax = fabs(x);
+    uint64_t bits, m, dd;
+    uint32_t hi, lo;
+    unsigned __int128 p, rem, half;
+    int e, X, k, last, j;
+    char dig[17], *o = out;
+
+    if (!(ax > 1e-16 && ax < 1e17)) /* also NaN */
+        return -1;
+    memcpy(&bits, &ax, sizeof bits);
+    m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    e = (int)(bits >> 52) - 1075;
+    X = ((e + 52) * 78913) >> 18; /* floor((e + 52) log10 2) for this e */
+    if (X < -16) /* |x| > 10^-16 */
+        X = -16;
+    for (;; X++) {
+        k = 16 - X;
+        p = (unsigned __int128)m * POW5[k < 27 ? k : 27];
+        if (k > 27)
+            p *= POW5[k - 27];
+        if (e + k >= 0) {
+            dd = (uint64_t)(p << (e + k));
+        } else {
+            dd = (uint64_t)(p >> -(e + k));
+            rem = p - ((unsigned __int128)dd << -(e + k));
+            half = (unsigned __int128)1 << (-(e + k) - 1);
+            dd += rem > half || (rem == half && (dd & 1));
+        }
+        if (dd < 10 * E16)
+            break;
+    }
+    hi = (uint32_t)(dd / 100000000u);
+    lo = (uint32_t)(dd % 100000000u);
+    for (j = 16; j >= 9; j--, lo /= 10)
+        dig[j] = (char)('0' + lo % 10);
+    for (; j >= 0; j--, hi /= 10)
+        dig[j] = (char)('0' + hi % 10);
+    for (last = 16; dig[last] == '0'; last--)
+        ;
+    if (x < 0.0)
+        *o++ = '-';
+    if (X < -4) {
+        *o++ = dig[0];
+        if (last > 0) {
+            *o++ = '.';
+            memcpy(o, dig + 1, last);
+            o += last;
+        }
+        *o++ = 'e';
+        *o++ = '-';
+        *o++ = (char)('0' - X / 10);
+        *o++ = (char)('0' - X % 10);
+    } else if (X < 0) {
+        memcpy(o, "0.000", 1 - X); /* "0." and -X - 1 zeros */
+        o += 1 - X;
+        memcpy(o, dig, last + 1);
+        o += last + 1;
+    } else {
+        memcpy(o, dig, X + 1);
+        o += X + 1;
+        if (last > X) {
+            *o++ = '.';
+            memcpy(o, dig + X + 1, last - X);
+            o += last - X;
+        }
+    }
+    return (int)(o - out);
+}
+
 /* Rows of n_cols columns from row *row on, each value as Python's
    f"{v:.17g}" writes it, comma-separated, one line per row: as many whole
    rows as fit into buf[0..cap) (cap >= ROW_MAX * n_cols), *row advanced
-   past them.  glibc writes the same digits, but "-nan" for a NaN with its
-   sign bit set, where Python writes "nan"; and it formats under the "C"
-   locale here, whatever the caller's LC_NUMERIC.  Returns the number of
+   past them.  fast17() writes a finite x with 1e-16 < |x| < 1e17;
+   snprintf the rest (zero, subnormals, the values outside that range and
+   inf), under the "C" locale, whatever the caller's LC_NUMERIC, made only
+   when a chunk holds such a value.  glibc writes "-nan" for a NaN with
+   its sign bit set, where Python writes "nan".  Returns the number of
    bytes written, or -1 when cap is too small or the locale cannot be
    made. */
 #define ROW_MAX 32 /* "-1.2345678901234567e-308," is 25 bytes */
@@ -338,30 +445,37 @@ int drlab_march(int kind, const double *params, int n_atoms,
 int64_t drlab_rows(const double *const *cols, int n_cols, int64_t n_rows,
                    int64_t *row, char *buf, int64_t cap)
 {
-    locale_t c_locale, old;
+    locale_t c_locale = (locale_t)0, old = (locale_t)0;
     int64_t len = 0, i;
     double v;
-    int j;
+    int j, n;
 
     if (cap < ROW_MAX * n_cols)
         return -1;
-    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
-    old = uselocale(c_locale);
     for (i = *row; i < n_rows && cap - len >= ROW_MAX * n_cols; i++)
         for (j = 0; j < n_cols; j++) {
             v = cols[j][i];
-            if (isnan(v)) {
+            n = fast17(v, buf + len);
+            if (n >= 0) {
+                len += n;
+            } else if (isnan(v)) {
                 memcpy(buf + len, "nan", 3);
                 len += 3;
             } else {
+                if (c_locale == (locale_t)0) {
+                    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+                    if (c_locale == (locale_t)0)
+                        return -1;
+                    old = uselocale(c_locale);
+                }
                 len += snprintf(buf + len, ROW_MAX, "%.17g", v);
             }
             buf[len++] = j + 1 < n_cols ? ',' : '\n';
         }
-    uselocale(old);
-    freelocale(c_locale);
+    if (c_locale != (locale_t)0) {
+        uselocale(old);
+        freelocale(c_locale);
+    }
     *row = i;
     return len;
 }

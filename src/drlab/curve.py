@@ -222,8 +222,10 @@ def _march(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     H(y) = (interp(y) - y)/(y - x_i) - psi(y), which in that cell reads
     (g_{i+1} - y)/dx - psi(y), dx the cell's own width.  Monotonicity and
     the 1-Lipschitz bound put the root in [max(g_{i+1} - dx, x_i), g_{i+1}];
-    it is bisected down to adjacent floats.  A bracket without a sign
-    change, or a NaN H inside one, raises NumericError.
+    it is bisected down to adjacent floats.  Right of x_{i+1}, H finds the
+    cell of y by a binary search between the nodes found for the
+    bracket's ends, as the first node > y rises with y.  A bracket without
+    a sign change, or a NaN H inside one, raises NumericError.
 
     xs rises strictly to 0 inside psi's domain (:func:`_grid_xs` checks
     that for the uniform grid), so psi is evaluated by its scalar ``fn``,

@@ -657,7 +657,8 @@ def write_table(out: TextIO, header: str, cols: Sequence) -> None:
     """Write the header line, then one CSV row per index of the equal-length
     columns, each value as ``f"{v:.17g}"`` writes its float (an integer
     column's 1001 as ``1001``), formatted by ``_classify.c`` in chunks of
-    64 KB."""
+    64 KB: a finite value with 1e-16 < |v| < 1e17 by exact integer
+    scaling, any other by ``snprintf``."""
     out.write(header + "\n")
     _native_lib().write_rows(out, cols)
 

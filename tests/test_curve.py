@@ -313,6 +313,33 @@ def test_native_march_matches_python_march(spec, A, m, pinch):
     assert native == python
 
 
+def _uneven_xs(grid, A, m):
+    """m cells rising strictly from -A to 0: random widths up to 8000
+    times apart, or ROADMAP item 5's graded x_j = -A(1 - j/m)^2."""
+    if grid == "graded":
+        xs = -A * (1.0 - np.arange(m + 1) / m) ** 2 + 0.0
+    else:
+        widths = np.random.default_rng(m).uniform(0.05, 1.0, m) ** 3
+        cells = np.concatenate(([0.0], np.cumsum(widths)))
+        xs = A * (cells / cells[-1] - 1.0)
+    assert xs[0] == -A and xs[-1] == 0.0 and np.all(np.diff(xs) > 0)
+    return xs
+
+
+# the march searches only between the nodes found for its bracket's ends:
+# cells of many widths move those nodes apart, and at m <= 3 the search
+# window reaches the end bound m + 1
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+@pytest.mark.parametrize("m", [1, 2, 3, 1000])
+@pytest.mark.parametrize("grid", ["random", "graded"])
+@pytest.mark.parametrize("spec", NATIVE_MARCH_SPECS)
+def test_native_march_matches_python_march_on_uneven_grids(spec, grid, m):
+    psi = driver_from_spec(spec)[0]
+    xs = _uneven_xs(grid, min(0.5, -psi.domain_min), m)
+    native, python = _both_marches(psi, xs)
+    assert isinstance(native, bytes) and native == python
+
+
 def _described_driver(kind, params, n_atoms):
     """A driver whose scalar fn is _classify.c's psi for the description,
     so that both marches see the same values."""
@@ -533,6 +560,37 @@ def test_native_rows_span_chunks():
     assert _native_rows(cols) == oracles.rows(cols)
 
 
+def _formatter_edges() -> list[float]:
+    """Both ends of drlab_rows's fast range, exact ties k 2^e, and each
+    power of ten from 1e-20 to 1e20 with its neighbours: %g's layout
+    turns between 9.9999999999999991e-05 and 0.0001 and between
+    99999999999999984 and 1e+17, and the double 1e-14, just below 10^-14,
+    rounds up to it at 17 digits.  Then ±0, subnormals, ±inf and NaNs."""
+    edges = [1e-16, math.nextafter(1e-16, 0.0), math.nextafter(1e-16, 1.0),
+             math.nextafter(1e17, 0.0), 1e17, 2.0 ** -25, 1e-14]
+    edges += [k * 2.0 ** e for k in range(1, 2000, 2) for e in range(-60, 61)]
+    for x in (float(f"1e{p}") for p in range(-20, 21)):
+        for step in range(3):
+            edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+            x = math.nextafter(x, 0.0)
+    edges += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              math.inf, math.nan, _from_bits(0x7FF0000000000001)]
+    return edges + [-x for x in edges]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_native_rows_match_python_on_a_million_seeded_doubles():
+    rng = np.random.default_rng(37)
+    bits = rng.integers(0, 2 ** 64, 500_000, dtype=np.uint64).view(np.float64)
+    # the curve CSV's range: x, g and h in [-0.5, 0.5], residuals near 1e-17
+    curve = rng.uniform(-0.5, 0.5, 500_000) * 10.0 ** rng.integers(-20, 18,
+                                                                   500_000)
+    values = np.concatenate((bits, curve, _formatter_edges()))
+    values = np.concatenate((values, np.zeros(-len(values) % 4)))
+    cols = [values[j::4] for j in range(4)]
+    assert _native_rows(cols) == oracles.rows(cols)
+
+
 _COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
                   "nl_NL.UTF-8", "ru_RU.UTF-8", "de_DE", "fr_FR")
 
@@ -540,7 +598,9 @@ _COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_native_rows_ignore_a_comma_decimal_locale():
     import locale
-    cols = [[0.5, -1.25e-7, math.nan], [math.pi, 1e300, -0.0]]
+    # 1e300 and 5e-324 take snprintf, the rest drlab_rows's own digits
+    cols = [[0.5, -1.25e-7, math.nan], [math.pi, 1e300, -0.0],
+            [5e-324, 2.5, 1e-5]]
     saved = locale.setlocale(locale.LC_NUMERIC)
     try:
         for name in _COMMA_LOCALES:

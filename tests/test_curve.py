@@ -570,9 +570,9 @@ def _formatter_edges() -> list[float]:
              math.nextafter(1e17, 0.0), 1e17, 2.0 ** -25, 1e-14]
     edges += [k * 2.0 ** e for k in range(1, 2000, 2) for e in range(-60, 61)]
     for x in (float(f"1e{p}") for p in range(-20, 21)):
-        for step in range(3):
-            edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
-            x = math.nextafter(x, 0.0)
+        below = math.nextafter(x, 0.0)
+        edges += [x, math.nextafter(x, math.inf), below,
+                  math.nextafter(below, 0.0)]
     edges += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
               math.inf, math.nan, _from_bits(0x7FF0000000000001)]
     return edges + [-x for x in edges]
@@ -598,7 +598,7 @@ _COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_native_rows_ignore_a_comma_decimal_locale():
     import locale
-    # 1e300 and 5e-324 take snprintf, the rest drlab_rows's own digits
+    # 5e-324, 1e300 and -0.0 take snprintf, the other numbers fast17()
     cols = [[0.5, -1.25e-7, math.nan], [math.pi, 1e300, -0.0],
             [5e-324, 2.5, 1e-5]]
     saved = locale.setlocale(locale.LC_NUMERIC)
